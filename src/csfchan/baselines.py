@@ -13,15 +13,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ChannelModel, add_awgn, apply_multipath
+from .channel import ChannelModel, add_awgn_sweep, apply_multipath
 from .waveform import CsfParams, Waveform, encode_waveform, random_symbols
 
 __all__ = [
     "ProbeFrame",
     "LsEstimate",
+    "probe_design",
     "ls_estimate",
     "gaussian_probe_frame",
+    "gaussian_probe_sweep",
     "chaotic_probe_frame",
+    "chaotic_probe_sweep",
 ]
 
 
@@ -56,24 +59,33 @@ class LsEstimate:
         return self.alpha_hat[1:] / self.alpha_hat[0]
 
 
-def ls_estimate(frame: ProbeFrame, max_delay: int) -> LsEstimate:
+def probe_design(probe: Waveform, max_delay: int) -> np.ndarray:
+    """Regression matrix whose column k is the probe shifted by k symbol
+    periods, over taps at delays 0..max_delay."""
+    ns = probe.samples_per_symbol
+    n = len(probe)
+    design = np.zeros((n + max_delay * ns, max_delay + 1))
+    for k in range(max_delay + 1):
+        design[k * ns : k * ns + n, k] = probe.samples
+    return design
+
+
+def ls_estimate(frame: ProbeFrame, max_delay: int, design: np.ndarray | None = None) -> LsEstimate:
     """Solve min || received - X alpha ||_2 over taps at delays 0..max_delay.
 
     X holds the probe shifted by whole symbol periods; the solve goes
     through numpy's QR-based lstsq rather than explicit normal equations.
+    design, when given, is probe_design(frame.probe, max_delay), built
+    once for the frames of one probe.
     """
-    ns = frame.probe.samples_per_symbol
-    probe = frame.probe.samples
-    n = len(probe)
-    rows = n + max_delay * ns
+    if design is None:
+        design = probe_design(frame.probe, max_delay)
+    rows = design.shape[0]
     received = frame.received.samples
     if len(received) < rows:
         received = np.concatenate([received, np.zeros(rows - len(received))])
     else:
         received = received[:rows]
-    design = np.zeros((rows, max_delay + 1))
-    for k in range(max_delay + 1):
-        design[k * ns : k * ns + n, k] = probe
     solution, _, rank, _ = np.linalg.lstsq(design, received, rcond=None)
     return LsEstimate(alpha_hat=solution, degenerate=bool(rank < max_delay + 1))
 
@@ -86,11 +98,22 @@ def gaussian_probe_frame(
     seed: int,
 ) -> ProbeFrame:
     """White Gaussian probe at the sample rate through the channel."""
+    return gaussian_probe_sweep(n_symbols, samples_per_symbol, ch, [snr_db], seed)[0]
+
+
+def gaussian_probe_sweep(
+    n_symbols: int,
+    samples_per_symbol: int,
+    ch: ChannelModel,
+    snr_dbs,
+    seed: int,
+) -> list[ProbeFrame]:
+    """gaussian_probe_frame at each SNR of a sweep: one probe, one pass
+    through the channel and one noise draw, scaled to each SNR."""
     rng = np.random.default_rng(seed)
     probe = Waveform(rng.normal(size=n_symbols * samples_per_symbol), samples_per_symbol)
-    received = apply_multipath(probe, ch)
-    received, _ = add_awgn(received, snr_db, seed=seed + 1)
-    return ProbeFrame(probe=probe, received=received)
+    noisy = add_awgn_sweep(apply_multipath(probe, ch), snr_dbs, seed + 1)
+    return [ProbeFrame(probe=probe, received=received) for received, _ in noisy]
 
 
 def chaotic_probe_frame(
@@ -107,11 +130,23 @@ def chaotic_probe_frame(
     period, which is where the shaped probe carries its information.  At
     that rate an integer-symbol shift is a one-sample shift.
     """
-    stream = random_symbols(n_symbols, seed=seed)
-    probe_full = encode_waveform(stream, params)
-    received_full = apply_multipath(probe_full, ch)
-    received_full, _ = add_awgn(received_full, snr_db, seed=seed + 1)
-    ns = params.oversampling
+    probe_full = encode_waveform(random_symbols(n_symbols, seed=seed), params)
+    return chaotic_probe_sweep(probe_full, apply_multipath(probe_full, ch), [snr_db], seed)[0]
+
+
+def chaotic_probe_sweep(
+    probe_full: Waveform,
+    received_full: Waveform,
+    snr_dbs,
+    seed: int,
+) -> list[ProbeFrame]:
+    """chaotic_probe_frame at each SNR of a sweep, from the full-rate
+    shaped probe (symbols drawn with seed) and its noiseless channel
+    output: one noise draw, scaled to each SNR, then both decimated to
+    symbol-instant samples."""
+    ns = probe_full.samples_per_symbol
     probe = Waveform(probe_full.samples[::ns], 1, t0=probe_full.t0)
-    received = Waveform(received_full.samples[::ns], 1, t0=received_full.t0)
-    return ProbeFrame(probe=probe, received=received)
+    return [
+        ProbeFrame(probe=probe, received=Waveform(received.samples[::ns], 1, t0=received.t0))
+        for received, _ in add_awgn_sweep(received_full, snr_dbs, seed + 1)
+    ]

@@ -21,6 +21,7 @@ __all__ = [
     "attenuation_from_delay",
     "apply_multipath",
     "add_awgn",
+    "add_awgn_sweep",
     "sample_random_channel",
 ]
 
@@ -112,16 +113,34 @@ def add_awgn(wave: Waveform, snr_db: float | None, seed: int) -> tuple[Waveform,
     same seed yields the same underlying standard-normal draw at every
     SNR, so sweeping SNR with one seed varies only the noise scale.
     """
-    if snr_db is None or math.isinf(snr_db):
-        return wave, NoiseSpec(snr_db=math.inf, sigma2=0.0, seed=seed)
-    power = float(np.mean(wave.samples**2))
-    sigma2 = power / 10.0 ** (snr_db / 10.0)
-    rng = np.random.default_rng(seed)
-    noisy = wave.samples + rng.normal(0.0, math.sqrt(sigma2), size=len(wave))
-    return (
-        Waveform(noisy, wave.samples_per_symbol, t0=wave.t0),
-        NoiseSpec(snr_db=float(snr_db), sigma2=sigma2, seed=seed),
-    )
+    return add_awgn_sweep(wave, [snr_db], seed)[0]
+
+
+def add_awgn_sweep(wave: Waveform, snr_dbs, seed: int) -> list[tuple[Waveform, NoiseSpec]]:
+    """add_awgn at each SNR of a sweep from one standard-normal draw.
+
+    The draw and the signal power are computed once and the draw is
+    scaled to each SNR; sigma * standard_normal equals normal(0, sigma)
+    bit for bit, so each entry is exactly add_awgn at that SNR.
+    """
+    out = []
+    power = draw = None
+    for snr_db in snr_dbs:
+        if snr_db is None or math.isinf(snr_db):
+            out.append((wave, NoiseSpec(snr_db=math.inf, sigma2=0.0, seed=seed)))
+            continue
+        if draw is None:
+            power = float(np.mean(wave.samples**2))
+            draw = np.random.default_rng(seed).standard_normal(len(wave))
+        sigma2 = power / 10.0 ** (snr_db / 10.0)
+        noisy = wave.samples + math.sqrt(sigma2) * draw
+        out.append(
+            (
+                Waveform(noisy, wave.samples_per_symbol, t0=wave.t0),
+                NoiseSpec(snr_db=float(snr_db), sigma2=sigma2, seed=seed),
+            )
+        )
+    return out
 
 
 def sample_random_channel(

@@ -5,7 +5,8 @@ comes from a YAML file (--config), with every key overridable from the
 command line via --set section.key=value; the common knobs also have
 dedicated flags.  Each run writes <name>.csv and <name>.json into the
 output directory and exits nonzero when the experiment's built-in checks
-fail.
+fail; a configuration that cannot run is rejected with exit status 2
+before any work is done.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from pathlib import Path
 import yaml
 
 from .experiments import (
+    ConfigError,
     resolve_config,
     run_datalength_sweep,
     run_fig2,
@@ -30,13 +32,6 @@ _RUNNERS = {
     "sweep-length": run_datalength_sweep,
     "sweep-snr": run_snr_sweep,
     "invariance": run_invariance_demo,
-}
-
-_SECTION_OF = {
-    "fig2": "fig2",
-    "sweep-length": "sweep_length",
-    "sweep-snr": "sweep_snr",
-    "invariance": "invariance",
 }
 
 
@@ -95,7 +90,11 @@ def main(argv: list[str] | None = None) -> int:
     for dotted in args.overrides:
         _apply_override(cfg, dotted)
 
-    result = _RUNNERS[args.command](cfg)
+    try:
+        result = _RUNNERS[args.command](cfg)
+    except ConfigError as exc:
+        print(f"csfchan {args.command}: invalid configuration: {exc}", file=sys.stderr)
+        return 2
 
     out_dir = Path(cfg["out"])
     cfg_hash = config_hash(cfg)

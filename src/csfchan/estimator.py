@@ -18,7 +18,7 @@ them (converged, zero residual, different taps).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

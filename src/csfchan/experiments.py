@@ -18,17 +18,25 @@ from __future__ import annotations
 
 import copy
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .acf import empirical_acf, empirical_acf_trace, predicted_rx_acf, predicted_rx_acf_trace
-from .baselines import chaotic_probe_frame, gaussian_probe_frame, ls_estimate
-from .channel import ChannelModel, add_awgn, apply_multipath, attenuation_from_delay, sample_random_channel
-from .estimator import EstimationResult, IdentificationProblem, SolverOptions, mse, solve_channel
+from .baselines import chaotic_probe_sweep, gaussian_probe_sweep, ls_estimate, probe_design
+from .channel import (
+    ChannelModel,
+    add_awgn,
+    add_awgn_sweep,
+    apply_multipath,
+    attenuation_from_delay,
+    sample_random_channel,
+)
+from .estimator import EstimationResult, IdentificationProblem, SolverOptions, solve_channel
 from .waveform import CsfParams, Waveform, authoritative_acf_table, encode_waveform, random_symbols
 
 __all__ = [
+    "ConfigError",
     "DEFAULT_CONFIG",
     "ExperimentResult",
     "derive_seed",
@@ -122,6 +130,17 @@ def _merge(base: dict, extra: dict) -> None:
             _merge(base[key], value)
         else:
             base[key] = value
+
+
+class ConfigError(ValueError):
+    """A resolved configuration that cannot run, raised before any work."""
+
+
+def _trial_count(cfg: dict) -> int:
+    trials = cfg["trials"]
+    if isinstance(trials, bool) or not isinstance(trials, int) or trials < 1:
+        raise ConfigError(f"trials must be an integer >= 1, got {trials!r}")
+    return trials
 
 
 @dataclass
@@ -261,7 +280,7 @@ def _length_trial(args: tuple) -> list[tuple[int, float, bool]]:
 
 def run_datalength_sweep(cfg: dict) -> ExperimentResult:
     section = cfg["sweep_length"]
-    trials = int(cfg["trials"])
+    trials = _trial_count(cfg)
     per_trial = _fan_out(_length_trial, cfg, trials)
 
     path_count = int(section["path_count"])
@@ -304,14 +323,16 @@ def _snr_trial(args: tuple) -> dict[tuple[float, str], tuple[float, bool]]:
 
     One channel and one symbol stream serve every method and SNR point;
     per-method noise seeds are fixed across SNR so only the noise scale
-    changes along the sweep.
+    changes along the sweep.  What does not depend on the SNR is done
+    once per trial: the CSF encode and its channel output, each method's
+    noise draw and each LS design.
     """
     cfg, trial = args
     params = _csf_params(cfg)
     section = cfg["sweep_snr"]
     m = int(section["max_delay"])
-    methods = list(section["methods"])
     n_sym = int(section["symbols"])
+    snr_list = [float(s) for s in section["snr_db_list"]]
     ch = sample_random_channel(
         max_delay=m,
         gamma_range=tuple(section["gamma_range"]),
@@ -325,38 +346,36 @@ def _snr_trial(args: tuple) -> dict[tuple[float, str], tuple[float, bool]]:
     noise_seed = derive_seed(cfg["seed"], trial, 2)
     probe_seed = derive_seed(cfg["seed"], trial, 3)
 
-    clean_csf = None
+    methods = list(section["methods"])
     if "blind_acf" in methods or "ls_chaos" in methods:
-        stream = random_symbols(n_sym, seed=stream_seed)
-        clean_csf = apply_multipath(encode_waveform(stream, params), ch)
+        csf = encode_waveform(random_symbols(n_sym, seed=stream_seed), params)
+        clean_csf = apply_multipath(csf, ch)
 
     out = {}
-    for snr_db in section["snr_db_list"]:
-        snr_db = float(snr_db)
-        for method in methods:
-            if method == "blind_acf":
-                received, _ = add_awgn(clean_csf, snr_db, seed=noise_seed)
+    for method in methods:
+        if method == "blind_acf":
+            for snr_db, (received, _) in zip(snr_list, add_awgn_sweep(clean_csf, snr_list, noise_seed)):
                 result = identify_blind(received, params, m)
                 err = float(np.sum((result.alpha_hat - truth) ** 2)) / path_count
                 out[(snr_db, method)] = (err, result.converged)
-            elif method == "ls_gaussian":
-                frame = gaussian_probe_frame(n_sym, params.oversampling, ch, snr_db, seed=probe_seed)
-                est = ls_estimate(frame, m)
-                err = float(np.sum((est.relative_taps() - truth) ** 2)) / path_count
-                out[(snr_db, method)] = (err, not est.degenerate)
-            elif method == "ls_chaos":
-                frame = chaotic_probe_frame(n_sym, params, ch, snr_db, seed=stream_seed)
-                est = ls_estimate(frame, m)
-                err = float(np.sum((est.relative_taps() - truth) ** 2)) / path_count
-                out[(snr_db, method)] = (err, not est.degenerate)
-            else:
-                raise ValueError(f"unknown method {method!r}")
+            continue
+        if method == "ls_gaussian":
+            frames = gaussian_probe_sweep(n_sym, params.oversampling, ch, snr_list, seed=probe_seed)
+        elif method == "ls_chaos":
+            frames = chaotic_probe_sweep(csf, clean_csf, snr_list, seed=stream_seed)
+        else:
+            raise ValueError(f"unknown method {method!r}")
+        design = probe_design(frames[0].probe, m) if frames else None
+        for snr_db, frame in zip(snr_list, frames):
+            est = ls_estimate(frame, m, design)
+            err = float(np.sum((est.relative_taps() - truth) ** 2)) / path_count
+            out[(snr_db, method)] = (err, not est.degenerate)
     return out
 
 
 def run_snr_sweep(cfg: dict) -> ExperimentResult:
     section = cfg["sweep_snr"]
-    trials = int(cfg["trials"])
+    trials = _trial_count(cfg)
     per_trial = _fan_out(_snr_trial, cfg, trials)
 
     rows = []

@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.signal import fftconvolve
 
 __all__ = [
     "CsfParams",
@@ -157,21 +156,55 @@ def sample_base_pulse(params: CsfParams = CsfParams(), oversampling: int | None 
     return Waveform(base_pulse(idx / ns, params), ns, t0=-float(params.pulse_tail))
 
 
+def _next_fast_len(n: int) -> int:
+    """Smallest 5-smooth integer (2^a 3^b 5^c) that is >= n, n >= 1.
+
+    The padded length fftconvolve picks for real transforms, so the
+    spectra below have exactly its sizes.
+    """
+    best = 1 << (n - 1).bit_length()
+    f5 = 1
+    while f5 < best:
+        f35 = f5
+        while f35 < best:
+            # f35 * 2^k with the fewest doublings that reach n
+            best = min(best, f35 << (-(-n // f35) - 1).bit_length())
+            f35 *= 3
+        f5 *= 5
+    return best
+
+
+@lru_cache(maxsize=16)
+def _pulse_spectrum(params: CsfParams, n_fft: int) -> np.ndarray:
+    """Real FFT of the sampled pulse zero-padded to n_fft (read-only).
+
+    A length sweep cycles through one FFT length per frame length, and a
+    cache smaller than that cycle never hits; 16 entries cover the seven
+    lengths of the reference sweep.
+    """
+    spectrum = np.fft.rfft(sample_base_pulse(params).samples, n_fft)
+    spectrum.flags.writeable = False
+    return spectrum
+
+
 def encode_waveform(stream: SymbolStream, params: CsfParams = CsfParams()) -> Waveform:
     """Superpose one symbol-shifted shaping pulse per symbol.
 
     The output grid covers [-pulse_tail, n_symbols) symbol periods at the
     configured oversampling, so it contains the leading tail of the first
-    symbols and ends where the last pulse vanishes.
+    symbols and ends where the last pulse vanishes.  The convolution of
+    the symbol impulse train with the sampled pulse runs in the frequency
+    domain with fftconvolve's padding and product, so the samples equal
+    scipy.signal.fftconvolve's bit for bit.
     """
     ns = params.oversampling
     n_sym = len(stream)
-    kernel = sample_base_pulse(params).samples
+    n_out = (n_sym + params.pulse_tail) * ns
+    n_fft = _next_fast_len(n_out + ns - 1)  # full convolution length
     train = np.zeros(n_sym * ns)
     train[::ns] = stream.symbols
-    full = fftconvolve(train, kernel)
-    samples = full[: (n_sym + params.pulse_tail) * ns]
-    return Waveform(samples, ns, t0=-float(params.pulse_tail))
+    full = np.fft.irfft(np.fft.rfft(train, n_fft) * _pulse_spectrum(params, n_fft), n_fft)
+    return Waveform(full[:n_out], ns, t0=-float(params.pulse_tail))
 
 
 def random_symbols(n: int, seed: int) -> SymbolStream:

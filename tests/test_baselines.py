@@ -12,8 +12,13 @@ from csfchan import (
     Waveform,
     apply_multipath,
     chaotic_probe_frame,
+    chaotic_probe_sweep,
+    encode_waveform,
     gaussian_probe_frame,
+    gaussian_probe_sweep,
     ls_estimate,
+    probe_design,
+    random_symbols,
     sample_random_channel,
 )
 
@@ -88,6 +93,38 @@ class TestLsEstimate:
         rel = est.relative_taps()
         assert rel.shape == (M,)
         np.testing.assert_allclose(rel, est.alpha_hat[1:] / est.alpha_hat[0], rtol=1e-12)
+
+
+class TestSnrSweepReuse:
+    """Frames and estimates built once per sweep equal the single-SNR calls."""
+
+    SNRS = [0.0, 5.0, 10.0, None, 20.0]
+
+    def assert_frames_and_estimates_equal(self, frames, single):
+        design = probe_design(frames[0].probe, M)
+        for snr, frame in zip(self.SNRS, frames):
+            expected = single(snr)
+            np.testing.assert_array_equal(frame.probe.samples, expected.probe.samples)
+            np.testing.assert_array_equal(frame.received.samples, expected.received.samples)
+            assert frame.received.t0 == expected.received.t0
+            np.testing.assert_array_equal(
+                ls_estimate(frame, M, design).alpha_hat, ls_estimate(expected, M).alpha_hat
+            )
+
+    def test_gaussian(self):
+        frames = gaussian_probe_sweep(128, 16, CHANNEL, self.SNRS, seed=21)
+        assert len(frames) == len(self.SNRS)
+        self.assert_frames_and_estimates_equal(
+            frames, lambda snr: gaussian_probe_frame(128, 16, CHANNEL, snr, seed=21)
+        )
+
+    def test_chaotic(self):
+        probe = encode_waveform(random_symbols(256, seed=22), PARAMS)
+        frames = chaotic_probe_sweep(probe, apply_multipath(probe, CHANNEL), self.SNRS, seed=22)
+        assert len(frames) == len(self.SNRS)
+        self.assert_frames_and_estimates_equal(
+            frames, lambda snr: chaotic_probe_frame(256, PARAMS, CHANNEL, snr, seed=22)
+        )
 
 
 class TestNoiseSensitivityOrdering:

@@ -10,6 +10,7 @@ from csfchan import (
     CsfParams,
     Waveform,
     add_awgn,
+    add_awgn_sweep,
     apply_multipath,
     attenuation_from_delay,
     empirical_acf,
@@ -148,6 +149,26 @@ class TestAddAwgn:
         na = (a.samples - wave.samples) / math.sqrt(sa.sigma2)
         nb = (b.samples - wave.samples) / math.sqrt(sb.sigma2)
         np.testing.assert_allclose(na, nb, atol=1e-12)
+
+    def test_matches_normal_draw_oracle(self):
+        # the per-call law add_awgn had before it shared the sweep's draw
+        wave = encode_waveform(random_symbols(128, seed=2), PARAMS)
+        power = float(np.mean(wave.samples**2))
+        for snr in (-3.0, 0.0, 7.5, 20.0):
+            sigma2 = power / 10.0 ** (snr / 10.0)
+            rng = np.random.default_rng(11)
+            expected = wave.samples + rng.normal(0.0, math.sqrt(sigma2), size=len(wave))
+            noisy, spec = add_awgn(wave, snr, seed=11)
+            np.testing.assert_array_equal(noisy.samples, expected)
+            assert spec.sigma2 == sigma2
+
+    def test_sweep_equals_single_snr_calls(self):
+        wave = encode_waveform(random_symbols(128, seed=3), PARAMS)
+        snrs = [0.0, None, 5.0, math.inf, 20.0]
+        for snr, (noisy, spec) in zip(snrs, add_awgn_sweep(wave, snrs, seed=9)):
+            single, single_spec = add_awgn(wave, snr, seed=9)
+            np.testing.assert_array_equal(noisy.samples, single.samples)
+            assert spec == single_spec
 
 
 class TestSampleRandomChannel:

@@ -1,15 +1,26 @@
 """Experiment harness: seeding, config handling, runners, CLI, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import csfchan
+from csfchan.baselines import chaotic_probe_frame, gaussian_probe_frame, ls_estimate
+from csfchan.channel import ChannelModel, add_awgn, apply_multipath, sample_random_channel
 from csfchan.cli import main as cli_main
 from csfchan.experiments import (
     DEFAULT_CONFIG,
+    ConfigError,
+    _csf_params,
+    _snr_trial,
     derive_seed,
     expected_secondary_peaks,
+    identify_blind,
     interior_peak_lags,
     resolve_config,
     run_datalength_sweep,
@@ -17,7 +28,7 @@ from csfchan.experiments import (
     run_invariance_demo,
     run_snr_sweep,
 )
-from csfchan.channel import ChannelModel
+from csfchan.waveform import encode_waveform, random_symbols
 
 
 class TestDeriveSeed:
@@ -116,6 +127,63 @@ class TestRunners:
         )
         with pytest.raises(ValueError):
             run_snr_sweep(cfg)
+
+
+def per_snr_trial(cfg, trial):
+    """The SNR-sweep trial with every frame rebuilt at each SNR through the
+    single-SNR calls: the oracle of the once-per-trial form."""
+    params = _csf_params(cfg)
+    section = cfg["sweep_snr"]
+    m, n_sym, path_count = section["max_delay"], section["symbols"], section["path_count"]
+    seeds = [derive_seed(cfg["seed"], trial, k) for k in range(4)]
+    ch = sample_random_channel(m, tuple(section["gamma_range"]), path_count, seed=seeds[0])
+    truth = ch.tap_vector()
+
+    def err(taps):
+        return float(np.sum((taps - truth) ** 2)) / path_count
+
+    out = {}
+    for snr in [float(s) for s in section["snr_db_list"]]:
+        clean = apply_multipath(encode_waveform(random_symbols(n_sym, seed=seeds[1]), params), ch)
+        result = identify_blind(add_awgn(clean, snr, seed=seeds[2])[0], params, m)
+        out[(snr, "blind_acf")] = (err(result.alpha_hat), result.converged)
+        for method, frame in (
+            ("ls_gaussian", gaussian_probe_frame(n_sym, params.oversampling, ch, snr, seed=seeds[3])),
+            ("ls_chaos", chaotic_probe_frame(n_sym, params, ch, snr, seed=seeds[1])),
+        ):
+            est = ls_estimate(frame, m)
+            out[(snr, method)] = (err(est.relative_taps()), not est.degenerate)
+    return out
+
+
+class TestSnrTrialReuse:
+    def test_matches_per_snr_oracle(self):
+        cfg = resolve_config({"seed": 5, "sweep_snr": {"symbols": 256}})
+        for trial in range(3):
+            assert _snr_trial((cfg, trial)) == per_snr_trial(cfg, trial)
+
+
+class TestTrialCount:
+    @pytest.mark.parametrize("runner", [run_datalength_sweep, run_snr_sweep])
+    @pytest.mark.parametrize("trials", [0, -1, 2.5, True])
+    def test_rejected_before_work(self, runner, trials):
+        with pytest.raises(ConfigError, match="trials"):
+            runner(resolve_config({"trials": trials}))
+
+    @pytest.mark.parametrize("command", ["sweep-snr", "sweep-length"])
+    def test_cli_exits_nonzero_without_output(self, tmp_path, capsys, command):
+        code = cli_main([command, "--trials", "0", "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert "trials must be an integer >= 1, got 0" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+
+def test_cli_import_loads_no_scipy():
+    src = str(Path(csfchan.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    probe = "import sys, csfchan.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 class TestCli:

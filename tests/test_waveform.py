@@ -4,6 +4,10 @@ import math
 
 import numpy as np
 import pytest
+import scipy.fft
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.signal import fftconvolve
 
 from csfchan import (
     CsfParams,
@@ -17,6 +21,7 @@ from csfchan import (
     sample_base_pulse,
     theoretical_acf,
 )
+from csfchan.waveform import _next_fast_len, _pulse_spectrum
 
 PARAMS = CsfParams()
 LN2 = math.log(2.0)
@@ -123,6 +128,59 @@ class TestEncodeWaveform:
         np.testing.assert_array_equal(
             encode_waveform(s, PARAMS).samples, encode_waveform(s, PARAMS).samples
         )
+
+
+def fftconvolve_encode(stream, params):
+    """The scipy synthesis encode_waveform replaced, kept as its oracle."""
+    ns = params.oversampling
+    train = np.zeros(len(stream) * ns)
+    train[::ns] = stream.symbols
+    full = fftconvolve(train, sample_base_pulse(params).samples)
+    return full[: (len(stream) + params.pulse_tail) * ns]
+
+
+class TestEncodeOracle:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        # beta >= 0.02 bounds the pulse tail (ln(1e6)/beta symbols) to keep
+        # examples small; the formula has no other dependence on its size
+        beta=st.floats(min_value=0.02, max_value=LN2),
+        oversampling=st.sampled_from([8, 12, 16, 32]),
+        n_sym=st.integers(min_value=1, max_value=5000),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_bit_identical_to_fftconvolve(self, beta, oversampling, n_sym, seed):
+        params = CsfParams(beta=beta, oversampling=oversampling)
+        stream = random_symbols(n_sym, seed=seed)
+        np.testing.assert_array_equal(
+            encode_waveform(stream, params).samples, fftconvolve_encode(stream, params)
+        )
+
+    @pytest.mark.parametrize("n_sym", [8192, 65536])
+    def test_bit_identical_at_sweep_lengths(self, n_sym):
+        stream = random_symbols(n_sym, seed=n_sym)
+        np.testing.assert_array_equal(
+            encode_waveform(stream, PARAMS).samples, fftconvolve_encode(stream, PARAMS)
+        )
+
+    def test_fast_len_matches_scipy(self):
+        sizes = list(range(1, 5001)) + [2**20 + 320, 10**6 + 1, 3 * 10**7 + 7, 123456789]
+        assert [_next_fast_len(n) for n in sizes] == [scipy.fft.next_fast_len(n, True) for n in sizes]
+
+    def test_cache_hit_is_bit_identical(self):
+        _pulse_spectrum.cache_clear()
+        stream = random_symbols(300, seed=4)
+        first = encode_waveform(stream, PARAMS).samples
+        hits = _pulse_spectrum.cache_info().hits
+        second = encode_waveform(stream, PARAMS).samples
+        assert _pulse_spectrum.cache_info().hits == hits + 1
+        np.testing.assert_array_equal(first, second)
+        np.testing.assert_array_equal(second, fftconvolve_encode(stream, PARAMS))
+
+    def test_cached_spectrum_is_read_only(self):
+        spectrum = _pulse_spectrum(PARAMS, 1024)
+        with pytest.raises(ValueError):
+            spectrum[0] = 0.0
 
 
 class TestRandomSymbols:
