@@ -30,7 +30,6 @@ class AcfEstimate:
 
     lags: np.ndarray
     values: np.ndarray
-    n_samples: int
 
     def __post_init__(self):
         lags = np.asarray(self.lags, dtype=int)
@@ -66,7 +65,7 @@ def empirical_acf(wave: Waveform, max_lag: int) -> AcfEstimate:
     for k in range(max_lag + 1):
         shift = k * ns
         values[k] = np.dot(x[shift:], x[: n - shift]) / n
-    return AcfEstimate(lags=np.arange(max_lag + 1), values=values, n_samples=n)
+    return AcfEstimate(lags=np.arange(max_lag + 1), values=values)
 
 
 def empirical_acf_trace(wave: Waveform, max_lag: int) -> tuple[np.ndarray, np.ndarray]:
@@ -115,7 +114,7 @@ def predicted_rx_acf(
                     total += ai * aj * rxx(k + di - dj)
         values[k] = total
     values[0] += noise_var
-    return AcfEstimate(lags=np.arange(m + 1), values=values, n_samples=0)
+    return AcfEstimate(lags=np.arange(m + 1), values=values)
 
 
 def predicted_rx_acf_trace(

@@ -9,11 +9,12 @@ rate, so its frame is taken at symbol-instant samples.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ChannelModel, add_awgn_sweep, apply_multipath
+from .channel import ChannelModel, add_awgn, apply_multipath, awgn_law
 from .waveform import CsfParams, Waveform, encode_waveform, random_symbols
 
 __all__ = [
@@ -21,10 +22,11 @@ __all__ = [
     "LsEstimate",
     "probe_design",
     "ls_estimate",
+    "ls_sweep",
+    "gaussian_probe",
     "gaussian_probe_frame",
-    "gaussian_probe_sweep",
+    "symbol_instants",
     "chaotic_probe_frame",
-    "chaotic_probe_sweep",
 ]
 
 
@@ -90,6 +92,46 @@ def ls_estimate(frame: ProbeFrame, max_delay: int, design: np.ndarray | None = N
     return LsEstimate(alpha_hat=solution, degenerate=bool(rank < max_delay + 1))
 
 
+def ls_sweep(probe: Waveform, clean: Waveform, snr_dbs, seed: int, max_delay: int) -> list[LsEstimate]:
+    """ls_estimate at each SNR of a sweep, by linearity in the noise.
+
+    probe is the known probe on the frame grid; clean is the noiseless
+    full-rate channel output, which is taken onto the probe's grid (every
+    clean.samples_per_symbol // probe.samples_per_symbol-th sample) as
+    the frame functions take the received signal.  seed is the probe's
+    seed as in gaussian_probe_frame and chaotic_probe_frame: the noise is
+    add_awgn's at seed + 1 on the full-rate clean output.  The solve is
+    linear in the received frame, pinv(X)(y + sigma n) = pinv(X) y +
+    sigma pinv(X) n, so one solve on the clean frame and one on the
+    unit-noise frame, on one design, serve every SNR; whether the design
+    is degenerate does not depend on the frame.
+    """
+    step = clean.samples_per_symbol // probe.samples_per_symbol
+    design = probe_design(probe, max_delay)
+
+    def solve(samples: np.ndarray) -> LsEstimate:
+        received = Waveform(samples[::step], probe.samples_per_symbol, t0=clean.t0)
+        return ls_estimate(ProbeFrame(probe=probe, received=received), max_delay, design)
+
+    draw, sigma2s = awgn_law(clean, snr_dbs, seed + 1)
+    base = solve(clean.samples)
+    if draw is None:
+        return [base] * len(sigma2s)
+    unit = solve(draw)
+    return [
+        base
+        if sigma2 is None
+        else LsEstimate(alpha_hat=base.alpha_hat + math.sqrt(sigma2) * unit.alpha_hat, degenerate=base.degenerate)
+        for sigma2 in sigma2s
+    ]
+
+
+def gaussian_probe(n_symbols: int, samples_per_symbol: int, seed: int) -> Waveform:
+    """White Gaussian probe at the sample rate."""
+    rng = np.random.default_rng(seed)
+    return Waveform(rng.normal(size=n_symbols * samples_per_symbol), samples_per_symbol)
+
+
 def gaussian_probe_frame(
     n_symbols: int,
     samples_per_symbol: int,
@@ -98,22 +140,14 @@ def gaussian_probe_frame(
     seed: int,
 ) -> ProbeFrame:
     """White Gaussian probe at the sample rate through the channel."""
-    return gaussian_probe_sweep(n_symbols, samples_per_symbol, ch, [snr_db], seed)[0]
+    probe = gaussian_probe(n_symbols, samples_per_symbol, seed)
+    received, _ = add_awgn(apply_multipath(probe, ch), snr_db, seed + 1)
+    return ProbeFrame(probe=probe, received=received)
 
 
-def gaussian_probe_sweep(
-    n_symbols: int,
-    samples_per_symbol: int,
-    ch: ChannelModel,
-    snr_dbs,
-    seed: int,
-) -> list[ProbeFrame]:
-    """gaussian_probe_frame at each SNR of a sweep: one probe, one pass
-    through the channel and one noise draw, scaled to each SNR."""
-    rng = np.random.default_rng(seed)
-    probe = Waveform(rng.normal(size=n_symbols * samples_per_symbol), samples_per_symbol)
-    noisy = add_awgn_sweep(apply_multipath(probe, ch), snr_dbs, seed + 1)
-    return [ProbeFrame(probe=probe, received=received) for received, _ in noisy]
+def symbol_instants(wave: Waveform) -> Waveform:
+    """The samples of wave at symbol instants: one sample per symbol period."""
+    return Waveform(wave.samples[:: wave.samples_per_symbol], 1, t0=wave.t0)
 
 
 def chaotic_probe_frame(
@@ -131,22 +165,5 @@ def chaotic_probe_frame(
     that rate an integer-symbol shift is a one-sample shift.
     """
     probe_full = encode_waveform(random_symbols(n_symbols, seed=seed), params)
-    return chaotic_probe_sweep(probe_full, apply_multipath(probe_full, ch), [snr_db], seed)[0]
-
-
-def chaotic_probe_sweep(
-    probe_full: Waveform,
-    received_full: Waveform,
-    snr_dbs,
-    seed: int,
-) -> list[ProbeFrame]:
-    """chaotic_probe_frame at each SNR of a sweep, from the full-rate
-    shaped probe (symbols drawn with seed) and its noiseless channel
-    output: one noise draw, scaled to each SNR, then both decimated to
-    symbol-instant samples."""
-    ns = probe_full.samples_per_symbol
-    probe = Waveform(probe_full.samples[::ns], 1, t0=probe_full.t0)
-    return [
-        ProbeFrame(probe=probe, received=Waveform(received.samples[::ns], 1, t0=received.t0))
-        for received, _ in add_awgn_sweep(received_full, snr_dbs, seed + 1)
-    ]
+    received, _ = add_awgn(apply_multipath(probe_full, ch), snr_db, seed + 1)
+    return ProbeFrame(probe=symbol_instants(probe_full), received=symbol_instants(received))

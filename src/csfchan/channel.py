@@ -22,6 +22,7 @@ __all__ = [
     "apply_multipath",
     "add_awgn",
     "add_awgn_sweep",
+    "awgn_law",
     "sample_random_channel",
 ]
 
@@ -116,23 +117,37 @@ def add_awgn(wave: Waveform, snr_db: float | None, seed: int) -> tuple[Waveform,
     return add_awgn_sweep(wave, [snr_db], seed)[0]
 
 
+def awgn_law(wave: Waveform, snr_dbs, seed: int) -> tuple[np.ndarray | None, list[float | None]]:
+    """The noise law of add_awgn over the SNRs of a sweep.
+
+    Returns the seeded standard-normal draw, one value per sample of wave,
+    and the noise variance at each SNR, mean(wave**2) / 10**(snr_db/10);
+    None marks a noiseless entry (snr_db None or infinite).  The noise at
+    an SNR is sqrt(variance) * draw.  The draw is None, and nothing is
+    drawn, when every entry is noiseless.
+    """
+    snrs = [None if snr_db is None or math.isinf(snr_db) else float(snr_db) for snr_db in snr_dbs]
+    if all(snr_db is None for snr_db in snrs):
+        return None, snrs
+    power = float(np.mean(wave.samples**2))
+    draw = np.random.default_rng(seed).standard_normal(len(wave))
+    return draw, [None if snr_db is None else power / 10.0 ** (snr_db / 10.0) for snr_db in snrs]
+
+
 def add_awgn_sweep(wave: Waveform, snr_dbs, seed: int) -> list[tuple[Waveform, NoiseSpec]]:
     """add_awgn at each SNR of a sweep from one standard-normal draw.
 
-    The draw and the signal power are computed once and the draw is
-    scaled to each SNR; sigma * standard_normal equals normal(0, sigma)
-    bit for bit, so each entry is exactly add_awgn at that SNR.
+    The draw and the signal power are computed once (awgn_law) and the
+    draw is scaled to each SNR; sigma * standard_normal equals
+    normal(0, sigma) bit for bit, so each entry is exactly add_awgn at
+    that SNR.
     """
+    draw, sigma2s = awgn_law(wave, snr_dbs, seed)
     out = []
-    power = draw = None
-    for snr_db in snr_dbs:
-        if snr_db is None or math.isinf(snr_db):
+    for snr_db, sigma2 in zip(snr_dbs, sigma2s):
+        if sigma2 is None:
             out.append((wave, NoiseSpec(snr_db=math.inf, sigma2=0.0, seed=seed)))
             continue
-        if draw is None:
-            power = float(np.mean(wave.samples**2))
-            draw = np.random.default_rng(seed).standard_normal(len(wave))
-        sigma2 = power / 10.0 ** (snr_db / 10.0)
         noisy = wave.samples + math.sqrt(sigma2) * draw
         out.append(
             (

@@ -19,6 +19,7 @@ them (converged, zero residual, different taps).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -60,6 +61,23 @@ class IdentificationProblem:
         if not np.all(np.isfinite(rxx)):
             raise ValueError("r_xx must be finite")
         object.__setattr__(self, "r_xx", rxx)
+
+    @cached_property
+    def lag_weights(self) -> np.ndarray:
+        """W with the model ACF at lag k = sum_d c[d] W[d, k] for the tap
+        correlation c: row 0 is r_xx[k], row d is r_xx[|k-d|] + r_xx[k+d]."""
+        m = self.max_delay
+        k = np.arange(m + 1)
+        d = k[:, None]
+        weights = self.r_xx[np.abs(k - d)] + self.r_xx[k + d]
+        weights[0] = self.r_xx[k]
+        return weights
+
+    @cached_property
+    def shifted_acf(self) -> np.ndarray:
+        """G[u + 2M, b] = r_xx[|u + b|] for u in -2M..M and b in 0..M."""
+        m = self.max_delay
+        return self.r_xx[np.abs(np.arange(-2 * m, m + 1)[:, None] + np.arange(m + 1))]
 
 
 @dataclass(frozen=True)
@@ -106,11 +124,9 @@ def build_residuals(alpha: np.ndarray, noise_var: float, prob: IdentificationPro
         raise ValueError(f"alpha must have shape ({m},)")
     a = np.concatenate(([1.0], alpha))
     c = _tap_correlation(a)
-    rxx = prob.r_xx
-    k = np.arange(m + 1)
-    model = c[0] * rxx[k]
-    for d in range(1, m + 1):
-        model += c[d] * (rxx[np.abs(k - d)] + rxx[k + d])
+    # reducing axis 0 adds the rows one by one, in order, as the loop
+    # model = c[0]*W[0]; model += c[d]*W[d] for d = 1..M does
+    model = np.add.reduce(c[:, None] * prob.lag_weights, axis=0)
     model[0] += noise_var
     return model - prob.r_rr.values
 
@@ -124,20 +140,14 @@ def residual_jacobian(alpha: np.ndarray, noise_var: float, prob: IdentificationP
     m = prob.max_delay
     alpha = np.asarray(alpha, dtype=float)
     a = np.concatenate(([1.0], alpha))
-    rxx = prob.r_xx
     # derivative of sum_{i,b} a_i a_b rxx[|k-i+b|] w.r.t. a_j splits into the
-    # i=j and b=j terms: T(k-j) + T(-(k+j)) with T(v) = sum_b a_b rxx[|v+b|]
-    offsets = np.arange(m + 1)
-    u = np.arange(-2 * m, m + 1)
-    T = np.array([np.dot(a, rxx[np.abs(ui + offsets)]) for ui in u])
-
-    def t_at(v):  # v in [-2M, M]
-        return T[v + 2 * m]
-
+    # i=j and b=j terms: T(k-j) + T(-(k+j)) with T(v) = sum_b a_b rxx[|v+b|];
+    # vecdot takes one dot per row, as np.dot does (G @ a rounds differently)
+    T = np.vecdot(prob.shifted_acf, a)
+    k = np.arange(m + 1)[:, None]
+    j = np.arange(1, m + 1)
     jac = np.zeros((m + 1, m + 1))
-    for k in range(m + 1):
-        for j in range(1, m + 1):
-            jac[k, j - 1] = t_at(k - j) + t_at(-(k + j))
+    jac[:, :m] = T[k - j + 2 * m] + T[2 * m - k - j]
     jac[0, m] = 1.0
     return jac
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .acf import empirical_acf, empirical_acf_trace, predicted_rx_acf, predicted_rx_acf_trace
-from .baselines import chaotic_probe_sweep, gaussian_probe_sweep, ls_estimate, probe_design
+from .baselines import gaussian_probe, ls_sweep, symbol_instants
 from .channel import (
     ChannelModel,
     add_awgn,
@@ -141,6 +141,21 @@ def _trial_count(cfg: dict) -> int:
     if isinstance(trials, bool) or not isinstance(trials, int) or trials < 1:
         raise ConfigError(f"trials must be an integer >= 1, got {trials!r}")
     return trials
+
+
+_SNR_METHODS = ("blind_acf", "ls_gaussian", "ls_chaos")
+
+
+def _check_sweep(section: dict, name: str, *list_keys: str) -> None:
+    """Reject a sweep section that cannot run: an empty list under any of
+    list_keys, or a path count outside 1..max_delay+1 (the main path plus
+    one echo per delay slot)."""
+    for key in list_keys:
+        if not section[key]:
+            raise ConfigError(f"{name}.{key} must not be empty")
+    paths, m = section["path_count"], section["max_delay"]
+    if not 1 <= paths <= m + 1:
+        raise ConfigError(f"{name}.path_count must lie in 1..max_delay+1 = 1..{m + 1}, got {paths!r}")
 
 
 @dataclass
@@ -281,6 +296,7 @@ def _length_trial(args: tuple) -> list[tuple[int, float, bool]]:
 def run_datalength_sweep(cfg: dict) -> ExperimentResult:
     section = cfg["sweep_length"]
     trials = _trial_count(cfg)
+    _check_sweep(section, "sweep_length", "lengths")
     per_trial = _fan_out(_length_trial, cfg, trials)
 
     path_count = int(section["path_count"])
@@ -324,8 +340,8 @@ def _snr_trial(args: tuple) -> dict[tuple[float, str], tuple[float, bool]]:
     One channel and one symbol stream serve every method and SNR point;
     per-method noise seeds are fixed across SNR so only the noise scale
     changes along the sweep.  What does not depend on the SNR is done
-    once per trial: the CSF encode and its channel output, each method's
-    noise draw and each LS design.
+    once per trial: the CSF encode and its channel output, the blind
+    method's noise draw, and two solves per LS method (ls_sweep).
     """
     cfg, trial = args
     params = _csf_params(cfg)
@@ -360,14 +376,11 @@ def _snr_trial(args: tuple) -> dict[tuple[float, str], tuple[float, bool]]:
                 out[(snr_db, method)] = (err, result.converged)
             continue
         if method == "ls_gaussian":
-            frames = gaussian_probe_sweep(n_sym, params.oversampling, ch, snr_list, seed=probe_seed)
-        elif method == "ls_chaos":
-            frames = chaotic_probe_sweep(csf, clean_csf, snr_list, seed=stream_seed)
-        else:
-            raise ValueError(f"unknown method {method!r}")
-        design = probe_design(frames[0].probe, m) if frames else None
-        for snr_db, frame in zip(snr_list, frames):
-            est = ls_estimate(frame, m, design)
+            probe = gaussian_probe(n_sym, params.oversampling, seed=probe_seed)
+            estimates = ls_sweep(probe, apply_multipath(probe, ch), snr_list, probe_seed, m)
+        else:  # ls_chaos
+            estimates = ls_sweep(symbol_instants(csf), clean_csf, snr_list, stream_seed, m)
+        for snr_db, est in zip(snr_list, estimates):
             err = float(np.sum((est.relative_taps() - truth) ** 2)) / path_count
             out[(snr_db, method)] = (err, not est.degenerate)
     return out
@@ -376,6 +389,10 @@ def _snr_trial(args: tuple) -> dict[tuple[float, str], tuple[float, bool]]:
 def run_snr_sweep(cfg: dict) -> ExperimentResult:
     section = cfg["sweep_snr"]
     trials = _trial_count(cfg)
+    _check_sweep(section, "sweep_snr", "snr_db_list", "methods")
+    unknown = [meth for meth in section["methods"] if meth not in _SNR_METHODS]
+    if unknown:
+        raise ConfigError(f"sweep_snr.methods: unknown {unknown}, expected a subset of {list(_SNR_METHODS)}")
     per_trial = _fan_out(_snr_trial, cfg, trials)
 
     rows = []

@@ -83,7 +83,6 @@ class SymbolStream:
     """Binary antipodal symbols, each exactly -1 or +1."""
 
     symbols: np.ndarray
-    seed: int = 0  # 0 means externally supplied
 
     def __post_init__(self):
         arr = np.asarray(self.symbols, dtype=float)
@@ -121,10 +120,6 @@ class Waveform:
 
     def __len__(self) -> int:
         return self.samples.size
-
-    @property
-    def times(self) -> np.ndarray:
-        return self.t0 + np.arange(self.samples.size) / self.samples_per_symbol
 
 
 def base_pulse(t, params: CsfParams = CsfParams()):
@@ -212,7 +207,7 @@ def random_symbols(n: int, seed: int) -> SymbolStream:
     if n < 1:
         raise ValueError("need at least one symbol")
     rng = np.random.default_rng(seed)
-    return SymbolStream(rng.choice((-1.0, 1.0), size=n), seed=seed)
+    return SymbolStream(rng.choice((-1.0, 1.0), size=n))
 
 
 def theoretical_acf(lag, params: CsfParams = CsfParams()):

@@ -12,14 +12,14 @@ from csfchan import (
     Waveform,
     apply_multipath,
     chaotic_probe_frame,
-    chaotic_probe_sweep,
     encode_waveform,
+    gaussian_probe,
     gaussian_probe_frame,
-    gaussian_probe_sweep,
     ls_estimate,
-    probe_design,
+    ls_sweep,
     random_symbols,
     sample_random_channel,
+    symbol_instants,
 )
 
 PARAMS = CsfParams()
@@ -96,35 +96,45 @@ class TestLsEstimate:
 
 
 class TestSnrSweepReuse:
-    """Frames and estimates built once per sweep equal the single-SNR calls."""
+    """The LS sweep, solved by linearity in the noise, equals ls_estimate on
+    the single-SNR frame up to roundoff: the two sides sum the same noisy
+    frame in a different order."""
 
     SNRS = [0.0, 5.0, 10.0, None, 20.0]
 
-    def assert_frames_and_estimates_equal(self, frames, single):
-        design = probe_design(frames[0].probe, M)
-        for snr, frame in zip(self.SNRS, frames):
-            expected = single(snr)
-            np.testing.assert_array_equal(frame.probe.samples, expected.probe.samples)
-            np.testing.assert_array_equal(frame.received.samples, expected.received.samples)
-            assert frame.received.t0 == expected.received.t0
-            np.testing.assert_array_equal(
-                ls_estimate(frame, M, design).alpha_hat, ls_estimate(expected, M).alpha_hat
-            )
+    def assert_matches_single_snr(self, estimates, single):
+        assert len(estimates) == len(self.SNRS)
+        for snr, est in zip(self.SNRS, estimates):
+            expected = ls_estimate(single(snr), M)
+            np.testing.assert_allclose(est.alpha_hat, expected.alpha_hat, rtol=1e-9, atol=1e-12)
+            assert est.degenerate == expected.degenerate
 
     def test_gaussian(self):
-        frames = gaussian_probe_sweep(128, 16, CHANNEL, self.SNRS, seed=21)
-        assert len(frames) == len(self.SNRS)
-        self.assert_frames_and_estimates_equal(
-            frames, lambda snr: gaussian_probe_frame(128, 16, CHANNEL, snr, seed=21)
+        probe = gaussian_probe(128, 16, seed=21)
+        self.assert_matches_single_snr(
+            ls_sweep(probe, apply_multipath(probe, CHANNEL), self.SNRS, 21, M),
+            lambda snr: gaussian_probe_frame(128, 16, CHANNEL, snr, seed=21),
         )
 
     def test_chaotic(self):
         probe = encode_waveform(random_symbols(256, seed=22), PARAMS)
-        frames = chaotic_probe_sweep(probe, apply_multipath(probe, CHANNEL), self.SNRS, seed=22)
-        assert len(frames) == len(self.SNRS)
-        self.assert_frames_and_estimates_equal(
-            frames, lambda snr: chaotic_probe_frame(256, PARAMS, CHANNEL, snr, seed=22)
+        self.assert_matches_single_snr(
+            ls_sweep(symbol_instants(probe), apply_multipath(probe, CHANNEL), self.SNRS, 22, M),
+            lambda snr: chaotic_probe_frame(256, PARAMS, CHANNEL, snr, seed=22),
         )
+
+    def test_noiseless_sweep_is_the_clean_solve(self):
+        probe = gaussian_probe(64, 16, seed=23)
+        clean = apply_multipath(probe, CHANNEL)
+        estimates = ls_sweep(probe, clean, [None, math.inf], 23, M)
+        expected = ls_estimate(ProbeFrame(probe=probe, received=clean), M).alpha_hat
+        for est in estimates:
+            np.testing.assert_array_equal(est.alpha_hat, expected)
+
+    def test_degenerate_flag_from_the_design(self):
+        probe = Waveform(np.zeros(64), 16)
+        clean = Waveform(np.zeros(64 + 2 * 16), 16)
+        assert all(est.degenerate for est in ls_sweep(probe, clean, [0.0, None], 0, 2))
 
 
 class TestNoiseSensitivityOrdering:

@@ -4,8 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from csfchan import (
+    AcfEstimate,
     ChannelModel,
     CsfParams,
     EstimationResult,
@@ -56,6 +59,36 @@ def brute_force_residuals(alpha, noise_var, prob) -> np.ndarray:
         out[k] = total - prob.r_rr.values[k]
     out[0] += noise_var
     return out
+
+
+def loop_residuals(alpha, noise_var, prob) -> np.ndarray:
+    """build_residuals as a loop over the tap correlation, one lag-weight
+    row per pass: the oracle of the summed matrix form, bit for bit."""
+    m = prob.max_delay
+    a = np.concatenate(([1.0], alpha))
+    c = np.array([np.dot(a[: m + 1 - d], a[d:]) for d in range(m + 1)])
+    rxx = prob.r_xx
+    k = np.arange(m + 1)
+    model = c[0] * rxx[k]
+    for d in range(1, m + 1):
+        model += c[d] * (rxx[np.abs(k - d)] + rxx[k + d])
+    model[0] += noise_var
+    return model - prob.r_rr.values
+
+
+def loop_jacobian(alpha, noise_var, prob) -> np.ndarray:
+    """residual_jacobian with T as one np.dot per offset and an element
+    loop for the fill: the oracle of the indexed form, bit for bit."""
+    m = prob.max_delay
+    a = np.concatenate(([1.0], alpha))
+    offsets = np.arange(m + 1)
+    T = np.array([np.dot(a, prob.r_xx[np.abs(u + offsets)]) for u in range(-2 * m, m + 1)])
+    jac = np.zeros((m + 1, m + 1))
+    for k in range(m + 1):
+        for j in range(1, m + 1):
+            jac[k, j - 1] = T[k - j + 2 * m] + T[2 * m - k - j]
+    jac[0, m] = 1.0
+    return jac
 
 
 class TestProblemInvariants:
@@ -111,6 +144,30 @@ class TestBuildResiduals:
         prob = exact_problem(FIG2_CHANNEL, 0.0)
         with pytest.raises(ValueError):
             build_residuals(np.zeros(M - 1), 0.0, prob)
+
+
+class TestLoopOracles:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        m=st.integers(min_value=1, max_value=12),
+        decay=st.floats(min_value=0.05, max_value=2.0),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_bit_identical_to_loops(self, m, decay, seed):
+        rng = np.random.default_rng(seed)
+        lags = np.arange(2 * m + 1)
+        r_xx = rng.uniform(0.1, 2.0) * np.exp(-decay * lags) * rng.uniform(-1.0, 1.0, size=lags.size)
+        r_xx[0] = abs(r_xx[0]) + 0.1
+        r_rr = AcfEstimate(lags=np.arange(m + 1), values=rng.normal(size=m + 1))
+        prob = IdentificationProblem(r_rr=r_rr, r_xx=r_xx, max_delay=m)
+        alpha = rng.uniform(-1.0, 1.0, size=m)
+        noise_var = float(rng.uniform(0.0, 2.0))
+        np.testing.assert_array_equal(
+            build_residuals(alpha, noise_var, prob), loop_residuals(alpha, noise_var, prob)
+        )
+        np.testing.assert_array_equal(
+            residual_jacobian(alpha, noise_var, prob), loop_jacobian(alpha, noise_var, prob)
+        )
 
 
 class TestResidualJacobian:
@@ -186,7 +243,7 @@ class TestSolveChannel:
         from csfchan import AcfEstimate
 
         prob2 = IdentificationProblem(
-            r_rr=AcfEstimate(lags=prob.r_rr.lags, values=bumped_rr, n_samples=0),
+            r_rr=AcfEstimate(lags=prob.r_rr.lags, values=bumped_rr),
             r_xx=prob.r_xx,
             max_delay=M,
         )
@@ -200,7 +257,7 @@ class TestSolveChannel:
         from csfchan import AcfEstimate
 
         prob = IdentificationProblem(
-            r_rr=AcfEstimate(lags=bad.lags, values=bad.values + 0.5, n_samples=0),
+            r_rr=AcfEstimate(lags=bad.lags, values=bad.values + 0.5),
             r_xx=authoritative_acf_table(PARAMS, max_lag=2 * M),
             max_delay=M,
         )

@@ -2,14 +2,17 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 
 import csfchan
+import csfchan.experiments
 from csfchan.baselines import chaotic_probe_frame, gaussian_probe_frame, ls_estimate
 from csfchan.channel import ChannelModel, add_awgn, apply_multipath, sample_random_channel
 from csfchan.cli import main as cli_main
@@ -158,9 +161,19 @@ def per_snr_trial(cfg, trial):
 
 class TestSnrTrialReuse:
     def test_matches_per_snr_oracle(self):
+        # the blind path and every flag are bit-identical; the LS errors come
+        # from solves by linearity in the noise, which sum in another order
+        # (max relative difference 3.6e-13 over 60 trials)
         cfg = resolve_config({"seed": 5, "sweep_snr": {"symbols": 256}})
         for trial in range(3):
-            assert _snr_trial((cfg, trial)) == per_snr_trial(cfg, trial)
+            got, expected = _snr_trial((cfg, trial)), per_snr_trial(cfg, trial)
+            assert got.keys() == expected.keys()
+            for key, (err, flag) in got.items():
+                assert flag == expected[key][1]
+                if key[1] == "blind_acf":
+                    assert err == expected[key][0]
+                else:
+                    assert err == pytest.approx(expected[key][0], rel=1e-9, abs=0.0)
 
 
 class TestTrialCount:
@@ -175,6 +188,47 @@ class TestTrialCount:
         code = cli_main([command, "--trials", "0", "--out", str(tmp_path / "out")])
         assert code == 2
         assert "trials must be an integer >= 1, got 0" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+
+BAD_SWEEPS = [
+    pytest.param("sweep-snr", "sweep_snr.methods=[blind_acf, nope]", "unknown ['nope']", id="unknown-method"),
+    pytest.param("sweep-snr", "sweep_snr.methods=[]", "sweep_snr.methods must not be empty", id="no-methods"),
+    pytest.param("sweep-snr", "sweep_snr.snr_db_list=[]", "sweep_snr.snr_db_list must not be empty", id="no-snrs"),
+    pytest.param(
+        "sweep-snr",
+        "sweep_snr.path_count=12",
+        "sweep_snr.path_count must lie in 1..max_delay+1 = 1..11, got 12",
+        id="snr-too-many-paths",
+    ),
+    pytest.param(
+        "sweep-length", "sweep_length.path_count=12", "sweep_length.path_count must lie in", id="length-too-many-paths"
+    ),
+    pytest.param("sweep-length", "sweep_length.path_count=0", "sweep_length.path_count must lie in", id="length-no-paths"),
+    pytest.param("sweep-length", "sweep_length.lengths=[]", "sweep_length.lengths must not be empty", id="no-lengths"),
+]
+
+
+class TestSweepConfig:
+    RUNNERS = {"sweep-snr": run_snr_sweep, "sweep-length": run_datalength_sweep}
+
+    @pytest.mark.parametrize("command, override, message", BAD_SWEEPS)
+    def test_rejected_before_work(self, monkeypatch, command, override, message):
+        def no_work(*args):
+            raise AssertionError("trials ran")
+
+        monkeypatch.setattr(csfchan.experiments, "_fan_out", no_work)
+        key, value = override.split("=")
+        section, field = key.split(".")
+        cfg = resolve_config({"trials": 1, section: {field: yaml.safe_load(value)}})
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            self.RUNNERS[command](cfg)
+
+    @pytest.mark.parametrize("command, override, message", BAD_SWEEPS)
+    def test_cli_exits_nonzero_without_output(self, tmp_path, capsys, command, override, message):
+        code = cli_main([command, "--trials", "1", "--set", override, "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert message in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
 
