@@ -48,6 +48,17 @@ class AcfEstimate:
         return int(self.lags[-1])
 
 
+def _lagged_products(wave: Waveform, max_lag: int, stride: int) -> np.ndarray:
+    """(1/N) sum_n x[n + j] x[n] at sample lags j = 0, stride, ...,
+    max_lag*Ns, N the total sample count; one dot product per lag."""
+    ns = wave.samples_per_symbol
+    x = wave.samples
+    n = len(x)
+    if n <= (max_lag + 1) * ns:
+        raise ValueError(f"waveform too short for max_lag={max_lag}: {n} samples")
+    return np.array([np.dot(x[j:], x[: n - j]) / n for j in range(0, max_lag * ns + 1, stride)])
+
+
 def empirical_acf(wave: Waveform, max_lag: int) -> AcfEstimate:
     """Biased time-averaged ACF at integer lags 0..max_lag.
 
@@ -56,28 +67,14 @@ def empirical_acf(wave: Waveform, max_lag: int) -> AcfEstimate:
     With one time unit per symbol period this estimates the per-unit-time
     autocorrelation, directly comparable to the pulse ACF.
     """
-    ns = wave.samples_per_symbol
-    x = wave.samples
-    n = len(x)
-    if n <= (max_lag + 1) * ns:
-        raise ValueError(f"waveform too short for max_lag={max_lag}: {n} samples")
-    values = np.empty(max_lag + 1)
-    for k in range(max_lag + 1):
-        shift = k * ns
-        values[k] = np.dot(x[shift:], x[: n - shift]) / n
+    values = _lagged_products(wave, max_lag, wave.samples_per_symbol)
     return AcfEstimate(lags=np.arange(max_lag + 1), values=values)
 
 
 def empirical_acf_trace(wave: Waveform, max_lag: int) -> tuple[np.ndarray, np.ndarray]:
     """ACF at every sample lag 0..max_lag*Ns (fractional-lag plot trace)."""
     ns = wave.samples_per_symbol
-    x = wave.samples
-    n = len(x)
-    if n <= (max_lag + 1) * ns:
-        raise ValueError(f"waveform too short for max_lag={max_lag}: {n} samples")
-    n_pts = max_lag * ns + 1
-    vals = np.array([np.dot(x[j:], x[: n - j]) / n for j in range(n_pts)])
-    return np.arange(n_pts) / ns, vals
+    return np.arange(max_lag * ns + 1) / ns, _lagged_products(wave, max_lag, 1)
 
 
 def predicted_rx_acf(

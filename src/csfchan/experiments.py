@@ -17,6 +17,7 @@ genuinely differ.
 from __future__ import annotations
 
 import copy
+import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -146,15 +147,61 @@ def _trial_count(cfg: dict) -> int:
 _SNR_METHODS = ("blind_acf", "ls_gaussian", "ls_chaos")
 
 
-def _check_sweep(section: dict, name: str, *list_keys: str) -> None:
-    """Reject a sweep section that cannot run: an empty list under any of
-    list_keys, or a path count outside 1..max_delay+1 (the main path plus
-    one echo per delay slot)."""
-    for key in list_keys:
-        if not section[key]:
-            raise ConfigError(f"{name}.{key} must not be empty")
+def _is_count(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 1
+
+
+def _is_real(value) -> bool:
+    # an infinite SNR is a noiseless frame; NaN is no SNR at all
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and not math.isnan(value)
+
+
+# per sweep: key, test of each entry, what the entries must be, and
+# whether the key holds a nonempty list of them
+_SWEEP_KEYS = {
+    "sweep_length": (
+        ("lengths", _is_count, "positive integers", True),
+        ("snr_db", _is_real, "a number", False),
+    ),
+    "sweep_snr": (
+        ("snr_db_list", _is_real, "numbers", True),
+        ("symbols", _is_count, "a positive integer", False),
+        ("methods", lambda meth: isinstance(meth, str), "method names", True),
+    ),
+}
+
+
+def _check_sweep(cfg: dict, name: str) -> None:
+    """Reject a sweep config that cannot run, before any trial: CSF
+    parameters that CsfParams refuses, a missing or mistyped value, an
+    empty list, an unknown method, a gamma_range that is not two damping
+    coefficients 0 < low <= high, or a path count outside
+    1..max_delay+1 (the main path plus one echo per delay slot)."""
+    _csf_params(cfg)
+    section = cfg[name]
+    for key, valid, what, is_list in _SWEEP_KEYS[name] + (("max_delay", _is_count, "a positive integer", False),):
+        value = section[key]
+        if is_list and isinstance(value, (list, tuple)):
+            if not value:
+                raise ConfigError(f"{name}.{key} must not be empty")
+            ok = all(map(valid, value))
+        else:
+            ok = not is_list and valid(value)
+        if not ok:
+            raise ConfigError(f"{name}.{key} must be {what}, got {value!r}")
+    unknown = [meth for meth in section.get("methods", ()) if meth not in _SNR_METHODS]
+    if unknown:
+        raise ConfigError(f"{name}.methods: unknown {unknown}, expected a subset of {list(_SNR_METHODS)}")
+    gammas = section["gamma_range"]
+    if not (
+        isinstance(gammas, (list, tuple))
+        and len(gammas) == 2
+        and all(map(_is_real, gammas))
+        and 0 < gammas[0] <= gammas[1] < math.inf
+    ):
+        raise ConfigError(f"{name}.gamma_range must be [low, high] with 0 < low <= high, got {gammas!r}")
     paths, m = section["path_count"], section["max_delay"]
-    if not 1 <= paths <= m + 1:
+    if not (_is_count(paths) and paths <= m + 1):
         raise ConfigError(f"{name}.path_count must lie in 1..max_delay+1 = 1..{m + 1}, got {paths!r}")
 
 
@@ -170,7 +217,16 @@ class ExperimentResult:
 
 
 def _csf_params(cfg: dict) -> CsfParams:
-    return CsfParams(beta=cfg["csf"]["beta"], oversampling=cfg["csf"]["oversampling"])
+    """The CSF parameters of a config; ConfigError when they cannot run."""
+    beta, ns = cfg["csf"]["beta"], cfg["csf"]["oversampling"]
+    if not _is_real(beta):
+        raise ConfigError(f"csf.beta must be a number, got {beta!r}")
+    if not _is_count(ns):
+        raise ConfigError(f"csf.oversampling must be an integer, got {ns!r}")
+    try:
+        return CsfParams(beta=beta, oversampling=ns)
+    except ValueError as exc:
+        raise ConfigError(f"csf: {exc}") from None
 
 
 def identify_blind(received: Waveform, params: CsfParams, max_delay: int) -> EstimationResult:
@@ -296,7 +352,7 @@ def _length_trial(args: tuple) -> list[tuple[int, float, bool]]:
 def run_datalength_sweep(cfg: dict) -> ExperimentResult:
     section = cfg["sweep_length"]
     trials = _trial_count(cfg)
-    _check_sweep(section, "sweep_length", "lengths")
+    _check_sweep(cfg, "sweep_length")
     per_trial = _fan_out(_length_trial, cfg, trials)
 
     path_count = int(section["path_count"])
@@ -389,10 +445,7 @@ def _snr_trial(args: tuple) -> dict[tuple[float, str], tuple[float, bool]]:
 def run_snr_sweep(cfg: dict) -> ExperimentResult:
     section = cfg["sweep_snr"]
     trials = _trial_count(cfg)
-    _check_sweep(section, "sweep_snr", "snr_db_list", "methods")
-    unknown = [meth for meth in section["methods"] if meth not in _SNR_METHODS]
-    if unknown:
-        raise ConfigError(f"sweep_snr.methods: unknown {unknown}, expected a subset of {list(_SNR_METHODS)}")
+    _check_sweep(cfg, "sweep_snr")
     per_trial = _fan_out(_snr_trial, cfg, trials)
 
     rows = []

@@ -45,7 +45,6 @@ class CsfParams:
     """Shaping-pulse parameters.
 
     beta         exponential decay rate per symbol period, 0 < beta <= ln 2
-    freq         base frequency; fixed to 1 by the time normalisation
     oversampling samples per symbol period (>= 8)
     pulse_tail   truncation depth of the t < 0 tail, in symbol periods;
                  defaults to the depth where the tail envelope drops
@@ -53,15 +52,12 @@ class CsfParams:
     """
 
     beta: float = math.log(2.0)
-    freq: float = 1.0
     oversampling: int = 16
     pulse_tail: int = 0  # 0 selects the default depth for beta
 
     def __post_init__(self):
-        if not (0.0 < self.beta <= self.freq * math.log(2.0) + 1e-12):
+        if not (0.0 < self.beta <= math.log(2.0) + 1e-12):
             raise ValueError(f"beta must satisfy 0 < beta <= ln2, got {self.beta}")
-        if self.freq != 1.0:
-            raise ValueError("freq is fixed to 1 (time normalised to symbol periods)")
         if int(self.oversampling) != self.oversampling or self.oversampling < 8:
             raise ValueError(f"oversampling must be an integer >= 8, got {self.oversampling}")
         min_tail = _default_tail(self.beta)
@@ -75,7 +71,7 @@ class CsfParams:
 
     @property
     def omega(self) -> float:
-        return 2.0 * math.pi * self.freq
+        return 2.0 * math.pi
 
 
 @dataclass(frozen=True)
@@ -135,10 +131,10 @@ def base_pulse(t, params: CsfParams = CsfParams()):
     beta, w = params.beta, params.omega
     trig = np.cos(w * t_arr) - (beta / w) * np.sin(w * t_arr)
     # exp arguments clipped to the support; the t >= 1 branch is zero anyway
-    t_clip = np.minimum(t_arr, 1.0 / params.freq)
-    tail = (1.0 - np.exp(-beta / params.freq)) * np.exp(beta * t_clip) * trig
-    plateau = 1.0 - np.exp(beta * (t_clip - 1.0 / params.freq)) * trig
-    out = np.where(t_arr < 0.0, tail, np.where(t_arr < 1.0 / params.freq, plateau, 0.0))
+    t_clip = np.minimum(t_arr, 1.0)
+    tail = (1.0 - np.exp(-beta)) * np.exp(beta * t_clip) * trig
+    plateau = 1.0 - np.exp(beta * (t_clip - 1.0)) * trig
+    out = np.where(t_arr < 0.0, tail, np.where(t_arr < 1.0, plateau, 0.0))
     if np.isscalar(t) or t_arr.ndim == 0:
         return float(out)
     return out

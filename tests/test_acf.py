@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from csfchan import (
     AcfEstimate,
@@ -101,6 +103,25 @@ class TestEmpiricalAcf:
         ns = wave.samples_per_symbol
         np.testing.assert_array_equal(trace[::ns], est.values)
         assert grid[ns] == 1.0
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        ns=st.sampled_from([1, 8, 16, 32]),
+        max_lag=st.integers(min_value=0, max_value=12),
+        extra=st.integers(min_value=1, max_value=3000),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_one_reduction_for_both_grids(self, ns, max_lag, extra, seed):
+        # the integer-lag ACF is the trace at multiples of Ns, bit for bit,
+        # and both keep the per-lag dot product they were written with
+        x = np.random.default_rng(seed).normal(size=(max_lag + 1) * ns + extra)
+        wave = Waveform(x, ns)
+        grid, trace = empirical_acf_trace(wave, max_lag)
+        values = empirical_acf(wave, max_lag).values
+        np.testing.assert_array_equal(trace[::ns], values)
+        n = len(x)
+        np.testing.assert_array_equal(trace, [np.dot(x[j:], x[: n - j]) / n for j in range(max_lag * ns + 1)])
+        np.testing.assert_array_equal(grid, np.arange(max_lag * ns + 1) / ns)
 
 
 def brute_force_rx_acf(ch: ChannelModel, noise_var: float, max_lag: int) -> np.ndarray:

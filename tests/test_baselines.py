@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from csfchan import (
     ChannelModel,
@@ -17,6 +19,7 @@ from csfchan import (
     gaussian_probe_frame,
     ls_estimate,
     ls_sweep,
+    probe_design,
     random_symbols,
     sample_random_channel,
     symbol_instants,
@@ -30,6 +33,18 @@ CHANNEL = ChannelModel(
     gamma=0.6,
     max_delay=M,
 )
+
+
+def tall_lstsq(frame: ProbeFrame, max_delay: int) -> tuple[np.ndarray, bool]:
+    """Oracle: numpy's SVD lstsq on the tall shifted-probe design itself,
+    with its rank at lstsq's default cutoff (eps * rows)."""
+    design, _ = probe_design(frame.probe, max_delay)
+    rows = design.shape[0]
+    received = np.zeros(rows)
+    taken = frame.received.samples[:rows]
+    received[: len(taken)] = taken
+    solution, _, rank, _ = np.linalg.lstsq(design, received, rcond=None)
+    return solution, bool(rank < max_delay + 1)
 
 
 class TestProbeFrame:
@@ -93,6 +108,54 @@ class TestLsEstimate:
         rel = est.relative_taps()
         assert rel.shape == (M,)
         np.testing.assert_allclose(rel, est.alpha_hat[1:] / est.alpha_hat[0], rtol=1e-12)
+
+
+class TestNormalEquationsOracle:
+    """ls_estimate solves the normal equations of the shifted-probe design;
+    on this library's well-conditioned designs it matches lstsq on the tall
+    design (the oracle) to rtol 1e-9, with the same degenerate flag."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        # beta >= 0.02 bounds the pulse tail (ln(1e6)/beta symbols)
+        beta=st.floats(min_value=0.02, max_value=math.log(2.0)),
+        oversampling=st.sampled_from([8, 16, 32]),
+        n_sym=st.integers(min_value=32, max_value=2048),
+        chaotic=st.booleans(),
+        snr_db=st.sampled_from([None, 0.0, 10.0, 30.0]),
+        path_count=st.integers(min_value=1, max_value=M + 1),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_matches_tall_lstsq(self, beta, oversampling, n_sym, chaotic, snr_db, path_count, seed):
+        ch = sample_random_channel(max_delay=M, path_count=path_count, seed=seed)
+        if chaotic:
+            params = CsfParams(beta=beta, oversampling=oversampling)
+            frame = chaotic_probe_frame(n_sym, params, ch, snr_db, seed=seed)
+        else:
+            frame = gaussian_probe_frame(n_sym, oversampling, ch, snr_db, seed=seed)
+        est = ls_estimate(frame, M)
+        expected, degenerate = tall_lstsq(frame, M)
+        scale = np.max(np.abs(expected))
+        np.testing.assert_allclose(est.alpha_hat, expected, rtol=1e-9, atol=1e-12 * scale)
+        assert est.degenerate == degenerate
+
+    # a wide Gaussian bump sampled once per symbol: the 10th difference
+    # nearly annihilates it, so cond(X) of the 11-column design grows as
+    # its width to the 10th power
+    @pytest.mark.parametrize("width, degenerate", [(3, False), (4, False), (8, True), (10, True)])
+    def test_degenerate_threshold(self, width, degenerate):
+        # documented cutoff: the Gram matrix's rank at lstsq's default
+        # rcond, i.e. cond(X) above about 1 / sqrt(11 eps) ~ 2e7
+        threshold = 1.0 / math.sqrt((M + 1) * np.finfo(float).eps)
+        n = 12 * width + 1
+        probe = Waveform(np.exp(-((np.arange(n) - n // 2) / width) ** 2), 1)
+        frame = ProbeFrame(probe=probe, received=Waveform(np.concatenate([probe.samples, np.zeros(M)]), 1))
+        cond = np.linalg.cond(probe_design(probe, M)[0])
+        # each case sits at least a factor 10 from the threshold
+        assert (cond > threshold * 10) if degenerate else (cond < threshold / 10)
+        assert ls_estimate(frame, M).degenerate == degenerate
+        # the tall solve's cutoff, eps * rows on X, still counts 11 columns
+        assert not tall_lstsq(frame, M)[1]
 
 
 class TestSnrSweepReuse:

@@ -206,6 +206,29 @@ BAD_SWEEPS = [
     ),
     pytest.param("sweep-length", "sweep_length.path_count=0", "sweep_length.path_count must lie in", id="length-no-paths"),
     pytest.param("sweep-length", "sweep_length.lengths=[]", "sweep_length.lengths must not be empty", id="no-lengths"),
+    pytest.param(
+        "sweep-snr", "sweep_snr.symbols=abc", "sweep_snr.symbols must be a positive integer, got 'abc'", id="symbols-text"
+    ),
+    pytest.param(
+        "sweep-snr", "sweep_snr.snr_db_list=[a,5]", "sweep_snr.snr_db_list must be numbers, got ['a', 5]", id="snr-text"
+    ),
+    pytest.param(
+        "sweep-length", "sweep_length.lengths=[0]", "sweep_length.lengths must be positive integers, got [0]", id="length-0"
+    ),
+    pytest.param(
+        "sweep-length", "sweep_length.snr_db=null", "sweep_length.snr_db must be a number, got None", id="length-no-snr"
+    ),
+    pytest.param(
+        "sweep-snr",
+        "sweep_snr.gamma_range=[0,1]",
+        "sweep_snr.gamma_range must be [low, high] with 0 < low <= high, got [0, 1]",
+        id="gamma-zero",
+    ),
+    pytest.param("sweep-length", "csf.oversampling=4", "csf: oversampling must be an integer >= 8, got 4", id="ns-4"),
+    pytest.param("sweep-snr", "csf.oversampling=16.0", "csf.oversampling must be an integer, got 16.0", id="ns-float"),
+    pytest.param("sweep-snr", "csf.beta=1.0", "csf: beta must satisfy 0 < beta <= ln2, got 1.0", id="beta-high"),
+    pytest.param("sweep-length", "csf.beta=0", "csf: beta must satisfy 0 < beta <= ln2, got 0", id="beta-0"),
+    pytest.param("sweep-length", "csf.beta=abc", "csf.beta must be a number, got 'abc'", id="beta-text"),
 ]
 
 

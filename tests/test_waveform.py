@@ -92,10 +92,6 @@ class TestCsfParams:
         with pytest.raises(ValueError):
             CsfParams(pulse_tail=5)
 
-    def test_freq_fixed(self):
-        with pytest.raises(ValueError):
-            CsfParams(freq=2.0)
-
 
 class TestEncodeWaveform:
     def test_single_symbol_is_pulse(self):
