@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .acf import empirical_acf, empirical_acf_trace, predicted_rx_acf, predicted_rx_acf_trace
+from .acf import AcfEstimate, empirical_acf, empirical_acf_trace, predicted_rx_acf, predicted_rx_acf_trace
 from .baselines import gaussian_probe, ls_sweep, symbol_instants
 from .channel import (
     ChannelModel,
@@ -147,8 +147,8 @@ def _trial_count(cfg: dict) -> int:
 _SNR_METHODS = ("blind_acf", "ls_gaussian", "ls_chaos")
 
 
-def _is_count(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool) and value >= 1
+def _is_count(value, low: int = 1) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) and value >= low
 
 
 def _is_real(value) -> bool:
@@ -156,30 +156,61 @@ def _is_real(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool) and not math.isnan(value)
 
 
-# per sweep: key, test of each entry, what the entries must be, and
-# whether the key holds a nonempty list of them
-_SWEEP_KEYS = {
+def _is_positive(value) -> bool:
+    return _is_real(value) and 0 < value < math.inf
+
+
+def _numeric(value):
+    """A numeric string as its float, anything else as it is.  fig2 has
+    always read gamma and agreement_tol through float(), and YAML 1.1
+    leaves an exponent without a dot, as in 1e-9, a string."""
+    try:
+        return float(value) if isinstance(value, str) else value
+    except ValueError:
+        return value
+
+
+# per experiment section: key, test of each entry, what the entries must
+# be, and whether the key holds a nonempty list of them
+_SECTION_KEYS = {
+    "fig2": (
+        ("delays", lambda d: _is_count(d, 0), "nonnegative integers", True),
+        ("gamma", lambda gamma: _is_positive(_numeric(gamma)), "a positive number", False),
+        ("max_delay", _is_count, "a positive integer", False),
+        ("symbols", _is_count, "a positive integer", False),
+        ("snr_db", lambda snr: snr is None or _is_real(snr), "a number or null", False),
+        ("agreement_tol", lambda tol: _is_real(_numeric(tol)) and _numeric(tol) >= 0, "a nonnegative number", False),
+    ),
     "sweep_length": (
         ("lengths", _is_count, "positive integers", True),
         ("snr_db", _is_real, "a number", False),
+        ("max_delay", _is_count, "a positive integer", False),
     ),
     "sweep_snr": (
         ("snr_db_list", _is_real, "numbers", True),
         ("symbols", _is_count, "a positive integer", False),
         ("methods", lambda meth: isinstance(meth, str), "method names", True),
+        ("max_delay", _is_count, "a positive integer", False),
+    ),
+    "invariance": (
+        ("streams", lambda n: _is_count(n, 2), "an integer >= 2", False),
+        ("symbols", _is_count, "a positive integer", False),
+        ("max_lag", _is_count, "a positive integer", False),
+        ("include_all_ones", lambda flag: isinstance(flag, bool), "true or false", False),
     ),
 }
 
 
-def _check_sweep(cfg: dict, name: str) -> None:
-    """Reject a sweep config that cannot run, before any trial: CSF
+def _check_config(cfg: dict, name: str) -> None:
+    """Reject an experiment config that cannot run, before any work: CSF
     parameters that CsfParams refuses, a missing or mistyped value, an
     empty list, an unknown method, a gamma_range that is not two damping
-    coefficients 0 < low <= high, or a path count outside
-    1..max_delay+1 (the main path plus one echo per delay slot)."""
+    coefficients 0 < low <= high, a path count outside 1..max_delay+1
+    (the main path plus one echo per delay slot), or fig2 delays that
+    are not 0 followed by increasing echo delays up to max_delay."""
     _csf_params(cfg)
     section = cfg[name]
-    for key, valid, what, is_list in _SWEEP_KEYS[name] + (("max_delay", _is_count, "a positive integer", False),):
+    for key, valid, what, is_list in _SECTION_KEYS[name]:
         value = section[key]
         if is_list and isinstance(value, (list, tuple)):
             if not value:
@@ -189,6 +220,11 @@ def _check_sweep(cfg: dict, name: str) -> None:
             ok = not is_list and valid(value)
         if not ok:
             raise ConfigError(f"{name}.{key} must be {what}, got {value!r}")
+    if name == "fig2":
+        _fig2_channel(section)
+    if name not in ("sweep_length", "sweep_snr"):
+        return
+    # the sweeps draw a random channel per trial
     unknown = [meth for meth in section.get("methods", ()) if meth not in _SNR_METHODS]
     if unknown:
         raise ConfigError(f"{name}.methods: unknown {unknown}, expected a subset of {list(_SNR_METHODS)}")
@@ -196,8 +232,8 @@ def _check_sweep(cfg: dict, name: str) -> None:
     if not (
         isinstance(gammas, (list, tuple))
         and len(gammas) == 2
-        and all(map(_is_real, gammas))
-        and 0 < gammas[0] <= gammas[1] < math.inf
+        and all(map(_is_positive, gammas))
+        and gammas[0] <= gammas[1]
     ):
         raise ConfigError(f"{name}.gamma_range must be [low, high] with 0 < low <= high, got {gammas!r}")
     paths, m = section["path_count"], section["max_delay"]
@@ -227,6 +263,18 @@ def _csf_params(cfg: dict) -> CsfParams:
         return CsfParams(beta=beta, oversampling=ns)
     except ValueError as exc:
         raise ConfigError(f"csf: {exc}") from None
+
+
+def _fig2_channel(section: dict) -> ChannelModel:
+    """The fixed channel of fig2: the main path at delay 0, then one echo
+    per further delay with the attenuation law; ConfigError when the
+    delays cannot form a channel."""
+    gamma = float(section["gamma"])
+    paths = tuple((d, attenuation_from_delay(gamma, d) if d > 0 else 1.0) for d in section["delays"])
+    try:
+        return ChannelModel(paths=paths, gamma=gamma, max_delay=section["max_delay"])
+    except ValueError as exc:
+        raise ConfigError(f"fig2.delays {section['delays']!r}: {exc}") from None
 
 
 def identify_blind(received: Waveform, params: CsfParams, max_delay: int) -> EstimationResult:
@@ -266,22 +314,20 @@ def expected_secondary_peaks(ch: ChannelModel) -> set[int]:
 def run_fig2(cfg: dict) -> ExperimentResult:
     """Simulate the fixed three-path channel and compare measured vs
     predicted receive ACF, checking the secondary-peak locations."""
+    _check_config(cfg, "fig2")
     params = _csf_params(cfg)
     section = cfg["fig2"]
-    gamma = float(section["gamma"])
-    delays = [int(d) for d in section["delays"]]
-    paths = tuple((d, attenuation_from_delay(gamma, d) if d > 0 else 1.0) for d in delays)
-    ch = ChannelModel(paths=paths, gamma=gamma, max_delay=int(section["max_delay"]))
-    max_lag = int(section["max_delay"])
-    snr_db = section["snr_db"]
+    ch = _fig2_channel(section)
+    max_lag = section["max_delay"]
 
-    stream = random_symbols(int(section["symbols"]), seed=derive_seed(cfg["seed"], 1))
+    stream = random_symbols(section["symbols"], seed=derive_seed(cfg["seed"], 1))
     received = apply_multipath(encode_waveform(stream, params), ch)
-    received, noise = add_awgn(received, snr_db, seed=derive_seed(cfg["seed"], 2))
+    received, noise = add_awgn(received, section["snr_db"], seed=derive_seed(cfg["seed"], 2))
 
     grid, emp_trace = empirical_acf_trace(received, max_lag)
     _, pred_trace = predicted_rx_acf_trace(ch, noise.sigma2, params, max_lag)
-    emp_int = empirical_acf(received, max_lag)
+    # the integer lags are every Ns-th lag of the trace, bit for bit
+    emp_int = AcfEstimate(lags=np.arange(max_lag + 1), values=emp_trace[:: params.oversampling])
     pred_int = predicted_rx_acf(ch, noise.sigma2, params, max_lag)
 
     predicted_peaks = interior_peak_lags(pred_int.values)
@@ -294,6 +340,13 @@ def run_fig2(cfg: dict) -> ExperimentResult:
     strong = {d for d, a in ch.paths[1:]}
     peaks_ok = predicted_peaks == expected
     strong_ok = strong.issubset(set(empirical_peaks))
+    # how far each echo's measured ACF stands above its neighbours; a
+    # margin <= 0 (or None, no right neighbour) is why strong_ok failed
+    emp = emp_int.values
+    margins = {
+        str(d): float(min(emp[d] - emp[d - 1], emp[d] - emp[d + 1])) if d < max_lag else None
+        for d in sorted(strong)
+    }
     agreement_ok = agreement <= float(section["agreement_tol"])
 
     rows = [(float(g), float(e), float(p)) for g, e, p in zip(grid, emp_trace, pred_trace)]
@@ -303,6 +356,7 @@ def run_fig2(cfg: dict) -> ExperimentResult:
         "expected_peak_lags": expected,
         "predicted_peak_lags": predicted_peaks,
         "empirical_peak_lags": empirical_peaks,
+        "echo_peak_margins": margins,
         "max_abs_disagreement": agreement,
         "agreement_tol": float(section["agreement_tol"]),
         "noise_sigma2": noise.sigma2,
@@ -352,7 +406,7 @@ def _length_trial(args: tuple) -> list[tuple[int, float, bool]]:
 def run_datalength_sweep(cfg: dict) -> ExperimentResult:
     section = cfg["sweep_length"]
     trials = _trial_count(cfg)
-    _check_sweep(cfg, "sweep_length")
+    _check_config(cfg, "sweep_length")
     per_trial = _fan_out(_length_trial, cfg, trials)
 
     path_count = int(section["path_count"])
@@ -445,7 +499,7 @@ def _snr_trial(args: tuple) -> dict[tuple[float, str], tuple[float, bool]]:
 def run_snr_sweep(cfg: dict) -> ExperimentResult:
     section = cfg["sweep_snr"]
     trials = _trial_count(cfg)
-    _check_sweep(cfg, "sweep_snr")
+    _check_config(cfg, "sweep_snr")
     per_trial = _fan_out(_snr_trial, cfg, trials)
 
     rows = []
@@ -475,13 +529,12 @@ def run_snr_sweep(cfg: dict) -> ExperimentResult:
 # ---------------------------------------------------------------------------
 
 def run_invariance_demo(cfg: dict) -> ExperimentResult:
+    _check_config(cfg, "invariance")
     section = cfg["invariance"]
     params = _csf_params(cfg)
-    max_lag = int(section["max_lag"])
-    n_sym = int(section["symbols"])
-    n_streams = int(section["streams"])
-    if n_streams < 2:
-        raise ValueError("invariance demo needs at least two streams")
+    max_lag = section["max_lag"]
+    n_sym = section["symbols"]
+    n_streams = section["streams"]
 
     reference = authoritative_acf_table(params, max_lag=max_lag)
     labels = []

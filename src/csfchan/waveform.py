@@ -14,6 +14,7 @@ is one time unit, and delays/lags are expressed in symbol periods.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -58,8 +59,10 @@ class CsfParams:
     def __post_init__(self):
         if not (0.0 < self.beta <= math.log(2.0) + 1e-12):
             raise ValueError(f"beta must satisfy 0 < beta <= ln2, got {self.beta}")
-        if int(self.oversampling) != self.oversampling or self.oversampling < 8:
+        ns = self.oversampling
+        if isinstance(ns, bool) or not isinstance(ns, numbers.Integral) or ns < 8:
             raise ValueError(f"oversampling must be an integer >= 8, got {self.oversampling}")
+        object.__setattr__(self, "oversampling", int(ns))  # the encode needs int.bit_length
         min_tail = _default_tail(self.beta)
         if self.pulse_tail == 0:
             object.__setattr__(self, "pulse_tail", min_tail)
@@ -231,17 +234,46 @@ def pulse_acf(lag, params: CsfParams = CsfParams(), oversampling: int = 256):
     """Autocorrelation of the shaping pulse by direct numerical integration.
 
     Trapezoidal rule over the truncated support at the given resolution.
-    Works at arbitrary real lags; this is the defining integral that the
-    closed form is checked against, and the route used for fractional
-    lags where the closed form does not apply.
+    Works at arbitrary finite real lags; this is the defining integral
+    that the closed form is checked against, and the route used for
+    fractional lags where the closed form does not apply.
+
+    The lagged pulse is not sampled per lag.  Lags that share the
+    fractional part of lag*oversampling, and whose windows overlap, read
+    slices of one sampling on the union of their windows.  At a
+    power-of-two oversampling each grid point is the float sum a per-lag
+    sampling rounds, so the values are those of the per-lag integral bit
+    for bit; elsewhere they may differ in the last bits.
     """
-    dt = 1.0 / oversampling
-    xi = np.arange(-params.pulse_tail * oversampling, oversampling + 1) * dt
-    p0 = base_pulse(xi, params)
     lag_arr = np.atleast_1d(np.asarray(lag, dtype=float))
+    if not np.all(np.isfinite(lag_arr)):
+        raise ValueError("lag must be finite")
+    dt = 1.0 / oversampling
+    lo, hi = -params.pulse_tail * oversampling, oversampling + 1
+    n = hi - lo
+    p0 = base_pulse(np.arange(lo, hi) * dt, params)
+    lags = lag_arr.tolist()
+    groups: dict[float, list[int]] = {}
+    for i, frac in enumerate(np.modf(lag_arr * oversampling)[0].tolist()):
+        groups.setdefault(frac, []).append(i)
+    runs = []  # (lag index, grid offset) pairs that share one sampling
+    for members in groups.values():
+        members.sort(key=lags.__getitem__)
+        run = [(members[0], 0)]
+        runs.append(run)
+        for i in members[1:]:
+            # a whole step count, exact at a power-of-two oversampling
+            steps = (lags[i] - lags[run[0][0]]) * oversampling
+            if steps - run[-1][1] >= n:  # disjoint windows: sample afresh
+                run = [(i, 0)]
+                runs.append(run)
+            else:
+                run.append((i, round(steps)))
     vals = np.empty(lag_arr.shape)
-    for i, e in enumerate(lag_arr):
-        vals[i] = np.trapezoid(p0 * base_pulse(xi + e, params), dx=dt)
+    for run in runs:
+        grid = base_pulse(np.arange(lo, hi + run[-1][1]) * dt + lags[run[0][0]], params)
+        for i, offset in run:
+            vals[i] = np.trapezoid(p0 * grid[offset : offset + n], dx=dt)
     if np.isscalar(lag) or np.asarray(lag).ndim == 0:
         return float(vals[0])
     return vals

@@ -14,7 +14,8 @@ import yaml
 import csfchan
 import csfchan.experiments
 from csfchan.baselines import chaotic_probe_frame, gaussian_probe_frame, ls_estimate
-from csfchan.channel import ChannelModel, add_awgn, apply_multipath, sample_random_channel
+from csfchan.acf import empirical_acf, predicted_rx_acf
+from csfchan.channel import ChannelModel, add_awgn, apply_multipath, attenuation_from_delay, sample_random_channel
 from csfchan.cli import main as cli_main
 from csfchan.experiments import (
     DEFAULT_CONFIG,
@@ -132,6 +133,55 @@ class TestRunners:
             run_snr_sweep(cfg)
 
 
+REPO = Path(__file__).resolve().parents[1]
+
+
+class TestFig2:
+    def test_integer_acf_is_empirical_acf(self):
+        # run_fig2 reads the integer-lag ACF off its trace; every summary
+        # field built from it must be what empirical_acf gives
+        cfg = resolve_config({"seed": 3, "fig2": {"symbols": 4096, "snr_db": 10.0}})
+        result = run_fig2(cfg)
+        params = _csf_params(cfg)
+        section = cfg["fig2"]
+        paths = ((0, 1.0), (2, attenuation_from_delay(0.6, 2)), (7, attenuation_from_delay(0.6, 7)))
+        ch = ChannelModel(paths=paths, gamma=0.6, max_delay=10)
+        stream = random_symbols(section["symbols"], seed=derive_seed(cfg["seed"], 1))
+        received = apply_multipath(encode_waveform(stream, params), ch)
+        received, noise = add_awgn(received, section["snr_db"], seed=derive_seed(cfg["seed"], 2))
+        emp = empirical_acf(received, 10).values
+        pred = predicted_rx_acf(ch, noise.sigma2, params, 10).values
+        np.testing.assert_array_equal([row[1] for row in result.rows[:: params.oversampling]], emp)
+        assert result.summary["empirical_peak_lags"] == interior_peak_lags(emp)
+        assert result.summary["max_abs_disagreement"] == float(np.max(np.abs(emp - pred)))
+        assert result.summary["echo_peak_margins"] == {
+            str(d): float(min(emp[d] - emp[d - 1], emp[d] - emp[d + 1])) for d in (2, 7)
+        }
+
+    def test_failed_echo_check_explains_itself(self):
+        # seed 201 is one of the 7 seeds in 400 where the weak echo at
+        # delay 7 is not a local peak of the measured ACF
+        result = run_fig2(resolve_config({**yaml.safe_load((REPO / "configs/fig2.yaml").read_text()), "seed": 201}))
+        assert not result.passed
+        assert result.summary["checks"]["strong_echoes_in_empirical"] is False
+        margins = result.summary["echo_peak_margins"]
+        assert margins["2"] > 0 >= margins["7"]
+        assert 7 not in result.summary["empirical_peak_lags"]
+
+    def test_echo_at_the_last_lag_has_no_margin(self):
+        result = run_fig2(resolve_config({"fig2": {"symbols": 1024, "delays": [0, 2, 10]}}))
+        assert result.summary["echo_peak_margins"]["10"] is None
+        assert result.summary["checks"]["strong_echoes_in_empirical"] is False
+
+    def test_reference_csv_bytes(self, tmp_path):
+        # the fig2 reference bytes hold for any BLAS thread count
+        code = cli_main(["fig2", "--config", str(REPO / "configs/fig2.yaml"), "--out", str(tmp_path)])
+        assert code == 0
+        assert (tmp_path / "fig2.csv").read_bytes() == (REPO / "benchmarks/reference/fig2.csv").read_bytes()
+        margins = json.loads((tmp_path / "fig2.json").read_text())["summary"]["echo_peak_margins"]
+        assert margins.keys() == {"2", "7"} and all(m > 0 for m in margins.values())
+
+
 def per_snr_trial(cfg, trial):
     """The SNR-sweep trial with every frame rebuilt at each SNR through the
     single-SNR calls: the oracle of the once-per-trial form."""
@@ -191,7 +241,7 @@ class TestTrialCount:
         assert not (tmp_path / "out").exists()
 
 
-BAD_SWEEPS = [
+BAD_CONFIGS = [
     pytest.param("sweep-snr", "sweep_snr.methods=[blind_acf, nope]", "unknown ['nope']", id="unknown-method"),
     pytest.param("sweep-snr", "sweep_snr.methods=[]", "sweep_snr.methods must not be empty", id="no-methods"),
     pytest.param("sweep-snr", "sweep_snr.snr_db_list=[]", "sweep_snr.snr_db_list must not be empty", id="no-snrs"),
@@ -229,25 +279,54 @@ BAD_SWEEPS = [
     pytest.param("sweep-snr", "csf.beta=1.0", "csf: beta must satisfy 0 < beta <= ln2, got 1.0", id="beta-high"),
     pytest.param("sweep-length", "csf.beta=0", "csf: beta must satisfy 0 < beta <= ln2, got 0", id="beta-0"),
     pytest.param("sweep-length", "csf.beta=abc", "csf.beta must be a number, got 'abc'", id="beta-text"),
+    pytest.param("invariance", "invariance.streams=1", "invariance.streams must be an integer >= 2, got 1", id="one-stream"),
+    pytest.param(
+        "invariance",
+        "invariance.symbols=abc",
+        "invariance.symbols must be a positive integer, got 'abc'",
+        id="invariance-symbols-text",
+    ),
+    pytest.param(
+        "invariance",
+        "invariance.include_all_ones=maybe",
+        "invariance.include_all_ones must be true or false, got 'maybe'",
+        id="all-ones-text",
+    ),
+    pytest.param("invariance", "csf.oversampling=4", "csf: oversampling must be an integer >= 8, got 4", id="invariance-ns-4"),
+    pytest.param(
+        "fig2", "fig2.max_delay=5", "fig2.delays [0, 2, 7]: delay 7 exceeds max_delay 5", id="fig2-delay-past-max"
+    ),
+    pytest.param("fig2", "fig2.delays=[2, 7]", "fig2.delays [2, 7]: main path must be at delay 0", id="fig2-no-main"),
+    pytest.param("fig2", "fig2.delays=[0, -2]", "fig2.delays must be nonnegative integers, got [0, -2]", id="fig2-negative"),
+    pytest.param("fig2", "fig2.gamma=0", "fig2.gamma must be a positive number, got 0", id="fig2-gamma-0"),
+    pytest.param("fig2", "fig2.snr_db=abc", "fig2.snr_db must be a number or null, got 'abc'", id="fig2-snr-text"),
+    pytest.param("fig2", "fig2.symbols=0", "fig2.symbols must be a positive integer, got 0", id="fig2-no-symbols"),
 ]
 
 
 class TestSweepConfig:
-    RUNNERS = {"sweep-snr": run_snr_sweep, "sweep-length": run_datalength_sweep}
+    RUNNERS = {
+        "sweep-snr": run_snr_sweep,
+        "sweep-length": run_datalength_sweep,
+        "fig2": run_fig2,
+        "invariance": run_invariance_demo,
+    }
 
-    @pytest.mark.parametrize("command, override, message", BAD_SWEEPS)
+    @pytest.mark.parametrize("command, override, message", BAD_CONFIGS)
     def test_rejected_before_work(self, monkeypatch, command, override, message):
         def no_work(*args):
-            raise AssertionError("trials ran")
+            raise AssertionError("work ran")
 
+        # the sweeps work in their trials, fig2 and invariance in the encode
         monkeypatch.setattr(csfchan.experiments, "_fan_out", no_work)
+        monkeypatch.setattr(csfchan.experiments, "encode_waveform", no_work)
         key, value = override.split("=")
         section, field = key.split(".")
         cfg = resolve_config({"trials": 1, section: {field: yaml.safe_load(value)}})
         with pytest.raises(ConfigError, match=re.escape(message)):
             self.RUNNERS[command](cfg)
 
-    @pytest.mark.parametrize("command, override, message", BAD_SWEEPS)
+    @pytest.mark.parametrize("command, override, message", BAD_CONFIGS)
     def test_cli_exits_nonzero_without_output(self, tmp_path, capsys, command, override, message):
         code = cli_main([command, "--trials", "1", "--set", override, "--out", str(tmp_path / "out")])
         assert code == 2

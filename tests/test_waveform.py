@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.signal import fftconvolve
 
+import csfchan.waveform
 from csfchan import (
     CsfParams,
     SymbolStream,
@@ -91,6 +92,19 @@ class TestCsfParams:
     def test_short_tail_rejected(self):
         with pytest.raises(ValueError):
             CsfParams(pulse_tail=5)
+
+    @pytest.mark.parametrize("oversampling", [16.0, np.float64(16.0), True, "16"])
+    def test_non_integer_oversampling_rejected(self, oversampling):
+        # encode_waveform needs an int: a float must fail here, not there
+        with pytest.raises(ValueError, match="oversampling must be an integer"):
+            CsfParams(oversampling=oversampling)
+
+    def test_numpy_integer_oversampling_becomes_int(self):
+        params = CsfParams(oversampling=np.int64(16))
+        assert type(params.oversampling) is int
+        assert params == CsfParams(oversampling=16)
+        wave = encode_waveform(random_symbols(8, seed=1), params)
+        np.testing.assert_array_equal(wave.samples, encode_waveform(random_symbols(8, seed=1)).samples)
 
 
 class TestEncodeWaveform:
@@ -271,3 +285,67 @@ class TestAuthoritativeTable:
         a[0] = -1.0
         b = authoritative_acf_table(PARAMS, max_lag=5)
         assert b[0] > 1.0
+
+
+def per_lag_pulse_acf(lag, params, oversampling):
+    """The pulse ACF with the lagged pulse sampled afresh at every lag:
+    the oracle of pulse_acf's one sampling per run of lags."""
+    dt = 1.0 / oversampling
+    xi = np.arange(-params.pulse_tail * oversampling, oversampling + 1) * dt
+    p0 = base_pulse(xi, params)
+    return np.array([np.trapezoid(p0 * base_pulse(xi + e, params), dx=dt) for e in np.atleast_1d(lag)])
+
+
+# lags on the fig2 trace grid (k/16), anywhere, and past either end of the
+# pulse support
+LAGS = st.lists(
+    st.one_of(
+        st.integers(-40 * 16, 40 * 16).map(lambda k: k / 16),
+        st.floats(-40.0, 40.0, allow_nan=False),
+        st.integers(-30, 30).map(float),
+    ),
+    min_size=1,
+    max_size=8,
+)
+BETAS = st.floats(min_value=0.1, max_value=LN2)
+
+
+class TestPulseAcfOracle:
+    @settings(max_examples=30, deadline=None)
+    @given(lags=LAGS, beta=BETAS, oversampling=st.sampled_from([64, 256, 1024]))
+    def test_bit_identical_at_power_of_two_oversampling(self, lags, beta, oversampling):
+        params = CsfParams(beta=beta)
+        got = pulse_acf(np.array(lags), params, oversampling)
+        np.testing.assert_array_equal(got, per_lag_pulse_acf(lags, params, oversampling))
+
+    @settings(max_examples=20, deadline=None)
+    @given(lags=LAGS, beta=BETAS)
+    def test_close_at_other_oversampling(self, lags, beta):
+        # the shared grid points may round differently in the last bit; the
+        # ACF is O(1), so an absolute 1e-14 covers its zero crossings
+        params = CsfParams(beta=beta)
+        got = pulse_acf(np.array(lags), params, 100)
+        np.testing.assert_allclose(got, per_lag_pulse_acf(lags, params, 100), rtol=1e-12, atol=1e-14)
+
+    def test_fig2_lags_bit_identical(self):
+        # the trace of the fig2 config: lags 0..17 in steps of 1/16
+        lags = np.arange(17 * 16 + 1) / 16
+        np.testing.assert_array_equal(pulse_acf(lags, PARAMS), per_lag_pulse_acf(lags, PARAMS, 256))
+
+    def test_far_apart_lags_sample_separately(self):
+        lags = np.array([0.0, 1e6, -1e6, 0.5, 1e300, -1e300, -0.0, 3.0])
+        np.testing.assert_array_equal(pulse_acf(lags, PARAMS), per_lag_pulse_acf(lags, PARAMS, 256))
+
+    def test_scalar_in_scalar_out(self):
+        value = pulse_acf(1.5, PARAMS)
+        assert isinstance(value, float)
+        assert value == per_lag_pulse_acf(1.5, PARAMS, 256)[0]
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_nonfinite_lag_rejected_before_work(self, monkeypatch, bad):
+        def no_work(*args):
+            raise AssertionError("pulse sampled")
+
+        monkeypatch.setattr(csfchan.waveform, "base_pulse", no_work)
+        with pytest.raises(ValueError, match="lag must be finite"):
+            pulse_acf(np.array([0.0, bad]), PARAMS)
