@@ -4,11 +4,18 @@ empirical_acf measures the time-averaged autocorrelation of a sampled
 waveform on the integer-lag grid; predicted_rx_acf evaluates what that
 estimate converges to for a multipath channel, from the known transmit
 ACF and the channel taps alone.
+
+Importing this module, and so csfchan, sets numpy's bundled OpenBLAS to
+one thread for the process: the ACF sums its dot products in a fixed
+order (_lagged_products) that a threaded BLAS would change.
 """
 
 from __future__ import annotations
 
+import ctypes
+import os
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -48,15 +55,56 @@ class AcfEstimate:
         return int(self.lags[-1])
 
 
+def _pin_blas_to_one_thread() -> None:
+    """Run numpy's bundled OpenBLAS on one thread for the whole process.
+
+    A second BLAS thread spin-waits through the short calls of this
+    package, doubling their CPU time, and changes the order in which a
+    dot product sums.  Does nothing when numpy carries no bundled
+    OpenBLAS or has not loaded it.
+    """
+    for lib in sorted((Path(np.__file__).parents[1] / "numpy.libs").glob("libscipy_openblas*.so")):
+        try:
+            set_threads = ctypes.CDLL(str(lib), mode=os.RTLD_NOLOAD).scipy_openblas_set_num_threads64_
+        except (OSError, AttributeError):
+            continue
+        set_threads.argtypes = [ctypes.c_int]
+        set_threads.restype = None
+        set_threads(1)
+
+
+_pin_blas_to_one_thread()
+
+# OpenBLAS's two-thread ddot splits a product of more terms than this into
+# two halves; the reference outputs were summed that way
+_DOT_SPLIT = 10000
+
+
 def _lagged_products(wave: Waveform, max_lag: int, stride: int) -> np.ndarray:
     """(1/N) sum_n x[n + j] x[n] at sample lags j = 0, stride, ...,
-    max_lag*Ns, N the total sample count; one dot product per lag."""
+    max_lag*Ns, N the total sample count.
+
+    A lag with m <= 10000 overlapping samples is one dot product; a longer
+    one is the sum of the dot products of its first ceil(m/2) terms and of
+    the rest, the order of OpenBLAS's two-thread ddot.  On the one pinned
+    BLAS thread the values then depend neither on OPENBLAS_NUM_THREADS
+    nor on the core count.
+    """
     ns = wave.samples_per_symbol
     x = wave.samples
     n = len(x)
     if n <= (max_lag + 1) * ns:
         raise ValueError(f"waveform too short for max_lag={max_lag}: {n} samples")
-    return np.array([np.dot(x[j:], x[: n - j]) / n for j in range(0, max_lag * ns + 1, stride)])
+    lags = range(0, max_lag * ns + 1, stride)
+    out = np.empty(len(lags))
+    for i, j in enumerate(lags):
+        m = n - j
+        if m > _DOT_SPLIT:
+            h = (m + 1) // 2
+            out[i] = np.dot(x[j : j + h], x[:h]) + np.dot(x[j + h :], x[h:m])
+        else:
+            out[i] = np.dot(x[j:], x[:m])
+    return out / n
 
 
 def empirical_acf(wave: Waveform, max_lag: int) -> AcfEstimate:

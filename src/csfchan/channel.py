@@ -98,10 +98,13 @@ def attenuation_from_delay(gamma: float, tau: float) -> float:
 def apply_multipath(wave: Waveform, ch: ChannelModel) -> Waveform:
     """Sum of delayed, attenuated copies; length grows by the largest delay."""
     ns = wave.samples_per_symbol
-    dmax = int(ch.delays[-1])
-    out = np.zeros(len(wave) + dmax * ns)
-    for d, a in ch.paths:
-        out[d * ns : d * ns + len(wave)] += a * wave.samples
+    n = len(wave)
+    out = np.empty(n + int(ch.delays[-1]) * ns)
+    out[:n] = wave.samples  # the main path: delay 0, gain 1
+    out[n:] = 0.0
+    scaled = np.empty(n)
+    for d, a in ch.paths[1:]:
+        out[d * ns : d * ns + n] += np.multiply(wave.samples, a, out=scaled)
     return Waveform(out, ns, t0=wave.t0)
 
 
@@ -129,8 +132,9 @@ def awgn_law(wave: Waveform, snr_dbs, seed: int) -> tuple[np.ndarray | None, lis
     snrs = [None if snr_db is None or math.isinf(snr_db) else float(snr_db) for snr_db in snr_dbs]
     if all(snr_db is None for snr_db in snrs):
         return None, snrs
-    power = float(np.mean(wave.samples**2))
-    draw = np.random.default_rng(seed).standard_normal(len(wave))
+    draw = np.square(wave.samples)
+    power = float(np.mean(draw))
+    np.random.default_rng(seed).standard_normal(out=draw)
     return draw, [None if snr_db is None else power / 10.0 ** (snr_db / 10.0) for snr_db in snrs]
 
 
@@ -148,7 +152,8 @@ def add_awgn_sweep(wave: Waveform, snr_dbs, seed: int) -> list[tuple[Waveform, N
         if sigma2 is None:
             out.append((wave, NoiseSpec(snr_db=math.inf, sigma2=0.0, seed=seed)))
             continue
-        noisy = wave.samples + math.sqrt(sigma2) * draw
+        noisy = np.multiply(draw, math.sqrt(sigma2))  # the draw serves every SNR
+        noisy += wave.samples
         out.append(
             (
                 Waveform(noisy, wave.samples_per_symbol, t0=wave.t0),

@@ -12,6 +12,7 @@ before any work is done.
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 from pathlib import Path
 
@@ -35,11 +36,28 @@ _RUNNERS = {
 }
 
 
+class _Loader(yaml.SafeLoader):
+    """YAML 1.1 with 1e-9 and 1e1 read as numbers: YAML 1.1 reads an
+    exponent as a float only with a dot and a sign (1.0e-9), and leaves
+    the rest strings."""
+
+
+_Loader.add_implicit_resolver(
+    "tag:yaml.org,2002:float",
+    re.compile(r"^[-+]?(?:[0-9][0-9_]*(?:\.[0-9_]*)?|\.[0-9_]+)[eE][-+]?[0-9]+$"),
+    list("-+.0123456789"),
+)
+
+
+def _load(text: str):
+    return yaml.load(text, Loader=_Loader)
+
+
 def _apply_override(cfg: dict, dotted: str) -> None:
     if "=" not in dotted:
         raise SystemExit(f"--set expects key=value, got {dotted!r}")
     key, raw = dotted.split("=", 1)
-    value = yaml.safe_load(raw)
+    value = _load(raw)
     node = cfg
     parts = key.split(".")
     for part in parts[:-1]:
@@ -80,7 +98,7 @@ def main(argv: list[str] | None = None) -> int:
 
     user_cfg = {}
     if args.config is not None:
-        user_cfg = yaml.safe_load(args.config.read_text()) or {}
+        user_cfg = _load(args.config.read_text()) or {}
     cfg = resolve_config(user_cfg)
     cfg["experiment"] = args.command
     for flag in ("seed", "out", "trials", "threads"):

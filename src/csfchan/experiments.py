@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import copy
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -160,26 +159,16 @@ def _is_positive(value) -> bool:
     return _is_real(value) and 0 < value < math.inf
 
 
-def _numeric(value):
-    """A numeric string as its float, anything else as it is.  fig2 has
-    always read gamma and agreement_tol through float(), and YAML 1.1
-    leaves an exponent without a dot, as in 1e-9, a string."""
-    try:
-        return float(value) if isinstance(value, str) else value
-    except ValueError:
-        return value
-
-
 # per experiment section: key, test of each entry, what the entries must
 # be, and whether the key holds a nonempty list of them
 _SECTION_KEYS = {
     "fig2": (
         ("delays", lambda d: _is_count(d, 0), "nonnegative integers", True),
-        ("gamma", lambda gamma: _is_positive(_numeric(gamma)), "a positive number", False),
+        ("gamma", _is_positive, "a positive number", False),
         ("max_delay", _is_count, "a positive integer", False),
         ("symbols", _is_count, "a positive integer", False),
         ("snr_db", lambda snr: snr is None or _is_real(snr), "a number or null", False),
-        ("agreement_tol", lambda tol: _is_real(_numeric(tol)) and _numeric(tol) >= 0, "a nonnegative number", False),
+        ("agreement_tol", lambda tol: _is_real(tol) and tol >= 0, "a nonnegative number", False),
     ),
     "sweep_length": (
         ("lengths", _is_count, "positive integers", True),
@@ -206,9 +195,10 @@ def _check_config(cfg: dict, name: str) -> None:
     parameters that CsfParams refuses, a missing or mistyped value, an
     empty list, an unknown method, a gamma_range that is not two damping
     coefficients 0 < low <= high, a path count outside 1..max_delay+1
-    (the main path plus one echo per delay slot), or fig2 delays that
-    are not 0 followed by increasing echo delays up to max_delay."""
-    _csf_params(cfg)
+    (the main path plus one echo per delay slot), fig2 delays that are
+    not 0 followed by increasing echo delays up to max_delay, or a frame
+    too short for its ACF (_check_frame)."""
+    tail = _csf_params(cfg).pulse_tail
     section = cfg[name]
     for key, valid, what, is_list in _SECTION_KEYS[name]:
         value = section[key]
@@ -221,7 +211,9 @@ def _check_config(cfg: dict, name: str) -> None:
         if not ok:
             raise ConfigError(f"{name}.{key} must be {what}, got {value!r}")
     if name == "fig2":
-        _fig2_channel(section)
+        _check_frame(name, section, "symbols", "max_delay", tail + int(_fig2_channel(section).delays[-1]))
+    elif name == "invariance":
+        _check_frame(name, section, "symbols", "max_lag", tail)
     if name not in ("sweep_length", "sweep_snr"):
         return
     # the sweeps draw a random channel per trial
@@ -239,6 +231,27 @@ def _check_config(cfg: dict, name: str) -> None:
     paths, m = section["path_count"], section["max_delay"]
     if not (_is_count(paths) and paths <= m + 1):
         raise ConfigError(f"{name}.path_count must lie in 1..max_delay+1 = 1..{m + 1}, got {paths!r}")
+    # the largest of path_count - 1 distinct echo delays is at least path_count - 1
+    if name == "sweep_length":
+        _check_frame(name, section, "lengths", "max_delay", tail + paths - 1)
+    elif "blind_acf" in section["methods"]:  # the LS baselines take no ACF
+        _check_frame(name, section, "symbols", "max_delay", tail + paths - 1)
+
+
+def _check_frame(name: str, section: dict, symbols_key: str, lag_key: str, padding: int) -> None:
+    """Refuse a received frame too short for its ACF: empirical_acf needs
+    more than max_lag + 1 symbol periods, and the frame spans its symbols
+    plus padding, the pulse tail ahead of them and the largest echo delay
+    (in a sweep the smallest it can be)."""
+    symbols, max_lag = section[symbols_key], section[lag_key]
+    if isinstance(symbols, (list, tuple)):
+        symbols = min(symbols)
+    if symbols + padding <= max_lag + 1:
+        raise ConfigError(
+            f"{name}.{symbols_key}: a frame of {symbols} symbols spans {symbols + padding} symbol periods with "
+            f"its pulse tail and echoes, too short for the ACF to lag {name}.{lag_key}={max_lag}, "
+            f"which needs more than {max_lag + 1}"
+        )
 
 
 @dataclass
@@ -594,5 +607,8 @@ def _fan_out(worker, cfg: dict, trials: int) -> list:
     threads = int(cfg.get("threads", 1))
     if threads <= 1 or trials <= 1:
         return [worker(task) for task in tasks]
+    # imported here: the pool machinery costs a serial run's start-up
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=threads) as pool:
         return list(pool.map(worker, tasks))

@@ -195,10 +195,12 @@ def encode_waveform(stream: SymbolStream, params: CsfParams = CsfParams()) -> Wa
     n_sym = len(stream)
     n_out = (n_sym + params.pulse_tail) * ns
     n_fft = _next_fast_len(n_out + ns - 1)  # full convolution length
-    train = np.zeros(n_sym * ns)
-    train[::ns] = stream.symbols
-    full = np.fft.irfft(np.fft.rfft(train, n_fft) * _pulse_spectrum(params, n_fft), n_fft)
-    return Waveform(full[:n_out], ns, t0=-float(params.pulse_tail))
+    train = np.zeros(n_fft)
+    train[: n_sym * ns : ns] = stream.symbols
+    spectrum = np.fft.rfft(train)
+    spectrum *= _pulse_spectrum(params, n_fft)
+    np.fft.irfft(spectrum, n_fft, out=train)  # the train becomes the output
+    return Waveform(train[:n_out], ns, t0=-float(params.pulse_tail))
 
 
 def random_symbols(n: int, seed: int) -> SymbolStream:

@@ -1,6 +1,9 @@
 """Empirical ACF estimation and receive-side ACF prediction tests."""
 
+import ctypes
 import math
+from concurrent.futures import ProcessPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -122,6 +125,53 @@ class TestEmpiricalAcf:
         n = len(x)
         np.testing.assert_array_equal(trace, [np.dot(x[j:], x[: n - j]) / n for j in range(max_lag * ns + 1)])
         np.testing.assert_array_equal(grid, np.arange(max_lag * ns + 1) / ns)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        ns=st.sampled_from([1, 8, 16]),
+        max_lag=st.integers(min_value=0, max_value=10),
+        n=st.integers(min_value=10001, max_value=200000),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_long_lags_sum_two_halves(self, ns, max_lag, n, seed):
+        # a lag of more than 10000 products is the sum of the dot products
+        # of its first ceil(m/2) products and of the rest, in that order
+        x = np.random.default_rng(seed).normal(size=n)
+        expected = []
+        for j in range(max_lag * ns + 1):
+            a, b = x[j:], x[: n - j]
+            h = math.ceil(len(a) / 2)
+            expected.append((np.dot(a[:h], b[:h]) + np.dot(a[h:], b[h:]) if len(a) > 10000 else np.dot(a, b)) / n)
+        np.testing.assert_array_equal(empirical_acf_trace(Waveform(x, ns), max_lag)[1], expected)
+
+    @pytest.mark.parametrize("n, halves", [(10000, False), (10001, True)])
+    def test_split_starts_past_10000_products(self, n, halves):
+        x = np.random.default_rng(n).normal(size=n)
+        one = np.dot(x, x)
+        two = np.dot(x[: (n + 1) // 2], x[: (n + 1) // 2]) + np.dot(x[(n + 1) // 2 :], x[(n + 1) // 2 :])
+        assert one != two  # at these seeds the two orders round apart
+        assert empirical_acf(Waveform(x, 1), 0).values[0] == (two if halves else one) / n
+
+
+def _openblas_threads() -> int | None:
+    """Thread count of numpy's bundled OpenBLAS in this process, None
+    without one."""
+    libs = Path(np.__file__).resolve().parents[1] / "numpy.libs"
+    for lib in sorted(libs.glob("libscipy_openblas*.so")):
+        get = getattr(ctypes.CDLL(str(lib)), "scipy_openblas_get_num_threads64_", None)
+        if get is not None:
+            get.restype = ctypes.c_int
+            return get()
+    return None
+
+
+def test_import_pins_openblas_to_one_thread():
+    threads = _openblas_threads()
+    if threads is None:
+        pytest.skip("numpy carries no bundled OpenBLAS")
+    assert threads == 1
+    with ProcessPoolExecutor(max_workers=1) as pool:  # as in a --threads run
+        assert pool.submit(_openblas_threads).result(timeout=60) == 1
 
 
 def brute_force_rx_acf(ch: ChannelModel, noise_var: float, max_lag: int) -> np.ndarray:

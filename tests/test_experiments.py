@@ -12,6 +12,7 @@ import pytest
 import yaml
 
 import csfchan
+import csfchan.cli
 import csfchan.experiments
 from csfchan.baselines import chaotic_probe_frame, gaussian_probe_frame, ls_estimate
 from csfchan.acf import empirical_acf, predicted_rx_acf
@@ -301,6 +302,31 @@ BAD_CONFIGS = [
     pytest.param("fig2", "fig2.gamma=0", "fig2.gamma must be a positive number, got 0", id="fig2-gamma-0"),
     pytest.param("fig2", "fig2.snr_db=abc", "fig2.snr_db must be a number or null, got 'abc'", id="fig2-snr-text"),
     pytest.param("fig2", "fig2.symbols=0", "fig2.symbols must be a positive integer, got 0", id="fig2-no-symbols"),
+    pytest.param(
+        "fig2",
+        "fig2.max_delay=70000",
+        "fig2.symbols: a frame of 65536 symbols spans 65563 symbol periods with its pulse tail and echoes, "
+        "too short for the ACF to lag fig2.max_delay=70000, which needs more than 70001",
+        id="fig2-frame-short",
+    ),
+    pytest.param(
+        "invariance",
+        "invariance.max_lag=5000",
+        "invariance.symbols: a frame of 4096 symbols spans 4116 symbol periods",
+        id="invariance-frame-short",
+    ),
+    pytest.param(
+        "sweep-length",
+        "sweep_length.max_delay=2000",
+        "sweep_length.lengths: a frame of 1024 symbols spans 1049 symbol periods",
+        id="length-frame-short",
+    ),
+    pytest.param(
+        "sweep-snr",
+        "sweep_snr.max_delay=2000",
+        "sweep_snr.symbols: a frame of 1024 symbols spans 1049 symbol periods",
+        id="snr-frame-short",
+    ),
 ]
 
 
@@ -334,12 +360,65 @@ class TestSweepConfig:
         assert not (tmp_path / "out").exists()
 
 
-def test_cli_import_loads_no_scipy():
+class TestFrameLength:
+    """The frame check is the test empirical_acf makes: more than
+    max_lag + 1 symbol periods of received frame."""
+
+    def test_frame_one_period_past_the_limit_runs(self, tmp_path):
+        # 12 symbols and a 20-symbol pulse tail span 32 periods > 30 + 1
+        code = cli_main(
+            ["invariance", "--set", "invariance.max_lag=30", "--set", "invariance.symbols=12",
+             "--set", "invariance.streams=2", "--out", str(tmp_path)]
+        )
+        assert code == 0
+
+    def test_frame_at_the_limit_refused(self, capsys, tmp_path):
+        code = cli_main(
+            ["invariance", "--set", "invariance.max_lag=30", "--set", "invariance.symbols=11", "--out", str(tmp_path)]
+        )
+        assert code == 2
+        assert "spans 31 symbol periods" in capsys.readouterr().err
+
+    def test_shortest_sweep_channel_counts(self):
+        # six paths put the last echo at least 5 symbols out: 1 + 20 + 5 > 24 + 1
+        cfg = resolve_config({"sweep_length": {"lengths": [1], "max_delay": 24}})
+        csfchan.experiments._check_config(cfg, "sweep_length")
+        cfg["sweep_length"]["path_count"] = 5
+        with pytest.raises(ConfigError, match="spans 25 symbol periods"):
+            csfchan.experiments._check_config(cfg, "sweep_length")
+
+    def test_ls_only_snr_sweep_takes_no_acf(self):
+        cfg = resolve_config({"sweep_snr": {"max_delay": 2000, "methods": ["ls_gaussian", "ls_chaos"]}})
+        csfchan.experiments._check_config(cfg, "sweep_snr")
+
+
+def _run_cli(args: list[str], **env) -> subprocess.CompletedProcess:
+    """One CLI call in a fresh interpreter importing csfchan from this tree."""
     src = str(Path(csfchan.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    probe = "import sys, csfchan.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
-    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "[]"
+    env = dict(os.environ, **env, PYTHONPATH=os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True, check=True)
+
+
+def test_cli_import_loads_no_scipy():
+    # nor the process pool, which only a run with --threads > 1 uses
+    lazy = ("scipy", "concurrent.futures.process", "multiprocessing")
+    probe = f"import sys, csfchan.cli; print(sorted(m for m in sys.modules if m.startswith({lazy!r})))"
+    assert _run_cli(["-c", probe]).stdout.strip() == "[]"
+
+
+def test_bytes_do_not_depend_on_blas_threads(tmp_path):
+    # 2048 symbols make 33056-sample frames, whose ACF lags split into
+    # halves that a threaded BLAS would split again; the sidecar's MSEs
+    # carry every digit
+    outputs = []
+    for threads in (None, "1", "2"):
+        out = tmp_path / str(threads)
+        env = {} if threads is None else {"OPENBLAS_NUM_THREADS": threads}
+        args = ["sweep-snr", "--seed", "5", "--trials", "3", "--set", "sweep_snr.symbols=2048", "--out", str(out)]
+        _run_cli(["-m", "csfchan.cli", *args], **env)
+        sidecar = json.loads((out / "sweep_snr.json").read_text())
+        outputs.append(((out / "sweep_snr.csv").read_bytes(), sidecar["summary"]))
+    assert outputs[0] == outputs[1] == outputs[2]
 
 
 class TestCli:
@@ -408,6 +487,25 @@ class TestCli:
         )
         assert code == 1
         assert "FAILED" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "text, value",
+        [("1e1", 10.0), ("1e-9", 1e-9), ("-2E+3", -2000.0), (".5e3", 500.0), ("1.0e1", 10.0), ("10", 10),
+         ("1e", "1e"), ("[1e1, 2]", [10.0, 2])],
+    )
+    def test_exponents_are_numbers(self, text, value):
+        loaded = csfchan.cli._load(text)
+        assert loaded == value and type(loaded) is type(value)
+
+    def test_exponent_in_override_and_config_file(self, tmp_path):
+        cfg_file = tmp_path / "cfg.yaml"
+        cfg_file.write_text("trials: 1\nsweep_length:\n  lengths: [64]\n  gamma_range: [3e-1, 9e-1]\n")
+        code = cli_main(
+            ["sweep-length", "--config", str(cfg_file), "--set", "sweep_length.snr_db=1e1", "--out", str(tmp_path)]
+        )
+        assert code == 0
+        section = json.loads((tmp_path / "sweep_length.json").read_text())["config"]["sweep_length"]
+        assert (section["snr_db"], section["gamma_range"]) == (10.0, [0.3, 0.9])
 
     def test_bad_override_rejected(self, tmp_path):
         with pytest.raises(SystemExit):
