@@ -1,5 +1,7 @@
 """Chaotic shape-forming-filter waveforms and ACF-based blind channel identification."""
 
+__version__ = "0.1.0"  # set before the submodules import: report reads it
+
 from .acf import AcfEstimate, empirical_acf, empirical_acf_trace, predicted_rx_acf, predicted_rx_acf_trace
 from .baselines import (
     LsEstimate,
@@ -14,7 +16,6 @@ from .baselines import (
 )
 from .channel import (
     ChannelModel,
-    NoiseSpec,
     add_awgn,
     add_awgn_sweep,
     apply_multipath,
@@ -27,8 +28,6 @@ from .estimator import (
     IdentificationProblem,
     SolverOptions,
     build_residuals,
-    detect_paths,
-    mse,
     residual_jacobian,
     solve_channel,
 )
@@ -53,7 +52,6 @@ __all__ = [
     "EstimationResult",
     "IdentificationProblem",
     "LsEstimate",
-    "NoiseSpec",
     "ProbeFrame",
     "SolverOptions",
     "SymbolStream",
@@ -68,7 +66,6 @@ __all__ = [
     "build_residuals",
     "chaotic_probe_frame",
     "derive_seed",
-    "detect_paths",
     "empirical_acf",
     "empirical_acf_trace",
     "encode_waveform",
@@ -77,7 +74,6 @@ __all__ = [
     "identify_blind",
     "ls_estimate",
     "ls_sweep",
-    "mse",
     "predicted_rx_acf",
     "predicted_rx_acf_trace",
     "probe_design",
@@ -91,5 +87,3 @@ __all__ = [
     "symbol_instants",
     "theoretical_acf",
 ]
-
-__version__ = "0.1.0"

@@ -125,6 +125,38 @@ def empirical_acf_trace(wave: Waveform, max_lag: int) -> tuple[np.ndarray, np.nd
     return np.arange(max_lag * ns + 1) / ns, _lagged_products(wave, max_lag, 1)
 
 
+def _tap_correlation(alpha_full: np.ndarray) -> np.ndarray:
+    """c[d] = sum_i a_i a_{i+d} for d = 0..M of the taps a_0..a_M."""
+    m1 = alpha_full.size
+    return np.array([np.dot(alpha_full[: m1 - d], alpha_full[d:]) for d in range(m1)])
+
+
+def _lag_weights(r_xx: np.ndarray, n_lags: int, n_taps: int, stride: int) -> np.ndarray:
+    """W with the receive ACF at lag k = sum_d c[d] W[d, k] for the tap
+    correlation c of taps one stride apart: row 0 is r_xx[k], row d is
+    r_xx[|k - d*stride|] + r_xx[k + d*stride]."""
+    k = np.arange(n_lags)
+    shift = stride * np.arange(n_taps)[:, None]
+    weights = r_xx[np.abs(k - shift)] + r_xx[k + shift]
+    weights[0] = r_xx[k]
+    return weights
+
+
+def _rx_model(ch: ChannelModel, noise_var: float, r_xx: np.ndarray, n_lags: int, stride: int) -> np.ndarray:
+    """Receive ACF of ch at the first n_lags points of the grid of r_xx:
+    the transmit ACF r_xx, sampled stride points per symbol period from
+    lag 0 past the largest delay, weighted by the tap correlation, plus
+    noise_var at lag 0."""
+    if noise_var < 0:
+        raise ValueError("noise variance must be nonnegative")
+    taps = np.zeros(int(ch.delays[-1]) + 1)
+    taps[ch.delays] = ch.attenuations
+    c = _tap_correlation(taps)
+    values = np.add.reduce(c[:, None] * _lag_weights(r_xx, n_lags, taps.size, stride), axis=0)
+    values[0] += noise_var
+    return values
+
+
 def predicted_rx_acf(
     ch: ChannelModel,
     noise_var: float,
@@ -138,28 +170,9 @@ def predicted_rx_acf(
     eta +- delay, and (iv) echo-pair cross terms at eta + delay
     differences.  The transmit ACF is extended evenly to negative lags.
     """
-    if noise_var < 0:
-        raise ValueError("noise variance must be nonnegative")
     m = ch.max_delay if max_lag is None else int(max_lag)
     table = authoritative_acf_table(params, max_lag=m + int(ch.delays[-1]))
-
-    def rxx(arg: int) -> float:
-        return table[abs(arg)]
-
-    alphas = ch.attenuations
-    values = np.empty(m + 1)
-    for k in range(m + 1):
-        total = float(np.sum(alphas**2)) * rxx(k)
-        for d, a in ch.paths[1:]:
-            # main-path cross terms; the main tap is 1 by construction
-            total += a * (rxx(k + d) + rxx(k - d))
-        for i, (di, ai) in enumerate(ch.paths[1:], start=1):
-            for j, (dj, aj) in enumerate(ch.paths[1:], start=1):
-                if i != j:
-                    total += ai * aj * rxx(k + di - dj)
-        values[k] = total
-    values[0] += noise_var
-    return AcfEstimate(lags=np.arange(m + 1), values=values)
+    return AcfEstimate(lags=np.arange(m + 1), values=_rx_model(ch, noise_var, table, m + 1, 1))
 
 
 def predicted_rx_acf_trace(
@@ -167,7 +180,6 @@ def predicted_rx_acf_trace(
     noise_var: float,
     params: CsfParams = CsfParams(),
     max_lag: int = 10,
-    oversampling: int | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Receive-side ACF on the fractional-lag grid.
 
@@ -175,19 +187,7 @@ def predicted_rx_acf_trace(
     integrated pulse ACF, which is the valid route off the integer grid.
     The white-noise term contributes only at exactly lag 0.
     """
-    ns = params.oversampling if oversampling is None else int(oversampling)
-    grid = np.arange(max_lag * ns + 1) / ns
-    dmax = int(ch.delays[-1])
-    # pulse ACF sampled once on the widest grid needed, then indexed
-    full = pulse_acf(np.arange((max_lag + dmax) * ns + 1) / ns, params)
-
-    def rxx_at(offsets: np.ndarray) -> np.ndarray:
-        idx = np.rint(np.abs(offsets) * ns).astype(int)
-        return full[idx]
-
-    out = np.zeros_like(grid)
-    for di, ai in ch.paths:
-        for dj, aj in ch.paths:
-            out += ai * aj * rxx_at(grid - di + dj)
-    out[0] += noise_var
-    return grid, out
+    ns = params.oversampling
+    # pulse ACF sampled once on the widest grid needed
+    full = pulse_acf(np.arange((max_lag + int(ch.delays[-1])) * ns + 1) / ns, params)
+    return np.arange(max_lag * ns + 1) / ns, _rx_model(ch, noise_var, full, max_lag * ns + 1, ns)

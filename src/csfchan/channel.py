@@ -17,7 +17,6 @@ from .waveform import Waveform
 
 __all__ = [
     "ChannelModel",
-    "NoiseSpec",
     "attenuation_from_delay",
     "apply_multipath",
     "add_awgn",
@@ -77,15 +76,6 @@ class ChannelModel:
         return taps
 
 
-@dataclass(frozen=True)
-class NoiseSpec:
-    """Record of the noise actually injected by add_awgn."""
-
-    snr_db: float
-    sigma2: float
-    seed: int
-
-
 def attenuation_from_delay(gamma: float, tau: float) -> float:
     """Attenuation exp(-gamma * tau) of an echo delayed by tau."""
     if tau < 0:
@@ -108,12 +98,13 @@ def apply_multipath(wave: Waveform, ch: ChannelModel) -> Waveform:
     return Waveform(out, ns, t0=wave.t0)
 
 
-def add_awgn(wave: Waveform, snr_db: float | None, seed: int) -> tuple[Waveform, NoiseSpec]:
-    """Add white Gaussian noise at the given SNR.
+def add_awgn(wave: Waveform, snr_db: float | None, seed: int) -> tuple[Waveform, float]:
+    """Add white Gaussian noise at the given SNR; returns the noisy
+    waveform and the noise variance.
 
     The noise variance is mean(wave**2) / 10**(snr_db/10), i.e. the SNR is
     referenced to the power of the waveform being corrupted.  snr_db of
-    None or +inf disables noise.  Deterministic for a fixed seed, and the
+    None or +inf disables noise (variance 0.0).  Deterministic for a fixed seed, and the
     same seed yields the same underlying standard-normal draw at every
     SNR, so sweeping SNR with one seed varies only the noise scale.
     """
@@ -138,7 +129,7 @@ def awgn_law(wave: Waveform, snr_dbs, seed: int) -> tuple[np.ndarray | None, lis
     return draw, [None if snr_db is None else power / 10.0 ** (snr_db / 10.0) for snr_db in snrs]
 
 
-def add_awgn_sweep(wave: Waveform, snr_dbs, seed: int) -> list[tuple[Waveform, NoiseSpec]]:
+def add_awgn_sweep(wave: Waveform, snr_dbs, seed: int) -> list[tuple[Waveform, float]]:
     """add_awgn at each SNR of a sweep from one standard-normal draw.
 
     The draw and the signal power are computed once (awgn_law) and the
@@ -148,18 +139,13 @@ def add_awgn_sweep(wave: Waveform, snr_dbs, seed: int) -> list[tuple[Waveform, N
     """
     draw, sigma2s = awgn_law(wave, snr_dbs, seed)
     out = []
-    for snr_db, sigma2 in zip(snr_dbs, sigma2s):
+    for sigma2 in sigma2s:
         if sigma2 is None:
-            out.append((wave, NoiseSpec(snr_db=math.inf, sigma2=0.0, seed=seed)))
+            out.append((wave, 0.0))
             continue
         noisy = np.multiply(draw, math.sqrt(sigma2))  # the draw serves every SNR
         noisy += wave.samples
-        out.append(
-            (
-                Waveform(noisy, wave.samples_per_symbol, t0=wave.t0),
-                NoiseSpec(snr_db=float(snr_db), sigma2=sigma2, seed=seed),
-            )
-        )
+        out.append((Waveform(noisy, wave.samples_per_symbol, t0=wave.t0), sigma2))
     return out
 
 

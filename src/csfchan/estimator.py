@@ -23,7 +23,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .acf import AcfEstimate
+from .acf import AcfEstimate, _lag_weights, _tap_correlation
 
 __all__ = [
     "IdentificationProblem",
@@ -32,8 +32,6 @@ __all__ = [
     "build_residuals",
     "residual_jacobian",
     "solve_channel",
-    "detect_paths",
-    "mse",
 ]
 
 
@@ -67,11 +65,7 @@ class IdentificationProblem:
         """W with the model ACF at lag k = sum_d c[d] W[d, k] for the tap
         correlation c: row 0 is r_xx[k], row d is r_xx[|k-d|] + r_xx[k+d]."""
         m = self.max_delay
-        k = np.arange(m + 1)
-        d = k[:, None]
-        weights = self.r_xx[np.abs(k - d)] + self.r_xx[k + d]
-        weights[0] = self.r_xx[k]
-        return weights
+        return _lag_weights(self.r_xx, m + 1, m + 1, 1)
 
     @cached_property
     def shifted_acf(self) -> np.ndarray:
@@ -103,12 +97,6 @@ class EstimationResult:
         if not np.all(np.isfinite(arr)):
             raise ValueError("estimated taps must be finite")
         object.__setattr__(self, "alpha_hat", arr)
-
-
-def _tap_correlation(alpha_full: np.ndarray) -> np.ndarray:
-    """c[d] = sum_i a_i a_{i+d} for d = 0..M, with a_0 = 1 prepended."""
-    m1 = alpha_full.size
-    return np.array([np.dot(alpha_full[: m1 - d], alpha_full[d:]) for d in range(m1)])
 
 
 def build_residuals(alpha: np.ndarray, noise_var: float, prob: IdentificationProblem) -> np.ndarray:
@@ -207,42 +195,3 @@ def solve_channel(prob: IdentificationProblem, opts: SolverOptions = SolverOptio
         iterations=n_iter,
         converged=bool(residual_norm <= opts.tol),
     )
-
-
-def detect_paths(res: EstimationResult, threshold: float = 0.05) -> list[tuple[int, float]]:
-    """Delays whose estimated tap exceeds the threshold, plus the main path.
-
-    Negative estimates are clamped to zero before thresholding; the main
-    path (0, 1.0) is always present.
-    """
-    clamped = np.maximum(res.alpha_hat, 0.0)
-    found = [(0, 1.0)]
-    for d, a in enumerate(clamped, start=1):
-        if a > threshold:
-            found.append((d, float(a)))
-    return found
-
-
-def mse(true_channels, estimated, path_count: int) -> float:
-    """Per-path mean squared tap error averaged over trials.
-
-    (1/D) * sum_d ||H_d - Hhat_d||^2 / path_count over D paired tap
-    vectors of equal dimension.
-    """
-    if len(true_channels) != len(estimated) or len(true_channels) == 0:
-        raise ValueError("need equally many (>=1) true and estimated vectors")
-    if path_count < 1:
-        raise ValueError("path_count must be positive")
-    total = 0.0
-    dim = None
-    for h, h_hat in zip(true_channels, estimated):
-        h = np.asarray(h, dtype=float)
-        h_hat = np.asarray(h_hat, dtype=float)
-        if h.shape != h_hat.shape:
-            raise ValueError("true/estimated vector shapes differ")
-        if dim is None:
-            dim = h.shape
-        elif h.shape != dim:
-            raise ValueError("inconsistent vector dimensions across trials")
-        total += float(np.sum((h - h_hat) ** 2))
-    return total / (len(true_channels) * path_count)

@@ -335,13 +335,13 @@ def run_fig2(cfg: dict) -> ExperimentResult:
 
     stream = random_symbols(section["symbols"], seed=derive_seed(cfg["seed"], 1))
     received = apply_multipath(encode_waveform(stream, params), ch)
-    received, noise = add_awgn(received, section["snr_db"], seed=derive_seed(cfg["seed"], 2))
+    received, noise_var = add_awgn(received, section["snr_db"], seed=derive_seed(cfg["seed"], 2))
 
     grid, emp_trace = empirical_acf_trace(received, max_lag)
-    _, pred_trace = predicted_rx_acf_trace(ch, noise.sigma2, params, max_lag)
+    _, pred_trace = predicted_rx_acf_trace(ch, noise_var, params, max_lag)
     # the integer lags are every Ns-th lag of the trace, bit for bit
     emp_int = AcfEstimate(lags=np.arange(max_lag + 1), values=emp_trace[:: params.oversampling])
-    pred_int = predicted_rx_acf(ch, noise.sigma2, params, max_lag)
+    pred_int = predicted_rx_acf(ch, noise_var, params, max_lag)
 
     predicted_peaks = interior_peak_lags(pred_int.values)
     empirical_peaks = interior_peak_lags(emp_int.values)
@@ -372,7 +372,7 @@ def run_fig2(cfg: dict) -> ExperimentResult:
         "echo_peak_margins": margins,
         "max_abs_disagreement": agreement,
         "agreement_tol": float(section["agreement_tol"]),
-        "noise_sigma2": noise.sigma2,
+        "noise_sigma2": noise_var,
         "checks": {
             "predicted_peaks_match": peaks_ok,
             "strong_echoes_in_empirical": strong_ok,

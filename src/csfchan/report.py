@@ -11,8 +11,9 @@ from __future__ import annotations
 import hashlib
 import json
 import subprocess
-from importlib import metadata
 from pathlib import Path
+
+from . import __version__
 
 __all__ = ["config_hash", "format_value", "write_table", "write_sidecar"]
 
@@ -57,13 +58,6 @@ def _git_describe() -> str:
         return "unknown"
 
 
-def _package_version() -> str:
-    try:
-        return metadata.version("csfchan")
-    except metadata.PackageNotFoundError:
-        return "unknown"
-
-
 def write_sidecar(path: Path, resolved_config: dict, summary: dict, passed: bool) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     payload = {
@@ -71,7 +65,7 @@ def write_sidecar(path: Path, resolved_config: dict, summary: dict, passed: bool
         "config_hash": config_hash(resolved_config),
         "seed": resolved_config.get("seed"),
         "git_describe": _git_describe(),
-        "package_version": _package_version(),
+        "package_version": __version__,
         "summary": summary,
         "passed": passed,
     }

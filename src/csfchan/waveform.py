@@ -36,6 +36,11 @@ __all__ = [
 # amplitude below which the truncated pulse tail is considered negligible
 _TAIL_AMPLITUDE = 1e-6
 
+# integration oversampling of the pulse ACF that checks the closed form,
+# and the relative disagreement above which the integral replaces it
+_ACF_OVERSAMPLING = 256
+_ACF_REL_TOL = 0.01
+
 
 def _default_tail(beta: float) -> int:
     return math.ceil(math.log(1.0 / _TAIL_AMPLITUDE) / beta)
@@ -71,10 +76,6 @@ class CsfParams:
                 f"pulse_tail {self.pulse_tail} leaves a truncated tail above 1e-6; "
                 f"need >= {min_tail} for beta={self.beta}"
             )
-
-    @property
-    def omega(self) -> float:
-        return 2.0 * math.pi
 
 
 @dataclass(frozen=True)
@@ -131,7 +132,7 @@ def base_pulse(t, params: CsfParams = CsfParams()):
     t_arr = np.asarray(t, dtype=float)
     if not np.all(np.isfinite(t_arr)):
         raise ValueError("pulse argument must be finite")
-    beta, w = params.beta, params.omega
+    beta, w = params.beta, 2.0 * math.pi
     trig = np.cos(w * t_arr) - (beta / w) * np.sin(w * t_arr)
     # exp arguments clipped to the support; the t >= 1 branch is zero anyway
     t_clip = np.minimum(t_arr, 1.0)
@@ -218,7 +219,7 @@ def theoretical_acf(lag, params: CsfParams = CsfParams()):
     ``authoritative_acf_table``); even in the lag.  At lag 0 it gives the
     waveform power, elsewhere an exponentially decaying negative value.
     """
-    beta, w = params.beta, params.omega
+    beta, w = params.beta, 2.0 * math.pi
     eta = np.abs(np.asarray(lag, dtype=float))
     if not np.all(np.isfinite(eta)):
         raise ValueError("lag must be finite")
@@ -282,33 +283,27 @@ def pulse_acf(lag, params: CsfParams = CsfParams(), oversampling: int = 256):
 
 
 @lru_cache(maxsize=32)
-def _acf_table_cached(params: CsfParams, max_lag: int, oversampling: int, rel_tol: float):
+def _acf_table_cached(params: CsfParams, max_lag: int) -> np.ndarray:
     lags = np.arange(max_lag + 1, dtype=float)
     closed = np.asarray(theoretical_acf(lags, params))
-    integral = pulse_acf(lags, params, oversampling=oversampling)
+    integral = pulse_acf(lags, params, oversampling=_ACF_OVERSAMPLING)
     # the trapezoid oracle carries a small absolute error, so values far
     # below the zero-lag power sit at its noise floor; only material
     # disagreement relative to that floor triggers the fallback
     floor = 1e-5 * abs(integral[0])
     rel = np.abs(closed - integral) / np.maximum(np.abs(integral), floor)
-    if np.max(rel) > rel_tol:
+    if np.max(rel) > _ACF_REL_TOL:
         # closed form disagrees with the defining integral: the integral wins
-        return integral, False
-    return closed, True
+        return integral
+    return closed
 
 
-def authoritative_acf_table(
-    params: CsfParams = CsfParams(),
-    max_lag: int = 10,
-    oversampling: int = 256,
-    rel_tol: float = 0.01,
-) -> np.ndarray:
+def authoritative_acf_table(params: CsfParams = CsfParams(), max_lag: int = 10) -> np.ndarray:
     """Pulse ACF at integer lags 0..max_lag, validated against integration.
 
     Returns the closed-form values when they agree with the numerical
-    integral within rel_tol at every lag, otherwise the integration table.
+    integral within 1% at every lag, otherwise the integration table.
     The result is what the identification equations consume as the known
     transmit-side ACF.
     """
-    table, _ = _acf_table_cached(params, int(max_lag), int(oversampling), float(rel_tol))
-    return table.copy()
+    return _acf_table_cached(params, int(max_lag)).copy()

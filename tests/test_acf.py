@@ -16,11 +16,13 @@ from csfchan import (
     CsfParams,
     Waveform,
     apply_multipath,
+    authoritative_acf_table,
     empirical_acf,
     empirical_acf_trace,
     encode_waveform,
     predicted_rx_acf,
     predicted_rx_acf_trace,
+    pulse_acf,
     random_symbols,
     sample_random_channel,
     theoretical_acf,
@@ -187,6 +189,80 @@ def brute_force_rx_acf(ch: ChannelModel, noise_var: float, max_lag: int) -> np.n
         out[k] = total
     out[0] += noise_var
     return out
+
+
+def loop_rx_acf(ch: ChannelModel, noise_var: float, params: CsfParams, max_lag: int) -> np.ndarray:
+    """Oracle: predicted_rx_acf as a triple loop over paths, term by term."""
+    table = authoritative_acf_table(params, max_lag=max_lag + int(ch.delays[-1]))
+
+    def rxx(arg: int) -> float:
+        return table[abs(arg)]
+
+    alphas = ch.attenuations
+    values = np.empty(max_lag + 1)
+    for k in range(max_lag + 1):
+        total = float(np.sum(alphas**2)) * rxx(k)
+        for d, a in ch.paths[1:]:
+            # main-path cross terms; the main tap is 1 by construction
+            total += a * (rxx(k + d) + rxx(k - d))
+        for i, (di, ai) in enumerate(ch.paths[1:], start=1):
+            for j, (dj, aj) in enumerate(ch.paths[1:], start=1):
+                if i != j:
+                    total += ai * aj * rxx(k + di - dj)
+        values[k] = total
+    values[0] += noise_var
+    return values
+
+
+def loop_rx_acf_trace(ch: ChannelModel, noise_var: float, params: CsfParams, max_lag: int) -> np.ndarray:
+    """Oracle: predicted_rx_acf_trace as a double loop over path pairs."""
+    ns = params.oversampling
+    grid = np.arange(max_lag * ns + 1) / ns
+    full = pulse_acf(np.arange((max_lag + int(ch.delays[-1])) * ns + 1) / ns, params)
+    out = np.zeros_like(grid)
+    for di, ai in ch.paths:
+        for dj, aj in ch.paths:
+            out += ai * aj * full[np.rint(np.abs(grid - di + dj) * ns).astype(int)]
+    out[0] += noise_var
+    return out
+
+
+# a random channel and a lag count below, at and above its max_delay
+@st.composite
+def channels(draw):
+    path_count = draw(st.integers(min_value=1, max_value=11))
+    max_delay = draw(st.integers(min_value=max(1, path_count - 1), max_value=12))
+    low = draw(st.floats(min_value=0.05, max_value=2.0))
+    ch = sample_random_channel(
+        max_delay=max_delay,
+        gamma_range=(low, low + draw(st.floats(min_value=0.0, max_value=1.0))),
+        path_count=path_count,
+        seed=draw(st.integers(min_value=0, max_value=2**32 - 1)),
+    )
+    return ch, max_delay + draw(st.integers(min_value=-max_delay, max_value=5))
+
+
+NOISE_VARS = st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=10.0))
+
+
+class TestPredictionOracles:
+    @settings(max_examples=150, deadline=None)
+    @given(channel=channels(), noise_var=NOISE_VARS)
+    def test_integer_lags_match_triple_loop(self, channel, noise_var):
+        ch, max_lag = channel
+        values = predicted_rx_acf(ch, noise_var, PARAMS, max_lag=max_lag).values
+        oracle = loop_rx_acf(ch, noise_var, PARAMS, max_lag)
+        np.testing.assert_allclose(values, oracle, rtol=1e-12, atol=1e-14 * values[0])
+
+    @settings(max_examples=40, deadline=None)
+    @given(channel=channels(), noise_var=NOISE_VARS, ns=st.sampled_from([8, 16]))
+    def test_trace_matches_double_loop(self, channel, noise_var, ns):
+        ch, max_lag = channel
+        params = CsfParams(oversampling=ns)
+        grid, values = predicted_rx_acf_trace(ch, noise_var, params, max_lag=max_lag)
+        np.testing.assert_array_equal(grid, np.arange(max_lag * ns + 1) / ns)
+        oracle = loop_rx_acf_trace(ch, noise_var, params, max_lag)
+        np.testing.assert_allclose(values, oracle, rtol=1e-12, atol=1e-14 * values[0])
 
 
 class TestPredictedRxAcf:

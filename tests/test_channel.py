@@ -112,9 +112,9 @@ class TestAddAwgn:
     def test_disabled_noise_passthrough(self):
         wave = Waveform(np.ones(64), 16)
         for snr in (None, math.inf):
-            out, spec = add_awgn(wave, snr, seed=1)
+            out, sigma2 = add_awgn(wave, snr, seed=1)
             np.testing.assert_array_equal(out.samples, wave.samples)
-            assert spec.sigma2 == 0.0
+            assert sigma2 == 0.0
 
     def test_deterministic_for_seed(self):
         wave = Waveform(np.ones(512), 16)
@@ -125,19 +125,19 @@ class TestAddAwgn:
     def test_zero_db_noise_power(self):
         n = 2**16
         wave = Waveform(np.ones(n), 16)
-        noisy, spec = add_awgn(wave, 0.0, seed=3)
+        noisy, sigma2 = add_awgn(wave, 0.0, seed=3)
         noise = noisy.samples - wave.samples
-        assert spec.sigma2 == pytest.approx(1.0)
+        assert sigma2 == pytest.approx(1.0)
         assert float(np.mean(noise**2)) == pytest.approx(1.0, rel=0.02)
 
     def test_noise_whiteness(self):
         n = 2**16
         ns = 16
         wave = Waveform(np.ones(n), ns)
-        noisy, spec = add_awgn(wave, 0.0, seed=8)
+        noisy, sigma2 = add_awgn(wave, 0.0, seed=8)
         noise = Waveform(noisy.samples - wave.samples, ns)
         est = empirical_acf(noise, 10)
-        assert est.values[0] == pytest.approx(spec.sigma2, rel=0.05)
+        assert est.values[0] == pytest.approx(sigma2, rel=0.05)
         normalized = np.abs(est.values[1:]) / est.values[0]
         assert np.max(normalized) <= 4.0 / math.sqrt(n)
 
@@ -146,8 +146,8 @@ class TestAddAwgn:
         wave = Waveform(np.ones(256), 16)
         a, sa = add_awgn(wave, 0.0, seed=5)
         b, sb = add_awgn(wave, 20.0, seed=5)
-        na = (a.samples - wave.samples) / math.sqrt(sa.sigma2)
-        nb = (b.samples - wave.samples) / math.sqrt(sb.sigma2)
+        na = (a.samples - wave.samples) / math.sqrt(sa)
+        nb = (b.samples - wave.samples) / math.sqrt(sb)
         np.testing.assert_allclose(na, nb, atol=1e-12)
 
     def test_matches_normal_draw_oracle(self):
@@ -158,17 +158,17 @@ class TestAddAwgn:
             sigma2 = power / 10.0 ** (snr / 10.0)
             rng = np.random.default_rng(11)
             expected = wave.samples + rng.normal(0.0, math.sqrt(sigma2), size=len(wave))
-            noisy, spec = add_awgn(wave, snr, seed=11)
+            noisy, noise_var = add_awgn(wave, snr, seed=11)
             np.testing.assert_array_equal(noisy.samples, expected)
-            assert spec.sigma2 == sigma2
+            assert noise_var == sigma2
 
     def test_sweep_equals_single_snr_calls(self):
         wave = encode_waveform(random_symbols(128, seed=3), PARAMS)
         snrs = [0.0, None, 5.0, math.inf, 20.0]
-        for snr, (noisy, spec) in zip(snrs, add_awgn_sweep(wave, snrs, seed=9)):
-            single, single_spec = add_awgn(wave, snr, seed=9)
+        for snr, (noisy, sigma2) in zip(snrs, add_awgn_sweep(wave, snrs, seed=9)):
+            single, single_sigma2 = add_awgn(wave, snr, seed=9)
             np.testing.assert_array_equal(noisy.samples, single.samples)
-            assert spec == single_spec
+            assert sigma2 == single_sigma2
 
 
 class TestSampleRandomChannel:

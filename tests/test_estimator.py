@@ -1,4 +1,4 @@
-"""Tap-recovery system: residuals, Jacobian, solver, detection, MSE."""
+"""Tap-recovery system: residuals, Jacobian, solver."""
 
 import math
 
@@ -17,10 +17,8 @@ from csfchan import (
     apply_multipath,
     authoritative_acf_table,
     build_residuals,
-    detect_paths,
     empirical_acf,
     encode_waveform,
-    mse,
     predicted_rx_acf,
     random_symbols,
     residual_jacobian,
@@ -288,52 +286,3 @@ class TestSolveChannel:
         )
         result = solve_channel(prob, SolverOptions(tol=1e-6 * table[0]))
         assert float(np.max(np.abs(result.alpha_hat - ch.tap_vector()))) <= 0.05
-
-
-class TestDetectPaths:
-    def test_all_zero_gives_main_only(self):
-        res = EstimationResult(np.zeros(M), 0.0, 0.0, 1, True)
-        assert detect_paths(res) == [(0, 1.0)]
-
-    def test_threshold_cut(self):
-        alpha = np.zeros(M)
-        alpha[0] = 0.3
-        alpha[1] = 0.001
-        res = EstimationResult(alpha, 0.0, 0.0, 1, True)
-        assert detect_paths(res, threshold=0.05) == [(0, 1.0), (1, pytest.approx(0.3))]
-
-    def test_negative_estimates_clamped(self):
-        alpha = np.full(M, -0.2)
-        res = EstimationResult(alpha, 0.0, 0.0, 1, True)
-        assert detect_paths(res, threshold=0.05) == [(0, 1.0)]
-
-    def test_fig2_recovery_detection(self):
-        result = solve_channel(exact_problem(FIG2_CHANNEL, 0.1), SolverOptions(tol=1e-12))
-        found = detect_paths(result, threshold=0.01)
-        assert [d for d, _ in found] == [0, 2, 7]
-
-
-class TestMse:
-    def test_perfect_estimate(self):
-        h = [np.array([0.5, 0.2])] * 3
-        assert mse(h, h, path_count=3) == 0.0
-
-    def test_hand_value(self):
-        truth = [np.array([0.3, 0.1])]
-        est = [np.array([0.3, 0.2])]
-        assert mse(truth, est, path_count=3) == pytest.approx(0.01 / 3)
-
-    def test_duplication_invariance(self):
-        truth = [np.array([0.4, 0.0, 0.3])]
-        est = [np.array([0.1, 0.2, 0.3])]
-        single = mse(truth, est, path_count=4)
-        double = mse(truth * 2, est * 2, path_count=4)
-        assert single == pytest.approx(double)
-
-    def test_dimension_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            mse([np.zeros(3)], [np.zeros(4)], path_count=2)
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            mse([], [], path_count=2)

@@ -149,9 +149,9 @@ class TestFig2:
         ch = ChannelModel(paths=paths, gamma=0.6, max_delay=10)
         stream = random_symbols(section["symbols"], seed=derive_seed(cfg["seed"], 1))
         received = apply_multipath(encode_waveform(stream, params), ch)
-        received, noise = add_awgn(received, section["snr_db"], seed=derive_seed(cfg["seed"], 2))
+        received, noise_var = add_awgn(received, section["snr_db"], seed=derive_seed(cfg["seed"], 2))
         emp = empirical_acf(received, 10).values
-        pred = predicted_rx_acf(ch, noise.sigma2, params, 10).values
+        pred = predicted_rx_acf(ch, noise_var, params, 10).values
         np.testing.assert_array_equal([row[1] for row in result.rows[:: params.oversampling]], emp)
         assert result.summary["empirical_peak_lags"] == interior_peak_lags(emp)
         assert result.summary["max_abs_disagreement"] == float(np.max(np.abs(emp - pred)))
@@ -181,6 +181,13 @@ class TestFig2:
         assert (tmp_path / "fig2.csv").read_bytes() == (REPO / "benchmarks/reference/fig2.csv").read_bytes()
         margins = json.loads((tmp_path / "fig2.json").read_text())["summary"]["echo_peak_margins"]
         assert margins.keys() == {"2", "7"} and all(m > 0 for m in margins.values())
+
+
+def test_reference_sweep_snr_bytes(tmp_path):
+    # 500 blind solves through the lag weights the prediction shares
+    code = cli_main(["sweep-snr", "--config", str(REPO / "configs/snr_sweep_full.yaml"), "--out", str(tmp_path)])
+    assert code == 0
+    assert (tmp_path / "sweep_snr.csv").read_bytes() == (REPO / "benchmarks/reference/sweep_snr.csv").read_bytes()
 
 
 def per_snr_trial(cfg, trial):
@@ -400,8 +407,9 @@ def _run_cli(args: list[str], **env) -> subprocess.CompletedProcess:
 
 
 def test_cli_import_loads_no_scipy():
-    # nor the process pool, which only a run with --threads > 1 uses
-    lazy = ("scipy", "concurrent.futures.process", "multiprocessing")
+    # nor the process pool, which only a run with --threads > 1 uses, nor
+    # importlib.metadata, which costs every call its email imports
+    lazy = ("scipy", "concurrent.futures.process", "multiprocessing", "importlib.metadata")
     probe = f"import sys, csfchan.cli; print(sorted(m for m in sys.modules if m.startswith({lazy!r})))"
     assert _run_cli(["-c", probe]).stdout.strip() == "[]"
 
@@ -443,6 +451,12 @@ class TestCli:
         sidecar = json.loads((tmp_path / "invariance.json").read_text())
         assert sidecar["seed"] == 4
         assert sidecar["config"]["invariance"]["symbols"] == 512
+
+    def test_sidecar_reports_package_version(self, tmp_path):
+        # the version of the source that ran, also when it runs from src/
+        assert self.run(tmp_path, "invariance", "--set", "invariance.symbols=64", "--set", "invariance.streams=2") == 0
+        sidecar = json.loads((tmp_path / "invariance.json").read_text())
+        assert sidecar["package_version"] == csfchan.__version__
 
     def test_rerun_is_byte_identical(self, tmp_path):
         args = (

@@ -59,7 +59,7 @@ class TestBasePulse:
         assert abs(base_pulse(1.0 - eps, PARAMS)) <= 1e-12
 
     def test_tail_envelope_bound(self):
-        beta, w = PARAMS.beta, PARAMS.omega
+        beta, w = PARAMS.beta, 2.0 * math.pi
         t = np.linspace(0.01, 30.0, 1500)
         envelope = (1 - np.exp(-beta)) * (1 + beta / w) * np.exp(-beta * t)
         assert np.all(np.abs(base_pulse(-t, PARAMS)) <= envelope + 1e-15)
