@@ -11,7 +11,6 @@ from .baselines import (
     gaussian_probe_frame,
     ls_estimate,
     ls_sweep,
-    probe_design,
     symbol_instants,
 )
 from .channel import (
@@ -76,7 +75,6 @@ __all__ = [
     "ls_sweep",
     "predicted_rx_acf",
     "predicted_rx_acf_trace",
-    "probe_design",
     "pulse_acf",
     "random_symbols",
     "resolve_config",

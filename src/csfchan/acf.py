@@ -6,8 +6,10 @@ estimate converges to for a multipath channel, from the known transmit
 ACF and the channel taps alone.
 
 Importing this module, and so csfchan, sets numpy's bundled OpenBLAS to
-one thread for the process: the ACF sums its dot products in a fixed
-order (_lagged_products) that a threaded BLAS would change.
+one thread for the process: every correlation of the package, the
+empirical ACF and the LS baselines' probe correlations alike, sums its
+dot products in a fixed order (_lagged_products) that a threaded BLAS
+would change.
 """
 
 from __future__ import annotations
@@ -80,31 +82,31 @@ _pin_blas_to_one_thread()
 _DOT_SPLIT = 10000
 
 
-def _lagged_products(wave: Waveform, max_lag: int, stride: int) -> np.ndarray:
-    """(1/N) sum_n x[n + j] x[n] at sample lags j = 0, stride, ...,
-    max_lag*Ns, N the total sample count.
+def _lagged_products(x: np.ndarray, y: np.ndarray, shifts: range) -> np.ndarray:
+    """sum_n x[n] y[n + j] over the overlap 0 <= n < min(len(x), len(y) - j)
+    at each shift j >= 0 of shifts; 0 where x and y do not overlap.
 
-    A lag with m <= 10000 overlapping samples is one dot product; a longer
-    one is the sum of the dot products of its first ceil(m/2) terms and of
-    the rest, the order of OpenBLAS's two-thread ddot.  On the one pinned
-    BLAS thread the values then depend neither on OPENBLAS_NUM_THREADS
+    A shift with m <= 10000 overlapping products is one dot product; a
+    longer one is the sum of the dot products of its first ceil(m/2) terms
+    and of the rest, the order of OpenBLAS's two-thread ddot.  On the one
+    pinned BLAS thread the sums then depend neither on OPENBLAS_NUM_THREADS
     nor on the core count.
     """
-    ns = wave.samples_per_symbol
-    x = wave.samples
-    n = len(x)
-    if n <= (max_lag + 1) * ns:
-        raise ValueError(f"waveform too short for max_lag={max_lag}: {n} samples")
-    lags = range(0, max_lag * ns + 1, stride)
-    out = np.empty(len(lags))
-    for i, j in enumerate(lags):
-        m = n - j
+    sums = []
+    for j in shifts:
+        yj = y[j : j + len(x)]  # the m overlapping samples of y
+        m = len(yj)
         if m > _DOT_SPLIT:
             h = (m + 1) // 2
-            out[i] = np.dot(x[j : j + h], x[:h]) + np.dot(x[j + h :], x[h:m])
+            sums.append(np.dot(yj[:h], x[:h]) + np.dot(yj[h:], x[h:m]))
         else:
-            out[i] = np.dot(x[j:], x[:m])
-    return out / n
+            sums.append(np.dot(yj, x[:m]))
+    return np.array(sums, dtype=float)
+
+
+def _check_acf_length(wave: Waveform, max_lag: int) -> None:
+    if len(wave) <= (max_lag + 1) * wave.samples_per_symbol:
+        raise ValueError(f"waveform too short for max_lag={max_lag}: {len(wave)} samples")
 
 
 def empirical_acf(wave: Waveform, max_lag: int) -> AcfEstimate:
@@ -115,20 +117,17 @@ def empirical_acf(wave: Waveform, max_lag: int) -> AcfEstimate:
     With one time unit per symbol period this estimates the per-unit-time
     autocorrelation, directly comparable to the pulse ACF.
     """
-    values = _lagged_products(wave, max_lag, wave.samples_per_symbol)
+    _check_acf_length(wave, max_lag)
+    ns, x = wave.samples_per_symbol, wave.samples
+    values = _lagged_products(x, x, range(0, max_lag * ns + 1, ns)) / len(x)
     return AcfEstimate(lags=np.arange(max_lag + 1), values=values)
 
 
 def empirical_acf_trace(wave: Waveform, max_lag: int) -> tuple[np.ndarray, np.ndarray]:
     """ACF at every sample lag 0..max_lag*Ns (fractional-lag plot trace)."""
-    ns = wave.samples_per_symbol
-    return np.arange(max_lag * ns + 1) / ns, _lagged_products(wave, max_lag, 1)
-
-
-def _tap_correlation(alpha_full: np.ndarray) -> np.ndarray:
-    """c[d] = sum_i a_i a_{i+d} for d = 0..M of the taps a_0..a_M."""
-    m1 = alpha_full.size
-    return np.array([np.dot(alpha_full[: m1 - d], alpha_full[d:]) for d in range(m1)])
+    _check_acf_length(wave, max_lag)
+    ns, x = wave.samples_per_symbol, wave.samples
+    return np.arange(max_lag * ns + 1) / ns, _lagged_products(x, x, range(max_lag * ns + 1)) / len(x)
 
 
 def _lag_weights(r_xx: np.ndarray, n_lags: int, n_taps: int, stride: int) -> np.ndarray:
@@ -142,6 +141,17 @@ def _lag_weights(r_xx: np.ndarray, n_lags: int, n_taps: int, stride: int) -> np.
     return weights
 
 
+def _expand(taps: np.ndarray, weights: np.ndarray, noise_var: float) -> np.ndarray:
+    """sum_d c[d] weights[d] for the tap correlation c[d] = sum_i a_i a_{i+d}
+    of the taps a_0..a_M, plus noise_var at lag 0.  Reducing axis 0 adds
+    the rows one by one, in order, as the loop model = c[0]*W[0];
+    model += c[d]*W[d] does."""
+    c = _lagged_products(taps, taps, range(taps.size))
+    values = np.add.reduce(c[:, None] * weights, axis=0)
+    values[0] += noise_var
+    return values
+
+
 def _rx_model(ch: ChannelModel, noise_var: float, r_xx: np.ndarray, n_lags: int, stride: int) -> np.ndarray:
     """Receive ACF of ch at the first n_lags points of the grid of r_xx:
     the transmit ACF r_xx, sampled stride points per symbol period from
@@ -151,10 +161,7 @@ def _rx_model(ch: ChannelModel, noise_var: float, r_xx: np.ndarray, n_lags: int,
         raise ValueError("noise variance must be nonnegative")
     taps = np.zeros(int(ch.delays[-1]) + 1)
     taps[ch.delays] = ch.attenuations
-    c = _tap_correlation(taps)
-    values = np.add.reduce(c[:, None] * _lag_weights(r_xx, n_lags, taps.size, stride), axis=0)
-    values[0] += noise_var
-    return values
+    return _expand(taps, _lag_weights(r_xx, n_lags, taps.size, stride), noise_var)
 
 
 def predicted_rx_acf(

@@ -14,13 +14,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .acf import _lagged_products
 from .channel import ChannelModel, add_awgn, apply_multipath, awgn_law
 from .waveform import CsfParams, Waveform, encode_waveform, random_symbols
 
 __all__ = [
     "ProbeFrame",
     "LsEstimate",
-    "probe_design",
     "ls_estimate",
     "ls_sweep",
     "gaussian_probe",
@@ -49,7 +49,7 @@ class LsEstimate:
     """Least-squares tap estimate.
 
     alpha_hat  raw taps alpha_0..alpha_M as solved
-    degenerate True when the shifted-probe matrix was rank deficient
+    degenerate True when the probe's Gram matrix was rank deficient
     """
 
     alpha_hat: np.ndarray
@@ -61,33 +61,17 @@ class LsEstimate:
         return self.alpha_hat[1:] / self.alpha_hat[0]
 
 
-def probe_design(probe: Waveform, max_delay: int) -> tuple[np.ndarray, np.ndarray]:
-    """Regression matrix X whose column k is the probe shifted by k symbol
-    periods, over taps at delays 0..max_delay, and its Gram matrix X^T X.
-
-    The Gram matrix is the probe's ACF at whole-symbol lags; it depends on
-    the probe alone, so one pair serves every frame of that probe.
-    """
-    ns = probe.samples_per_symbol
-    n = len(probe)
-    design = np.zeros((n + max_delay * ns, max_delay + 1))
-    for k in range(max_delay + 1):
-        design[k * ns : k * ns + n, k] = probe.samples
-    return design, design.T @ design
-
-
-def ls_estimate(
-    frame: ProbeFrame, max_delay: int, design: tuple[np.ndarray, np.ndarray] | None = None
-) -> LsEstimate:
+def ls_estimate(frame: ProbeFrame, max_delay: int) -> LsEstimate:
     """Solve min || received - X alpha ||_2 over taps at delays 0..max_delay.
 
-    X holds the probe shifted by whole symbol periods.  The solve goes
-    through the normal equations (X^T X) alpha = X^T received: X^T X is
-    the probe's ACF at symbol lags and X^T received the probe-received
-    cross-correlation at those lags, and numpy's SVD-based lstsq on the
-    (max_delay+1)-square Gram matrix gives the minimum-norm solution and
-    a rank.  design, when given, is probe_design(frame.probe, max_delay),
-    built once for the frames of one probe.
+    X holds the probe shifted by whole symbol periods; it is never built.
+    The solve goes through the normal equations (X^T X) alpha =
+    X^T received.  X^T X is the Toeplitz matrix of the probe's
+    full-overlap ACF at symbol lags, and X^T received the cross-correlation
+    of the probe with the received frame at those lags; received samples
+    past the probe plus max_delay symbol periods meet no shifted probe.
+    numpy's SVD-based lstsq on the (max_delay+1)-square Gram matrix gives
+    the minimum-norm solution and a rank.
 
     The normal equations square the condition number, so the relative
     error grows as cond(X)^2 eps rather than cond(X) eps (Golub & Van
@@ -103,14 +87,13 @@ def ls_estimate(
     cond(X) >~ 1 / sqrt(11 eps) ~ 2e7, where the normal equations have
     no correct digits left.
     """
-    x, gram = probe_design(frame.probe, max_delay) if design is None else design
-    rows = x.shape[0]
-    received = frame.received.samples
-    if len(received) < rows:
-        received = np.concatenate([received, np.zeros(rows - len(received))])
-    else:
-        received = received[:rows]
-    solution, _, rank, _ = np.linalg.lstsq(gram, x.T @ received, rcond=None)
+    probe = frame.probe.samples
+    ns = frame.probe.samples_per_symbol
+    shifts = range(0, (max_delay + 1) * ns, ns)
+    k = np.arange(max_delay + 1)
+    gram = _lagged_products(probe, probe, shifts)[np.abs(k[:, None] - k)]
+    rhs = _lagged_products(probe, frame.received.samples, shifts)
+    solution, _, rank, _ = np.linalg.lstsq(gram, rhs, rcond=None)
     return LsEstimate(alpha_hat=solution, degenerate=bool(rank < max_delay + 1))
 
 
@@ -125,15 +108,14 @@ def ls_sweep(probe: Waveform, clean: Waveform, snr_dbs, seed: int, max_delay: in
     add_awgn's at seed + 1 on the full-rate clean output.  The solve is
     linear in the received frame, pinv(X)(y + sigma n) = pinv(X) y +
     sigma pinv(X) n, so one solve on the clean frame and one on the
-    unit-noise frame, on one design and its Gram matrix, serve every SNR;
-    whether the design is degenerate does not depend on the frame.
+    unit-noise frame serve every SNR; whether the probe's Gram matrix is
+    degenerate does not depend on the frame.
     """
     step = clean.samples_per_symbol // probe.samples_per_symbol
-    design = probe_design(probe, max_delay)
 
     def solve(samples: np.ndarray) -> LsEstimate:
         received = Waveform(samples[::step], probe.samples_per_symbol, t0=clean.t0)
-        return ls_estimate(ProbeFrame(probe=probe, received=received), max_delay, design)
+        return ls_estimate(ProbeFrame(probe=probe, received=received), max_delay)
 
     draw, sigma2s = awgn_law(clean, snr_dbs, seed + 1)
     base = solve(clean.samples)

@@ -23,7 +23,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .acf import AcfEstimate, _lag_weights, _tap_correlation
+from .acf import AcfEstimate, _expand, _lag_weights
 
 __all__ = [
     "IdentificationProblem",
@@ -74,12 +74,14 @@ class IdentificationProblem:
         return self.r_xx[np.abs(np.arange(-2 * m, m + 1)[:, None] + np.arange(m + 1))]
 
 
+_STEP_TOL = 1e-12  # step 2-norm below which iteration stops
+_DAMPING0 = 1e-3  # initial Levenberg-Marquardt damping
+
+
 @dataclass(frozen=True)
 class SolverOptions:
-    tol: float = 1e-10          # residual 2-norm declaring convergence
-    step_tol: float = 1e-12     # step 2-norm below which iteration stops
+    tol: float = 1e-10  # residual 2-norm declaring convergence
     max_iter: int = 200
-    damping0: float = 1e-3
 
 
 @dataclass(frozen=True)
@@ -110,13 +112,7 @@ def build_residuals(alpha: np.ndarray, noise_var: float, prob: IdentificationPro
     alpha = np.asarray(alpha, dtype=float)
     if alpha.shape != (m,):
         raise ValueError(f"alpha must have shape ({m},)")
-    a = np.concatenate(([1.0], alpha))
-    c = _tap_correlation(a)
-    # reducing axis 0 adds the rows one by one, in order, as the loop
-    # model = c[0]*W[0]; model += c[d]*W[d] for d = 1..M does
-    model = np.add.reduce(c[:, None] * prob.lag_weights, axis=0)
-    model[0] += noise_var
-    return model - prob.r_rr.values
+    return _expand(np.concatenate(([1.0], alpha)), prob.lag_weights, noise_var) - prob.r_rr.values
 
 
 def residual_jacobian(alpha: np.ndarray, noise_var: float, prob: IdentificationProblem) -> np.ndarray:
@@ -157,7 +153,7 @@ def solve_channel(prob: IdentificationProblem, opts: SolverOptions = SolverOptio
     """
     m = prob.max_delay
     x = _initial_guess(prob)
-    lam = opts.damping0
+    lam = _DAMPING0
     r = build_residuals(x[:m], x[m], prob)
     cost = float(r @ r)
     n_iter = 0
@@ -185,7 +181,7 @@ def solve_channel(prob: IdentificationProblem, opts: SolverOptions = SolverOptio
             lam *= 10.0
         else:
             break  # no acceptable step at any damping: stuck
-        if step is not None and float(np.linalg.norm(step)) <= opts.step_tol:
+        if step is not None and float(np.linalg.norm(step)) <= _STEP_TOL:
             break
     residual_norm = float(np.sqrt(cost))
     return EstimationResult(

@@ -144,9 +144,10 @@ def base_pulse(t, params: CsfParams = CsfParams()):
     return out
 
 
-def sample_base_pulse(params: CsfParams = CsfParams(), oversampling: int | None = None) -> Waveform:
-    """Sample the truncated pulse on its support [-pulse_tail, 1)."""
-    ns = params.oversampling if oversampling is None else int(oversampling)
+def sample_base_pulse(params: CsfParams = CsfParams()) -> Waveform:
+    """Sample the truncated pulse on its support [-pulse_tail, 1) at
+    params.oversampling samples per symbol period."""
+    ns = params.oversampling
     idx = np.arange(-params.pulse_tail * ns, ns)
     return Waveform(base_pulse(idx / ns, params), ns, t0=-float(params.pulse_tail))
 

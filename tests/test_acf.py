@@ -27,6 +27,7 @@ from csfchan import (
     sample_random_channel,
     theoretical_acf,
 )
+from csfchan.acf import _lagged_products
 from csfchan.experiments import interior_peak_lags
 
 PARAMS = CsfParams()
@@ -153,6 +154,24 @@ class TestEmpiricalAcf:
         two = np.dot(x[: (n + 1) // 2], x[: (n + 1) // 2]) + np.dot(x[(n + 1) // 2 :], x[(n + 1) // 2 :])
         assert one != two  # at these seeds the two orders round apart
         assert empirical_acf(Waveform(x, 1), 0).values[0] == (two if halves else one) / n
+
+
+class TestLaggedProducts:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        nx=st.integers(min_value=0, max_value=40),
+        ny=st.integers(min_value=0, max_value=60),
+        stride=st.integers(min_value=1, max_value=7),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_cross_products_over_the_overlap(self, nx, ny, stride, seed):
+        # sum_n x[n] y[n + j] over 0 <= n < min(len(x), len(y) - j),
+        # an empty sum (0) where the shift leaves no overlap
+        rng = np.random.default_rng(seed)
+        x, y = rng.normal(size=nx), rng.normal(size=ny)
+        shifts = range(0, ny + 2 * stride, stride)
+        expected = [math.fsum(x[n] * y[n + j] for n in range(max(0, min(nx, ny - j)))) for j in shifts]
+        np.testing.assert_allclose(_lagged_products(x, y, shifts), expected, rtol=1e-12, atol=1e-12)
 
 
 def _openblas_threads() -> int | None:

@@ -19,7 +19,6 @@ from csfchan import (
     gaussian_probe_frame,
     ls_estimate,
     ls_sweep,
-    probe_design,
     random_symbols,
     sample_random_channel,
     symbol_instants,
@@ -35,10 +34,22 @@ CHANNEL = ChannelModel(
 )
 
 
+def probe_design(probe: Waveform, max_delay: int) -> np.ndarray:
+    """The tall regression matrix X whose column k is the probe shifted by
+    k symbol periods, over taps at delays 0..max_delay."""
+    ns = probe.samples_per_symbol
+    n = len(probe)
+    design = np.zeros((n + max_delay * ns, max_delay + 1))
+    for k in range(max_delay + 1):
+        design[k * ns : k * ns + n, k] = probe.samples
+    return design
+
+
 def tall_lstsq(frame: ProbeFrame, max_delay: int) -> tuple[np.ndarray, bool]:
     """Oracle: numpy's SVD lstsq on the tall shifted-probe design itself,
-    with its rank at lstsq's default cutoff (eps * rows)."""
-    design, _ = probe_design(frame.probe, max_delay)
+    with its rank at lstsq's default cutoff (eps * rows); the received
+    frame is zero-padded or cut to the design's rows."""
+    design = probe_design(frame.probe, max_delay)
     rows = design.shape[0]
     received = np.zeros(rows)
     taken = frame.received.samples[:rows]
@@ -111,9 +122,10 @@ class TestLsEstimate:
 
 
 class TestNormalEquationsOracle:
-    """ls_estimate solves the normal equations of the shifted-probe design;
-    on this library's well-conditioned designs it matches lstsq on the tall
-    design (the oracle) to rtol 1e-9, with the same degenerate flag."""
+    """ls_estimate solves the normal equations of the shifted-probe design
+    from the probe's ACF and its cross-correlation with the frame; on this
+    library's well-conditioned designs it matches lstsq on the tall design
+    (the oracle) to rtol 1e-9, with the same degenerate flag."""
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -125,14 +137,20 @@ class TestNormalEquationsOracle:
         snr_db=st.sampled_from([None, 0.0, 10.0, 30.0]),
         path_count=st.integers(min_value=1, max_value=M + 1),
         seed=st.integers(min_value=0, max_value=2**32 - 1),
+        # received samples appended past the probe plus M symbol periods,
+        # which no shifted probe reaches
+        extension=st.integers(min_value=0, max_value=3 * M * 32),
     )
-    def test_matches_tall_lstsq(self, beta, oversampling, n_sym, chaotic, snr_db, path_count, seed):
+    def test_matches_tall_lstsq(self, beta, oversampling, n_sym, chaotic, snr_db, path_count, seed, extension):
         ch = sample_random_channel(max_delay=M, path_count=path_count, seed=seed)
         if chaotic:
             params = CsfParams(beta=beta, oversampling=oversampling)
             frame = chaotic_probe_frame(n_sym, params, ch, snr_db, seed=seed)
         else:
             frame = gaussian_probe_frame(n_sym, oversampling, ch, snr_db, seed=seed)
+        tail = np.random.default_rng(seed).normal(size=extension)
+        received = Waveform(np.concatenate([frame.received.samples, tail]), frame.received.samples_per_symbol)
+        frame = ProbeFrame(probe=frame.probe, received=received)
         est = ls_estimate(frame, M)
         expected, degenerate = tall_lstsq(frame, M)
         scale = np.max(np.abs(expected))
@@ -150,12 +168,25 @@ class TestNormalEquationsOracle:
         n = 12 * width + 1
         probe = Waveform(np.exp(-((np.arange(n) - n // 2) / width) ** 2), 1)
         frame = ProbeFrame(probe=probe, received=Waveform(np.concatenate([probe.samples, np.zeros(M)]), 1))
-        cond = np.linalg.cond(probe_design(probe, M)[0])
+        cond = np.linalg.cond(probe_design(probe, M))
         # each case sits at least a factor 10 from the threshold
         assert (cond > threshold * 10) if degenerate else (cond < threshold / 10)
         assert ls_estimate(frame, M).degenerate == degenerate
         # the tall solve's cutoff, eps * rows on X, still counts 11 columns
         assert not tall_lstsq(frame, M)[1]
+
+    # a probe no longer than M+1 symbol periods: the shifted copies overlap
+    # little or not at all, so most of the probe's ACF lags are empty sums
+    @pytest.mark.parametrize("ns, n", [(16, 1), (16, 16), (16, 100), (16, 176), (1, 11), (8, 40)])
+    def test_short_probe_matches_tall_lstsq(self, ns, n):
+        rng = np.random.default_rng(n)
+        probe = Waveform(rng.normal(size=n), ns)
+        received = apply_multipath(probe, CHANNEL)
+        frame = ProbeFrame(probe=probe, received=Waveform(received.samples + 0.1 * rng.normal(size=len(received)), ns))
+        est = ls_estimate(frame, M)
+        expected, degenerate = tall_lstsq(frame, M)
+        np.testing.assert_allclose(est.alpha_hat, expected, rtol=1e-9, atol=1e-12 * np.max(np.abs(expected)))
+        assert est.degenerate == degenerate
 
 
 class TestSnrSweepReuse:

@@ -190,6 +190,13 @@ def test_reference_sweep_snr_bytes(tmp_path):
     assert (tmp_path / "sweep_snr.csv").read_bytes() == (REPO / "benchmarks/reference/sweep_snr.csv").read_bytes()
 
 
+def test_reference_sweep_length_bytes(tmp_path):
+    # frames up to 65536 symbols: every ACF lag sums its two halves
+    code = cli_main(["sweep-length", "--config", str(REPO / "configs/length_sweep.yaml"), "--out", str(tmp_path)])
+    assert code == 0
+    assert (tmp_path / "sweep_length.csv").read_bytes() == (REPO / "benchmarks/reference/sweep_length.csv").read_bytes()
+
+
 def per_snr_trial(cfg, trial):
     """The SNR-sweep trial with every frame rebuilt at each SNR through the
     single-SNR calls: the oracle of the once-per-trial form."""
