@@ -5,11 +5,14 @@ waveform on the integer-lag grid; predicted_rx_acf evaluates what that
 estimate converges to for a multipath channel, from the known transmit
 ACF and the channel taps alone.
 
-Importing this module, and so csfchan, sets numpy's bundled OpenBLAS to
-one thread for the process: every correlation of the package, the
-empirical ACF and the LS baselines' probe correlations alike, sums its
-dot products in a fixed order (_lagged_products) that a threaded BLAS
-would change.
+Importing this module, and so csfchan, sets two things for the whole
+process.  It pins numpy's bundled OpenBLAS to one thread: every
+correlation of the package, the empirical ACF and the LS baselines'
+probe correlations alike, sums its dot products in a fixed order
+(_lagged_products) that a threaded BLAS would change.  And it fixes
+glibc's malloc thresholds (_keep_freed_memory), so the heap keeps the
+frame-sized buffers it frees for the next frame instead of returning
+them to the OS.
 """
 
 from __future__ import annotations
@@ -75,7 +78,34 @@ def _pin_blas_to_one_thread() -> None:
         set_threads(1)
 
 
+# glibc mallopt parameters, from <malloc.h>
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+
+
+def _keep_freed_memory() -> None:
+    """Keep the memory that frees hand back in the process, for reuse.
+
+    By default glibc serves a block above a dynamic threshold from a
+    fresh mapping and gives heap memory above another back to the OS, so
+    the 8 MB spectrum and FFT scratch buffers of a 65536-symbol frame go
+    back on every free and the next frame faults them in again, page by
+    page.  A fixed mmap threshold of 32 MiB, the largest glibc accepts,
+    puts every frame buffer on the heap, and a trim threshold of 64 MiB
+    keeps it there once freed.  Does nothing when libc has no mallopt.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError):
+        return
+    mallopt.argtypes = [ctypes.c_int, ctypes.c_int]
+    mallopt.restype = ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, 32 << 20)
+    mallopt(_M_TRIM_THRESHOLD, 64 << 20)
+
+
 _pin_blas_to_one_thread()
+_keep_freed_memory()
 
 # OpenBLAS's two-thread ddot splits a product of more terms than this into
 # two halves; the reference outputs were summed that way

@@ -150,6 +150,13 @@ def solve_channel(prob: IdentificationProblem, opts: SolverOptions = SolverOptio
     Damping increases on rejected steps (which also covers near-singular
     normal matrices) and relaxes on accepted ones.  Never raises on
     non-convergence: the best iterate comes back with converged=False.
+
+    converged=False means the residual norm stayed above opts.tol when
+    the iteration stopped, for one of three reasons: no damping lowered
+    the cost, the accepted step fell below 1e-12, or max_iter ran out.
+    The first two mean the iterate sits at a local minimum with a nonzero
+    residual, where the measured ACF has no exact solution near the seed;
+    the taps are then a local least-squares fit, not a root.
     """
     m = prob.max_delay
     x = _initial_guess(prob)

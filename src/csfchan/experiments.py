@@ -191,13 +191,16 @@ _SECTION_KEYS = {
 
 
 def _check_config(cfg: dict, name: str) -> None:
-    """Reject an experiment config that cannot run, before any work: CSF
-    parameters that CsfParams refuses, a missing or mistyped value, an
-    empty list, an unknown method, a gamma_range that is not two damping
-    coefficients 0 < low <= high, a path count outside 1..max_delay+1
+    """Reject an experiment config that cannot run, before any work: a
+    threads count that is not an integer >= 1, CSF parameters that
+    CsfParams refuses, a missing or mistyped value, an empty list, an
+    unknown method, a gamma_range that is not two damping coefficients
+    0 < low <= high, a path count outside 1..max_delay+1
     (the main path plus one echo per delay slot), fig2 delays that are
     not 0 followed by increasing echo delays up to max_delay, or a frame
     too short for its ACF (_check_frame)."""
+    if not _is_count(cfg["threads"]):
+        raise ConfigError(f"threads must be an integer >= 1, got {cfg['threads']!r}")
     tail = _csf_params(cfg).pulse_tail
     section = cfg[name]
     for key, valid, what, is_list in _SECTION_KEYS[name]:
@@ -604,7 +607,7 @@ def run_invariance_demo(cfg: dict) -> ExperimentResult:
 def _fan_out(worker, cfg: dict, trials: int) -> list:
     """Run per-trial work serially or across processes, merged in trial order."""
     tasks = [(cfg, t) for t in range(trials)]
-    threads = int(cfg.get("threads", 1))
+    threads = cfg["threads"]
     if threads <= 1 or trials <= 1:
         return [worker(task) for task in tasks]
     # imported here: the pool machinery costs a serial run's start-up

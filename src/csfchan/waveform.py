@@ -114,9 +114,11 @@ class Waveform:
             raise ValueError("samples must be a nonempty 1-d sequence")
         if not np.all(np.isfinite(arr)):
             raise ValueError("samples must all be finite")
-        if int(self.samples_per_symbol) != self.samples_per_symbol or self.samples_per_symbol < 1:
-            raise ValueError("samples_per_symbol must be a positive integer")
+        ns = self.samples_per_symbol
+        if isinstance(ns, bool) or not isinstance(ns, numbers.Integral) or ns < 1:
+            raise ValueError(f"samples_per_symbol must be a positive integer, got {ns!r}")
         object.__setattr__(self, "samples", arr)
+        object.__setattr__(self, "samples_per_symbol", int(ns))  # slice steps and bounds need int
 
     def __len__(self) -> int:
         return self.samples.size

@@ -2,6 +2,9 @@
 
 import ctypes
 import math
+import os
+import subprocess
+import sys
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
@@ -10,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import csfchan
 from csfchan import (
     AcfEstimate,
     ChannelModel,
@@ -193,6 +197,38 @@ def test_import_pins_openblas_to_one_thread():
     assert threads == 1
     with ProcessPoolExecutor(max_workers=1) as pool:  # as in a --threads run
         assert pool.submit(_openblas_threads).result(timeout=60) == 1
+
+
+# minor page faults of three 65536-symbol frames (1.05M samples) after a
+# first one has sized the heap
+_FRAME_FAULTS = """
+import resource
+from csfchan import add_awgn, apply_multipath, encode_waveform, random_symbols, sample_random_channel
+
+channel = sample_random_channel(max_delay=10, path_count=6, seed=0)
+
+
+def frame(seed):
+    add_awgn(apply_multipath(encode_waveform(random_symbols(65536, seed=seed)), channel), 10.0, seed)
+
+
+frame(0)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for seed in (1, 2, 3):
+    frame(seed)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+def test_import_keeps_freed_frame_memory():
+    # freed frame buffers stay in the heap for the next frame; returned to
+    # the OS they would fault in again, some 30000 pages per three frames
+    if getattr(ctypes.CDLL(None), "mallopt", None) is None:
+        pytest.skip("libc has no mallopt")
+    src = str(Path(csfchan.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    run = subprocess.run([sys.executable, "-c", _FRAME_FAULTS], env=env, capture_output=True, text=True, check=True)
+    assert int(run.stdout) < 1000
 
 
 def brute_force_rx_acf(ch: ChannelModel, noise_var: float, max_lag: int) -> np.ndarray:

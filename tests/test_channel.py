@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from csfchan import (
     ChannelModel,
@@ -19,6 +21,7 @@ from csfchan import (
     sample_random_channel,
     theoretical_acf,
 )
+from csfchan.channel import _BLOCK
 
 PARAMS = CsfParams()
 
@@ -106,6 +109,67 @@ class TestApplyMultipath:
         ratio = float(np.mean(out.samples**2) / np.mean(wave.samples**2))
         tap_power = float(np.sum(FIG2_CHANNEL.attenuations ** 2))
         assert abs(ratio / tap_power - 1.0) < 0.02
+
+
+def loop_multipath(wave: Waveform, ch: ChannelModel) -> np.ndarray:
+    """Oracle: apply_multipath as one whole-array pass per path."""
+    ns = wave.samples_per_symbol
+    n = len(wave)
+    out = np.empty(n + int(ch.delays[-1]) * ns)
+    out[:n] = wave.samples
+    out[n:] = 0.0
+    scaled = np.empty(n)
+    for d, a in ch.paths[1:]:
+        out[d * ns : d * ns + n] += np.multiply(wave.samples, a, out=scaled)
+    return out
+
+
+class TestBlockedMultipath:
+    """apply_multipath fills its output block by block with the float
+    operations of the whole-array loop, so the two agree bit for bit."""
+
+    DENSE = ChannelModel(paths=tuple((d, 0.9**d) for d in range(11)), gamma=0.1, max_delay=10)
+    MAIN_ONLY = ChannelModel(paths=((0, 1.0),), gamma=0.5, max_delay=10)
+
+    @pytest.mark.parametrize("ns", [1, 16])
+    @pytest.mark.parametrize("ch", [MAIN_ONLY, FIG2_CHANNEL, DENSE], ids=["main-only", "fig2", "dense"])
+    @pytest.mark.parametrize(
+        "n, of_output",
+        [
+            (_BLOCK - 1, False),
+            (_BLOCK, False),
+            (_BLOCK + 1, False),
+            (_BLOCK - 1, True),
+            (_BLOCK, True),
+            (_BLOCK + 1, True),
+            (2 * _BLOCK, True),  # the last block takes up to two blocks
+            (2 * _BLOCK + 1, True),
+            (3 * _BLOCK + 5, False),
+            (100, False),  # shorter than one block
+            (3, False),  # shorter than the largest echo offset
+        ],
+    )
+    def test_block_boundaries(self, ns, ch, n, of_output):
+        # of_output: n is the output length, the frame that much shorter
+        if of_output:
+            n -= int(ch.delays[-1]) * ns
+        wave = Waveform(np.random.default_rng(n).normal(size=n), ns)
+        np.testing.assert_array_equal(apply_multipath(wave, ch).samples, loop_multipath(wave, ch))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        ns=st.sampled_from([1, 16]),
+        n=st.integers(min_value=1, max_value=3 * _BLOCK + 2),
+        max_delay=st.integers(min_value=1, max_value=12),
+        data=st.data(),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_matches_whole_array_loop(self, ns, n, max_delay, data, seed):
+        delays = data.draw(st.sets(st.integers(min_value=1, max_value=max_delay)))
+        gains = data.draw(st.lists(st.floats(0.0, 2.0), min_size=len(delays), max_size=len(delays)))
+        ch = ChannelModel(paths=((0, 1.0), *zip(sorted(delays), gains)), gamma=0.5, max_delay=max_delay)
+        wave = Waveform(np.random.default_rng(seed).normal(size=n), ns)
+        np.testing.assert_array_equal(apply_multipath(wave, ch).samples, loop_multipath(wave, ch))
 
 
 class TestAddAwgn:

@@ -235,6 +235,18 @@ class TestWaveformInvariants:
         with pytest.raises(ValueError):
             Waveform(np.ones(4), 0)
 
+    @pytest.mark.parametrize("ns", [16.0, np.float64(16.0), True, "16"])
+    def test_non_integer_samples_per_symbol_rejected(self, ns):
+        # CsfParams.oversampling's rule: apply_multipath and empirical_acf
+        # slice and bound by it
+        with pytest.raises(ValueError, match="samples_per_symbol must be a positive integer"):
+            Waveform(np.ones(4), ns)
+
+    def test_numpy_integer_samples_per_symbol_becomes_int(self):
+        wave = Waveform(np.ones(4), np.int64(16))
+        assert type(wave.samples_per_symbol) is int
+        assert wave.samples_per_symbol == 16
+
 
 class TestTheoreticalAcf:
     def test_value_at_zero_lag(self):
