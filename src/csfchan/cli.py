@@ -53,20 +53,27 @@ def _load(text: str):
     return yaml.load(text, Loader=_Loader)
 
 
-def _apply_override(cfg: dict, dotted: str) -> None:
-    if "=" not in dotted:
-        raise SystemExit(f"--set expects key=value, got {dotted!r}")
-    key, raw = dotted.split("=", 1)
-    value = _load(raw)
-    node = cfg
-    parts = key.split(".")
-    for part in parts[:-1]:
-        if part not in node or not isinstance(node[part], dict):
-            raise SystemExit(f"unknown config section in --set: {key!r}")
-        node = node[part]
-    if parts[-1] not in node:
-        raise SystemExit(f"unknown config key in --set: {key!r}")
-    node[parts[-1]] = value
+def _config(args: argparse.Namespace) -> dict:
+    """Merge over the defaults the config file, the experiment, the flags
+    and each --set a.b=v as the mapping {"a": {"b": v}}, in that order."""
+    try:
+        layers = [None if args.config is None else _load(args.config.read_text())]
+    except (OSError, UnicodeDecodeError, yaml.YAMLError) as exc:
+        raise ConfigError(f"--config {args.config}: {exc}") from None
+    flags = {"seed": args.seed, "out": args.out and str(args.out), "trials": args.trials, "threads": args.threads}
+    layers += [{"experiment": args.command}, {flag: value for flag, value in flags.items() if value is not None}]
+    for text in args.overrides:
+        key, eq, raw = text.partition("=")
+        if not eq:
+            raise ConfigError(f"--set expects key=value, got {text!r}")
+        try:
+            value = _load(raw)
+        except yaml.YAMLError as exc:
+            raise ConfigError(f"--set {text}: {exc}") from None
+        for part in reversed(key.split(".")):
+            value = {part: value}
+        layers.append(value)
+    return resolve_config(*layers)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -96,27 +103,15 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
 
-    user_cfg = {}
-    if args.config is not None:
-        user_cfg = _load(args.config.read_text()) or {}
-    cfg = resolve_config(user_cfg)
-    cfg["experiment"] = args.command
-    for flag in ("seed", "out", "trials", "threads"):
-        value = getattr(args, flag)
-        if value is not None:
-            cfg[flag] = value if flag != "out" else str(value)
-    for dotted in args.overrides:
-        _apply_override(cfg, dotted)
-
     try:
+        cfg = _config(args)
         result = _RUNNERS[args.command](cfg)
     except ConfigError as exc:
         print(f"csfchan {args.command}: invalid configuration: {exc}", file=sys.stderr)
         return 2
 
     out_dir = Path(cfg["out"])
-    cfg_hash = config_hash(cfg)
-    write_table(out_dir / f"{result.name}.csv", result.columns, result.rows, cfg_hash)
+    write_table(out_dir / f"{result.name}.csv", result.columns, result.rows, config_hash(cfg))
     write_sidecar(out_dir / f"{result.name}.json", cfg, result.summary, result.passed)
 
     print(f"{result.name}: wrote {out_dir / (result.name + '.csv')} ({len(result.rows)} rows)")

@@ -112,42 +112,45 @@ DEFAULT_CONFIG: dict = {
 }
 
 
-def resolve_config(user: dict | None = None) -> dict:
-    """Deep-merge a user configuration over the defaults."""
+def resolve_config(*layers: dict | None) -> dict:
+    """Deep-merge user configuration layers, in order, over the defaults."""
     resolved = copy.deepcopy(DEFAULT_CONFIG)
-    if user:
-        _merge(resolved, user)
+    for layer in layers:
+        if layer is not None:
+            _merge(resolved, layer)
     return resolved
 
 
-def _merge(base: dict, extra: dict) -> None:
+class ConfigError(ValueError):
+    """User input or a resolved configuration that cannot run, raised before any work."""
+
+
+def _merge(base: dict, extra, section: str | None = None) -> None:
+    """Merge extra into base in place, refusing a key or shape base has no place for."""
+    if not isinstance(extra, dict):
+        what = "document" if section is None else f"section {section!r}"
+        raise ConfigError(f"config {what} must be a mapping, got {extra!r}")
     for key, value in extra.items():
+        name = key if section is None else f"{section}.{key}"
         if key not in base:
-            raise KeyError(f"unknown config key: {key!r}")
+            raise ConfigError(f"unknown config key: {name!r}")
         if isinstance(base[key], dict):
-            if not isinstance(value, dict):
-                raise TypeError(f"config section {key!r} must be a mapping")
-            _merge(base[key], value)
+            _merge(base[key], value, name)
+        elif isinstance(value, dict):
+            raise ConfigError(f"config key {name!r} takes a value, not a mapping, got {value!r}")
         else:
             base[key] = value
-
-
-class ConfigError(ValueError):
-    """A resolved configuration that cannot run, raised before any work."""
-
-
-def _trial_count(cfg: dict) -> int:
-    trials = cfg["trials"]
-    if isinstance(trials, bool) or not isinstance(trials, int) or trials < 1:
-        raise ConfigError(f"trials must be an integer >= 1, got {trials!r}")
-    return trials
 
 
 _SNR_METHODS = ("blind_acf", "ls_gaussian", "ls_chaos")
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _is_count(value, low: int = 1) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool) and value >= low
+    return _is_int(value) and value >= low
 
 
 def _is_real(value) -> bool:
@@ -159,9 +162,24 @@ def _is_positive(value) -> bool:
     return _is_real(value) and 0 < value < math.inf
 
 
-# per experiment section: key, test of each entry, what the entries must
-# be, and whether the key holds a nonempty list of them
+def _is_gamma_range(g) -> bool:
+    return isinstance(g, (list, tuple)) and len(g) == 2 and all(map(_is_positive, g)) and g[0] <= g[1]
+
+
+# per config section, "" for the top level: each key, the test of each
+# entry, what the entries must be, and whether the key holds a nonempty
+# list of them
 _SECTION_KEYS = {
+    "": (
+        ("seed", _is_int, "an integer", False),
+        ("trials", _is_count, "an integer >= 1", False),
+        ("threads", _is_count, "an integer >= 1", False),
+        ("out", lambda out: isinstance(out, str), "a string", False),
+    ),
+    "csf": (
+        ("beta", _is_real, "a number", False),
+        ("oversampling", _is_count, "an integer", False),
+    ),
     "fig2": (
         ("delays", lambda d: _is_count(d, 0), "nonnegative integers", True),
         ("gamma", _is_positive, "a positive number", False),
@@ -174,12 +192,14 @@ _SECTION_KEYS = {
         ("lengths", _is_count, "positive integers", True),
         ("snr_db", _is_real, "a number", False),
         ("max_delay", _is_count, "a positive integer", False),
+        ("gamma_range", _is_gamma_range, "[low, high] with 0 < low <= high", False),
     ),
     "sweep_snr": (
         ("snr_db_list", _is_real, "numbers", True),
         ("symbols", _is_count, "a positive integer", False),
         ("methods", lambda meth: isinstance(meth, str), "method names", True),
         ("max_delay", _is_count, "a positive integer", False),
+        ("gamma_range", _is_gamma_range, "[low, high] with 0 < low <= high", False),
     ),
     "invariance": (
         ("streams", lambda n: _is_count(n, 2), "an integer >= 2", False),
@@ -192,27 +212,25 @@ _SECTION_KEYS = {
 
 def _check_config(cfg: dict, name: str) -> None:
     """Reject an experiment config that cannot run, before any work: a
-    threads count that is not an integer >= 1, CSF parameters that
-    CsfParams refuses, a missing or mistyped value, an empty list, an
-    unknown method, a gamma_range that is not two damping coefficients
-    0 < low <= high, a path count outside 1..max_delay+1
-    (the main path plus one echo per delay slot), fig2 delays that are
-    not 0 followed by increasing echo delays up to max_delay, or a frame
-    too short for its ACF (_check_frame)."""
-    if not _is_count(cfg["threads"]):
-        raise ConfigError(f"threads must be an integer >= 1, got {cfg['threads']!r}")
-    tail = _csf_params(cfg).pulse_tail
+    top-level, csf or experiment key that fails its test above, CSF
+    parameters that CsfParams refuses, an unknown method, a path count
+    outside 1..max_delay+1 (the main path plus one echo per delay slot),
+    fig2 delays that are not 0 followed by increasing echo delays up to
+    max_delay, or a frame too short for its ACF (_check_frame)."""
     section = cfg[name]
-    for key, valid, what, is_list in _SECTION_KEYS[name]:
-        value = section[key]
-        if is_list and isinstance(value, (list, tuple)):
-            if not value:
-                raise ConfigError(f"{name}.{key} must not be empty")
-            ok = all(map(valid, value))
-        else:
-            ok = not is_list and valid(value)
-        if not ok:
-            raise ConfigError(f"{name}.{key} must be {what}, got {value!r}")
+    for where in ("", "csf", name):
+        values, prefix = (cfg[where], f"{where}.") if where else (cfg, "")
+        for key, valid, what, is_list in _SECTION_KEYS[where]:
+            value = values[key]
+            if is_list and isinstance(value, (list, tuple)):
+                if not value:
+                    raise ConfigError(f"{prefix}{key} must not be empty")
+                ok = all(map(valid, value))
+            else:
+                ok = not is_list and valid(value)
+            if not ok:
+                raise ConfigError(f"{prefix}{key} must be {what}, got {value!r}")
+    tail = _csf_params(cfg).pulse_tail
     if name == "fig2":
         _check_frame(name, section, "symbols", "max_delay", tail + int(_fig2_channel(section).delays[-1]))
     elif name == "invariance":
@@ -223,14 +241,6 @@ def _check_config(cfg: dict, name: str) -> None:
     unknown = [meth for meth in section.get("methods", ()) if meth not in _SNR_METHODS]
     if unknown:
         raise ConfigError(f"{name}.methods: unknown {unknown}, expected a subset of {list(_SNR_METHODS)}")
-    gammas = section["gamma_range"]
-    if not (
-        isinstance(gammas, (list, tuple))
-        and len(gammas) == 2
-        and all(map(_is_positive, gammas))
-        and gammas[0] <= gammas[1]
-    ):
-        raise ConfigError(f"{name}.gamma_range must be [low, high] with 0 < low <= high, got {gammas!r}")
     paths, m = section["path_count"], section["max_delay"]
     if not (_is_count(paths) and paths <= m + 1):
         raise ConfigError(f"{name}.path_count must lie in 1..max_delay+1 = 1..{m + 1}, got {paths!r}")
@@ -269,14 +279,9 @@ class ExperimentResult:
 
 
 def _csf_params(cfg: dict) -> CsfParams:
-    """The CSF parameters of a config; ConfigError when they cannot run."""
-    beta, ns = cfg["csf"]["beta"], cfg["csf"]["oversampling"]
-    if not _is_real(beta):
-        raise ConfigError(f"csf.beta must be a number, got {beta!r}")
-    if not _is_count(ns):
-        raise ConfigError(f"csf.oversampling must be an integer, got {ns!r}")
+    """The CSF parameters of a checked config; ConfigError when CsfParams refuses them."""
     try:
-        return CsfParams(beta=beta, oversampling=ns)
+        return CsfParams(**cfg["csf"])
     except ValueError as exc:
         raise ConfigError(f"csf: {exc}") from None
 
@@ -420,9 +425,8 @@ def _length_trial(args: tuple) -> list[tuple[int, float, bool]]:
 
 
 def run_datalength_sweep(cfg: dict) -> ExperimentResult:
-    section = cfg["sweep_length"]
-    trials = _trial_count(cfg)
     _check_config(cfg, "sweep_length")
+    section, trials = cfg["sweep_length"], cfg["trials"]
     per_trial = _fan_out(_length_trial, cfg, trials)
 
     path_count = int(section["path_count"])
@@ -513,9 +517,8 @@ def _snr_trial(args: tuple) -> dict[tuple[float, str], tuple[float, bool]]:
 
 
 def run_snr_sweep(cfg: dict) -> ExperimentResult:
-    section = cfg["sweep_snr"]
-    trials = _trial_count(cfg)
     _check_config(cfg, "sweep_snr")
+    section, trials = cfg["sweep_snr"], cfg["trials"]
     per_trial = _fan_out(_snr_trial, cfg, trials)
 
     rows = []

@@ -49,6 +49,7 @@ def _git_describe() -> str:
     try:
         out = subprocess.run(
             ["git", "describe", "--always", "--dirty"],
+            cwd=Path(__file__).resolve().parent,
             capture_output=True,
             text=True,
             check=False,

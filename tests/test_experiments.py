@@ -1,9 +1,12 @@
 """Experiment harness: seeding, config handling, runners, CLI, determinism."""
 
+import ctypes
 import dataclasses
+import itertools
 import json
 import os
 import re
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -15,6 +18,7 @@ import yaml
 import csfchan
 import csfchan.cli
 import csfchan.experiments
+import csfchan.report
 from csfchan.baselines import chaotic_probe_frame, gaussian_probe_frame, ls_estimate
 from csfchan.acf import empirical_acf, predicted_rx_acf
 from csfchan.channel import ChannelModel, add_awgn, apply_multipath, attenuation_from_delay, sample_random_channel
@@ -66,8 +70,18 @@ class TestConfig:
         assert cfg["sweep_snr"]["path_count"] == DEFAULT_CONFIG["sweep_snr"]["path_count"]
 
     def test_unknown_key_rejected(self):
-        with pytest.raises(KeyError):
+        with pytest.raises(ConfigError, match="unknown config key"):
             resolve_config({"no_such_section": 1})
+
+    def test_layers_merge_in_order(self):
+        cfg = resolve_config({"seed": 3, "fig2": {"symbols": 64}}, None, {"fig2": {"symbols": 128, "gamma": 0.5}})
+        assert (cfg["seed"], cfg["fig2"]["symbols"], cfg["fig2"]["gamma"]) == (3, 128, 0.5)
+        assert resolve_config() == DEFAULT_CONFIG
+
+    def test_readme_lists_the_defaults(self):
+        readme = (REPO / "README.md").read_text()
+        block = readme.split("### Configuration file", 1)[1].split("```yaml\n", 1)[1].split("```", 1)[0]
+        assert csfchan.cli._load(block) == {k: v for k, v in DEFAULT_CONFIG.items() if k != "experiment"}
 
 
 class TestPeakDetection:
@@ -139,6 +153,34 @@ class TestRunners:
 REPO = Path(__file__).resolve().parents[1]
 
 
+def _openblas_core() -> str:
+    """The kernel numpy's bundled OpenBLAS chose for this CPU (SkylakeX,
+    Haswell, ...), "unknown" without one: the reference bytes were written
+    on SkylakeX and a stalled blind solve can end elsewhere on another."""
+    libs = Path(np.__file__).resolve().parents[1] / "numpy.libs"
+    for lib in sorted(libs.glob("libscipy_openblas*.so")):
+        get = getattr(ctypes.CDLL(str(lib)), "scipy_openblas_get_corename64_", None)
+        if get is not None:
+            get.restype = ctypes.c_char_p
+            return get().decode()
+    return "unknown"
+
+
+def assert_reference_bytes(out_dir: Path, name: str) -> None:
+    """The CSV written to out_dir is the committed reference, byte for byte;
+    a failure names the first differing line and the OpenBLAS kernel."""
+    written, reference = (out_dir / name).read_bytes(), (REPO / "benchmarks/reference" / name).read_bytes()
+    if written == reference:
+        return
+    # split on b"\n" alone, so that bytes which differ always differ in a line
+    pairs = itertools.zip_longest(written.split(b"\n"), reference.split(b"\n"))
+    line, (got, expected) = next((n, pair) for n, pair in enumerate(pairs, 1) if pair[0] != pair[1])
+    pytest.fail(
+        f"{name} differs from benchmarks/reference/{name} first at line {line}: wrote {got!r}, "
+        f"reference {expected!r} (OpenBLAS core {_openblas_core()})"
+    )
+
+
 class TestFig2:
     def test_integer_acf_is_empirical_acf(self):
         # run_fig2 reads the integer-lag ACF off its trace; every summary
@@ -180,7 +222,7 @@ class TestFig2:
         # the fig2 reference bytes hold for any BLAS thread count
         code = cli_main(["fig2", "--config", str(REPO / "configs/fig2.yaml"), "--out", str(tmp_path)])
         assert code == 0
-        assert (tmp_path / "fig2.csv").read_bytes() == (REPO / "benchmarks/reference/fig2.csv").read_bytes()
+        assert_reference_bytes(tmp_path, "fig2.csv")
         margins = json.loads((tmp_path / "fig2.json").read_text())["summary"]["echo_peak_margins"]
         assert margins.keys() == {"2", "7"} and all(m > 0 for m in margins.values())
 
@@ -189,14 +231,14 @@ def test_reference_sweep_snr_bytes(tmp_path):
     # 500 blind solves through the lag weights the prediction shares
     code = cli_main(["sweep-snr", "--config", str(REPO / "configs/snr_sweep_full.yaml"), "--out", str(tmp_path)])
     assert code == 0
-    assert (tmp_path / "sweep_snr.csv").read_bytes() == (REPO / "benchmarks/reference/sweep_snr.csv").read_bytes()
+    assert_reference_bytes(tmp_path, "sweep_snr.csv")
 
 
 def test_reference_sweep_length_bytes(tmp_path):
     # frames up to 65536 symbols: every ACF lag sums its two halves
     code = cli_main(["sweep-length", "--config", str(REPO / "configs/length_sweep.yaml"), "--out", str(tmp_path)])
     assert code == 0
-    assert (tmp_path / "sweep_length.csv").read_bytes() == (REPO / "benchmarks/reference/sweep_length.csv").read_bytes()
+    assert_reference_bytes(tmp_path, "sweep_length.csv")
 
 
 def per_snr_trial(cfg, trial):
@@ -300,13 +342,15 @@ class TestReferenceNonConvergence:
 
 
 class TestTrialCount:
-    @pytest.mark.parametrize("runner", [run_datalength_sweep, run_snr_sweep])
+    # fig2 and invariance run no trials, but the count is part of every
+    # recorded config, so every experiment checks it
+    @pytest.mark.parametrize("runner", [run_datalength_sweep, run_snr_sweep, run_fig2, run_invariance_demo])
     @pytest.mark.parametrize("trials", [0, -1, 2.5, True])
     def test_rejected_before_work(self, runner, trials):
         with pytest.raises(ConfigError, match="trials"):
             runner(resolve_config({"trials": trials}))
 
-    @pytest.mark.parametrize("command", ["sweep-snr", "sweep-length"])
+    @pytest.mark.parametrize("command", ["sweep-snr", "sweep-length", "fig2", "invariance"])
     def test_cli_exits_nonzero_without_output(self, tmp_path, capsys, command):
         code = cli_main([command, "--trials", "0", "--out", str(tmp_path / "out")])
         assert code == 2
@@ -404,6 +448,17 @@ BAD_CONFIGS += [
     pytest.param(command, f"threads={value}", f"threads must be an integer >= 1, got {shown}", id=f"{command}-threads-{value}")
     for command in ("fig2", "sweep-length", "sweep-snr", "invariance")
     for value, shown in (("abc", "'abc'"), ("2.5", "2.5"), ("0", "0"), ("-3", "-3"))
+]
+BAD_CONFIGS += [
+    pytest.param(command, f"{key}={value}", f"{key} must be {what}, got {shown}", id=f"{command}-{key}-{value}")
+    for command in ("fig2", "sweep-length", "sweep-snr", "invariance")
+    for key, value, what, shown in (
+        ("seed", "abc", "an integer", "'abc'"),
+        ("seed", "1.5", "an integer", "1.5"),
+        ("seed", "true", "an integer", "True"),
+        ("out", "2024", "a string", "2024"),
+        ("out", "[1]", "a string", "[1]"),
+    )
 ]
 
 
@@ -525,6 +580,18 @@ class TestCli:
         assert sidecar["seed"] == 4
         assert sidecar["config"]["invariance"]["symbols"] == 512
 
+    def test_git_describe_names_the_package_checkout(self, tmp_path, monkeypatch):
+        package = Path(csfchan.__file__).resolve().parent
+        if shutil.which("git") is None:
+            pytest.skip("git is not installed")
+        expected = subprocess.run(
+            ["git", "describe", "--always", "--dirty"], cwd=package, capture_output=True, text=True, check=False
+        )
+        if expected.returncode != 0:
+            pytest.skip("the package is not in a git checkout")
+        monkeypatch.chdir(tmp_path)
+        assert csfchan.report._git_describe() == expected.stdout.strip()
+
     def test_sidecar_reports_package_version(self, tmp_path):
         # the version of the source that ran, also when it runs from src/
         assert self.run(tmp_path, "invariance", "--set", "invariance.symbols=64", "--set", "invariance.streams=2") == 0
@@ -594,9 +661,58 @@ class TestCli:
         section = json.loads((tmp_path / "sweep_length.json").read_text())["config"]["sweep_length"]
         assert (section["snr_db"], section["gamma_range"]) == (10.0, [0.3, 0.9])
 
-    def test_bad_override_rejected(self, tmp_path):
-        with pytest.raises(SystemExit):
-            self.run(tmp_path, "fig2", "--set", "fig2.nonsense=1")
+    def test_bad_override_rejected(self, tmp_path, capsys):
+        assert self.run(tmp_path / "out", "fig2", "--set", "fig2.nonsense=1") == 2
+        assert "invalid configuration: unknown config key: 'fig2.nonsense'" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "config, args, message",
+        [
+            pytest.param(None, ["--set", "nonsense=1"], "unknown config key: 'nonsense'", id="unknown-key-set"),
+            pytest.param("fig2:\n  nonsense: 1\n", [], "unknown config key: 'fig2.nonsense'", id="unknown-key-file"),
+            pytest.param("csf: 5\n", [], "config section 'csf' must be a mapping, got 5", id="scalar-section"),
+            pytest.param("- 1\n- 2\n", [], "config document must be a mapping, got [1, 2]", id="list-document"),
+            pytest.param(
+                None,
+                ["--set", "fig2.delays.x=1"],
+                "config key 'fig2.delays' takes a value, not a mapping, got {'x': 1}",
+                id="mapping-for-value",
+            ),
+            pytest.param(None, ["--set", "fig2.symbols"], "--set expects key=value, got 'fig2.symbols'", id="set-no-value"),
+            pytest.param(
+                None, ["--set", "fig2.delays=[0, 2"], "--set fig2.delays=[0, 2: while parsing", id="yaml-error-set"
+            ),
+            pytest.param("fig2: [0, 2\n", [], "--config {tmp}/cfg.yaml: while parsing", id="yaml-error-file"),
+            pytest.param(
+                None, ["--config", "{tmp}/missing.yaml"], "--config {tmp}/missing.yaml: [Errno 2]", id="missing-file"
+            ),
+        ],
+    )
+    def test_malformed_input_exits_2_without_output(self, tmp_path, capsys, config, args, message):
+        if config is not None:
+            (tmp_path / "cfg.yaml").write_text(config)
+            args = ["--config", str(tmp_path / "cfg.yaml"), *args]
+        args = [arg.replace("{tmp}", str(tmp_path)) for arg in args]
+        assert self.run(tmp_path / "out", "fig2", *args) == 2
+        message = message.replace("{tmp}", str(tmp_path))
+        assert f"csfchan fig2: invalid configuration: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_precedence_keeps_the_config_hash(self, tmp_path):
+        # the file, then the flags, then each --set in order; the hash is
+        # the one every earlier release wrote for this command line
+        cfg_file = tmp_path / "cfg.yaml"
+        cfg_file.write_text("seed: 8\ninvariance:\n  symbols: 256\n  streams: 3\n")
+        code = cli_main(
+            ["invariance", "--config", str(cfg_file), "--seed", "9", "--threads", "2", "--out", str(tmp_path / "out/"),
+             "--set", "seed=10", "--set", "invariance.symbols=64", "--set", "invariance.streams=2"]
+        )
+        assert code == 0
+        sidecar = json.loads((tmp_path / "out/invariance.json").read_text())
+        assert (sidecar["seed"], sidecar["config"]["invariance"]["symbols"], sidecar["config"]["threads"]) == (10, 64, 2)
+        assert sidecar["config_hash"] == "90620358f131"
+        assert (tmp_path / "out/invariance.csv").read_text().splitlines()[1].startswith("90620358f131,")
 
     def test_config_file_round_trip(self, tmp_path):
         cfg_file = tmp_path / "cfg.yaml"
