@@ -114,7 +114,7 @@ def ls_sweep(probe: Waveform, clean: Waveform, snr_dbs, seed: int, max_delay: in
     step = clean.samples_per_symbol // probe.samples_per_symbol
 
     def solve(samples: np.ndarray) -> LsEstimate:
-        received = Waveform(samples[::step], probe.samples_per_symbol, t0=clean.t0)
+        received = Waveform(samples[::step], probe.samples_per_symbol)
         return ls_estimate(ProbeFrame(probe=probe, received=received), max_delay)
 
     draw, sigma2s = awgn_law(clean, snr_dbs, seed + 1)
@@ -151,7 +151,7 @@ def gaussian_probe_frame(
 
 def symbol_instants(wave: Waveform) -> Waveform:
     """The samples of wave at symbol instants: one sample per symbol period."""
-    return Waveform(wave.samples[:: wave.samples_per_symbol], 1, t0=wave.t0)
+    return Waveform(wave.samples[:: wave.samples_per_symbol], 1)
 
 
 def chaotic_probe_frame(

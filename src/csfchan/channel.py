@@ -32,12 +32,13 @@ class ChannelModel:
 
     paths      tuple of (delay in symbol periods, attenuation), strictly
                increasing delays starting at (0, 1.0)
-    gamma      damping coefficient of the attenuation law
     max_delay  largest delay the receiver searches for (tap count - 1)
+
+    The attenuations are taken as given; sample_random_channel and fig2
+    draw them from the law exp(-gamma * delay) with one gamma per channel.
     """
 
     paths: tuple[tuple[int, float], ...]
-    gamma: float
     max_delay: int
 
     def __post_init__(self):
@@ -116,7 +117,7 @@ def apply_multipath(wave: Waveform, ch: ChannelModel) -> Waveform:
             a0, a1 = max(lo, start), min(hi, start + n)
             if a0 < a1:
                 out[a0:a1] += np.multiply(x[a0 - start : a1 - start], a, out=scaled[: a1 - a0])
-    return Waveform(out, ns, t0=wave.t0)
+    return Waveform(out, ns)
 
 
 def add_awgn(wave: Waveform, snr_db: float | None, seed: int) -> tuple[Waveform, float]:
@@ -166,7 +167,7 @@ def add_awgn_sweep(wave: Waveform, snr_dbs, seed: int) -> list[tuple[Waveform, f
             continue
         noisy = np.multiply(draw, math.sqrt(sigma2))  # the draw serves every SNR
         noisy += wave.samples
-        out.append((Waveform(noisy, wave.samples_per_symbol, t0=wave.t0), sigma2))
+        out.append((Waveform(noisy, wave.samples_per_symbol), sigma2))
     return out
 
 
@@ -192,4 +193,4 @@ def sample_random_channel(
     if path_count > 1:
         delays = np.sort(rng.choice(np.arange(1, max_delay + 1), size=path_count - 1, replace=False))
         paths += [(int(d), attenuation_from_delay(gamma, float(d))) for d in delays]
-    return ChannelModel(paths=tuple(paths), gamma=gamma, max_delay=max_delay)
+    return ChannelModel(paths=tuple(paths), max_delay=max_delay)

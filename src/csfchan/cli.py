@@ -54,14 +54,15 @@ def _load(text: str):
 
 
 def _config(args: argparse.Namespace) -> dict:
-    """Merge over the defaults the config file, the experiment, the flags
-    and each --set a.b=v as the mapping {"a": {"b": v}}, in that order."""
+    """Merge over the defaults the experiment, the config file, the flags
+    and each --set a.b=v as the mapping {"a": {"b": v}}, in that order;
+    a later layer may not name another experiment."""
     try:
-        layers = [None if args.config is None else _load(args.config.read_text())]
+        layers = [{"experiment": args.command}, None if args.config is None else _load(args.config.read_text())]
     except (OSError, UnicodeDecodeError, yaml.YAMLError) as exc:
         raise ConfigError(f"--config {args.config}: {exc}") from None
     flags = {"seed": args.seed, "out": args.out and str(args.out), "trials": args.trials, "threads": args.threads}
-    layers += [{"experiment": args.command}, {flag: value for flag, value in flags.items() if value is not None}]
+    layers.append({flag: value for flag, value in flags.items() if value is not None})
     for text in args.overrides:
         key, eq, raw = text.partition("=")
         if not eq:
@@ -73,7 +74,10 @@ def _config(args: argparse.Namespace) -> dict:
         for part in reversed(key.split(".")):
             value = {part: value}
         layers.append(value)
-    return resolve_config(*layers)
+    cfg = resolve_config(*layers)
+    if cfg["experiment"] != args.command:
+        raise ConfigError(f"experiment must be {args.command!r}, the command being run, got {cfg['experiment']!r}")
+    return cfg
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -17,6 +17,7 @@ genuinely differ.
 from __future__ import annotations
 
 import copy
+import json
 import math
 from dataclasses import dataclass
 
@@ -126,7 +127,8 @@ class ConfigError(ValueError):
 
 
 def _merge(base: dict, extra, section: str | None = None) -> None:
-    """Merge extra into base in place, refusing a key or shape base has no place for."""
+    """Merge extra into base in place, refusing a key or shape base has no
+    place for, or a value that JSON cannot hold (a YAML date, a set)."""
     if not isinstance(extra, dict):
         what = "document" if section is None else f"section {section!r}"
         raise ConfigError(f"config {what} must be a mapping, got {extra!r}")
@@ -139,6 +141,10 @@ def _merge(base: dict, extra, section: str | None = None) -> None:
         elif isinstance(value, dict):
             raise ConfigError(f"config key {name!r} takes a value, not a mapping, got {value!r}")
         else:
+            try:  # the recorded config is JSON: the hash and the sidecar hold every value
+                json.dumps(value, sort_keys=True)
+            except (TypeError, ValueError):
+                raise ConfigError(f"config key {name!r} takes a value JSON can hold, got {value!r}") from None
             base[key] = value
 
 
@@ -293,7 +299,7 @@ def _fig2_channel(section: dict) -> ChannelModel:
     gamma = float(section["gamma"])
     paths = tuple((d, attenuation_from_delay(gamma, d) if d > 0 else 1.0) for d in section["delays"])
     try:
-        return ChannelModel(paths=paths, gamma=gamma, max_delay=section["max_delay"])
+        return ChannelModel(paths=paths, max_delay=section["max_delay"])
     except ValueError as exc:
         raise ConfigError(f"fig2.delays {section['delays']!r}: {exc}") from None
 

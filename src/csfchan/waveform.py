@@ -36,15 +36,6 @@ __all__ = [
 # amplitude below which the truncated pulse tail is considered negligible
 _TAIL_AMPLITUDE = 1e-6
 
-# integration oversampling of the pulse ACF that checks the closed form,
-# and the relative disagreement above which the integral replaces it
-_ACF_OVERSAMPLING = 256
-_ACF_REL_TOL = 0.01
-
-
-def _default_tail(beta: float) -> int:
-    return math.ceil(math.log(1.0 / _TAIL_AMPLITUDE) / beta)
-
 
 @dataclass(frozen=True)
 class CsfParams:
@@ -52,14 +43,13 @@ class CsfParams:
 
     beta         exponential decay rate per symbol period, 0 < beta <= ln 2
     oversampling samples per symbol period (>= 8)
-    pulse_tail   truncation depth of the t < 0 tail, in symbol periods;
-                 defaults to the depth where the tail envelope drops
-                 below 1e-6
+
+    The t < 0 tail is truncated at pulse_tail symbol periods, the depth
+    where its envelope drops below 1e-6; it grows as 1/beta.
     """
 
     beta: float = math.log(2.0)
     oversampling: int = 16
-    pulse_tail: int = 0  # 0 selects the default depth for beta
 
     def __post_init__(self):
         if not (0.0 < self.beta <= math.log(2.0) + 1e-12):
@@ -68,14 +58,11 @@ class CsfParams:
         if isinstance(ns, bool) or not isinstance(ns, numbers.Integral) or ns < 8:
             raise ValueError(f"oversampling must be an integer >= 8, got {self.oversampling}")
         object.__setattr__(self, "oversampling", int(ns))  # the encode needs int.bit_length
-        min_tail = _default_tail(self.beta)
-        if self.pulse_tail == 0:
-            object.__setattr__(self, "pulse_tail", min_tail)
-        elif self.pulse_tail < min_tail:
-            raise ValueError(
-                f"pulse_tail {self.pulse_tail} leaves a truncated tail above 1e-6; "
-                f"need >= {min_tail} for beta={self.beta}"
-            )
+
+    @property
+    def pulse_tail(self) -> int:
+        """Truncation depth of the t < 0 tail, in symbol periods."""
+        return math.ceil(math.log(1.0 / _TAIL_AMPLITUDE) / self.beta)
 
 
 @dataclass(frozen=True)
@@ -100,13 +87,13 @@ class SymbolStream:
 class Waveform:
     """Uniformly sampled real signal.
 
-    t0 is the time of the first sample in symbol periods; sample n sits at
-    t0 + n / samples_per_symbol.
+    Sample n sits n / samples_per_symbol symbol periods after the first.
+    Where the first sits is not recorded: the grid of encode_waveform,
+    and of the channel outputs built on it, starts at -pulse_tail.
     """
 
     samples: np.ndarray
     samples_per_symbol: int
-    t0: float = 0.0
 
     def __post_init__(self):
         arr = np.asarray(self.samples, dtype=float)
@@ -151,7 +138,7 @@ def sample_base_pulse(params: CsfParams = CsfParams()) -> Waveform:
     params.oversampling samples per symbol period."""
     ns = params.oversampling
     idx = np.arange(-params.pulse_tail * ns, ns)
-    return Waveform(base_pulse(idx / ns, params), ns, t0=-float(params.pulse_tail))
+    return Waveform(base_pulse(idx / ns, params), ns)
 
 
 def _next_fast_len(n: int) -> int:
@@ -204,7 +191,7 @@ def encode_waveform(stream: SymbolStream, params: CsfParams = CsfParams()) -> Wa
     spectrum = np.fft.rfft(train)
     spectrum *= _pulse_spectrum(params, n_fft)
     np.fft.irfft(spectrum, n_fft, out=train)  # the train becomes the output
-    return Waveform(train[:n_out], ns, t0=-float(params.pulse_tail))
+    return Waveform(train[:n_out], ns)
 
 
 def random_symbols(n: int, seed: int) -> SymbolStream:
@@ -218,9 +205,10 @@ def random_symbols(n: int, seed: int) -> SymbolStream:
 def theoretical_acf(lag, params: CsfParams = CsfParams()):
     """Closed-form autocorrelation of the shaping pulse.
 
-    Valid at integer lags (cross-checked against numerical integration by
-    ``authoritative_acf_table``); even in the lag.  At lag 0 it gives the
-    waveform power, elsewhere an exponentially decaying negative value.
+    Valid at integer lags only, where the tests check it against the
+    defining integral (pulse_acf); even in the lag.  At lag 0 it gives
+    the waveform power, elsewhere an exponentially decaying negative
+    value.
     """
     beta, w = params.beta, 2.0 * math.pi
     eta = np.abs(np.asarray(lag, dtype=float))
@@ -240,9 +228,10 @@ def pulse_acf(lag, params: CsfParams = CsfParams(), oversampling: int = 256):
     """Autocorrelation of the shaping pulse by direct numerical integration.
 
     Trapezoidal rule over the truncated support at the given resolution.
-    Works at arbitrary finite real lags; this is the defining integral
-    that the closed form is checked against, and the route used for
-    fractional lags where the closed form does not apply.
+    Works at arbitrary finite real lags; this is the route for the
+    fractional lags of fig2's trace, where the closed form does not
+    apply, and the defining integral the tests check the closed form
+    against.  Its cost grows with the pulse tail, as 1/beta.
 
     The lagged pulse is not sampled per lag.  Lags that share the
     fractional part of lag*oversampling, and whose windows overlap, read
@@ -285,28 +274,12 @@ def pulse_acf(lag, params: CsfParams = CsfParams(), oversampling: int = 256):
     return vals
 
 
-@lru_cache(maxsize=32)
-def _acf_table_cached(params: CsfParams, max_lag: int) -> np.ndarray:
-    lags = np.arange(max_lag + 1, dtype=float)
-    closed = np.asarray(theoretical_acf(lags, params))
-    integral = pulse_acf(lags, params, oversampling=_ACF_OVERSAMPLING)
-    # the trapezoid oracle carries a small absolute error, so values far
-    # below the zero-lag power sit at its noise floor; only material
-    # disagreement relative to that floor triggers the fallback
-    floor = 1e-5 * abs(integral[0])
-    rel = np.abs(closed - integral) / np.maximum(np.abs(integral), floor)
-    if np.max(rel) > _ACF_REL_TOL:
-        # closed form disagrees with the defining integral: the integral wins
-        return integral
-    return closed
-
-
 def authoritative_acf_table(params: CsfParams = CsfParams(), max_lag: int = 10) -> np.ndarray:
-    """Pulse ACF at integer lags 0..max_lag, validated against integration.
+    """Pulse ACF at integer lags 0..max_lag, from the closed form.
 
-    Returns the closed-form values when they agree with the numerical
-    integral within 1% at every lag, otherwise the integration table.
-    The result is what the identification equations consume as the known
-    transmit-side ACF.
+    The known transmit-side ACF that the identification equations
+    consume: theoretical_acf at each integer lag, a fresh array per call.
+    The tests hold it to the defining integral (pulse_acf) over
+    0 < beta <= ln 2; no run evaluates the integral for it.
     """
-    return _acf_table_cached(params, int(max_lag)).copy()
+    return theoretical_acf(np.arange(max_lag + 1.0), params)

@@ -57,7 +57,6 @@ M = 10
 
 FIG2_CHANNEL = ChannelModel(
     paths=((0, 1.0), (2, math.exp(-1.2)), (7, math.exp(-4.2))),
-    gamma=0.6,
     max_delay=M,
 )
 

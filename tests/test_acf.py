@@ -38,7 +38,6 @@ PARAMS = CsfParams()
 
 FIG2_CHANNEL = ChannelModel(
     paths=((0, 1.0), (2, math.exp(-1.2)), (7, math.exp(-4.2))),
-    gamma=0.6,
     max_delay=10,
 )
 
@@ -85,7 +84,7 @@ class TestEmpiricalAcf:
 
     def test_quadratic_scaling(self):
         wave = encode_waveform(random_symbols(128, seed=3), PARAMS)
-        scaled = Waveform(2.5 * wave.samples, wave.samples_per_symbol, wave.t0)
+        scaled = Waveform(2.5 * wave.samples, wave.samples_per_symbol)
         a = empirical_acf(wave, 10).values
         b = empirical_acf(scaled, 10).values
         np.testing.assert_allclose(b, 2.5**2 * a, rtol=1e-12)
@@ -102,7 +101,7 @@ class TestEmpiricalAcf:
         est = empirical_acf(wave, 10)
         ref = theoretical_acf(np.arange(11.0), PARAMS)
         bound = 5.0 * ref[0] / math.sqrt(n_sym) + edge_bias(
-            ChannelModel(paths=((0, 1.0),), gamma=0.5, max_delay=10), n_sym, ref[0]
+            ChannelModel(paths=((0, 1.0),), max_delay=10), n_sym, ref[0]
         )
         assert float(np.max(np.abs(est.values - ref))) <= bound
 
@@ -322,7 +321,7 @@ class TestPredictionOracles:
 
 class TestPredictedRxAcf:
     def test_single_path_reduces_to_pulse_acf(self):
-        ch = ChannelModel(paths=((0, 1.0),), gamma=0.5, max_delay=10)
+        ch = ChannelModel(paths=((0, 1.0),), max_delay=10)
         pred = predicted_rx_acf(ch, 0.0, PARAMS, max_lag=10)
         np.testing.assert_allclose(pred.values, theoretical_acf(np.arange(11.0), PARAMS), rtol=1e-12)
 

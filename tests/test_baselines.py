@@ -29,7 +29,6 @@ M = 10
 
 CHANNEL = ChannelModel(
     paths=((0, 1.0), (2, math.exp(-1.2)), (7, math.exp(-4.2))),
-    gamma=0.6,
     max_delay=M,
 )
 
@@ -86,7 +85,7 @@ class TestLsEstimate:
     def test_pure_delay_shift_identity(self):
         rng = np.random.default_rng(7)
         probe = Waveform(rng.normal(size=200 * 16), 16)
-        ch = ChannelModel(paths=((0, 1.0), (4, 1.0)), gamma=0.5, max_delay=M)
+        ch = ChannelModel(paths=((0, 1.0), (4, 1.0)), max_delay=M)
         # drop the main path by subtraction: received = probe shifted by 4
         received = apply_multipath(probe, ch)
         received = Waveform(received.samples - np.concatenate([probe.samples, np.zeros(4 * 16)]), 16)
@@ -98,8 +97,8 @@ class TestLsEstimate:
     def test_scale_invariance(self):
         frame = gaussian_probe_frame(128, 16, CHANNEL, snr_db=20.0, seed=5)
         scaled = ProbeFrame(
-            probe=Waveform(3.7 * frame.probe.samples, 16, frame.probe.t0),
-            received=Waveform(3.7 * frame.received.samples, 16, frame.received.t0),
+            probe=Waveform(3.7 * frame.probe.samples, 16),
+            received=Waveform(3.7 * frame.received.samples, 16),
         )
         a = ls_estimate(frame, M)
         b = ls_estimate(scaled, M)

@@ -27,7 +27,6 @@ PARAMS = CsfParams()
 
 FIG2_CHANNEL = ChannelModel(
     paths=((0, 1.0), (2, math.exp(-1.2)), (7, math.exp(-4.2))),
-    gamma=0.6,
     max_delay=10,
 )
 
@@ -59,25 +58,25 @@ class TestChannelModel:
 
     def test_requires_main_path(self):
         with pytest.raises(ValueError):
-            ChannelModel(paths=((1, 0.5),), gamma=0.5, max_delay=5)
+            ChannelModel(paths=((1, 0.5),), max_delay=5)
 
     def test_requires_unit_main_gain(self):
         with pytest.raises(ValueError):
-            ChannelModel(paths=((0, 0.9),), gamma=0.5, max_delay=5)
+            ChannelModel(paths=((0, 0.9),), max_delay=5)
 
     def test_requires_increasing_delays(self):
         with pytest.raises(ValueError):
-            ChannelModel(paths=((0, 1.0), (3, 0.5), (3, 0.2)), gamma=0.5, max_delay=5)
+            ChannelModel(paths=((0, 1.0), (3, 0.5), (3, 0.2)), max_delay=5)
 
     def test_delay_beyond_max_rejected(self):
         with pytest.raises(ValueError):
-            ChannelModel(paths=((0, 1.0), (6, 0.5)), gamma=0.5, max_delay=5)
+            ChannelModel(paths=((0, 1.0), (6, 0.5)), max_delay=5)
 
 
 class TestApplyMultipath:
     def test_identity_channel(self):
         wave = encode_waveform(random_symbols(32, seed=0), PARAMS)
-        ch = ChannelModel(paths=((0, 1.0),), gamma=0.5, max_delay=10)
+        ch = ChannelModel(paths=((0, 1.0),), max_delay=10)
         out = apply_multipath(wave, ch)
         np.testing.assert_array_equal(out.samples, wave.samples)
 
@@ -85,7 +84,7 @@ class TestApplyMultipath:
         ns = 16
         impulse = np.zeros(4 * ns)
         impulse[0] = 1.0
-        ch = ChannelModel(paths=((0, 1.0), (2, 0.4)), gamma=0.5, max_delay=4)
+        ch = ChannelModel(paths=((0, 1.0), (2, 0.4)), max_delay=4)
         out = apply_multipath(Waveform(impulse, ns), ch)
         assert out.samples[0] == 1.0
         assert out.samples[2 * ns] == 0.4
@@ -128,8 +127,8 @@ class TestBlockedMultipath:
     """apply_multipath fills its output block by block with the float
     operations of the whole-array loop, so the two agree bit for bit."""
 
-    DENSE = ChannelModel(paths=tuple((d, 0.9**d) for d in range(11)), gamma=0.1, max_delay=10)
-    MAIN_ONLY = ChannelModel(paths=((0, 1.0),), gamma=0.5, max_delay=10)
+    DENSE = ChannelModel(paths=tuple((d, 0.9**d) for d in range(11)), max_delay=10)
+    MAIN_ONLY = ChannelModel(paths=((0, 1.0),), max_delay=10)
 
     @pytest.mark.parametrize("ns", [1, 16])
     @pytest.mark.parametrize("ch", [MAIN_ONLY, FIG2_CHANNEL, DENSE], ids=["main-only", "fig2", "dense"])
@@ -167,7 +166,7 @@ class TestBlockedMultipath:
     def test_matches_whole_array_loop(self, ns, n, max_delay, data, seed):
         delays = data.draw(st.sets(st.integers(min_value=1, max_value=max_delay)))
         gains = data.draw(st.lists(st.floats(0.0, 2.0), min_size=len(delays), max_size=len(delays)))
-        ch = ChannelModel(paths=((0, 1.0), *zip(sorted(delays), gains)), gamma=0.5, max_delay=max_delay)
+        ch = ChannelModel(paths=((0, 1.0), *zip(sorted(delays), gains)), max_delay=max_delay)
         wave = Waveform(np.random.default_rng(seed).normal(size=n), ns)
         np.testing.assert_array_equal(apply_multipath(wave, ch).samples, loop_multipath(wave, ch))
 
@@ -246,15 +245,24 @@ class TestSampleRandomChannel:
             assert np.all(np.diff(ch.attenuations) < 0)
 
     def test_follows_exponential_law(self):
-        ch = sample_random_channel(max_delay=10, path_count=5, seed=77)
-        for d, a in ch.paths:
-            assert a == pytest.approx(math.exp(-ch.gamma * d))
+        # the damping recovered from each echo, -ln(a)/d, is the channel's one
+        # gamma: the same for every echo and inside gamma_range
+        for gamma_range, seed in (((0.3, 0.9), 77), ((0.3, 0.9), 5), ((1.5, 2.5), 77)):
+            ch = sample_random_channel(max_delay=10, gamma_range=gamma_range, path_count=5, seed=seed)
+            assert ch.paths[0] == (0, 1.0)
+            damping = [-math.log(a) / d for d, a in ch.paths[1:]]
+            assert damping == pytest.approx([damping[0]] * 4, rel=1e-12)
+            assert gamma_range[0] <= damping[0] <= gamma_range[1]
 
     def test_gamma_mean(self):
+        # gamma is uniform on the default (0.3, 0.9): the one echo's damping
+        # averages to the midpoint
         gammas = [
-            sample_random_channel(max_delay=10, path_count=2, seed=s).gamma
+            -math.log(a) / d
             for s in range(10_000)
+            for d, a in sample_random_channel(max_delay=10, path_count=2, seed=s).paths[1:]
         ]
+        assert len(gammas) == 10_000
         assert abs(float(np.mean(gammas)) - 0.6) < 0.01
 
     def test_too_many_paths_rejected(self):

@@ -31,7 +31,6 @@ M = 10
 
 FIG2_CHANNEL = ChannelModel(
     paths=((0, 1.0), (2, math.exp(-1.2)), (7, math.exp(-4.2))),
-    gamma=0.6,
     max_delay=M,
 )
 
@@ -111,7 +110,7 @@ class TestBuildResiduals:
             assert float(np.max(np.abs(res))) <= 1e-12
 
     def test_identity_channel_zero_alpha(self):
-        ch = ChannelModel(paths=((0, 1.0),), gamma=0.5, max_delay=M)
+        ch = ChannelModel(paths=((0, 1.0),), max_delay=M)
         prob = exact_problem(ch, 0.0)
         res = build_residuals(np.zeros(M), 0.0, prob)
         assert float(np.max(np.abs(res))) <= 1e-14
@@ -226,7 +225,7 @@ class TestSolveChannel:
             assert abs(result.noise_var_hat - nv) <= 1e-6
 
     def test_single_path_closed_form(self):
-        ch = ChannelModel(paths=((0, 1.0),), gamma=0.5, max_delay=M)
+        ch = ChannelModel(paths=((0, 1.0),), max_delay=M)
         nv = 0.25
         prob = exact_problem(ch, nv)
         result = solve_channel(prob, SolverOptions(tol=1e-12))

@@ -90,7 +90,7 @@ class TestPeakDetection:
         assert interior_peak_lags(values) == [2, 4, 6]
 
     def test_expected_peaks_from_channel(self):
-        ch = ChannelModel(paths=((0, 1.0), (2, 0.3), (7, 0.01)), gamma=0.6, max_delay=10)
+        ch = ChannelModel(paths=((0, 1.0), (2, 0.3), (7, 0.01)), max_delay=10)
         assert expected_secondary_peaks(ch) == {2, 5, 7}
 
 
@@ -190,7 +190,7 @@ class TestFig2:
         params = _csf_params(cfg)
         section = cfg["fig2"]
         paths = ((0, 1.0), (2, attenuation_from_delay(0.6, 2)), (7, attenuation_from_delay(0.6, 7)))
-        ch = ChannelModel(paths=paths, gamma=0.6, max_delay=10)
+        ch = ChannelModel(paths=paths, max_delay=10)
         stream = random_symbols(section["symbols"], seed=derive_seed(cfg["seed"], 1))
         received = apply_multipath(encode_waveform(stream, params), ch)
         received, noise_var = add_awgn(received, section["snr_db"], seed=derive_seed(cfg["seed"], 2))
@@ -698,6 +698,73 @@ class TestCli:
         message = message.replace("{tmp}", str(tmp_path))
         assert f"csfchan fig2: invalid configuration: {message}" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "command, config, overrides, message",
+        [
+            pytest.param(
+                "invariance",
+                None,
+                ["invariance.symbols=64", "sweep_snr.symbols=2024-01-01"],
+                "config key 'sweep_snr.symbols' takes a value JSON can hold, got datetime.date(2024, 1, 1)",
+                id="date-in-unread-section",
+            ),
+            pytest.param(
+                "sweep-snr",
+                None,
+                ["experiment=2024-01-01"],
+                "config key 'experiment' takes a value JSON can hold, got datetime.date(2024, 1, 1)",
+                id="date-experiment",
+            ),
+            pytest.param(
+                "fig2", None, ["fig2.delays=!!set {0, 2}"], "config key 'fig2.delays' takes a value JSON can hold", id="set"
+            ),
+            pytest.param(
+                "sweep-snr",
+                None,
+                ["experiment=zzz"],
+                "experiment must be 'sweep-snr', the command being run, got 'zzz'",
+                id="unknown-experiment",
+            ),
+            pytest.param(
+                "fig2",
+                None,
+                ["experiment=sweep-snr"],
+                "experiment must be 'fig2', the command being run, got 'sweep-snr'",
+                id="other-experiment",
+            ),
+            pytest.param(
+                "fig2",
+                "experiment: invariance\n",
+                [],
+                "experiment must be 'fig2', the command being run, got 'invariance'",
+                id="other-experiment-in-file",
+            ),
+        ],
+    )
+    def test_unrecordable_config_exits_2_before_work(
+        self, tmp_path, capsys, monkeypatch, command, config, overrides, message
+    ):
+        def no_work(cfg):
+            raise AssertionError("work ran")
+
+        monkeypatch.setitem(csfchan.cli._RUNNERS, command, no_work)
+        args = [command, "--trials", "1"]
+        if config is not None:
+            (tmp_path / "cfg.yaml").write_text(config)
+            args += ["--config", str(tmp_path / "cfg.yaml")]
+        for override in overrides:
+            args += ["--set", override]
+        assert self.run(tmp_path / "out", *args) == 2
+        assert f"csfchan {command}: invalid configuration: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_sidecar_records_the_command(self, tmp_path):
+        # naming the experiment being run is allowed, in the file or by --set
+        (tmp_path / "cfg.yaml").write_text("experiment: invariance\n")
+        args = ["invariance", "--config", str(tmp_path / "cfg.yaml"), "--set", "experiment=invariance"]
+        assert self.run(tmp_path, *args, "--set", "invariance.symbols=64", "--set", "invariance.streams=2") == 0
+        assert json.loads((tmp_path / "invariance.json").read_text())["config"]["experiment"] == "invariance"
 
     def test_precedence_keeps_the_config_hash(self, tmp_path):
         # the file, then the flags, then each --set in order; the hash is
