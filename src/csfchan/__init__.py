@@ -29,6 +29,7 @@ from .estimator import (
     build_residuals,
     residual_jacobian,
     solve_channel,
+    solve_channels,
 )
 from .experiments import derive_seed, identify_blind, resolve_config
 from .waveform import (
@@ -82,6 +83,7 @@ __all__ = [
     "sample_base_pulse",
     "sample_random_channel",
     "solve_channel",
+    "solve_channels",
     "symbol_instants",
     "theoretical_acf",
 ]

@@ -171,14 +171,17 @@ def _lag_weights(r_xx: np.ndarray, n_lags: int, n_taps: int, stride: int) -> np.
     return weights
 
 
-def _expand(taps: np.ndarray, weights: np.ndarray, noise_var: float) -> np.ndarray:
+def _expand(taps: np.ndarray, weights: np.ndarray, noise_var) -> np.ndarray:
     """sum_d c[d] weights[d] for the tap correlation c[d] = sum_i a_i a_{i+d}
-    of the taps a_0..a_M, plus noise_var at lag 0.  Reducing axis 0 adds
-    the rows one by one, in order, as the loop model = c[0]*W[0];
-    model += c[d]*W[d] does."""
-    c = _lagged_products(taps, taps, range(taps.size))
-    values = np.add.reduce(c[:, None] * weights, axis=0)
-    values[0] += noise_var
+    of the taps a_0..a_M, plus noise_var at lag 0; over any leading batch
+    axes of taps and noise_var.  Each c[d] is one dot product, as
+    _lagged_products takes it, and reducing the row axis adds the rows one
+    by one, in order, as the loop model = c[0]*W[0]; model += c[d]*W[d]
+    does."""
+    n = taps.shape[-1]
+    c = np.stack([np.vecdot(taps[..., d:], taps[..., : n - d]) for d in range(n)], axis=-1)
+    values = np.add.reduce(c[..., None] * weights, axis=-2)
+    values[..., 0] += noise_var
     return values
 
 

@@ -18,6 +18,7 @@ them (converged, zero residual, different taps).
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -32,6 +33,7 @@ __all__ = [
     "build_residuals",
     "residual_jacobian",
     "solve_channel",
+    "solve_channels",
 ]
 
 
@@ -101,6 +103,32 @@ class EstimationResult:
         object.__setattr__(self, "alpha_hat", arr)
 
 
+def _model_residuals(
+    alpha: np.ndarray, noise_var, weights: np.ndarray, measured: np.ndarray
+) -> np.ndarray:
+    """build_residuals over any leading batch axes of alpha, noise_var and
+    measured, for the lag weights W of IdentificationProblem."""
+    taps = np.concatenate((np.ones(alpha.shape[:-1] + (1,)), alpha), axis=-1)
+    return _expand(taps, weights, noise_var) - measured
+
+
+def _jacobian(alpha: np.ndarray, shifted: np.ndarray) -> np.ndarray:
+    """residual_jacobian over any leading batch axes of alpha, for the
+    shifted transmit ACF G of IdentificationProblem."""
+    m = alpha.shape[-1]
+    a = np.concatenate((np.ones(alpha.shape[:-1] + (1,)), alpha), axis=-1)
+    # derivative of sum_{i,b} a_i a_b rxx[|k-i+b|] w.r.t. a_j splits into the
+    # i=j and b=j terms: T(k-j) + T(-(k+j)) with T(v) = sum_b a_b rxx[|v+b|];
+    # vecdot takes one dot per row, as np.dot does (G @ a rounds differently)
+    T = np.vecdot(shifted, a[..., None, :])
+    k = np.arange(m + 1)[:, None]
+    j = np.arange(1, m + 1)
+    jac = np.zeros(alpha.shape[:-1] + (m + 1, m + 1))
+    jac[..., :m] = T[..., k - j + 2 * m] + T[..., 2 * m - k - j]
+    jac[..., 0, m] = 1.0
+    return jac
+
+
 def build_residuals(alpha: np.ndarray, noise_var: float, prob: IdentificationProblem) -> np.ndarray:
     """Model-minus-measurement residual of each lag equation.
 
@@ -112,7 +140,7 @@ def build_residuals(alpha: np.ndarray, noise_var: float, prob: IdentificationPro
     alpha = np.asarray(alpha, dtype=float)
     if alpha.shape != (m,):
         raise ValueError(f"alpha must have shape ({m},)")
-    return _expand(np.concatenate(([1.0], alpha)), prob.lag_weights, noise_var) - prob.r_rr.values
+    return _model_residuals(alpha, noise_var, prob.lag_weights, prob.r_rr.values)
 
 
 def residual_jacobian(alpha: np.ndarray, noise_var: float, prob: IdentificationProblem) -> np.ndarray:
@@ -121,80 +149,122 @@ def residual_jacobian(alpha: np.ndarray, noise_var: float, prob: IdentificationP
     The equations are quadratic in the taps, so every entry is linear in
     alpha; the noise-variance column is the unit vector at lag 0.
     """
-    m = prob.max_delay
-    alpha = np.asarray(alpha, dtype=float)
-    a = np.concatenate(([1.0], alpha))
-    # derivative of sum_{i,b} a_i a_b rxx[|k-i+b|] w.r.t. a_j splits into the
-    # i=j and b=j terms: T(k-j) + T(-(k+j)) with T(v) = sum_b a_b rxx[|v+b|];
-    # vecdot takes one dot per row, as np.dot does (G @ a rounds differently)
-    T = np.vecdot(prob.shifted_acf, a)
-    k = np.arange(m + 1)[:, None]
-    j = np.arange(1, m + 1)
-    jac = np.zeros((m + 1, m + 1))
-    jac[:, :m] = T[k - j + 2 * m] + T[2 * m - k - j]
-    jac[0, m] = 1.0
-    return jac
+    return _jacobian(np.asarray(alpha, dtype=float), prob.shifted_acf)
 
 
-def _initial_guess(prob: IdentificationProblem) -> np.ndarray:
-    """Linearised seed: read each lag equation ignoring cross terms."""
-    rxx0 = prob.r_xx[0]
-    alpha0 = np.maximum(0.0, prob.r_rr.values[1:] / rxx0)
-    nv0 = max(0.0, prob.r_rr.values[0] - rxx0 * (1.0 + float(np.sum(alpha0**2))))
-    return np.concatenate([alpha0, [nv0]])
+def _initial_guess(measured: np.ndarray, rxx0: float) -> np.ndarray:
+    """Linearised seed of each row of measured ACFs: read each lag
+    equation ignoring cross terms."""
+    alpha0 = np.maximum(0.0, measured[:, 1:] / rxx0)
+    nv0 = np.maximum(0.0, measured[:, 0] - rxx0 * (1.0 + np.sum(alpha0**2, axis=-1)))
+    return np.concatenate([alpha0, nv0[:, None]], axis=-1)
 
 
-def solve_channel(prob: IdentificationProblem, opts: SolverOptions = SolverOptions()) -> EstimationResult:
-    """Levenberg-Marquardt solve of the lag-equation system.
+def _solve_each(matrices: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """np.linalg.solve of each system of the stack, and which were not
+    singular.  A stacked solve refuses the whole stack for one singular
+    member, so then each member is solved on its own."""
+    try:
+        return np.linalg.solve(matrices, rhs), np.ones(len(matrices), dtype=bool)
+    except np.linalg.LinAlgError:
+        out = np.zeros_like(rhs)
+        ok = np.ones(len(matrices), dtype=bool)
+        for i in range(len(matrices)):
+            try:
+                out[i] = np.linalg.solve(matrices[i : i + 1], rhs[i : i + 1])[0]
+            except np.linalg.LinAlgError:
+                ok[i] = False
+        return out, ok
 
-    Damping increases on rejected steps (which also covers near-singular
-    normal matrices) and relaxes on accepted ones.  Never raises on
+
+def solve_channels(
+    problems: Sequence[IdentificationProblem], opts: SolverOptions = SolverOptions()
+) -> list[EstimationResult]:
+    """Levenberg-Marquardt solve of each problem's lag-equation system.
+
+    Damping increases on rejected steps (which also covers singular
+    damped normal matrices) and relaxes on accepted ones.  Never raises on
     non-convergence: the best iterate comes back with converged=False.
 
     converged=False means the residual norm stayed above opts.tol when
     the iteration stopped, for one of three reasons: no damping lowered
-    the cost, the accepted step fell below 1e-12, or max_iter ran out.
-    The first two mean the iterate sits at a local minimum with a nonzero
-    residual, where the measured ACF has no exact solution near the seed;
-    the taps are then a local least-squares fit, not a root.
+    the cost in 64 tries, the accepted step fell below 1e-12, or max_iter
+    ran out.  The first two mean the iterate sits at a local minimum with
+    a nonzero residual, where the measured ACF has no exact solution near
+    the seed; the taps are then a local least-squares fit, not a root.
+
+    The problems must share r_xx and max_delay.  They iterate side by
+    side along a leading batch axis, each through the float operations of
+    a solve on its own: the stacked matmul, solve and vecdot calls work
+    member by member, so every result is bit-identical to a one-problem
+    batch, whatever the batch holds.  The batch arrays grow with its size:
+    callers solving many problems pass them in blocks.
     """
-    m = prob.max_delay
-    x = _initial_guess(prob)
-    lam = _DAMPING0
-    r = build_residuals(x[:m], x[m], prob)
-    cost = float(r @ r)
-    n_iter = 0
+    problems = list(problems)
+    if not problems:
+        return []
+    first = problems[0]
+    m = first.max_delay
+    if any(p.max_delay != m or not np.array_equal(p.r_xx, first.r_xx) for p in problems):
+        raise ValueError("problems must share r_xx and max_delay")
+    weights, shifted = first.lag_weights, first.shifted_acf
+    measured = np.stack([p.r_rr.values for p in problems])
+    diagonal = np.eye(m + 1, dtype=bool)
+
+    x = _initial_guess(measured, first.r_xx[0])
+    r = _model_residuals(x[:, :m], x[:, m], weights, measured)
+    cost = np.vecdot(r, r)
+    lam = np.full(len(problems), _DAMPING0)
+    iterations = np.zeros(len(problems), dtype=int)
+    live = np.arange(len(problems))  # the problems still iterating
     for n_iter in range(1, opts.max_iter + 1):
-        if np.sqrt(cost) <= opts.tol:
+        iterations[live] = n_iter
+        live = live[~(np.sqrt(cost[live]) <= opts.tol)]
+        if not live.size:
             break
-        jac = residual_jacobian(x[:m], x[m], prob)
-        grad = jac.T @ r
-        hess = jac.T @ jac
-        scale = np.diag(np.maximum(np.diag(hess), 1e-12))
-        step = None
+        jac = _jacobian(x[live, :m], shifted)
+        rhs = -(jac.mT @ r[live][..., None])
+        hess = jac.mT @ jac
+        scale = np.where(diagonal, np.maximum(np.diagonal(hess, axis1=-2, axis2=-1), 1e-12)[..., None], 0.0)
+        searching = np.arange(live.size)  # positions in live with no accepted step yet
+        step = np.zeros((live.size, m + 1))
         for _ in range(64):
-            try:
-                step = np.linalg.solve(hess + lam * scale, -grad)
-            except np.linalg.LinAlgError:
-                lam *= 10.0
-                continue
-            x_new = x + step
-            r_new = build_residuals(x_new[:m], x_new[m], prob)
-            cost_new = float(r_new @ r_new)
-            if cost_new < cost:
-                x, r, cost = x_new, r_new, cost_new
-                lam = max(lam / 3.0, 1e-14)
+            rows = live[searching]
+            solved, ok = _solve_each(hess[searching] + lam[rows, None, None] * scale[searching], rhs[searching])
+            tried = rows[ok]
+            x_new = x[tried] + solved[ok, :, 0]
+            r_new = _model_residuals(x_new[:, :m], x_new[:, m], weights, measured[tried])
+            cost_new = np.vecdot(r_new, r_new)
+            better = cost_new < cost[tried]
+            won = tried[better]
+            x[won], r[won], cost[won] = x_new[better], r_new[better], cost_new[better]
+            lam[won] = np.maximum(lam[won] / 3.0, 1e-14)
+            lam[rows[~ok]] *= 10.0  # a singular damped matrix counts as a rejected try
+            lam[tried[~better]] *= 10.0
+            accepted = searching[ok][better]
+            step[accepted] = solved[ok][better, :, 0]
+            searching = np.setdiff1d(searching, accepted, assume_unique=True)
+            if not searching.size:
                 break
-            lam *= 10.0
-        else:
-            break  # no acceptable step at any damping: stuck
-        if step is not None and float(np.linalg.norm(step)) <= _STEP_TOL:
-            break
-    residual_norm = float(np.sqrt(cost))
-    return EstimationResult(
-        alpha_hat=x[:m],
-        noise_var_hat=float(x[m]),
-        residual_norm=residual_norm,
-        iterations=n_iter,
-        converged=bool(residual_norm <= opts.tol),
-    )
+        # a problem stops when no damping lowered its cost in 64 tries or
+        # when its accepted step fell below the step tolerance
+        moving = ~(np.sqrt(np.vecdot(step, step)) <= _STEP_TOL)
+        moving[searching] = False
+        live = live[moving]
+    residual_norm = np.sqrt(cost)
+    return [
+        EstimationResult(
+            alpha_hat=x[i, :m].copy(),
+            noise_var_hat=float(x[i, m]),
+            residual_norm=float(residual_norm[i]),
+            iterations=int(iterations[i]),
+            converged=bool(residual_norm[i] <= opts.tol),
+        )
+        for i in range(len(problems))
+    ]
+
+
+def solve_channel(prob: IdentificationProblem, opts: SolverOptions = SolverOptions()) -> EstimationResult:
+    """Levenberg-Marquardt solve of one lag-equation system: solve_channels
+    of a one-problem batch."""
+    return solve_channels([prob], opts)[0]

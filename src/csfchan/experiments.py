@@ -33,7 +33,7 @@ from .channel import (
     attenuation_from_delay,
     sample_random_channel,
 )
-from .estimator import EstimationResult, IdentificationProblem, SolverOptions, solve_channel
+from .estimator import EstimationResult, IdentificationProblem, SolverOptions, solve_channels
 from .waveform import CsfParams, Waveform, authoritative_acf_table, encode_waveform, random_symbols
 
 __all__ = [
@@ -304,14 +304,28 @@ def _fig2_channel(section: dict) -> ChannelModel:
         raise ConfigError(f"fig2.delays {section['delays']!r}: {exc}") from None
 
 
-def identify_blind(received: Waveform, params: CsfParams, max_delay: int) -> EstimationResult:
-    """Full blind pipeline: measured ACF -> lag equations -> solved taps."""
-    measured = empirical_acf(received, max_delay)
+# blind problems per solve_channels call: bounds the solver's batch arrays,
+# so that a sweep's peak memory does not grow with its trial count
+_SOLVE_BLOCK = 128
+
+
+def _solve_blind(measured: list[AcfEstimate], params: CsfParams, max_delay: int) -> list[EstimationResult]:
+    """Blind solves of measured receive ACFs against one pulse-ACF table,
+    in blocks of at most _SOLVE_BLOCK problems."""
     table = authoritative_acf_table(params, max_lag=2 * max_delay)
-    prob = IdentificationProblem(r_rr=measured, r_xx=table, max_delay=max_delay)
     # empirical inputs never reach machine-precision residuals
     opts = SolverOptions(tol=1e-6 * table[0], max_iter=100)
-    return solve_channel(prob, opts)
+    problems = [IdentificationProblem(r_rr=acf, r_xx=table, max_delay=max_delay) for acf in measured]
+    return [
+        result
+        for start in range(0, len(problems), _SOLVE_BLOCK)
+        for result in solve_channels(problems[start : start + _SOLVE_BLOCK], opts)
+    ]
+
+
+def identify_blind(received: Waveform, params: CsfParams, max_delay: int) -> EstimationResult:
+    """Full blind pipeline: measured ACF -> lag equations -> solved taps."""
+    return _solve_blind([empirical_acf(received, max_delay)], params, max_delay)[0]
 
 
 def interior_peak_lags(values: np.ndarray) -> list[int]:
@@ -407,7 +421,8 @@ def run_fig2(cfg: dict) -> ExperimentResult:
 # ---------------------------------------------------------------------------
 
 def _length_trial(args: tuple) -> list[tuple[int, float, bool]]:
-    """One trial of the length sweep: same channel at every length."""
+    """One trial of the length sweep: same channel at every length, the
+    blind problems of all lengths solved as one batch."""
     cfg, trial = args
     params = _csf_params(cfg)
     section = cfg["sweep_length"]
@@ -419,15 +434,17 @@ def _length_trial(args: tuple) -> list[tuple[int, float, bool]]:
         seed=derive_seed(cfg["seed"], trial, 0),
     )
     truth = ch.tap_vector()
-    out = []
+    measured = []
     for li, n_sym in enumerate(section["lengths"]):
         stream = random_symbols(int(n_sym), seed=derive_seed(cfg["seed"], trial, 1, li))
         received = apply_multipath(encode_waveform(stream, params), ch)
         received, _ = add_awgn(received, float(section["snr_db"]), seed=derive_seed(cfg["seed"], trial, 2, li))
-        result = identify_blind(received, params, m)
-        err = float(np.sum((result.alpha_hat - truth) ** 2))
-        out.append((int(n_sym), err, result.converged))
-    return out
+        measured.append(empirical_acf(received, m))
+    results = _solve_blind(measured, params, m)
+    return [
+        (int(n_sym), float(np.sum((result.alpha_hat - truth) ** 2)), result.converged)
+        for n_sym, result in zip(section["lengths"], results)
+    ]
 
 
 def run_datalength_sweep(cfg: dict) -> ExperimentResult:
@@ -470,8 +487,11 @@ def run_datalength_sweep(cfg: dict) -> ExperimentResult:
 # MSE vs SNR, method comparison
 # ---------------------------------------------------------------------------
 
-def _snr_trial(args: tuple) -> dict[tuple[float, str], tuple[float, bool]]:
-    """One trial of the SNR sweep.
+def _snr_trial(args: tuple) -> tuple[dict[tuple[float, str], tuple[float, bool]], np.ndarray, list[AcfEstimate]]:
+    """One trial of the SNR sweep: the (error, flag) of each LS method per
+    (snr_db, method), the true taps, and the blind method's measured
+    receive ACF per SNR (none without blind_acf), which
+    _solve_snr_blind solves for the whole sweep.
 
     One channel and one symbol stream serve every method and SNR point;
     per-method noise seeds are fixed across SNR so only the noise scale
@@ -503,13 +523,11 @@ def _snr_trial(args: tuple) -> dict[tuple[float, str], tuple[float, bool]]:
         csf = encode_waveform(random_symbols(n_sym, seed=stream_seed), params)
         clean_csf = apply_multipath(csf, ch)
 
-    out = {}
+    out, measured = {}, []
     for method in methods:
         if method == "blind_acf":
-            for snr_db, (received, _) in zip(snr_list, add_awgn_sweep(clean_csf, snr_list, noise_seed)):
-                result = identify_blind(received, params, m)
-                err = float(np.sum((result.alpha_hat - truth) ** 2)) / path_count
-                out[(snr_db, method)] = (err, result.converged)
+            for received, _ in add_awgn_sweep(clean_csf, snr_list, noise_seed):
+                measured.append(empirical_acf(received, m))
             continue
         if method == "ls_gaussian":
             probe = gaussian_probe(n_sym, params.oversampling, seed=probe_seed)
@@ -519,13 +537,29 @@ def _snr_trial(args: tuple) -> dict[tuple[float, str], tuple[float, bool]]:
         for snr_db, est in zip(snr_list, estimates):
             err = float(np.sum((est.relative_taps() - truth) ** 2)) / path_count
             out[(snr_db, method)] = (err, not est.degenerate)
-    return out
+    return out, truth, measured
+
+
+def _solve_snr_blind(cfg: dict, per_trial: list) -> list[dict[tuple[float, str], tuple[float, bool]]]:
+    """Each trial's (error, flag) per (snr_db, method) from _snr_trial's
+    outputs, the blind problems of all trials and SNRs solved together."""
+    section = cfg["sweep_snr"]
+    measured = [acf for _, _, trial_acfs in per_trial for acf in trial_acfs]
+    results = iter(_solve_blind(measured, _csf_params(cfg), int(section["max_delay"])))
+    path_count = int(section["path_count"])
+    for out, truth, trial_acfs in per_trial:
+        for snr_db, _ in zip(section["snr_db_list"], trial_acfs):
+            result = next(results)
+            err = float(np.sum((result.alpha_hat - truth) ** 2)) / path_count
+            out[(float(snr_db), "blind_acf")] = (err, result.converged)
+    return [out for out, _, _ in per_trial]
 
 
 def run_snr_sweep(cfg: dict) -> ExperimentResult:
     _check_config(cfg, "sweep_snr")
     section, trials = cfg["sweep_snr"], cfg["trials"]
-    per_trial = _fan_out(_snr_trial, cfg, trials)
+    # the blind solves run here, after the trials, in the parent process
+    per_trial = _solve_snr_blind(cfg, _fan_out(_snr_trial, cfg, trials))
 
     rows = []
     mse_table: dict[str, dict[float, float]] = {}

@@ -1,11 +1,16 @@
 """Tap-recovery system: residuals, Jacobian, solver."""
 
+import dataclasses
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
+
+import csfchan.experiments
 
 from csfchan import (
     AcfEstimate,
@@ -24,7 +29,12 @@ from csfchan import (
     residual_jacobian,
     sample_random_channel,
     solve_channel,
+    solve_channels,
 )
+from csfchan.estimator import _DAMPING0, _STEP_TOL, _jacobian, _model_residuals
+from csfchan.experiments import _snr_trial, _solve_snr_blind, resolve_config
+
+REPO = Path(__file__).resolve().parents[1]
 
 PARAMS = CsfParams()
 M = 10
@@ -86,6 +96,69 @@ def loop_jacobian(alpha, noise_var, prob) -> np.ndarray:
             jac[k, j - 1] = T[k - j + 2 * m] + T[2 * m - k - j]
     jac[0, m] = 1.0
     return jac
+
+
+def loop_seed(prob) -> np.ndarray:
+    """The linearised seed (alpha, noise_var) of one problem."""
+    rxx0 = prob.r_xx[0]
+    alpha0 = np.maximum(0.0, prob.r_rr.values[1:] / rxx0)
+    nv0 = max(0.0, prob.r_rr.values[0] - rxx0 * (1.0 + float(np.sum(alpha0**2))))
+    return np.concatenate([alpha0, [nv0]])
+
+
+def loop_solve(prob, opts) -> EstimationResult:
+    """Levenberg-Marquardt as a scalar loop over one problem: the oracle
+    of the batched solve_channels, bit for bit."""
+    m = prob.max_delay
+    x = loop_seed(prob)
+    lam = _DAMPING0
+    r = build_residuals(x[:m], x[m], prob)
+    cost = float(r @ r)
+    n_iter = 0
+    for n_iter in range(1, opts.max_iter + 1):
+        if np.sqrt(cost) <= opts.tol:
+            break
+        jac = residual_jacobian(x[:m], x[m], prob)
+        grad = jac.T @ r
+        hess = jac.T @ jac
+        scale = np.diag(np.maximum(np.diag(hess), 1e-12))
+        step = None
+        for _ in range(64):
+            try:
+                step = np.linalg.solve(hess + lam * scale, -grad)
+            except np.linalg.LinAlgError:
+                lam *= 10.0
+                continue
+            x_new = x + step
+            r_new = build_residuals(x_new[:m], x_new[m], prob)
+            cost_new = float(r_new @ r_new)
+            if cost_new < cost:
+                x, r, cost = x_new, r_new, cost_new
+                lam = max(lam / 3.0, 1e-14)
+                break
+            lam *= 10.0
+        else:
+            break  # no acceptable step at any damping: stuck
+        if step is not None and float(np.linalg.norm(step)) <= _STEP_TOL:
+            break
+    residual_norm = float(np.sqrt(cost))
+    return EstimationResult(
+        alpha_hat=x[:m],
+        noise_var_hat=float(x[m]),
+        residual_norm=residual_norm,
+        iterations=n_iter,
+        converged=bool(residual_norm <= opts.tol),
+    )
+
+
+def assert_same_result(got: EstimationResult, expected: EstimationResult) -> None:
+    np.testing.assert_array_equal(got.alpha_hat, expected.alpha_hat)
+    assert (got.noise_var_hat, got.residual_norm, got.iterations, got.converged) == (
+        expected.noise_var_hat,
+        expected.residual_norm,
+        expected.iterations,
+        expected.converged,
+    )
 
 
 class TestProblemInvariants:
@@ -165,6 +238,15 @@ class TestLoopOracles:
         np.testing.assert_array_equal(
             residual_jacobian(alpha, noise_var, prob), loop_jacobian(alpha, noise_var, prob)
         )
+        # the batched forms the solver iterates with, row by row
+        alphas = np.stack([alpha, -alpha, 0.5 * alpha])
+        noise_vars = np.array([noise_var, 0.0, 2.0 * noise_var])
+        measured = np.stack([r_rr.values] * 3)
+        residuals = _model_residuals(alphas, noise_vars, prob.lag_weights, measured)
+        jacobians = _jacobian(alphas, prob.shifted_acf)
+        for row, (a, nv) in enumerate(zip(alphas, noise_vars)):
+            np.testing.assert_array_equal(residuals[row], loop_residuals(a, nv, prob))
+            np.testing.assert_array_equal(jacobians[row], loop_jacobian(a, nv, prob))
 
 
 class TestResidualJacobian:
@@ -285,3 +367,108 @@ class TestSolveChannel:
         )
         result = solve_channel(prob, SolverOptions(tol=1e-6 * table[0]))
         assert float(np.max(np.abs(result.alpha_hat - ch.tap_vector()))) <= 0.05
+
+
+@pytest.fixture(scope="module")
+def reference_solves():
+    """The blind problems of the reference sweep_snr config (seed 70, 100
+    trials x 5 SNRs, trial-major) and the options the sweep solves them
+    with, captured from the sweep's own solve_channels calls."""
+    cfg = resolve_config(yaml.safe_load((REPO / "configs/snr_sweep_full.yaml").read_text()))
+    cfg["sweep_snr"]["methods"] = ["blind_acf"]
+    calls = []
+
+    def recording(problems, opts):
+        calls.append((problems, opts))
+        return solve_channels(problems, opts)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(csfchan.experiments, "solve_channels", recording)
+        _solve_snr_blind(cfg, [_snr_trial((cfg, trial)) for trial in range(cfg["trials"])])
+    assert len({opts for _, opts in calls}) == 1
+    return [prob for problems, _ in calls for prob in problems], calls[0][1]
+
+
+# positions of the 6 stalled reference solves: trial 11 at every SNR,
+# trial 21 at 0 dB (see test_experiments.TestReferenceNonConvergence)
+STALLS = [55, 56, 57, 58, 59, 105]
+
+
+def singular_first_steps(prob, lam_below):
+    """np.linalg.solve, except that the damped matrix of prob's first
+    iteration is singular while its damping lam is below lam_below: in
+    the loop and for each member of a stacked solve alike.  The first
+    iteration's right side -grad identifies the member, and the damped
+    matrix holds 1 + lam on its noise diagonal, because the noise column
+    of the Jacobian is the unit vector at lag 0."""
+    m = prob.max_delay
+    x = loop_seed(prob)
+    jac = residual_jacobian(x[:m], x[m], prob)
+    poisoned = (-(jac.T @ build_residuals(x[:m], x[m], prob))).tobytes()
+    solve = np.linalg.solve
+
+    def patched(a, b):
+        matrices = np.reshape(a, (-1, m + 1, m + 1))
+        for matrix, rhs in zip(matrices, np.reshape(b, (len(matrices), m + 1))):
+            if rhs.tobytes() == poisoned and matrix[m, m] < 1.0 + lam_below:
+                raise np.linalg.LinAlgError("Singular matrix")
+        return solve(a, b)
+
+    return patched
+
+
+class TestSolveChannels:
+    """solve_channels against the scalar loop, all five result fields
+    array_equal: batches around the sweeps' block of 128, mixing members
+    that converge, stall ("stuck" and "step"), run out of max_iter and
+    meet a singular damped matrix."""
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        size=st.sampled_from([1, 127, 128, 129]),
+        max_iter=st.sampled_from([100, 26, 6]),
+        singular_below=st.sampled_from([0.05, math.inf]),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_matches_scalar_loop(self, reference_solves, size, max_iter, singular_below, seed):
+        problems, opts = reference_solves
+        opts = dataclasses.replace(opts, max_iter=max_iter)
+        rng = np.random.default_rng(seed)
+        picks = rng.choice(np.setdiff1d(np.arange(len(problems)), STALLS), size, replace=False)
+        if size > len(STALLS):
+            picks[rng.choice(size, len(STALLS), replace=False)] = STALLS
+        batch = [problems[i] for i in picks]
+        # one member singular at lam = 1e-3 and 1e-2 and then solved, or at
+        # all 64 tries of its first iteration, where it ends stuck
+        member = batch[rng.choice(np.flatnonzero(~np.isin(picks, STALLS)))]
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(np.linalg, "solve", singular_first_steps(member, singular_below))
+            expected = [loop_solve(prob, opts) for prob in batch]
+            got = solve_channels(batch, opts)
+        assert len(got) == size
+        for g, e in zip(got, expected):
+            assert_same_result(g, e)
+        if size > len(STALLS) and max_iter == 26:
+            # converged, stalled short of max_iter, and out of iterations
+            kinds = {(e.converged, e.iterations == max_iter) for e in expected}
+            assert {(True, False), (False, False), (False, True)} <= kinds
+
+    def test_reference_problems_match_scalar_loop(self, reference_solves):
+        problems, opts = reference_solves
+        assert len(problems) == 500
+        expected = [loop_solve(prob, opts) for prob in problems]
+        assert [i for i, e in enumerate(expected) if not e.converged] == STALLS
+        for block in range(0, len(problems), 128):
+            got = solve_channels(problems[block : block + 128], opts)
+            for g, e in zip(got, expected[block : block + 128]):
+                assert_same_result(g, e)
+
+    def test_problems_must_share_the_table(self):
+        prob = exact_problem(FIG2_CHANNEL, 0.1)
+        assert solve_channels([]) == []
+        other = IdentificationProblem(r_rr=prob.r_rr, r_xx=2.0 * prob.r_xx, max_delay=M)
+        with pytest.raises(ValueError, match="share r_xx and max_delay"):
+            solve_channels([prob, other])
+        short = exact_problem(ChannelModel(paths=((0, 1.0),), max_delay=M - 1), 0.1)
+        with pytest.raises(ValueError, match="share r_xx and max_delay"):
+            solve_channels([prob, short])

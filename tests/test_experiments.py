@@ -23,12 +23,13 @@ from csfchan.baselines import chaotic_probe_frame, gaussian_probe_frame, ls_esti
 from csfchan.acf import empirical_acf, predicted_rx_acf
 from csfchan.channel import ChannelModel, add_awgn, apply_multipath, attenuation_from_delay, sample_random_channel
 from csfchan.cli import main as cli_main
-from csfchan.estimator import solve_channel
+from csfchan.estimator import solve_channel, solve_channels
 from csfchan.experiments import (
     DEFAULT_CONFIG,
     ConfigError,
     _csf_params,
     _snr_trial,
+    _solve_snr_blind,
     derive_seed,
     expected_secondary_peaks,
     identify_blind,
@@ -275,7 +276,7 @@ class TestSnrTrialReuse:
         # (max relative difference 3.6e-13 over 60 trials)
         cfg = resolve_config({"seed": 5, "sweep_snr": {"symbols": 256}})
         for trial in range(3):
-            got, expected = _snr_trial((cfg, trial)), per_snr_trial(cfg, trial)
+            got, expected = _solve_snr_blind(cfg, [_snr_trial((cfg, trial))])[0], per_snr_trial(cfg, trial)
             assert got.keys() == expected.keys()
             for key, (err, flag) in got.items():
                 assert flag == expected[key][1]
@@ -307,18 +308,18 @@ class TestReferenceNonConvergence:
     def test_trials_11_and_21(self, monkeypatch):
         solves = []
 
-        def recording_solve(prob, opts):
-            result = solve_channel(prob, opts)
-            solves.append((prob, opts, result))
-            return result
+        def recording_solves(problems, opts):
+            results = solve_channels(problems, opts)
+            solves.extend((prob, opts, result) for prob, result in zip(problems, results))
+            return results
 
-        monkeypatch.setattr(csfchan.experiments, "solve_channel", recording_solve)
+        monkeypatch.setattr(csfchan.experiments, "solve_channels", recording_solves)
         cfg = resolve_config(yaml.safe_load((REPO / "configs/snr_sweep_full.yaml").read_text()))
         cfg["sweep_snr"]["methods"] = ["blind_acf"]
         snrs = cfg["sweep_snr"]["snr_db_list"]
         for trial in (11, 21):
             solves.clear()
-            flags = _snr_trial((cfg, trial))
+            flags = _solve_snr_blind(cfg, [_snr_trial((cfg, trial))])[0]
             assert len(solves) == len(snrs)
             for snr, (prob, opts, result) in zip(snrs, solves):
                 assert flags[(snr, "blind_acf")][1] == result.converged
@@ -339,6 +340,28 @@ class TestReferenceNonConvergence:
                     assert moved == 0.0
                 else:
                     assert 0.0 < moved <= 1e-12
+
+
+def test_reference_sweep_snr_solves_in_blocks(monkeypatch):
+    # the 500 blind problems of the reference sweep go to the solver in
+    # blocks of at most 128, never one frame at a time
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the sweep solves a frame on its own")
+
+    for module in [m for name, m in sys.modules.items() if name == "csfchan" or name.startswith("csfchan.")]:
+        for attr, value in list(vars(module).items()):
+            if value is solve_channel:
+                monkeypatch.setattr(module, attr, forbidden)
+    blocks = []
+
+    def recording_solves(problems, opts):
+        blocks.append(len(problems))
+        return solve_channels(problems, opts)
+
+    monkeypatch.setattr(csfchan.experiments, "solve_channels", recording_solves)
+    cfg = resolve_config(yaml.safe_load((REPO / "configs/snr_sweep_full.yaml").read_text()))
+    run_snr_sweep(cfg)
+    assert blocks == [128, 128, 128, 116]
 
 
 class TestTrialCount:
