@@ -40,24 +40,23 @@ __all__ = [
 class AcfEstimate:
     """ACF values on the contiguous integer-lag grid 0..max_lag."""
 
-    lags: np.ndarray
     values: np.ndarray
 
     def __post_init__(self):
-        lags = np.asarray(self.lags, dtype=int)
         values = np.asarray(self.values, dtype=float)
-        if lags.ndim != 1 or values.shape != lags.shape:
-            raise ValueError("lags and values must be matching 1-d arrays")
-        if lags[0] != 0 or np.any(np.diff(lags) != 1):
-            raise ValueError("lags must be contiguous from 0")
+        if values.ndim != 1 or not values.size:
+            raise ValueError("ACF values must be a nonempty 1-d array")
         if not np.all(np.isfinite(values)):
             raise ValueError("ACF values must be finite")
-        object.__setattr__(self, "lags", lags)
         object.__setattr__(self, "values", values)
 
     @property
+    def lags(self) -> np.ndarray:
+        return np.arange(len(self.values))
+
+    @property
     def max_lag(self) -> int:
-        return int(self.lags[-1])
+        return len(self.values) - 1
 
 
 def _pin_blas_to_one_thread() -> None:
@@ -150,7 +149,7 @@ def empirical_acf(wave: Waveform, max_lag: int) -> AcfEstimate:
     _check_acf_length(wave, max_lag)
     ns, x = wave.samples_per_symbol, wave.samples
     values = _lagged_products(x, x, range(0, max_lag * ns + 1, ns)) / len(x)
-    return AcfEstimate(lags=np.arange(max_lag + 1), values=values)
+    return AcfEstimate(values)
 
 
 def empirical_acf_trace(wave: Waveform, max_lag: int) -> tuple[np.ndarray, np.ndarray]:
@@ -212,7 +211,7 @@ def predicted_rx_acf(
     """
     m = ch.max_delay if max_lag is None else int(max_lag)
     table = authoritative_acf_table(params, max_lag=m + int(ch.delays[-1]))
-    return AcfEstimate(lags=np.arange(m + 1), values=_rx_model(ch, noise_var, table, m + 1, 1))
+    return AcfEstimate(_rx_model(ch, noise_var, table, m + 1, 1))
 
 
 def predicted_rx_acf_trace(

@@ -138,10 +138,13 @@ def awgn_law(wave: Waveform, snr_dbs, seed: int) -> tuple[np.ndarray | None, lis
 
     Returns the seeded standard-normal draw, one value per sample of wave,
     and the noise variance at each SNR, mean(wave**2) / 10**(snr_db/10);
-    None marks a noiseless entry (snr_db None or infinite).  The noise at
+    None marks a noiseless entry (snr_db None or +inf).  The noise at
     an SNR is sqrt(variance) * draw.  The draw is None, and nothing is
-    drawn, when every entry is noiseless.
+    drawn, when every entry is noiseless.  An snr_db of -inf, noise with
+    no signal, raises ValueError.
     """
+    if any(snr_db == -math.inf for snr_db in snr_dbs):
+        raise ValueError("snr_db must not be -inf")
     snrs = [None if snr_db is None or math.isinf(snr_db) else float(snr_db) for snr_db in snr_dbs]
     if all(snr_db is None for snr_db in snrs):
         return None, snrs

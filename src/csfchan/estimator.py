@@ -189,9 +189,8 @@ def solve_channels(
     converged=False means the residual norm stayed above opts.tol when
     the iteration stopped, for one of three reasons: no damping lowered
     the cost in 64 tries, the accepted step fell below 1e-12, or max_iter
-    ran out.  The first two mean the iterate sits at a local minimum with
-    a nonzero residual, where the measured ACF has no exact solution near
-    the seed; the taps are then a local least-squares fit, not a root.
+    ran out.  The result then holds the best iterate and its residual
+    norm.
 
     The problems must share r_xx and max_delay.  They iterate side by
     side along a leading batch axis, each through the float operations of

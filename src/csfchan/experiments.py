@@ -71,48 +71,6 @@ def derive_seed(base_seed: int, *indices: int) -> int:
     return state
 
 
-DEFAULT_CONFIG: dict = {
-    "experiment": "fig2",
-    "seed": 1,
-    "trials": 20,
-    "threads": 1,
-    "out": "results",
-    "csf": {
-        "beta": float(np.log(2.0)),
-        "oversampling": 16,
-    },
-    "fig2": {
-        "delays": [0, 2, 7],
-        "gamma": 0.6,
-        "max_delay": 10,
-        "symbols": 65536,
-        "snr_db": None,
-        "agreement_tol": 0.03,
-    },
-    "sweep_length": {
-        "lengths": [1024, 2048, 4096, 8192, 16384, 32768, 65536],
-        "snr_db": 10.0,
-        "path_count": 6,
-        "max_delay": 10,
-        "gamma_range": [0.3, 0.9],
-    },
-    "sweep_snr": {
-        "snr_db_list": [0.0, 5.0, 10.0, 15.0, 20.0],
-        "symbols": 1024,
-        "path_count": 6,
-        "max_delay": 10,
-        "gamma_range": [0.3, 0.9],
-        "methods": ["blind_acf", "ls_gaussian", "ls_chaos"],
-    },
-    "invariance": {
-        "streams": 10,
-        "symbols": 4096,
-        "max_lag": 10,
-        "include_all_ones": False,
-    },
-}
-
-
 def resolve_config(*layers: dict | None) -> dict:
     """Deep-merge user configuration layers, in order, over the defaults."""
     resolved = copy.deepcopy(DEFAULT_CONFIG)
@@ -160,8 +118,13 @@ def _is_count(value, low: int = 1) -> bool:
 
 
 def _is_real(value) -> bool:
-    # an infinite SNR is a noiseless frame; NaN is no SNR at all
+    # NaN is no number at all
     return isinstance(value, (int, float)) and not isinstance(value, bool) and not math.isnan(value)
+
+
+def _is_snr(value) -> bool:
+    # +inf is a noiseless frame; -inf would be noise with no signal
+    return _is_real(value) and value > -math.inf
 
 
 def _is_positive(value) -> bool:
@@ -172,53 +135,62 @@ def _is_gamma_range(g) -> bool:
     return isinstance(g, (list, tuple)) and len(g) == 2 and all(map(_is_positive, g)) and g[0] <= g[1]
 
 
-# per config section, "" for the top level: each key, the test of each
-# entry, what the entries must be, and whether the key holds a nonempty
-# list of them
-_SECTION_KEYS = {
+# Every config key, per section ("" for the top level), in the order of
+# DEFAULT_CONFIG: the key, its default, the test of its value (of each
+# entry, when the key holds a nonempty list), what the value must be, and
+# whether the key holds such a list.  A key whose check reads something
+# else has the test None, and its words say where it is checked.
+_CONFIG_KEYS = {
     "": (
-        ("seed", _is_int, "an integer", False),
-        ("trials", _is_count, "an integer >= 1", False),
-        ("threads", _is_count, "an integer >= 1", False),
-        ("out", lambda out: isinstance(out, str), "a string", False),
+        ("experiment", "fig2", None, "the command being run, checked by the CLI", False),
+        ("seed", 1, _is_int, "an integer", False),
+        ("trials", 20, _is_count, "an integer >= 1", False),
+        ("threads", 1, _is_count, "an integer >= 1", False),
+        ("out", "results", lambda out: isinstance(out, str), "a string", False),
     ),
     "csf": (
-        ("beta", _is_real, "a number", False),
-        ("oversampling", _is_count, "an integer", False),
+        ("beta", float(np.log(2.0)), _is_real, "a number", False),
+        ("oversampling", 16, _is_count, "an integer", False),
     ),
     "fig2": (
-        ("delays", lambda d: _is_count(d, 0), "nonnegative integers", True),
-        ("gamma", _is_positive, "a positive number", False),
-        ("max_delay", _is_count, "a positive integer", False),
-        ("symbols", _is_count, "a positive integer", False),
-        ("snr_db", lambda snr: snr is None or _is_real(snr), "a number or null", False),
-        ("agreement_tol", lambda tol: _is_real(tol) and tol >= 0, "a nonnegative number", False),
+        ("delays", [0, 2, 7], lambda d: _is_count(d, 0), "nonnegative integers", True),
+        ("gamma", 0.6, _is_positive, "a positive number", False),
+        ("max_delay", 10, _is_count, "a positive integer", False),
+        ("symbols", 65536, _is_count, "a positive integer", False),
+        ("snr_db", None, lambda snr: snr is None or _is_snr(snr), "a number or null", False),
+        ("agreement_tol", 0.03, lambda tol: _is_real(tol) and tol >= 0, "a nonnegative number", False),
     ),
     "sweep_length": (
-        ("lengths", _is_count, "positive integers", True),
-        ("snr_db", _is_real, "a number", False),
-        ("max_delay", _is_count, "a positive integer", False),
-        ("gamma_range", _is_gamma_range, "[low, high] with 0 < low <= high", False),
+        ("lengths", [1024, 2048, 4096, 8192, 16384, 32768, 65536], _is_count, "positive integers", True),
+        ("snr_db", 10.0, _is_snr, "a number", False),
+        ("path_count", 6, None, "in 1..max_delay+1, checked by _check_config", False),
+        ("max_delay", 10, _is_count, "a positive integer", False),
+        ("gamma_range", [0.3, 0.9], _is_gamma_range, "[low, high] with 0 < low <= high", False),
     ),
     "sweep_snr": (
-        ("snr_db_list", _is_real, "numbers", True),
-        ("symbols", _is_count, "a positive integer", False),
-        ("methods", lambda meth: isinstance(meth, str), "method names", True),
-        ("max_delay", _is_count, "a positive integer", False),
-        ("gamma_range", _is_gamma_range, "[low, high] with 0 < low <= high", False),
+        ("snr_db_list", [0.0, 5.0, 10.0, 15.0, 20.0], _is_snr, "numbers", True),
+        ("symbols", 1024, _is_count, "a positive integer", False),
+        ("path_count", 6, None, "in 1..max_delay+1, checked by _check_config", False),
+        ("max_delay", 10, _is_count, "a positive integer", False),
+        ("gamma_range", [0.3, 0.9], _is_gamma_range, "[low, high] with 0 < low <= high", False),
+        ("methods", list(_SNR_METHODS), lambda meth: isinstance(meth, str), "method names", True),
     ),
     "invariance": (
-        ("streams", lambda n: _is_count(n, 2), "an integer >= 2", False),
-        ("symbols", _is_count, "a positive integer", False),
-        ("max_lag", _is_count, "a positive integer", False),
-        ("include_all_ones", lambda flag: isinstance(flag, bool), "true or false", False),
+        ("streams", 10, lambda n: _is_count(n, 2), "an integer >= 2", False),
+        ("symbols", 4096, _is_count, "a positive integer", False),
+        ("max_lag", 10, _is_count, "a positive integer", False),
+        ("include_all_ones", False, lambda flag: isinstance(flag, bool), "true or false", False),
     ),
+}
+
+DEFAULT_CONFIG: dict = {key: default for key, default, *_ in _CONFIG_KEYS[""]} | {
+    name: {key: default for key, default, *_ in keys} for name, keys in _CONFIG_KEYS.items() if name
 }
 
 
 def _check_config(cfg: dict, name: str) -> None:
     """Reject an experiment config that cannot run, before any work: a
-    top-level, csf or experiment key that fails its test above, CSF
+    top-level, csf or experiment key that fails its test in _CONFIG_KEYS, CSF
     parameters that CsfParams refuses, an unknown method, a path count
     outside 1..max_delay+1 (the main path plus one echo per delay slot),
     fig2 delays that are not 0 followed by increasing echo delays up to
@@ -226,8 +198,10 @@ def _check_config(cfg: dict, name: str) -> None:
     section = cfg[name]
     for where in ("", "csf", name):
         values, prefix = (cfg[where], f"{where}.") if where else (cfg, "")
-        for key, valid, what, is_list in _SECTION_KEYS[where]:
+        for key, _, valid, what, is_list in _CONFIG_KEYS[where]:
             value = values[key]
+            if valid is None:
+                continue
             if is_list and isinstance(value, (list, tuple)):
                 if not value:
                     raise ConfigError(f"{prefix}{key} must not be empty")
@@ -368,7 +342,7 @@ def run_fig2(cfg: dict) -> ExperimentResult:
     grid, emp_trace = empirical_acf_trace(received, max_lag)
     _, pred_trace = predicted_rx_acf_trace(ch, noise_var, params, max_lag)
     # the integer lags are every Ns-th lag of the trace, bit for bit
-    emp_int = AcfEstimate(lags=np.arange(max_lag + 1), values=emp_trace[:: params.oversampling])
+    emp_int = AcfEstimate(emp_trace[:: params.oversampling])
     pred_int = predicted_rx_acf(ch, noise_var, params, max_lag)
 
     predicted_peaks = interior_peak_lags(pred_int.values)
@@ -422,7 +396,14 @@ def run_fig2(cfg: dict) -> ExperimentResult:
 
 def _length_trial(args: tuple) -> list[tuple[int, float, bool]]:
     """One trial of the length sweep: same channel at every length, the
-    blind problems of all lengths solved as one batch."""
+    blind problems of all lengths solved as one batch.
+
+    The SNR sweep solves after its trials, in blocks across them; this
+    sweep solves inside the trial because its frames reach 8 MB: measured
+    ACFs kept for a solve after the trials sit between the freed frame
+    buffers on the heap, which raised the reference config's peak RSS
+    from 99.6 to 107.7 MB.
+    """
     cfg, trial = args
     params = _csf_params(cfg)
     section = cfg["sweep_length"]

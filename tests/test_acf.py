@@ -68,13 +68,9 @@ def edge_bias(ch: ChannelModel, n_symbols: int, value: float) -> float:
 
 
 class TestAcfEstimateInvariants:
-    def test_lags_must_be_contiguous(self):
-        with pytest.raises(ValueError):
-            AcfEstimate(lags=np.array([0, 2]), values=np.zeros(2))
-
     def test_values_must_be_finite(self):
         with pytest.raises(ValueError):
-            AcfEstimate(lags=np.array([0, 1]), values=np.array([1.0, np.inf]))
+            AcfEstimate(values=np.array([1.0, np.inf]))
 
 
 class TestEmpiricalAcf:

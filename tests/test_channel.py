@@ -21,7 +21,7 @@ from csfchan import (
     sample_random_channel,
     theoretical_acf,
 )
-from csfchan.channel import _BLOCK
+from csfchan.channel import _BLOCK, awgn_law
 
 PARAMS = CsfParams()
 
@@ -178,6 +178,12 @@ class TestAddAwgn:
             out, sigma2 = add_awgn(wave, snr, seed=1)
             np.testing.assert_array_equal(out.samples, wave.samples)
             assert sigma2 == 0.0
+
+    def test_minus_inf_snr_refused(self):
+        # -inf dB is noise with no signal, not the noiseless frame of +inf
+        wave = Waveform(np.ones(64), 16)
+        with pytest.raises(ValueError, match="-inf"):
+            awgn_law(wave, [0.0, -math.inf], seed=1)
 
     def test_deterministic_for_seed(self):
         wave = Waveform(np.ones(512), 16)

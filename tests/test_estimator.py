@@ -228,7 +228,7 @@ class TestLoopOracles:
         lags = np.arange(2 * m + 1)
         r_xx = rng.uniform(0.1, 2.0) * np.exp(-decay * lags) * rng.uniform(-1.0, 1.0, size=lags.size)
         r_xx[0] = abs(r_xx[0]) + 0.1
-        r_rr = AcfEstimate(lags=np.arange(m + 1), values=rng.normal(size=m + 1))
+        r_rr = AcfEstimate(rng.normal(size=m + 1))
         prob = IdentificationProblem(r_rr=r_rr, r_xx=r_xx, max_delay=m)
         alpha = rng.uniform(-1.0, 1.0, size=m)
         noise_var = float(rng.uniform(0.0, 2.0))
@@ -322,7 +322,7 @@ class TestSolveChannel:
         from csfchan import AcfEstimate
 
         prob2 = IdentificationProblem(
-            r_rr=AcfEstimate(lags=prob.r_rr.lags, values=bumped_rr),
+            r_rr=AcfEstimate(bumped_rr),
             r_xx=prob.r_xx,
             max_delay=M,
         )
@@ -336,7 +336,7 @@ class TestSolveChannel:
         from csfchan import AcfEstimate
 
         prob = IdentificationProblem(
-            r_rr=AcfEstimate(lags=bad.lags, values=bad.values + 0.5),
+            r_rr=AcfEstimate(bad.values + 0.5),
             r_xx=authoritative_acf_table(PARAMS, max_lag=2 * M),
             max_delay=M,
         )

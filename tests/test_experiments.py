@@ -289,9 +289,10 @@ class TestSnrTrialReuse:
 class TestReferenceNonConvergence:
     """The blind solves of the reference sweep_snr config (seed 70, 500
     solves) that end with converged=False: trial 11 at every SNR and
-    trial 21 at 0 dB.  Each stops well short of max_iter with a residual
-    hundreds to thousands of times the tolerance, because near the seed
-    the measured ACF has no exact solution; the taps are the best iterate."""
+    trial 21 at 0 dB.  Each stops well short of max_iter, because no
+    damping lowers the cost or the accepted step falls below the step
+    tolerance, with a residual hundreds to thousands of times the
+    tolerance; the taps are the best iterate."""
 
     # (trial, snr_db): iterations, residual norm, and how the solve stopped:
     # "stuck" when no damping lowers the cost, "step" when the accepted
@@ -484,6 +485,17 @@ BAD_CONFIGS += [
     )
 ]
 
+BAD_CONFIGS += [  # -inf dB is noise with no signal; +inf, a noiseless frame, runs
+    pytest.param("fig2", "fig2.snr_db=-.inf", "fig2.snr_db must be a number or null, got -inf", id="fig2-snr-minus-inf"),
+    pytest.param(
+        "sweep-length", "sweep_length.snr_db=-.inf", "sweep_length.snr_db must be a number, got -inf", id="length-minus-inf"
+    ),
+    pytest.param(
+        "sweep-snr", "sweep_snr.snr_db_list=[-.inf, 0]", "sweep_snr.snr_db_list must be numbers, got [-inf, 0]",
+        id="snr-minus-inf",
+    ),
+]
+
 
 class TestSweepConfig:
     RUNNERS = {
@@ -517,6 +529,31 @@ class TestSweepConfig:
         assert message in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+
+LEAF_KEYS = [
+    leaf
+    for name, value in DEFAULT_CONFIG.items()
+    for leaf in ([f"{name}.{key}" for key in value] if isinstance(value, dict) else [name])
+]
+
+
+@pytest.mark.parametrize("key", LEAF_KEYS)
+def test_every_key_refuses_a_bad_value(tmp_path, capsys, monkeypatch, key):
+    # a bool where the key takes something else, 1 where it takes a bool,
+    # under a command that reads the key's section (fig2 reads the top
+    # level and csf like every command)
+    def no_work(*args):
+        raise AssertionError("work ran")
+
+    monkeypatch.setattr(csfchan.experiments, "_fan_out", no_work)
+    monkeypatch.setattr(csfchan.experiments, "encode_waveform", no_work)
+    command = key.partition(".")[0].replace("_", "-")
+    command = command if command in csfchan.cli._RUNNERS else "fig2"
+    value = "1" if key == "invariance.include_all_ones" else "true"
+    code = cli_main([command, "--trials", "1", "--set", f"{key}={value}", "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert f"invalid configuration: {key} " in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 class TestFrameLength:
     """The frame check is the test empirical_acf makes: more than
