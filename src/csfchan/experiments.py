@@ -191,10 +191,10 @@ DEFAULT_CONFIG: dict = {key: default for key, default, *_ in _CONFIG_KEYS[""]} |
 def _check_config(cfg: dict, name: str) -> None:
     """Reject an experiment config that cannot run, before any work: a
     top-level, csf or experiment key that fails its test in _CONFIG_KEYS, CSF
-    parameters that CsfParams refuses, an unknown method, a path count
-    outside 1..max_delay+1 (the main path plus one echo per delay slot),
-    fig2 delays that are not 0 followed by increasing echo delays up to
-    max_delay, or a frame too short for its ACF (_check_frame)."""
+    parameters that CsfParams refuses, an unknown or repeated method, a
+    path count outside 1..max_delay+1 (the main path plus one echo per delay
+    slot), fig2 delays that are not 0 followed by increasing echo delays up
+    to max_delay, or a frame too short for its ACF (_check_frame)."""
     section = cfg[name]
     for where in ("", "csf", name):
         values, prefix = (cfg[where], f"{where}.") if where else (cfg, "")
@@ -218,16 +218,20 @@ def _check_config(cfg: dict, name: str) -> None:
     if name not in ("sweep_length", "sweep_snr"):
         return
     # the sweeps draw a random channel per trial
-    unknown = [meth for meth in section.get("methods", ()) if meth not in _SNR_METHODS]
+    methods = section.get("methods", [])
+    unknown = [meth for meth in methods if meth not in _SNR_METHODS]
     if unknown:
         raise ConfigError(f"{name}.methods: unknown {unknown}, expected a subset of {list(_SNR_METHODS)}")
+    repeated = sorted({meth for meth in methods if methods.count(meth) > 1})
+    if repeated:
+        raise ConfigError(f"{name}.methods: repeated {repeated}, name each method once")
     paths, m = section["path_count"], section["max_delay"]
     if not (_is_count(paths) and paths <= m + 1):
         raise ConfigError(f"{name}.path_count must lie in 1..max_delay+1 = 1..{m + 1}, got {paths!r}")
     # the largest of path_count - 1 distinct echo delays is at least path_count - 1
     if name == "sweep_length":
         _check_frame(name, section, "lengths", "max_delay", tail + paths - 1)
-    elif "blind_acf" in section["methods"]:  # the LS baselines take no ACF
+    elif "blind_acf" in methods:  # the LS baselines take no ACF
         _check_frame(name, section, "symbols", "max_delay", tail + paths - 1)
 
 
@@ -294,6 +298,29 @@ def _solve_blind(measured: list[AcfEstimate], params: CsfParams, max_delay: int)
         result
         for start in range(0, len(problems), _SOLVE_BLOCK)
         for result in solve_channels(problems[start : start + _SOLVE_BLOCK], opts)
+    ]
+
+
+def _trial_channel(cfg: dict, name: str, trial: int) -> ChannelModel:
+    """The random channel of one sweep trial, shared by all its points and methods."""
+    section = cfg[name]
+    return sample_random_channel(
+        max_delay=int(section["max_delay"]),
+        gamma_range=tuple(section["gamma_range"]),
+        path_count=int(section["path_count"]),
+        seed=derive_seed(cfg["seed"], trial, 0),
+    )
+
+
+def _solve_trials(cfg: dict, name: str, per_trial: list) -> list[list[tuple[float, bool]]]:
+    """Per sweep trial, given as (true taps, measured ACF rows, ...), the
+    squared tap error and converged flag of each row; the rows of all
+    trials are solved together, in trial order."""
+    measured = [AcfEstimate(row) for _, acfs, *_ in per_trial for row in acfs]
+    results = iter(_solve_blind(measured, _csf_params(cfg), int(cfg[name]["max_delay"])))
+    return [
+        [(float(np.sum((result.alpha_hat - truth) ** 2)), result.converged) for _, result in zip(acfs, results)]
+        for truth, acfs, *_ in per_trial
     ]
 
 
@@ -394,63 +421,49 @@ def run_fig2(cfg: dict) -> ExperimentResult:
 # MSE vs data length
 # ---------------------------------------------------------------------------
 
-def _length_trial(args: tuple) -> list[tuple[int, float, bool]]:
-    """One trial of the length sweep: same channel at every length, the
-    blind problems of all lengths solved as one batch.
+def _length_trial(args: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """One trial of the length sweep: the true taps and the measured
+    receive ACF per length, the same channel at every length.
 
-    The SNR sweep solves after its trials, in blocks across them; this
-    sweep solves inside the trial because its frames reach 8 MB: measured
-    ACFs kept for a solve after the trials sit between the freed frame
-    buffers on the heap, which raised the reference config's peak RSS
-    from 99.6 to 107.7 MB.
+    The frames run longest first, and their ACFs go into one array
+    allocated before the first frame.  The received frame's size follows
+    the channel's last delay, so with the shortest frame first the freed
+    8 MB frame buffers left holes on the heap that some later trial's
+    buffers did not fit: the reference config's peak RSS then read
+    107.7 MB instead of 99.6 MB at 14 of 30 seeds.  Longest first, it
+    read 95.3-95.8 MB at all of 72; one ACF array per length made it vary
+    again (95.5-103.7 MB).
     """
     cfg, trial = args
     params = _csf_params(cfg)
     section = cfg["sweep_length"]
     m = int(section["max_delay"])
-    ch = sample_random_channel(
-        max_delay=m,
-        gamma_range=tuple(section["gamma_range"]),
-        path_count=int(section["path_count"]),
-        seed=derive_seed(cfg["seed"], trial, 0),
-    )
-    truth = ch.tap_vector()
-    measured = []
-    for li, n_sym in enumerate(section["lengths"]):
-        stream = random_symbols(int(n_sym), seed=derive_seed(cfg["seed"], trial, 1, li))
+    lengths = [int(n_sym) for n_sym in section["lengths"]]
+    acfs = np.empty((len(lengths), m + 1))
+    ch = _trial_channel(cfg, "sweep_length", trial)
+    for li in sorted(range(len(lengths)), key=lengths.__getitem__, reverse=True):
+        stream = random_symbols(lengths[li], seed=derive_seed(cfg["seed"], trial, 1, li))
         received = apply_multipath(encode_waveform(stream, params), ch)
         received, _ = add_awgn(received, float(section["snr_db"]), seed=derive_seed(cfg["seed"], trial, 2, li))
-        measured.append(empirical_acf(received, m))
-    results = _solve_blind(measured, params, m)
-    return [
-        (int(n_sym), float(np.sum((result.alpha_hat - truth) ** 2)), result.converged)
-        for n_sym, result in zip(section["lengths"], results)
-    ]
+        acfs[li] = empirical_acf(received, m).values
+    return ch.tap_vector(), acfs
 
 
 def run_datalength_sweep(cfg: dict) -> ExperimentResult:
     _check_config(cfg, "sweep_length")
     section, trials = cfg["sweep_length"], cfg["trials"]
-    per_trial = _fan_out(_length_trial, cfg, trials)
+    per_trial = _solve_trials(cfg, "sweep_length", _fan_out(_length_trial, cfg, trials))
 
     path_count = int(section["path_count"])
     ns = int(cfg["csf"]["oversampling"])
     rows = []
     mses = {}
     for li, n_sym in enumerate(section["lengths"]):
-        errs = [per_trial[t][li][1] for t in range(trials)]
-        conv = [per_trial[t][li][2] for t in range(trials)]
+        errs = [per_trial[t][li][0] for t in range(trials)]
+        conv = [per_trial[t][li][1] for t in range(trials)]
         mse_val = float(np.mean(errs)) / path_count
         mses[int(n_sym)] = mse_val
-        rows.append(
-            (
-                int(n_sym),
-                int(n_sym) * ns,
-                trials,
-                mse_val,
-                float(np.mean(conv)),
-            )
-        )
+        rows.append((int(n_sym), int(n_sym) * ns, trials, mse_val, float(np.mean(conv))))
     summary = {
         "snr_db": float(section["snr_db"]),
         "path_count": path_count,
@@ -468,11 +481,10 @@ def run_datalength_sweep(cfg: dict) -> ExperimentResult:
 # MSE vs SNR, method comparison
 # ---------------------------------------------------------------------------
 
-def _snr_trial(args: tuple) -> tuple[dict[tuple[float, str], tuple[float, bool]], np.ndarray, list[AcfEstimate]]:
-    """One trial of the SNR sweep: the (error, flag) of each LS method per
-    (snr_db, method), the true taps, and the blind method's measured
-    receive ACF per SNR (none without blind_acf), which
-    _solve_snr_blind solves for the whole sweep.
+def _snr_trial(args: tuple) -> tuple[np.ndarray, np.ndarray, dict[tuple[float, str], tuple[float, bool]]]:
+    """One trial of the SNR sweep: the true taps, the blind method's
+    measured receive ACF per SNR (no rows without blind_acf), and the
+    (error, flag) of each LS method per (snr_db, method).
 
     One channel and one symbol stream serve every method and SNR point;
     per-method noise seeds are fixed across SNR so only the noise scale
@@ -486,12 +498,9 @@ def _snr_trial(args: tuple) -> tuple[dict[tuple[float, str], tuple[float, bool]]
     m = int(section["max_delay"])
     n_sym = int(section["symbols"])
     snr_list = [float(s) for s in section["snr_db_list"]]
-    ch = sample_random_channel(
-        max_delay=m,
-        gamma_range=tuple(section["gamma_range"]),
-        path_count=int(section["path_count"]),
-        seed=derive_seed(cfg["seed"], trial, 0),
-    )
+    methods = list(section["methods"])
+    acfs = np.empty((len(snr_list) if "blind_acf" in methods else 0, m + 1))
+    ch = _trial_channel(cfg, "sweep_snr", trial)
     truth = ch.tap_vector()
     path_count = int(section["path_count"])
 
@@ -499,16 +508,15 @@ def _snr_trial(args: tuple) -> tuple[dict[tuple[float, str], tuple[float, bool]]
     noise_seed = derive_seed(cfg["seed"], trial, 2)
     probe_seed = derive_seed(cfg["seed"], trial, 3)
 
-    methods = list(section["methods"])
     if "blind_acf" in methods or "ls_chaos" in methods:
         csf = encode_waveform(random_symbols(n_sym, seed=stream_seed), params)
         clean_csf = apply_multipath(csf, ch)
 
-    out, measured = {}, []
+    out = {}
     for method in methods:
         if method == "blind_acf":
-            for received, _ in add_awgn_sweep(clean_csf, snr_list, noise_seed):
-                measured.append(empirical_acf(received, m))
+            for si, (received, _) in enumerate(add_awgn_sweep(clean_csf, snr_list, noise_seed)):
+                acfs[si] = empirical_acf(received, m).values
             continue
         if method == "ls_gaussian":
             probe = gaussian_probe(n_sym, params.oversampling, seed=probe_seed)
@@ -518,33 +526,23 @@ def _snr_trial(args: tuple) -> tuple[dict[tuple[float, str], tuple[float, bool]]
         for snr_db, est in zip(snr_list, estimates):
             err = float(np.sum((est.relative_taps() - truth) ** 2)) / path_count
             out[(snr_db, method)] = (err, not est.degenerate)
-    return out, truth, measured
-
-
-def _solve_snr_blind(cfg: dict, per_trial: list) -> list[dict[tuple[float, str], tuple[float, bool]]]:
-    """Each trial's (error, flag) per (snr_db, method) from _snr_trial's
-    outputs, the blind problems of all trials and SNRs solved together."""
-    section = cfg["sweep_snr"]
-    measured = [acf for _, _, trial_acfs in per_trial for acf in trial_acfs]
-    results = iter(_solve_blind(measured, _csf_params(cfg), int(section["max_delay"])))
-    path_count = int(section["path_count"])
-    for out, truth, trial_acfs in per_trial:
-        for snr_db, _ in zip(section["snr_db_list"], trial_acfs):
-            result = next(results)
-            err = float(np.sum((result.alpha_hat - truth) ** 2)) / path_count
-            out[(float(snr_db), "blind_acf")] = (err, result.converged)
-    return [out for out, _, _ in per_trial]
+    return truth, acfs, out
 
 
 def run_snr_sweep(cfg: dict) -> ExperimentResult:
     _check_config(cfg, "sweep_snr")
     section, trials = cfg["sweep_snr"], cfg["trials"]
-    # the blind solves run here, after the trials, in the parent process
-    per_trial = _solve_snr_blind(cfg, _fan_out(_snr_trial, cfg, trials))
+    outputs = _fan_out(_snr_trial, cfg, trials)
+    per_trial = [out for _, _, out in outputs]
+    snr_list = [float(s) for s in section["snr_db_list"]]
+    path_count = int(section["path_count"])
+    for out, blind in zip(per_trial, _solve_trials(cfg, "sweep_snr", outputs)):
+        for snr_db, (err, flag) in zip(snr_list, blind):
+            out[(snr_db, "blind_acf")] = (err / path_count, flag)
 
     rows = []
     mse_table: dict[str, dict[float, float]] = {}
-    for snr_db in [float(s) for s in section["snr_db_list"]]:
+    for snr_db in snr_list:
         for method in section["methods"]:
             errs = [per_trial[t][(snr_db, method)][0] for t in range(trials)]
             conv = [per_trial[t][(snr_db, method)][1] for t in range(trials)]

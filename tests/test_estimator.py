@@ -32,7 +32,7 @@ from csfchan import (
     solve_channels,
 )
 from csfchan.estimator import _DAMPING0, _STEP_TOL, _jacobian, _model_residuals
-from csfchan.experiments import _snr_trial, _solve_snr_blind, resolve_config
+from csfchan.experiments import _snr_trial, _solve_trials, resolve_config
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -384,7 +384,7 @@ def reference_solves():
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(csfchan.experiments, "solve_channels", recording)
-        _solve_snr_blind(cfg, [_snr_trial((cfg, trial)) for trial in range(cfg["trials"])])
+        _solve_trials(cfg, "sweep_snr", [_snr_trial((cfg, trial)) for trial in range(cfg["trials"])])
     assert len({opts for _, opts in calls}) == 1
     return [prob for problems, _ in calls for prob in problems], calls[0][1]
 

@@ -29,7 +29,7 @@ from csfchan.experiments import (
     ConfigError,
     _csf_params,
     _snr_trial,
-    _solve_snr_blind,
+    _solve_trials,
     derive_seed,
     expected_secondary_peaks,
     identify_blind,
@@ -269,6 +269,16 @@ def per_snr_trial(cfg, trial):
     return out
 
 
+def snr_trial_errors(cfg, trial):
+    """_snr_trial's (error, flag) per (snr_db, method), its blind rows
+    solved through _solve_trials as run_snr_sweep solves them."""
+    truth, acfs, out = _snr_trial((cfg, trial))
+    (blind,) = _solve_trials(cfg, "sweep_snr", [(truth, acfs, out)])
+    for snr_db, (err, flag) in zip(cfg["sweep_snr"]["snr_db_list"], blind):
+        out[(float(snr_db), "blind_acf")] = (err / cfg["sweep_snr"]["path_count"], flag)
+    return out
+
+
 class TestSnrTrialReuse:
     def test_matches_per_snr_oracle(self):
         # the blind path and every flag are bit-identical; the LS errors come
@@ -276,7 +286,7 @@ class TestSnrTrialReuse:
         # (max relative difference 3.6e-13 over 60 trials)
         cfg = resolve_config({"seed": 5, "sweep_snr": {"symbols": 256}})
         for trial in range(3):
-            got, expected = _solve_snr_blind(cfg, [_snr_trial((cfg, trial))])[0], per_snr_trial(cfg, trial)
+            got, expected = snr_trial_errors(cfg, trial), per_snr_trial(cfg, trial)
             assert got.keys() == expected.keys()
             for key, (err, flag) in got.items():
                 assert flag == expected[key][1]
@@ -320,7 +330,7 @@ class TestReferenceNonConvergence:
         snrs = cfg["sweep_snr"]["snr_db_list"]
         for trial in (11, 21):
             solves.clear()
-            flags = _solve_snr_blind(cfg, [_snr_trial((cfg, trial))])[0]
+            flags = snr_trial_errors(cfg, trial)
             assert len(solves) == len(snrs)
             for snr, (prob, opts, result) in zip(snrs, solves):
                 assert flags[(snr, "blind_acf")][1] == result.converged
@@ -343,9 +353,11 @@ class TestReferenceNonConvergence:
                     assert 0.0 < moved <= 1e-12
 
 
-def test_reference_sweep_snr_solves_in_blocks(monkeypatch):
-    # the 500 blind problems of the reference sweep go to the solver in
-    # blocks of at most 128, never one frame at a time
+def recorded_blocks(monkeypatch) -> list:
+    """The sizes of the batches the experiments hand to solve_channels,
+    filled in as they run; solve_channel called anywhere in the package
+    fails the test."""
+
     def forbidden(*args, **kwargs):
         raise AssertionError("the sweep solves a frame on its own")
 
@@ -360,9 +372,41 @@ def test_reference_sweep_snr_solves_in_blocks(monkeypatch):
         return solve_channels(problems, opts)
 
     monkeypatch.setattr(csfchan.experiments, "solve_channels", recording_solves)
+    return blocks
+
+
+def test_reference_sweep_snr_solves_in_blocks(monkeypatch):
+    # the 500 blind problems of the reference sweep go to the solver in
+    # blocks of at most 128, never one frame at a time
+    blocks = recorded_blocks(monkeypatch)
     cfg = resolve_config(yaml.safe_load((REPO / "configs/snr_sweep_full.yaml").read_text()))
     run_snr_sweep(cfg)
     assert blocks == [128, 128, 128, 116]
+
+
+def test_reference_sweep_length_solves_in_blocks(monkeypatch):
+    # the 140 blind problems (20 trials x 7 lengths) are solved after the
+    # trials, across them, in the same blocks as the SNR sweep's
+    blocks = recorded_blocks(monkeypatch)
+    cfg = resolve_config(yaml.safe_load((REPO / "configs/length_sweep.yaml").read_text()))
+    run_datalength_sweep(cfg)
+    assert blocks == [128, 12]
+
+
+def test_length_trial_runs_longest_frame_first(monkeypatch):
+    # longest first keeps the sweep's peak RSS independent of the seed;
+    # the rows and the derived seeds stay those of the config's order
+    frames = []
+
+    def recording_symbols(n, seed):
+        frames.append(n)
+        return random_symbols(n, seed)
+
+    cfg = resolve_config({"sweep_length": {"lengths": [256, 1024, 512], "max_delay": 4, "path_count": 3}})
+    acfs = csfchan.experiments._length_trial((cfg, 0))[1]
+    monkeypatch.setattr(csfchan.experiments, "random_symbols", recording_symbols)
+    assert np.array_equal(csfchan.experiments._length_trial((cfg, 0))[1], acfs)
+    assert frames == [1024, 512, 256]
 
 
 class TestTrialCount:
@@ -384,6 +428,12 @@ class TestTrialCount:
 
 BAD_CONFIGS = [
     pytest.param("sweep-snr", "sweep_snr.methods=[blind_acf, nope]", "unknown ['nope']", id="unknown-method"),
+    pytest.param(
+        "sweep-snr",
+        "sweep_snr.methods=[blind_acf, ls_chaos, blind_acf]",
+        "sweep_snr.methods: repeated ['blind_acf'], name each method once",
+        id="repeated-method",
+    ),
     pytest.param("sweep-snr", "sweep_snr.methods=[]", "sweep_snr.methods must not be empty", id="no-methods"),
     pytest.param("sweep-snr", "sweep_snr.snr_db_list=[]", "sweep_snr.snr_db_list must not be empty", id="no-snrs"),
     pytest.param(
@@ -672,21 +722,18 @@ class TestCli:
         self.run(tmp_path / "b", *args)
         assert (tmp_path / "a/sweep_snr.csv").read_bytes() == (tmp_path / "b/sweep_snr.csv").read_bytes()
 
-    def test_threads_do_not_change_bytes(self, tmp_path):
-        base = (
-            "sweep-length",
-            "--seed",
-            "2",
-            "--trials",
-            "4",
-            "--set",
-            "sweep_length.lengths=[256,512]",
-        )
+    @pytest.mark.parametrize(
+        "command, override",
+        [("sweep-length", "sweep_length.lengths=[256,512]"), ("sweep-snr", "sweep_snr.symbols=256")],
+        ids=["sweep-length", "sweep-snr"],
+    )
+    def test_threads_do_not_change_bytes(self, tmp_path, command, override):
+        # the trials send their ACF arrays back from the pool; the parent solves
+        base = (command, "--seed", "2", "--trials", "4", "--set", override)
         self.run(tmp_path / "serial", *base, "--threads", "1")
         self.run(tmp_path / "parallel", *base, "--threads", "2")
-        assert (tmp_path / "serial/sweep_length.csv").read_bytes() == (
-            tmp_path / "parallel/sweep_length.csv"
-        ).read_bytes()
+        table = command.replace("-", "_") + ".csv"
+        assert (tmp_path / "serial" / table).read_bytes() == (tmp_path / "parallel" / table).read_bytes()
 
     def test_failing_check_exits_nonzero(self, tmp_path, capsys):
         code = self.run(
