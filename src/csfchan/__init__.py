@@ -31,7 +31,7 @@ from .estimator import (
     solve_channel,
     solve_channels,
 )
-from .experiments import derive_seed, identify_blind, resolve_config
+from .experiments import derive_seed, resolve_config
 from .waveform import (
     CsfParams,
     SymbolStream,
@@ -71,7 +71,6 @@ __all__ = [
     "encode_waveform",
     "gaussian_probe",
     "gaussian_probe_frame",
-    "identify_blind",
     "ls_estimate",
     "ls_sweep",
     "predicted_rx_acf",

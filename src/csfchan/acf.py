@@ -51,10 +51,6 @@ class AcfEstimate:
         object.__setattr__(self, "values", values)
 
     @property
-    def lags(self) -> np.ndarray:
-        return np.arange(len(self.values))
-
-    @property
     def max_lag(self) -> int:
         return len(self.values) - 1
 

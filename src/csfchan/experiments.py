@@ -33,8 +33,8 @@ from .channel import (
     attenuation_from_delay,
     sample_random_channel,
 )
-from .estimator import EstimationResult, IdentificationProblem, SolverOptions, solve_channels
-from .waveform import CsfParams, Waveform, authoritative_acf_table, encode_waveform, random_symbols
+from .estimator import IdentificationProblem, SolverOptions, solve_channels
+from .waveform import CsfParams, SymbolStream, authoritative_acf_table, encode_waveform, random_symbols
 
 __all__ = [
     "ConfigError",
@@ -42,7 +42,6 @@ __all__ = [
     "ExperimentResult",
     "derive_seed",
     "resolve_config",
-    "identify_blind",
     "interior_peak_lags",
     "expected_secondary_peaks",
     "run_fig2",
@@ -191,10 +190,11 @@ DEFAULT_CONFIG: dict = {key: default for key, default, *_ in _CONFIG_KEYS[""]} |
 def _check_config(cfg: dict, name: str) -> None:
     """Reject an experiment config that cannot run, before any work: a
     top-level, csf or experiment key that fails its test in _CONFIG_KEYS, CSF
-    parameters that CsfParams refuses, an unknown or repeated method, a
-    path count outside 1..max_delay+1 (the main path plus one echo per delay
-    slot), fig2 delays that are not 0 followed by increasing echo delays up
-    to max_delay, or a frame too short for its ACF (_check_frame)."""
+    parameters that CsfParams refuses, an unknown method, a repeated sweep
+    point (length, SNR or method), a path count outside 1..max_delay+1 (the
+    main path plus one echo per delay slot), fig2 delays that are not 0
+    followed by increasing echo delays up to max_delay, or a frame too short
+    for its ACF (_check_frame)."""
     section = cfg[name]
     for where in ("", "csf", name):
         values, prefix = (cfg[where], f"{where}.") if where else (cfg, "")
@@ -222,9 +222,12 @@ def _check_config(cfg: dict, name: str) -> None:
     unknown = [meth for meth in methods if meth not in _SNR_METHODS]
     if unknown:
         raise ConfigError(f"{name}.methods: unknown {unknown}, expected a subset of {list(_SNR_METHODS)}")
-    repeated = sorted({meth for meth in methods if methods.count(meth) > 1})
-    if repeated:
-        raise ConfigError(f"{name}.methods: repeated {repeated}, name each method once")
+    # a repeated point would write its row twice and keep one in the summary
+    for key, noun in (("lengths", "length"), ("snr_db_list", "SNR"), ("methods", "method")):
+        values = section.get(key, [])
+        repeated = sorted({value for value in values if values.count(value) > 1})
+        if repeated:
+            raise ConfigError(f"{name}.{key}: repeated {repeated}, name each {noun} once")
     paths, m = section["path_count"], section["max_delay"]
     if not (_is_count(paths) and paths <= m + 1):
         raise ConfigError(f"{name}.path_count must lie in 1..max_delay+1 = 1..{m + 1}, got {paths!r}")
@@ -287,20 +290,6 @@ def _fig2_channel(section: dict) -> ChannelModel:
 _SOLVE_BLOCK = 128
 
 
-def _solve_blind(measured: list[AcfEstimate], params: CsfParams, max_delay: int) -> list[EstimationResult]:
-    """Blind solves of measured receive ACFs against one pulse-ACF table,
-    in blocks of at most _SOLVE_BLOCK problems."""
-    table = authoritative_acf_table(params, max_lag=2 * max_delay)
-    # empirical inputs never reach machine-precision residuals
-    opts = SolverOptions(tol=1e-6 * table[0], max_iter=100)
-    problems = [IdentificationProblem(r_rr=acf, r_xx=table, max_delay=max_delay) for acf in measured]
-    return [
-        result
-        for start in range(0, len(problems), _SOLVE_BLOCK)
-        for result in solve_channels(problems[start : start + _SOLVE_BLOCK], opts)
-    ]
-
-
 def _trial_channel(cfg: dict, name: str, trial: int) -> ChannelModel:
     """The random channel of one sweep trial, shared by all its points and methods."""
     section = cfg[name]
@@ -312,21 +301,27 @@ def _trial_channel(cfg: dict, name: str, trial: int) -> ChannelModel:
     )
 
 
-def _solve_trials(cfg: dict, name: str, per_trial: list) -> list[list[tuple[float, bool]]]:
-    """Per sweep trial, given as (true taps, measured ACF rows, ...), the
-    squared tap error and converged flag of each row; the rows of all
-    trials are solved together, in trial order."""
-    measured = [AcfEstimate(row) for _, acfs, *_ in per_trial for row in acfs]
-    results = iter(_solve_blind(measured, _csf_params(cfg), int(cfg[name]["max_delay"])))
-    return [
-        [(float(np.sum((result.alpha_hat - truth) ** 2)), result.converged) for _, result in zip(acfs, results)]
-        for truth, acfs, *_ in per_trial
+def _blind_errors(cfg: dict, name: str, truths: np.ndarray, acfs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The squared tap error and converged flag of each blind solve, both
+    shaped (trials, points), given the true taps (trials, M) and the
+    measured receive ACFs (trials, points, M+1) of a sweep.  The rows of
+    all trials are solved in trial order against one pulse-ACF table, in
+    blocks of at most _SOLVE_BLOCK problems."""
+    m = int(cfg[name]["max_delay"])
+    table = authoritative_acf_table(_csf_params(cfg), max_lag=2 * m)
+    # empirical inputs never reach machine-precision residuals
+    opts = SolverOptions(tol=1e-6 * table[0], max_iter=100)
+    problems = [
+        IdentificationProblem(r_rr=AcfEstimate(row), r_xx=table, max_delay=m) for row in acfs.reshape(-1, m + 1)
     ]
-
-
-def identify_blind(received: Waveform, params: CsfParams, max_delay: int) -> EstimationResult:
-    """Full blind pipeline: measured ACF -> lag equations -> solved taps."""
-    return _solve_blind([empirical_acf(received, max_delay)], params, max_delay)[0]
+    results = [
+        result
+        for start in range(0, len(problems), _SOLVE_BLOCK)
+        for result in solve_channels(problems[start : start + _SOLVE_BLOCK], opts)
+    ]
+    taps = np.reshape([result.alpha_hat for result in results], acfs.shape[:2] + (m,))
+    converged = np.reshape([result.converged for result in results], acfs.shape[:2])
+    return np.sum((taps - truths[:, None]) ** 2, axis=-1), converged
 
 
 def interior_peak_lags(values: np.ndarray) -> list[int]:
@@ -452,22 +447,19 @@ def _length_trial(args: tuple) -> tuple[np.ndarray, np.ndarray]:
 def run_datalength_sweep(cfg: dict) -> ExperimentResult:
     _check_config(cfg, "sweep_length")
     section, trials = cfg["sweep_length"], cfg["trials"]
-    per_trial = _solve_trials(cfg, "sweep_length", _fan_out(_length_trial, cfg, trials))
+    truths, acfs = map(np.array, zip(*_fan_out(_length_trial, cfg, trials)))
+    errs, converged = _blind_errors(cfg, "sweep_length", truths, acfs)
 
     path_count = int(section["path_count"])
     ns = int(cfg["csf"]["oversampling"])
     rows = []
-    mses = {}
     for li, n_sym in enumerate(section["lengths"]):
-        errs = [per_trial[t][li][0] for t in range(trials)]
-        conv = [per_trial[t][li][1] for t in range(trials)]
-        mse_val = float(np.mean(errs)) / path_count
-        mses[int(n_sym)] = mse_val
-        rows.append((int(n_sym), int(n_sym) * ns, trials, mse_val, float(np.mean(conv))))
+        mse = float(np.mean(errs[:, li])) / path_count
+        rows.append((int(n_sym), int(n_sym) * ns, trials, mse, float(np.mean(converged[:, li]))))
     summary = {
         "snr_db": float(section["snr_db"]),
         "path_count": path_count,
-        "mse_by_symbols": {str(k): v for k, v in mses.items()},
+        "mse_by_symbols": {str(n_sym): mse for n_sym, _, _, mse, _ in rows},
     }
     return ExperimentResult(
         name="sweep_length",
@@ -481,10 +473,11 @@ def run_datalength_sweep(cfg: dict) -> ExperimentResult:
 # MSE vs SNR, method comparison
 # ---------------------------------------------------------------------------
 
-def _snr_trial(args: tuple) -> tuple[np.ndarray, np.ndarray, dict[tuple[float, str], tuple[float, bool]]]:
+def _snr_trial(args: tuple) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """One trial of the SNR sweep: the true taps, the blind method's
     measured receive ACF per SNR (no rows without blind_acf), and the
-    (error, flag) of each LS method per (snr_db, method).
+    error and flag of each LS method, shaped (snrs, methods) in config
+    order; the blind column stays 0 and False, solved after the trials.
 
     One channel and one symbol stream serve every method and SNR point;
     per-method noise seeds are fixed across SNR so only the noise scale
@@ -500,6 +493,8 @@ def _snr_trial(args: tuple) -> tuple[np.ndarray, np.ndarray, dict[tuple[float, s
     snr_list = [float(s) for s in section["snr_db_list"]]
     methods = list(section["methods"])
     acfs = np.empty((len(snr_list) if "blind_acf" in methods else 0, m + 1))
+    errs = np.zeros((len(snr_list), len(methods)))
+    flags = np.zeros((len(snr_list), len(methods)), dtype=bool)
     ch = _trial_channel(cfg, "sweep_snr", trial)
     truth = ch.tap_vector()
     path_count = int(section["path_count"])
@@ -512,8 +507,7 @@ def _snr_trial(args: tuple) -> tuple[np.ndarray, np.ndarray, dict[tuple[float, s
         csf = encode_waveform(random_symbols(n_sym, seed=stream_seed), params)
         clean_csf = apply_multipath(csf, ch)
 
-    out = {}
-    for method in methods:
+    for mi, method in enumerate(methods):
         if method == "blind_acf":
             for si, (received, _) in enumerate(add_awgn_sweep(clean_csf, snr_list, noise_seed)):
                 acfs[si] = empirical_acf(received, m).values
@@ -523,36 +517,32 @@ def _snr_trial(args: tuple) -> tuple[np.ndarray, np.ndarray, dict[tuple[float, s
             estimates = ls_sweep(probe, apply_multipath(probe, ch), snr_list, probe_seed, m)
         else:  # ls_chaos
             estimates = ls_sweep(symbol_instants(csf), clean_csf, snr_list, stream_seed, m)
-        for snr_db, est in zip(snr_list, estimates):
-            err = float(np.sum((est.relative_taps() - truth) ** 2)) / path_count
-            out[(snr_db, method)] = (err, not est.degenerate)
-    return truth, acfs, out
+        for si, est in enumerate(estimates):
+            errs[si, mi] = np.sum((est.relative_taps() - truth) ** 2) / path_count
+            flags[si, mi] = not est.degenerate
+    return truth, acfs, errs, flags
 
 
 def run_snr_sweep(cfg: dict) -> ExperimentResult:
     _check_config(cfg, "sweep_snr")
     section, trials = cfg["sweep_snr"], cfg["trials"]
-    outputs = _fan_out(_snr_trial, cfg, trials)
-    per_trial = [out for _, _, out in outputs]
+    truths, acfs, errs, flags = map(np.array, zip(*_fan_out(_snr_trial, cfg, trials)))
     snr_list = [float(s) for s in section["snr_db_list"]]
-    path_count = int(section["path_count"])
-    for out, blind in zip(per_trial, _solve_trials(cfg, "sweep_snr", outputs)):
-        for snr_db, (err, flag) in zip(snr_list, blind):
-            out[(snr_db, "blind_acf")] = (err / path_count, flag)
+    methods = list(section["methods"])
+    if "blind_acf" in methods:
+        blind = methods.index("blind_acf")
+        sq_err, flags[..., blind] = _blind_errors(cfg, "sweep_snr", truths, acfs)
+        errs[..., blind] = sq_err / int(section["path_count"])
 
-    rows = []
-    mse_table: dict[str, dict[float, float]] = {}
-    for snr_db in snr_list:
-        for method in section["methods"]:
-            errs = [per_trial[t][(snr_db, method)][0] for t in range(trials)]
-            conv = [per_trial[t][(snr_db, method)][1] for t in range(trials)]
-            mse_val = float(np.mean(errs))
-            mse_table.setdefault(method, {})[snr_db] = mse_val
-            rows.append((snr_db, method, mse_val, float(np.mean(conv))))
+    rows = [
+        (snr_db, method, float(np.mean(errs[:, si, mi])), float(np.mean(flags[:, si, mi])))
+        for si, snr_db in enumerate(snr_list)
+        for mi, method in enumerate(methods)
+    ]
     summary = {
         "symbols": int(section["symbols"]),
         "trials": trials,
-        "mse": {meth: {str(s): v for s, v in vals.items()} for meth, vals in mse_table.items()},
+        "mse": {method: {str(snr): mse for snr, meth, mse, _ in rows if meth == method} for method in methods},
     }
     return ExperimentResult(
         name="sweep_snr",
@@ -575,38 +565,27 @@ def run_invariance_demo(cfg: dict) -> ExperimentResult:
     n_streams = section["streams"]
 
     reference = authoritative_acf_table(params, max_lag=max_lag)
-    labels = []
-    acfs = []
-    excluded = []
-    for s in range(n_streams):
-        stream = random_symbols(n_sym, seed=derive_seed(cfg["seed"], s))
-        wave = encode_waveform(stream, params)
-        labels.append(f"s{s:02d}")
-        acfs.append(empirical_acf(wave, max_lag).values)
-        excluded.append(False)
-    if section["include_all_ones"]:
-        # constant symbols break the independence assumption behind the
-        # invariance: shown for contrast, excluded from the statistics
-        from .waveform import SymbolStream
-
-        wave = encode_waveform(SymbolStream(np.ones(n_sym)), params)
-        labels.append("all_ones")
-        acfs.append(empirical_acf(wave, max_lag).values)
-        excluded.append(True)
+    # one ACF row per stream, then the all-ones stream if asked for:
+    # constant symbols break the independence assumption behind the
+    # invariance, so it is shown for contrast, excluded from the statistics
+    acfs = np.empty((n_streams + bool(section["include_all_ones"]), max_lag + 1))
+    for s in range(len(acfs)):
+        if s < n_streams:
+            stream = random_symbols(n_sym, seed=derive_seed(cfg["seed"], s))
+        else:
+            stream = SymbolStream(np.ones(n_sym))
+        acfs[s] = empirical_acf(encode_waveform(stream, params), max_lag).values
+    deviations = np.abs(acfs - reference)
 
     rows = []
-    for label, vals, skip in zip(labels, acfs, excluded):
-        for k in range(max_lag + 1):
-            rows.append(
-                (label, k, float(vals[k]), float(reference[k]), float(abs(vals[k] - reference[k])), int(skip))
-            )
-
-    kept = [a for a, skip in zip(acfs, excluded) if not skip]
-    max_vs_ref = float(max(np.max(np.abs(a - reference)) for a in kept))
-    max_pairwise = 0.0
-    for i in range(len(kept)):
-        for j in range(i):
-            max_pairwise = max(max_pairwise, float(np.max(np.abs(kept[i] - kept[j]))))
+    for s, (acf, dev) in enumerate(zip(acfs, deviations)):
+        label, excluded = (f"s{s:02d}", 0) if s < n_streams else ("all_ones", 1)
+        rows += [
+            (label, k, float(acf[k]), float(reference[k]), float(dev[k]), excluded) for k in range(max_lag + 1)
+        ]
+    max_vs_ref = float(np.max(deviations[:n_streams]))
+    # rounding is monotone, so the largest spread per lag is the largest pairwise difference
+    max_pairwise = float(np.max(np.ptp(acfs[:n_streams], axis=0)))
     summary = {
         "streams": n_streams,
         "symbols": n_sym,

@@ -32,7 +32,7 @@ from csfchan import (
     solve_channels,
 )
 from csfchan.estimator import _DAMPING0, _STEP_TOL, _jacobian, _model_residuals
-from csfchan.experiments import _snr_trial, _solve_trials, resolve_config
+from csfchan.experiments import _blind_errors, _snr_trial, resolve_config
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -384,7 +384,8 @@ def reference_solves():
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(csfchan.experiments, "solve_channels", recording)
-        _solve_trials(cfg, "sweep_snr", [_snr_trial((cfg, trial)) for trial in range(cfg["trials"])])
+        truths, acfs, _, _ = map(np.array, zip(*(_snr_trial((cfg, trial)) for trial in range(cfg["trials"]))))
+        _blind_errors(cfg, "sweep_snr", truths, acfs)
     assert len({opts for _, opts in calls}) == 1
     return [prob for problems, _ in calls for prob in problems], calls[0][1]
 

@@ -27,12 +27,11 @@ from csfchan.estimator import solve_channel, solve_channels
 from csfchan.experiments import (
     DEFAULT_CONFIG,
     ConfigError,
+    _blind_errors,
     _csf_params,
     _snr_trial,
-    _solve_trials,
     derive_seed,
     expected_secondary_peaks,
-    identify_blind,
     interior_peak_lags,
     resolve_config,
     run_datalength_sweep,
@@ -167,17 +166,17 @@ def _openblas_core() -> str:
     return "unknown"
 
 
-def assert_reference_bytes(out_dir: Path, name: str) -> None:
+def assert_reference_bytes(out_dir: Path, name: str, reference_dir: str = "benchmarks/reference") -> None:
     """The CSV written to out_dir is the committed reference, byte for byte;
     a failure names the first differing line and the OpenBLAS kernel."""
-    written, reference = (out_dir / name).read_bytes(), (REPO / "benchmarks/reference" / name).read_bytes()
+    written, reference = (out_dir / name).read_bytes(), (REPO / reference_dir / name).read_bytes()
     if written == reference:
         return
     # split on b"\n" alone, so that bytes which differ always differ in a line
     pairs = itertools.zip_longest(written.split(b"\n"), reference.split(b"\n"))
     line, (got, expected) = next((n, pair) for n, pair in enumerate(pairs, 1) if pair[0] != pair[1])
     pytest.fail(
-        f"{name} differs from benchmarks/reference/{name} first at line {line}: wrote {got!r}, "
+        f"{name} differs from {reference_dir}/{name} first at line {line}: wrote {got!r}, "
         f"reference {expected!r} (OpenBLAS core {_openblas_core()})"
     )
 
@@ -242,6 +241,26 @@ def test_reference_sweep_length_bytes(tmp_path):
     assert_reference_bytes(tmp_path, "sweep_length.csv")
 
 
+def test_reference_invariance_bytes(tmp_path):
+    # ten random streams and the all-ones stream at seed 1
+    code = cli_main(["invariance", "--set", "invariance.include_all_ones=true", "--out", str(tmp_path)])
+    assert code == 0
+    assert_reference_bytes(tmp_path, "invariance.csv", "tests/reference")
+
+
+@pytest.mark.parametrize("methods", [["ls_chaos", "blind_acf"], ["ls_gaussian"]])
+def test_method_subset_rows_match_full_run(methods):
+    # each (snr, method) row is that of the three-method run, in the
+    # subset's order within each SNR
+    cfg = resolve_config({"seed": 5, "trials": 3, "sweep_snr": {"symbols": 256}})
+    full = {row[:2]: row for row in run_snr_sweep(cfg).rows}
+    cfg["sweep_snr"]["methods"] = methods
+    result = run_snr_sweep(cfg)
+    snrs = [float(snr) for snr in cfg["sweep_snr"]["snr_db_list"]]
+    assert result.rows == [full[(snr, method)] for snr in snrs for method in methods]
+    assert list(result.summary["mse"]) == methods
+
+
 def per_snr_trial(cfg, trial):
     """The SNR-sweep trial with every frame rebuilt at each SNR through the
     single-SNR calls: the oracle of the once-per-trial form."""
@@ -258,8 +277,9 @@ def per_snr_trial(cfg, trial):
     out = {}
     for snr in [float(s) for s in section["snr_db_list"]]:
         clean = apply_multipath(encode_waveform(random_symbols(n_sym, seed=seeds[1]), params), ch)
-        result = identify_blind(add_awgn(clean, snr, seed=seeds[2])[0], params, m)
-        out[(snr, "blind_acf")] = (err(result.alpha_hat), result.converged)
+        acf = empirical_acf(add_awgn(clean, snr, seed=seeds[2])[0], m).values
+        sq_err, converged = _blind_errors(cfg, "sweep_snr", truth[None], acf[None, None])
+        out[(snr, "blind_acf")] = (float(sq_err[0, 0]) / path_count, bool(converged[0, 0]))
         for method, frame in (
             ("ls_gaussian", gaussian_probe_frame(n_sym, params.oversampling, ch, snr, seed=seeds[3])),
             ("ls_chaos", chaotic_probe_frame(n_sym, params, ch, snr, seed=seeds[1])),
@@ -271,12 +291,19 @@ def per_snr_trial(cfg, trial):
 
 def snr_trial_errors(cfg, trial):
     """_snr_trial's (error, flag) per (snr_db, method), its blind rows
-    solved through _solve_trials as run_snr_sweep solves them."""
-    truth, acfs, out = _snr_trial((cfg, trial))
-    (blind,) = _solve_trials(cfg, "sweep_snr", [(truth, acfs, out)])
-    for snr_db, (err, flag) in zip(cfg["sweep_snr"]["snr_db_list"], blind):
-        out[(float(snr_db), "blind_acf")] = (err / cfg["sweep_snr"]["path_count"], flag)
-    return out
+    solved through _blind_errors as run_snr_sweep solves them."""
+    section = cfg["sweep_snr"]
+    truth, acfs, errs, flags = _snr_trial((cfg, trial))
+    methods = list(section["methods"])
+    if "blind_acf" in methods:
+        sq_err, converged = _blind_errors(cfg, "sweep_snr", truth[None], acfs[None])
+        errs[:, methods.index("blind_acf")] = sq_err[0] / section["path_count"]
+        flags[:, methods.index("blind_acf")] = converged[0]
+    return {
+        (float(snr_db), method): (float(errs[si, mi]), bool(flags[si, mi]))
+        for si, snr_db in enumerate(section["snr_db_list"])
+        for mi, method in enumerate(methods)
+    }
 
 
 class TestSnrTrialReuse:
@@ -433,6 +460,18 @@ BAD_CONFIGS = [
         "sweep_snr.methods=[blind_acf, ls_chaos, blind_acf]",
         "sweep_snr.methods: repeated ['blind_acf'], name each method once",
         id="repeated-method",
+    ),
+    pytest.param(
+        "sweep-length",
+        "sweep_length.lengths=[256, 256, 512]",
+        "sweep_length.lengths: repeated [256], name each length once",
+        id="repeated-length",
+    ),
+    pytest.param(
+        "sweep-snr",
+        "sweep_snr.snr_db_list=[10, 10.0, 5]",
+        "sweep_snr.snr_db_list: repeated [10], name each SNR once",
+        id="repeated-snr",
     ),
     pytest.param("sweep-snr", "sweep_snr.methods=[]", "sweep_snr.methods must not be empty", id="no-methods"),
     pytest.param("sweep-snr", "sweep_snr.snr_db_list=[]", "sweep_snr.snr_db_list must not be empty", id="no-snrs"),
