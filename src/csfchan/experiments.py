@@ -416,38 +416,36 @@ def run_fig2(cfg: dict) -> ExperimentResult:
 # MSE vs data length
 # ---------------------------------------------------------------------------
 
-def _length_trial(args: tuple) -> tuple[np.ndarray, np.ndarray]:
-    """One trial of the length sweep: the true taps and the measured
-    receive ACF per length, the same channel at every length.
-
-    The frames run longest first, and their ACFs go into one array
-    allocated before the first frame.  The received frame's size follows
-    the channel's last delay, so with the shortest frame first the freed
-    8 MB frame buffers left holes on the heap that some later trial's
-    buffers did not fit: the reference config's peak RSS then read
-    107.7 MB instead of 99.6 MB at 14 of 30 seeds.  Longest first, it
-    read 95.3-95.8 MB at all of 72; one ACF array per length made it vary
-    again (95.5-103.7 MB).
-    """
-    cfg, trial = args
-    params = _csf_params(cfg)
+def _length_frame(args: tuple) -> np.ndarray:
+    """The measured receive ACF of one frame of the length sweep: frame li
+    of the trial, through the trial's channel ch."""
+    cfg, trial, li, ch = args
     section = cfg["sweep_length"]
-    m = int(section["max_delay"])
-    lengths = [int(n_sym) for n_sym in section["lengths"]]
-    acfs = np.empty((len(lengths), m + 1))
-    ch = _trial_channel(cfg, "sweep_length", trial)
-    for li in sorted(range(len(lengths)), key=lengths.__getitem__, reverse=True):
-        stream = random_symbols(lengths[li], seed=derive_seed(cfg["seed"], trial, 1, li))
-        received = apply_multipath(encode_waveform(stream, params), ch)
-        received, _ = add_awgn(received, float(section["snr_db"]), seed=derive_seed(cfg["seed"], trial, 2, li))
-        acfs[li] = empirical_acf(received, m).values
-    return ch.tap_vector(), acfs
+    stream = random_symbols(int(section["lengths"][li]), seed=derive_seed(cfg["seed"], trial, 1, li))
+    received = apply_multipath(encode_waveform(stream, _csf_params(cfg)), ch)
+    received, _ = add_awgn(received, float(section["snr_db"]), seed=derive_seed(cfg["seed"], trial, 2, li))
+    return empirical_acf(received, int(section["max_delay"])).values
 
 
 def run_datalength_sweep(cfg: dict) -> ExperimentResult:
     _check_config(cfg, "sweep_length")
     section, trials = cfg["sweep_length"], cfg["trials"]
-    truths, acfs = map(np.array, zip(*_fan_out(_length_trial, cfg, trials)))
+    lengths = [int(n_sym) for n_sym in section["lengths"]]
+    channels = [_trial_channel(cfg, "sweep_length", trial) for trial in range(trials)]
+    # One task per frame, the largest received frame (symbols plus the last
+    # echo delay) first over the whole sweep: each frame's 8 MB buffers then
+    # fit in the heap space that the frames before it freed, and only one
+    # length's pulse spectrum is ever cached.
+    frames = sorted(
+        ((trial, li) for trial in range(trials) for li in range(len(lengths))),
+        key=lambda frame: lengths[frame[1]] + int(channels[frame[0]].delays[-1]),
+        reverse=True,
+    )
+    measured = _fan_out(_length_frame, [(cfg, trial, li, channels[trial]) for trial, li in frames], cfg["threads"])
+    acfs = np.empty((trials, len(lengths), int(section["max_delay"]) + 1))
+    for (trial, li), acf in zip(frames, measured):
+        acfs[trial, li] = acf
+    truths = np.array([ch.tap_vector() for ch in channels])
     errs, converged = _blind_errors(cfg, "sweep_length", truths, acfs)
 
     path_count = int(section["path_count"])
@@ -526,7 +524,8 @@ def _snr_trial(args: tuple) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndar
 def run_snr_sweep(cfg: dict) -> ExperimentResult:
     _check_config(cfg, "sweep_snr")
     section, trials = cfg["sweep_snr"], cfg["trials"]
-    truths, acfs, errs, flags = map(np.array, zip(*_fan_out(_snr_trial, cfg, trials)))
+    tasks = [(cfg, trial) for trial in range(trials)]
+    truths, acfs, errs, flags = map(np.array, zip(*_fan_out(_snr_trial, tasks, cfg["threads"])))
     snr_list = [float(s) for s in section["snr_db_list"]]
     methods = list(section["methods"])
     if "blind_acf" in methods:
@@ -602,17 +601,17 @@ def run_invariance_demo(cfg: dict) -> ExperimentResult:
 
 
 # ---------------------------------------------------------------------------
-# trial fan-out
+# task fan-out
 # ---------------------------------------------------------------------------
 
-def _fan_out(worker, cfg: dict, trials: int) -> list:
-    """Run per-trial work serially or across processes, merged in trial order."""
-    tasks = [(cfg, t) for t in range(trials)]
-    threads = cfg["threads"]
-    if threads <= 1 or trials <= 1:
+def _fan_out(worker, tasks: list, threads: int) -> list:
+    """worker(task) for each task, serially or across at most threads
+    processes (no more than there are tasks), in task order."""
+    workers = min(threads, len(tasks))
+    if workers <= 1:
         return [worker(task) for task in tasks]
     # imported here: the pool machinery costs a serial run's start-up
     from concurrent.futures import ProcessPoolExecutor
 
-    with ProcessPoolExecutor(max_workers=threads) as pool:
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(worker, tasks))

@@ -159,13 +159,15 @@ def _next_fast_len(n: int) -> int:
     return best
 
 
-@lru_cache(maxsize=16)
+@lru_cache(maxsize=1)
 def _pulse_spectrum(params: CsfParams, n_fft: int) -> np.ndarray:
     """Real FFT of the sampled pulse zero-padded to n_fft (read-only).
 
-    A length sweep cycles through one FFT length per frame length, and a
-    cache smaller than that cycle never hits; 16 entries cover the seven
-    lengths of the reference sweep.
+    Each experiment encodes its frames in runs of one length: the length
+    sweep runs its frames largest first, so unless two of its lengths lie
+    within max_delay symbols of each other, one entry misses once per
+    length, as more entries would, and holds no spectrum of a length
+    already done.
     """
     spectrum = np.fft.rfft(sample_base_pulse(params).samples, n_fft)
     spectrum.flags.writeable = False
@@ -186,10 +188,13 @@ def encode_waveform(stream: SymbolStream, params: CsfParams = CsfParams()) -> Wa
     n_sym = len(stream)
     n_out = (n_sym + params.pulse_tail) * ns
     n_fft = _next_fast_len(n_out + ns - 1)  # full convolution length
+    # the cached spectrum is built before the frame's buffers, so it sits
+    # below them on the heap and their freed space stays one block
+    pulse = _pulse_spectrum(params, n_fft)
     train = np.zeros(n_fft)
     train[: n_sym * ns : ns] = stream.symbols
     spectrum = np.fft.rfft(train)
-    spectrum *= _pulse_spectrum(params, n_fft)
+    spectrum *= pulse
     np.fft.irfft(spectrum, n_fft, out=train)  # the train becomes the output
     return Waveform(train[:n_out], ns)
 

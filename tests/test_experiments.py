@@ -1,5 +1,6 @@
 """Experiment harness: seeding, config handling, runners, CLI, determinism."""
 
+import concurrent.futures
 import ctypes
 import dataclasses
 import itertools
@@ -420,20 +421,82 @@ def test_reference_sweep_length_solves_in_blocks(monkeypatch):
     assert blocks == [128, 12]
 
 
-def test_length_trial_runs_longest_frame_first(monkeypatch):
-    # longest first keeps the sweep's peak RSS independent of the seed;
-    # the rows and the derived seeds stay those of the config's order
-    frames = []
+def test_length_sweep_runs_largest_frame_first(monkeypatch):
+    # one frame length is live at a time: across the whole sweep the
+    # received frames never grow, each frame keeps the seeds of its
+    # (trial, length) and its ACF lands in the row of the config's order;
+    # at seed 2 the last delays are 4, 2 and 2, so trial 0's 255-symbol
+    # frame outgrows the 256-symbol frames of trials 1 and 2
+    cfg = resolve_config(
+        {"seed": 2, "trials": 3, "sweep_length": {"lengths": [256, 1024, 512, 255], "max_delay": 4, "path_count": 3}}
+    )
+    lengths = cfg["sweep_length"]["lengths"]
+    channels = [csfchan.experiments._trial_channel(cfg, "sweep_length", trial) for trial in range(3)]
+    expected = np.array(
+        [[csfchan.experiments._length_frame((cfg, t, li, ch)) for li in range(4)] for t, ch in enumerate(channels)]
+    )
+    seeds = {derive_seed(cfg["seed"], t, 1, li): (t, li) for t in range(3) for li in range(4)}
+    frames, received, noise_seeds, measured = [], [], [], []
 
     def recording_symbols(n, seed):
-        frames.append(n)
+        frames.append(seeds[seed])
+        assert n == lengths[seeds[seed][1]]
         return random_symbols(n, seed)
 
-    cfg = resolve_config({"sweep_length": {"lengths": [256, 1024, 512], "max_delay": 4, "path_count": 3}})
-    acfs = csfchan.experiments._length_trial((cfg, 0))[1]
+    def recording_multipath(wave, ch):
+        received.append(apply_multipath(wave, ch))
+        return received[-1]
+
+    def recording_awgn(wave, snr_db, seed):
+        noise_seeds.append(seed)
+        return add_awgn(wave, snr_db, seed)
+
+    def recording_errors(cfg, name, truths, acfs):
+        measured.append(acfs)
+        return _blind_errors(cfg, name, truths, acfs)
+
     monkeypatch.setattr(csfchan.experiments, "random_symbols", recording_symbols)
-    assert np.array_equal(csfchan.experiments._length_trial((cfg, 0))[1], acfs)
-    assert frames == [1024, 512, 256]
+    monkeypatch.setattr(csfchan.experiments, "apply_multipath", recording_multipath)
+    monkeypatch.setattr(csfchan.experiments, "add_awgn", recording_awgn)
+    monkeypatch.setattr(csfchan.experiments, "_blind_errors", recording_errors)
+    result = run_datalength_sweep(cfg)
+    sizes = [len(wave) for wave in received]
+    assert sizes == sorted(sizes, reverse=True)
+    assert sorted(frames) == sorted(seeds.values())
+    assert noise_seeds == [derive_seed(cfg["seed"], t, 2, li) for t, li in frames]
+    assert [row[0] for row in result.rows] == lengths
+    assert np.array_equal(measured[0], expected)
+
+
+@pytest.mark.parametrize(
+    "runner, section",
+    [(run_snr_sweep, {}), (run_datalength_sweep, {"sweep_length": {"lengths": [256]}})],
+    ids=["sweep_snr", "sweep_length"],
+)
+def test_pool_never_outnumbers_tasks(monkeypatch, runner, section):
+    # the pool forks all its workers at the first task, so --threads 5000
+    # over two tasks must ask for two workers, not 5000
+    sizes = []
+
+    class SerialPool:
+        """Stands in for ProcessPoolExecutor: records its size, runs in order."""
+
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    serial = runner(resolve_config({"trials": 2, **section}))
+    assert runner(resolve_config({"trials": 2, "threads": 5000, **section})).rows == serial.rows
+    assert sizes == [2]
 
 
 class TestTrialCount:
