@@ -2,7 +2,7 @@
 
 __version__ = "0.1.0"  # set before the submodules import: report reads it
 
-from .acf import AcfEstimate, empirical_acf, empirical_acf_trace, predicted_rx_acf, predicted_rx_acf_trace
+from .acf import empirical_acf, empirical_acf_trace, predicted_rx_acf, predicted_rx_acf_trace
 from .baselines import (
     LsEstimate,
     ProbeFrame,
@@ -46,7 +46,6 @@ from .waveform import (
 )
 
 __all__ = [
-    "AcfEstimate",
     "ChannelModel",
     "CsfParams",
     "EstimationResult",

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import ctypes
 import os
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -28,31 +27,11 @@ from .channel import ChannelModel
 from .waveform import CsfParams, Waveform, authoritative_acf_table, pulse_acf
 
 __all__ = [
-    "AcfEstimate",
     "empirical_acf",
     "empirical_acf_trace",
     "predicted_rx_acf",
     "predicted_rx_acf_trace",
 ]
-
-
-@dataclass(frozen=True)
-class AcfEstimate:
-    """ACF values on the contiguous integer-lag grid 0..max_lag."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=float)
-        if values.ndim != 1 or not values.size:
-            raise ValueError("ACF values must be a nonempty 1-d array")
-        if not np.all(np.isfinite(values)):
-            raise ValueError("ACF values must be finite")
-        object.__setattr__(self, "values", values)
-
-    @property
-    def max_lag(self) -> int:
-        return len(self.values) - 1
 
 
 def _pin_blas_to_one_thread() -> None:
@@ -130,22 +109,23 @@ def _lagged_products(x: np.ndarray, y: np.ndarray, shifts: range) -> np.ndarray:
 
 
 def _check_acf_length(wave: Waveform, max_lag: int) -> None:
+    if max_lag < 0:
+        raise ValueError(f"max_lag must be nonnegative, got {max_lag}")
     if len(wave) <= (max_lag + 1) * wave.samples_per_symbol:
         raise ValueError(f"waveform too short for max_lag={max_lag}: {len(wave)} samples")
 
 
-def empirical_acf(wave: Waveform, max_lag: int) -> AcfEstimate:
+def empirical_acf(wave: Waveform, max_lag: int) -> np.ndarray:
     """Biased time-averaged ACF at integer lags 0..max_lag.
 
-    values[k] = (1/N) * sum_n x[n + k*Ns] x[n] with N the total sample
+    acf[k] = (1/N) * sum_n x[n + k*Ns] x[n] with N the total sample
     count (fixed divisor, so the estimate is biased but low-variance).
     With one time unit per symbol period this estimates the per-unit-time
     autocorrelation, directly comparable to the pulse ACF.
     """
     _check_acf_length(wave, max_lag)
     ns, x = wave.samples_per_symbol, wave.samples
-    values = _lagged_products(x, x, range(0, max_lag * ns + 1, ns)) / len(x)
-    return AcfEstimate(values)
+    return _lagged_products(x, x, range(0, max_lag * ns + 1, ns)) / len(x)
 
 
 def empirical_acf_trace(wave: Waveform, max_lag: int) -> tuple[np.ndarray, np.ndarray]:
@@ -197,8 +177,8 @@ def predicted_rx_acf(
     noise_var: float,
     params: CsfParams = CsfParams(),
     max_lag: int | None = None,
-) -> AcfEstimate:
-    """Receive-side ACF at integer lags implied by the channel taps.
+) -> np.ndarray:
+    """Receive-side ACF at integer lags 0..max_lag implied by the channel taps.
 
     Sums, per lag eta: (i) the transmit ACF scaled by the total tap power,
     (ii) the noise variance at lag 0 only, (iii) main-path cross terms at
@@ -207,7 +187,7 @@ def predicted_rx_acf(
     """
     m = ch.max_delay if max_lag is None else int(max_lag)
     table = authoritative_acf_table(params, max_lag=m + int(ch.delays[-1]))
-    return AcfEstimate(_rx_model(ch, noise_var, table, m + 1, 1))
+    return _rx_model(ch, noise_var, table, m + 1, 1)
 
 
 def predicted_rx_acf_trace(

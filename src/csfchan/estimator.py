@@ -18,13 +18,11 @@ them (converged, zero residual, different taps).
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
-from .acf import AcfEstimate, _expand, _lag_weights
+from .acf import _expand, _lag_weights
 
 __all__ = [
     "IdentificationProblem",
@@ -37,6 +35,21 @@ __all__ = [
 ]
 
 
+def _checked(measured, r_xx) -> tuple[np.ndarray, np.ndarray, int]:
+    """measured and r_xx as float arrays, and the tap count M; ValueError
+    unless measured is an (n, M+1) array of receive-ACF rows over lags
+    0..M, r_xx a transmit ACF over lags 0..2M at least, and both finite."""
+    measured, r_xx = np.asarray(measured, dtype=float), np.asarray(r_xx, dtype=float)
+    if measured.ndim != 2 or not measured.shape[1]:
+        raise ValueError(f"measured must be an (n, M+1) array of ACF rows, got shape {measured.shape}")
+    m = measured.shape[1] - 1
+    if r_xx.ndim != 1 or r_xx.size < 2 * m + 1:
+        raise ValueError(f"r_xx must cover lags 0..{2 * m}")
+    if not (np.all(np.isfinite(measured)) and np.all(np.isfinite(r_xx))):
+        raise ValueError("ACF values must be finite")
+    return measured, r_xx, m
+
+
 @dataclass(frozen=True)
 class IdentificationProblem:
     """Inputs of the tap-recovery system.
@@ -47,37 +60,28 @@ class IdentificationProblem:
     max_delay  number of candidate echo taps M
     """
 
-    r_rr: AcfEstimate
+    r_rr: np.ndarray
     r_xx: np.ndarray
     max_delay: int
 
     def __post_init__(self):
-        rxx = np.asarray(self.r_xx, dtype=float)
-        m = self.max_delay
-        if self.r_rr.max_lag != m:
-            raise ValueError(f"r_rr must cover lags 0..{m}")
-        if rxx.ndim != 1 or rxx.size < 2 * m + 1:
-            raise ValueError(f"r_xx must cover lags 0..{2 * m}")
-        if not np.all(np.isfinite(rxx)):
-            raise ValueError("r_xx must be finite")
-        object.__setattr__(self, "r_xx", rxx)
+        measured, r_xx, m = _checked(np.asarray(self.r_rr, dtype=float)[None], self.r_xx)
+        if m != self.max_delay:
+            raise ValueError(f"r_rr must cover lags 0..{self.max_delay}")
+        object.__setattr__(self, "r_rr", measured[0])
+        object.__setattr__(self, "r_xx", r_xx)
 
-    @cached_property
-    def lag_weights(self) -> np.ndarray:
-        """W with the model ACF at lag k = sum_d c[d] W[d, k] for the tap
-        correlation c: row 0 is r_xx[k], row d is r_xx[|k-d|] + r_xx[k+d]."""
-        m = self.max_delay
-        return _lag_weights(self.r_xx, m + 1, m + 1, 1)
 
-    @cached_property
-    def shifted_acf(self) -> np.ndarray:
-        """G[u + 2M, b] = r_xx[|u + b|] for u in -2M..M and b in 0..M."""
-        m = self.max_delay
-        return self.r_xx[np.abs(np.arange(-2 * m, m + 1)[:, None] + np.arange(m + 1))]
+def _shifted_acf(r_xx: np.ndarray, m: int) -> np.ndarray:
+    """G[u + 2M, b] = r_xx[|u + b|] for u in -2M..M and b in 0..M."""
+    return r_xx[np.abs(np.arange(-2 * m, m + 1)[:, None] + np.arange(m + 1))]
 
 
 _STEP_TOL = 1e-12  # step 2-norm below which iteration stops
 _DAMPING0 = 1e-3  # initial Levenberg-Marquardt damping
+# rows iterated side by side: bounds the solver's batch arrays, so that
+# its memory does not grow with the number of rows
+_SOLVE_BLOCK = 128
 
 
 @dataclass(frozen=True)
@@ -88,13 +92,18 @@ class SolverOptions:
 
 @dataclass(frozen=True)
 class EstimationResult:
-    """Solver output: echo taps, noise variance, and diagnostics."""
+    """Solver output: echo taps, noise variance, and diagnostics.
+
+    From solve_channels every field has a leading axis of one entry per
+    measured row: alpha_hat (n, M) and the others (n,).  From
+    solve_channel alpha_hat is (M,) and the others are Python scalars.
+    """
 
     alpha_hat: np.ndarray
-    noise_var_hat: float
-    residual_norm: float
-    iterations: int
-    converged: bool
+    noise_var_hat: np.ndarray | float
+    residual_norm: np.ndarray | float
+    iterations: np.ndarray | int
+    converged: np.ndarray | bool
 
     def __post_init__(self):
         arr = np.asarray(self.alpha_hat, dtype=float)
@@ -107,14 +116,14 @@ def _model_residuals(
     alpha: np.ndarray, noise_var, weights: np.ndarray, measured: np.ndarray
 ) -> np.ndarray:
     """build_residuals over any leading batch axes of alpha, noise_var and
-    measured, for the lag weights W of IdentificationProblem."""
+    measured, for the lag weights W = _lag_weights(r_xx, M+1, M+1, 1)."""
     taps = np.concatenate((np.ones(alpha.shape[:-1] + (1,)), alpha), axis=-1)
     return _expand(taps, weights, noise_var) - measured
 
 
 def _jacobian(alpha: np.ndarray, shifted: np.ndarray) -> np.ndarray:
     """residual_jacobian over any leading batch axes of alpha, for the
-    shifted transmit ACF G of IdentificationProblem."""
+    shifted transmit ACF G (_shifted_acf)."""
     m = alpha.shape[-1]
     a = np.concatenate((np.ones(alpha.shape[:-1] + (1,)), alpha), axis=-1)
     # derivative of sum_{i,b} a_i a_b rxx[|k-i+b|] w.r.t. a_j splits into the
@@ -140,7 +149,7 @@ def build_residuals(alpha: np.ndarray, noise_var: float, prob: IdentificationPro
     alpha = np.asarray(alpha, dtype=float)
     if alpha.shape != (m,):
         raise ValueError(f"alpha must have shape ({m},)")
-    return _model_residuals(alpha, noise_var, prob.lag_weights, prob.r_rr.values)
+    return _model_residuals(alpha, noise_var, _lag_weights(prob.r_xx, m + 1, m + 1, 1), prob.r_rr)
 
 
 def residual_jacobian(alpha: np.ndarray, noise_var: float, prob: IdentificationProblem) -> np.ndarray:
@@ -149,7 +158,7 @@ def residual_jacobian(alpha: np.ndarray, noise_var: float, prob: IdentificationP
     The equations are quadratic in the taps, so every entry is linear in
     alpha; the noise-variance column is the unit vector at lag 0.
     """
-    return _jacobian(np.asarray(alpha, dtype=float), prob.shifted_acf)
+    return _jacobian(np.asarray(alpha, dtype=float), _shifted_acf(prob.r_xx, prob.max_delay))
 
 
 def _initial_guess(measured: np.ndarray, rxx0: float) -> np.ndarray:
@@ -177,45 +186,19 @@ def _solve_each(matrices: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.n
         return out, ok
 
 
-def solve_channels(
-    problems: Sequence[IdentificationProblem], opts: SolverOptions = SolverOptions()
-) -> list[EstimationResult]:
-    """Levenberg-Marquardt solve of each problem's lag-equation system.
-
-    Damping increases on rejected steps (which also covers singular
-    damped normal matrices) and relaxes on accepted ones.  Never raises on
-    non-convergence: the best iterate comes back with converged=False.
-
-    converged=False means the residual norm stayed above opts.tol when
-    the iteration stopped, for one of three reasons: no damping lowered
-    the cost in 64 tries, the accepted step fell below 1e-12, or max_iter
-    ran out.  The result then holds the best iterate and its residual
-    norm.
-
-    The problems must share r_xx and max_delay.  They iterate side by
-    side along a leading batch axis, each through the float operations of
-    a solve on its own: the stacked matmul, solve and vecdot calls work
-    member by member, so every result is bit-identical to a one-problem
-    batch, whatever the batch holds.  The batch arrays grow with its size:
-    callers solving many problems pass them in blocks.
-    """
-    problems = list(problems)
-    if not problems:
-        return []
-    first = problems[0]
-    m = first.max_delay
-    if any(p.max_delay != m or not np.array_equal(p.r_xx, first.r_xx) for p in problems):
-        raise ValueError("problems must share r_xx and max_delay")
-    weights, shifted = first.lag_weights, first.shifted_acf
-    measured = np.stack([p.r_rr.values for p in problems])
+def _solve_block(
+    measured: np.ndarray, rxx0: float, weights: np.ndarray, shifted: np.ndarray, opts: SolverOptions
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The final iterate (alpha, noise_var), cost and iteration count of
+    each row of measured, iterated side by side (solve_channels)."""
+    m = measured.shape[1] - 1
     diagonal = np.eye(m + 1, dtype=bool)
-
-    x = _initial_guess(measured, first.r_xx[0])
+    x = _initial_guess(measured, rxx0)
     r = _model_residuals(x[:, :m], x[:, m], weights, measured)
     cost = np.vecdot(r, r)
-    lam = np.full(len(problems), _DAMPING0)
-    iterations = np.zeros(len(problems), dtype=int)
-    live = np.arange(len(problems))  # the problems still iterating
+    lam = np.full(len(measured), _DAMPING0)
+    iterations = np.zeros(len(measured), dtype=int)
+    live = np.arange(len(measured))  # the rows still iterating
     for n_iter in range(1, opts.max_iter + 1):
         iterations[live] = n_iter
         live = live[~(np.sqrt(cost[live]) <= opts.tol)]
@@ -245,25 +228,60 @@ def solve_channels(
             searching = np.setdiff1d(searching, accepted, assume_unique=True)
             if not searching.size:
                 break
-        # a problem stops when no damping lowered its cost in 64 tries or
-        # when its accepted step fell below the step tolerance
+        # a row stops when no damping lowered its cost in 64 tries or when
+        # its accepted step fell below the step tolerance
         moving = ~(np.sqrt(np.vecdot(step, step)) <= _STEP_TOL)
         moving[searching] = False
         live = live[moving]
+    return x, cost, iterations
+
+
+def solve_channels(r_xx: np.ndarray, measured: np.ndarray, opts: SolverOptions = SolverOptions()) -> EstimationResult:
+    """Levenberg-Marquardt solve of the lag-equation system of each row of
+    measured, an (n, M+1) array of receive ACFs at lags 0..M, against the
+    one transmit ACF r_xx at lags 0..2M.
+
+    Damping increases on rejected steps (which also covers singular
+    damped normal matrices) and relaxes on accepted ones.  Never raises on
+    non-convergence: the best iterate comes back with converged=False.
+
+    converged=False means the residual norm stayed above opts.tol when
+    the iteration stopped, for one of three reasons: no damping lowered
+    the cost in 64 tries, the accepted step fell below 1e-12, or max_iter
+    ran out.  The result then holds the best iterate and its residual
+    norm.
+
+    The rows iterate side by side along a leading batch axis, in blocks
+    of _SOLVE_BLOCK, each through the float operations of a solve on its
+    own: the stacked matmul, solve and vecdot calls work member by
+    member, so every row's result is bit-identical to a one-row batch,
+    whatever the batch holds.  Zero rows give empty arrays.
+    """
+    measured, r_xx, m = _checked(measured, r_xx)
+    weights, shifted = _lag_weights(r_xx, m + 1, m + 1, 1), _shifted_acf(r_xx, m)
+    n = len(measured)
+    x, cost, iterations = np.empty((n, m + 1)), np.empty(n), np.empty(n, dtype=int)
+    for start in range(0, n, _SOLVE_BLOCK):
+        block = slice(start, start + _SOLVE_BLOCK)
+        x[block], cost[block], iterations[block] = _solve_block(measured[block], r_xx[0], weights, shifted, opts)
     residual_norm = np.sqrt(cost)
-    return [
-        EstimationResult(
-            alpha_hat=x[i, :m].copy(),
-            noise_var_hat=float(x[i, m]),
-            residual_norm=float(residual_norm[i]),
-            iterations=int(iterations[i]),
-            converged=bool(residual_norm[i] <= opts.tol),
-        )
-        for i in range(len(problems))
-    ]
+    return EstimationResult(
+        alpha_hat=x[:, :m],
+        noise_var_hat=x[:, m],
+        residual_norm=residual_norm,
+        iterations=iterations,
+        converged=residual_norm <= opts.tol,
+    )
 
 
 def solve_channel(prob: IdentificationProblem, opts: SolverOptions = SolverOptions()) -> EstimationResult:
     """Levenberg-Marquardt solve of one lag-equation system: solve_channels
-    of a one-problem batch."""
-    return solve_channels([prob], opts)[0]
+    of a one-row batch, its fields unpacked into Python scalars."""
+    one = solve_channels(prob.r_xx, prob.r_rr[None], opts)
+    return EstimationResult(
+        alpha_hat=one.alpha_hat[0],
+        noise_var_hat=float(one.noise_var_hat[0]),
+        residual_norm=float(one.residual_norm[0]),
+        iterations=int(one.iterations[0]),
+        converged=bool(one.converged[0]),
+    )

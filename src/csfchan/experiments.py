@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .acf import AcfEstimate, empirical_acf, empirical_acf_trace, predicted_rx_acf, predicted_rx_acf_trace
+from .acf import empirical_acf, empirical_acf_trace, predicted_rx_acf, predicted_rx_acf_trace
 from .baselines import gaussian_probe, ls_sweep, symbol_instants
 from .channel import (
     ChannelModel,
@@ -33,7 +33,7 @@ from .channel import (
     attenuation_from_delay,
     sample_random_channel,
 )
-from .estimator import IdentificationProblem, SolverOptions, solve_channels
+from .estimator import SolverOptions, solve_channels
 from .waveform import CsfParams, SymbolStream, authoritative_acf_table, encode_waveform, random_symbols
 
 __all__ = [
@@ -285,11 +285,6 @@ def _fig2_channel(section: dict) -> ChannelModel:
         raise ConfigError(f"fig2.delays {section['delays']!r}: {exc}") from None
 
 
-# blind problems per solve_channels call: bounds the solver's batch arrays,
-# so that a sweep's peak memory does not grow with its trial count
-_SOLVE_BLOCK = 128
-
-
 def _trial_channel(cfg: dict, name: str, trial: int) -> ChannelModel:
     """The random channel of one sweep trial, shared by all its points and methods."""
     section = cfg[name]
@@ -305,23 +300,13 @@ def _blind_errors(cfg: dict, name: str, truths: np.ndarray, acfs: np.ndarray) ->
     """The squared tap error and converged flag of each blind solve, both
     shaped (trials, points), given the true taps (trials, M) and the
     measured receive ACFs (trials, points, M+1) of a sweep.  The rows of
-    all trials are solved in trial order against one pulse-ACF table, in
-    blocks of at most _SOLVE_BLOCK problems."""
+    all trials are solved in one batch against one pulse-ACF table."""
     m = int(cfg[name]["max_delay"])
     table = authoritative_acf_table(_csf_params(cfg), max_lag=2 * m)
     # empirical inputs never reach machine-precision residuals
-    opts = SolverOptions(tol=1e-6 * table[0], max_iter=100)
-    problems = [
-        IdentificationProblem(r_rr=AcfEstimate(row), r_xx=table, max_delay=m) for row in acfs.reshape(-1, m + 1)
-    ]
-    results = [
-        result
-        for start in range(0, len(problems), _SOLVE_BLOCK)
-        for result in solve_channels(problems[start : start + _SOLVE_BLOCK], opts)
-    ]
-    taps = np.reshape([result.alpha_hat for result in results], acfs.shape[:2] + (m,))
-    converged = np.reshape([result.converged for result in results], acfs.shape[:2])
-    return np.sum((taps - truths[:, None]) ** 2, axis=-1), converged
+    result = solve_channels(table, acfs.reshape(-1, m + 1), SolverOptions(tol=1e-6 * table[0], max_iter=100))
+    taps = result.alpha_hat.reshape(acfs.shape[:2] + (m,))
+    return np.sum((taps - truths[:, None]) ** 2, axis=-1), result.converged.reshape(acfs.shape[:2])
 
 
 def interior_peak_lags(values: np.ndarray) -> list[int]:
@@ -339,8 +324,7 @@ def expected_secondary_peaks(ch: ChannelModel) -> set[int]:
     out = set(d for d in delays if d > 0)
     for i, di in enumerate(delays):
         for dj in delays[:i]:
-            if di != dj:
-                out.add(abs(di - dj))
+            out.add(abs(di - dj))
     return out
 
 
@@ -364,13 +348,13 @@ def run_fig2(cfg: dict) -> ExperimentResult:
     grid, emp_trace = empirical_acf_trace(received, max_lag)
     _, pred_trace = predicted_rx_acf_trace(ch, noise_var, params, max_lag)
     # the integer lags are every Ns-th lag of the trace, bit for bit
-    emp_int = AcfEstimate(emp_trace[:: params.oversampling])
-    pred_int = predicted_rx_acf(ch, noise_var, params, max_lag)
+    emp = emp_trace[:: params.oversampling]
+    pred = predicted_rx_acf(ch, noise_var, params, max_lag)
 
-    predicted_peaks = interior_peak_lags(pred_int.values)
-    empirical_peaks = interior_peak_lags(emp_int.values)
+    predicted_peaks = interior_peak_lags(pred)
+    empirical_peaks = interior_peak_lags(emp)
     expected = sorted(expected_secondary_peaks(ch))
-    agreement = float(np.max(np.abs(emp_int.values - pred_int.values)))
+    agreement = float(np.max(np.abs(emp - pred)))
 
     # the two dominant echoes must stand out even in the measured ACF; the
     # delay-difference bump is below the sampling noise at this frame length
@@ -379,7 +363,6 @@ def run_fig2(cfg: dict) -> ExperimentResult:
     strong_ok = strong.issubset(set(empirical_peaks))
     # how far each echo's measured ACF stands above its neighbours; a
     # margin <= 0 (or None, no right neighbour) is why strong_ok failed
-    emp = emp_int.values
     margins = {
         str(d): float(min(emp[d] - emp[d - 1], emp[d] - emp[d + 1])) if d < max_lag else None
         for d in sorted(strong)
@@ -424,7 +407,7 @@ def _length_frame(args: tuple) -> np.ndarray:
     stream = random_symbols(int(section["lengths"][li]), seed=derive_seed(cfg["seed"], trial, 1, li))
     received = apply_multipath(encode_waveform(stream, _csf_params(cfg)), ch)
     received, _ = add_awgn(received, float(section["snr_db"]), seed=derive_seed(cfg["seed"], trial, 2, li))
-    return empirical_acf(received, int(section["max_delay"])).values
+    return empirical_acf(received, int(section["max_delay"]))
 
 
 def run_datalength_sweep(cfg: dict) -> ExperimentResult:
@@ -508,7 +491,7 @@ def _snr_trial(args: tuple) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndar
     for mi, method in enumerate(methods):
         if method == "blind_acf":
             for si, (received, _) in enumerate(add_awgn_sweep(clean_csf, snr_list, noise_seed)):
-                acfs[si] = empirical_acf(received, m).values
+                acfs[si] = empirical_acf(received, m)
             continue
         if method == "ls_gaussian":
             probe = gaussian_probe(n_sym, params.oversampling, seed=probe_seed)
@@ -573,7 +556,7 @@ def run_invariance_demo(cfg: dict) -> ExperimentResult:
             stream = random_symbols(n_sym, seed=derive_seed(cfg["seed"], s))
         else:
             stream = SymbolStream(np.ones(n_sym))
-        acfs[s] = empirical_acf(encode_waveform(stream, params), max_lag).values
+        acfs[s] = empirical_acf(encode_waveform(stream, params), max_lag)
     deviations = np.abs(acfs - reference)
 
     rows = []

@@ -76,7 +76,7 @@ def test_criterion_1_acf_invariance():
     acfs = []
     for s in range(n_streams):
         wave = encode_waveform(random_symbols(n_sym, seed=1000 + s), PARAMS)
-        acfs.append(empirical_acf(wave, M).values)
+        acfs.append(empirical_acf(wave, M))
     max_vs_table = max(float(np.max(np.abs(a - reference))) for a in acfs)
     max_pairwise = max(
         float(np.max(np.abs(acfs[i] - acfs[j])))
@@ -134,7 +134,7 @@ def test_criterion_3_rx_acf_decomposition():
         received = apply_multipath(encode_waveform(stream, PARAMS), ch)
         est = empirical_acf(received, M)
         pred = predicted_rx_acf(ch, 0.0, PARAMS, max_lag=M)
-        devs.append(float(np.max(np.abs(est.values - pred.values))))
+        devs.append(float(np.max(np.abs(est - pred))))
     worst = max(devs)
     elapsed = time.perf_counter() - start
     passed = worst <= 0.03 and elapsed < 60.0
@@ -157,7 +157,7 @@ def test_criterion_4_fig2_reproduction():
     """Three-path channel: secondary ACF peaks exactly at lags {2,5,7} and
     exact-ACF inversion recovers the two echo taps."""
     pred = predicted_rx_acf(FIG2_CHANNEL, 0.0, PARAMS, max_lag=M)
-    peaks = interior_peak_lags(pred.values)
+    peaks = interior_peak_lags(pred)
 
     prob = IdentificationProblem(
         r_rr=predicted_rx_acf(FIG2_CHANNEL, 0.1, PARAMS, max_lag=M),

@@ -15,9 +15,9 @@ from hypothesis import strategies as st
 
 import csfchan
 from csfchan import (
-    AcfEstimate,
     ChannelModel,
     CsfParams,
+    IdentificationProblem,
     Waveform,
     apply_multipath,
     authoritative_acf_table,
@@ -50,7 +50,7 @@ def sampling_noise_std(ch: ChannelModel, n_symbols: int, lag: int, max_lag: int)
     shape G: e(k) = sum_{d != 0} rho_hat(d) G(|k-d|).
     """
     reach = 3 * max_lag
-    g = predicted_rx_acf(ch, 0.0, PARAMS, max_lag=reach).values
+    g = predicted_rx_acf(ch, 0.0, PARAMS, max_lag=reach)
     total = 0.0
     for d in range(-reach, reach + 1):
         if d == 0:
@@ -67,27 +67,33 @@ def edge_bias(ch: ChannelModel, n_symbols: int, value: float) -> float:
     return abs(value) * extra / (n_symbols + extra)
 
 
-class TestAcfEstimateInvariants:
+class TestMeasuredAcfInvariants:
     def test_values_must_be_finite(self):
         with pytest.raises(ValueError):
-            AcfEstimate(values=np.array([1.0, np.inf]))
+            IdentificationProblem(r_rr=np.array([1.0, np.inf]), r_xx=np.ones(3), max_delay=1)
 
 
 class TestEmpiricalAcf:
     def test_zero_waveform(self):
         est = empirical_acf(Waveform(np.zeros(16 * 20), 16), 10)
-        assert np.all(est.values == 0.0)
+        assert np.all(est == 0.0)
 
     def test_quadratic_scaling(self):
         wave = encode_waveform(random_symbols(128, seed=3), PARAMS)
         scaled = Waveform(2.5 * wave.samples, wave.samples_per_symbol)
-        a = empirical_acf(wave, 10).values
-        b = empirical_acf(scaled, 10).values
+        a = empirical_acf(wave, 10)
+        b = empirical_acf(scaled, 10)
         np.testing.assert_allclose(b, 2.5**2 * a, rtol=1e-12)
 
     def test_insufficient_samples_rejected(self):
         with pytest.raises(ValueError):
             empirical_acf(Waveform(np.ones(16 * 11), 16), 10)
+
+    def test_negative_max_lag_rejected(self):
+        wave = Waveform(np.ones(16 * 20), 16)
+        for acf in (empirical_acf, empirical_acf_trace):
+            with pytest.raises(ValueError, match="max_lag must be nonnegative"):
+                acf(wave, -1)
 
     def test_single_path_matches_closed_form(self):
         # statistical agreement: the per-lag estimate fluctuates with std
@@ -99,14 +105,14 @@ class TestEmpiricalAcf:
         bound = 5.0 * ref[0] / math.sqrt(n_sym) + edge_bias(
             ChannelModel(paths=((0, 1.0),), max_delay=10), n_sym, ref[0]
         )
-        assert float(np.max(np.abs(est.values - ref))) <= bound
+        assert float(np.max(np.abs(est - ref))) <= bound
 
     def test_trace_agrees_at_integer_lags(self):
         wave = encode_waveform(random_symbols(256, seed=14), PARAMS)
         grid, trace = empirical_acf_trace(wave, 5)
         est = empirical_acf(wave, 5)
         ns = wave.samples_per_symbol
-        np.testing.assert_array_equal(trace[::ns], est.values)
+        np.testing.assert_array_equal(trace[::ns], est)
         assert grid[ns] == 1.0
 
     @settings(max_examples=60, deadline=None)
@@ -122,7 +128,7 @@ class TestEmpiricalAcf:
         x = np.random.default_rng(seed).normal(size=(max_lag + 1) * ns + extra)
         wave = Waveform(x, ns)
         grid, trace = empirical_acf_trace(wave, max_lag)
-        values = empirical_acf(wave, max_lag).values
+        values = empirical_acf(wave, max_lag)
         np.testing.assert_array_equal(trace[::ns], values)
         n = len(x)
         np.testing.assert_array_equal(trace, [np.dot(x[j:], x[: n - j]) / n for j in range(max_lag * ns + 1)])
@@ -152,7 +158,7 @@ class TestEmpiricalAcf:
         one = np.dot(x, x)
         two = np.dot(x[: (n + 1) // 2], x[: (n + 1) // 2]) + np.dot(x[(n + 1) // 2 :], x[(n + 1) // 2 :])
         assert one != two  # at these seeds the two orders round apart
-        assert empirical_acf(Waveform(x, 1), 0).values[0] == (two if halves else one) / n
+        assert empirical_acf(Waveform(x, 1), 0)[0] == (two if halves else one) / n
 
 
 class TestLaggedProducts:
@@ -300,7 +306,7 @@ class TestPredictionOracles:
     @given(channel=channels(), noise_var=NOISE_VARS)
     def test_integer_lags_match_triple_loop(self, channel, noise_var):
         ch, max_lag = channel
-        values = predicted_rx_acf(ch, noise_var, PARAMS, max_lag=max_lag).values
+        values = predicted_rx_acf(ch, noise_var, PARAMS, max_lag=max_lag)
         oracle = loop_rx_acf(ch, noise_var, PARAMS, max_lag)
         np.testing.assert_allclose(values, oracle, rtol=1e-12, atol=1e-14 * values[0])
 
@@ -319,18 +325,18 @@ class TestPredictedRxAcf:
     def test_single_path_reduces_to_pulse_acf(self):
         ch = ChannelModel(paths=((0, 1.0),), max_delay=10)
         pred = predicted_rx_acf(ch, 0.0, PARAMS, max_lag=10)
-        np.testing.assert_allclose(pred.values, theoretical_acf(np.arange(11.0), PARAMS), rtol=1e-12)
+        np.testing.assert_allclose(pred, theoretical_acf(np.arange(11.0), PARAMS), rtol=1e-12)
 
     def test_matches_brute_force_double_sum(self):
         for seed in range(8):
             ch = sample_random_channel(max_delay=10, path_count=5, seed=seed)
             pred = predicted_rx_acf(ch, 0.3, PARAMS, max_lag=10)
-            np.testing.assert_allclose(pred.values, brute_force_rx_acf(ch, 0.3, 10), rtol=1e-10)
+            np.testing.assert_allclose(pred, brute_force_rx_acf(ch, 0.3, 10), rtol=1e-10)
 
     def test_noise_term_is_linear_and_lag0_only(self):
-        base = predicted_rx_acf(FIG2_CHANNEL, 0.0, PARAMS, max_lag=10).values
+        base = predicted_rx_acf(FIG2_CHANNEL, 0.0, PARAMS, max_lag=10)
         for nv in (0.1, 0.7, 2.0):
-            noisy = predicted_rx_acf(FIG2_CHANNEL, nv, PARAMS, max_lag=10).values
+            noisy = predicted_rx_acf(FIG2_CHANNEL, nv, PARAMS, max_lag=10)
             assert noisy[0] - base[0] == pytest.approx(nv, abs=1e-14)
             np.testing.assert_array_equal(noisy[1:], base[1:])
 
@@ -340,13 +346,13 @@ class TestPredictedRxAcf:
 
     def test_three_path_peak_lags(self):
         pred = predicted_rx_acf(FIG2_CHANNEL, 0.0, PARAMS, max_lag=10)
-        assert interior_peak_lags(pred.values) == [2, 5, 7]
+        assert interior_peak_lags(pred) == [2, 5, 7]
 
     def test_trace_hits_integer_values(self):
         grid, trace = predicted_rx_acf_trace(FIG2_CHANNEL, 0.25, PARAMS, max_lag=10)
         pred = predicted_rx_acf(FIG2_CHANNEL, 0.25, PARAMS, max_lag=10)
         ns = PARAMS.oversampling
-        np.testing.assert_allclose(trace[::ns], pred.values, atol=1e-8)
+        np.testing.assert_allclose(trace[::ns], pred, atol=1e-8)
         assert grid[-1] == 10.0
 
 
@@ -364,9 +370,9 @@ class TestSimulationConsistency:
             pred = predicted_rx_acf(ch, 0.0, PARAMS, max_lag=10)
             for k in range(11):
                 bound = 5.0 * sampling_noise_std(ch, n_sym, k, 10) + edge_bias(
-                    ch, n_sym, pred.values[k]
+                    ch, n_sym, pred[k]
                 ) + 1e-4
-                assert abs(est.values[k] - pred.values[k]) <= bound, (seed, k)
+                assert abs(est[k] - pred[k]) <= bound, (seed, k)
 
     def test_symbol_independence_of_acf(self):
         # two different streams through the same channel: ACFs agree within
@@ -377,7 +383,7 @@ class TestSimulationConsistency:
         for seed in (5, 6):
             stream = random_symbols(n_sym, seed=seed)
             received = apply_multipath(encode_waveform(stream, PARAMS), ch)
-            acfs.append(empirical_acf(received, 10).values)
+            acfs.append(empirical_acf(received, 10))
         for k in range(11):
             bound = 5.0 * math.sqrt(2.0) * sampling_noise_std(ch, n_sym, k, 10) + 1e-4
             assert abs(acfs[0][k] - acfs[1][k]) <= bound

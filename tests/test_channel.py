@@ -206,8 +206,8 @@ class TestAddAwgn:
         noisy, sigma2 = add_awgn(wave, 0.0, seed=8)
         noise = Waveform(noisy.samples - wave.samples, ns)
         est = empirical_acf(noise, 10)
-        assert est.values[0] == pytest.approx(sigma2, rel=0.05)
-        normalized = np.abs(est.values[1:]) / est.values[0]
+        assert est[0] == pytest.approx(sigma2, rel=0.05)
+        normalized = np.abs(est[1:]) / est[0]
         assert np.max(normalized) <= 4.0 / math.sqrt(n)
 
     def test_common_draw_across_snr(self):

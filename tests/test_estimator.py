@@ -10,10 +10,10 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import csfchan.estimator
 import csfchan.experiments
 
 from csfchan import (
-    AcfEstimate,
     ChannelModel,
     CsfParams,
     EstimationResult,
@@ -31,7 +31,8 @@ from csfchan import (
     solve_channel,
     solve_channels,
 )
-from csfchan.estimator import _DAMPING0, _STEP_TOL, _jacobian, _model_residuals
+from csfchan.acf import _lag_weights
+from csfchan.estimator import _DAMPING0, _STEP_TOL, _jacobian, _model_residuals, _shifted_acf
 from csfchan.experiments import _blind_errors, _snr_trial, resolve_config
 
 REPO = Path(__file__).resolve().parents[1]
@@ -63,7 +64,7 @@ def brute_force_residuals(alpha, noise_var, prob) -> np.ndarray:
         for i in range(m + 1):
             for j in range(m + 1):
                 total += a[i] * a[j] * prob.r_xx[abs(k - i + j)]
-        out[k] = total - prob.r_rr.values[k]
+        out[k] = total - prob.r_rr[k]
     out[0] += noise_var
     return out
 
@@ -80,7 +81,7 @@ def loop_residuals(alpha, noise_var, prob) -> np.ndarray:
     for d in range(1, m + 1):
         model += c[d] * (rxx[np.abs(k - d)] + rxx[k + d])
     model[0] += noise_var
-    return model - prob.r_rr.values
+    return model - prob.r_rr
 
 
 def loop_jacobian(alpha, noise_var, prob) -> np.ndarray:
@@ -101,8 +102,8 @@ def loop_jacobian(alpha, noise_var, prob) -> np.ndarray:
 def loop_seed(prob) -> np.ndarray:
     """The linearised seed (alpha, noise_var) of one problem."""
     rxx0 = prob.r_xx[0]
-    alpha0 = np.maximum(0.0, prob.r_rr.values[1:] / rxx0)
-    nv0 = max(0.0, prob.r_rr.values[0] - rxx0 * (1.0 + float(np.sum(alpha0**2))))
+    alpha0 = np.maximum(0.0, prob.r_rr[1:] / rxx0)
+    nv0 = max(0.0, prob.r_rr[0] - rxx0 * (1.0 + float(np.sum(alpha0**2))))
     return np.concatenate([alpha0, [nv0]])
 
 
@@ -159,6 +160,16 @@ def assert_same_result(got: EstimationResult, expected: EstimationResult) -> Non
         expected.iterations,
         expected.converged,
     )
+
+
+def solve_batch(problems, opts) -> list[EstimationResult]:
+    """solve_channels of the problems' rows against their shared table,
+    one result per row."""
+    batch = solve_channels(problems[0].r_xx, np.stack([prob.r_rr for prob in problems]), opts)
+    return [
+        EstimationResult(*(getattr(batch, field.name)[i] for field in dataclasses.fields(batch)))
+        for i in range(len(problems))
+    ]
 
 
 class TestProblemInvariants:
@@ -228,7 +239,7 @@ class TestLoopOracles:
         lags = np.arange(2 * m + 1)
         r_xx = rng.uniform(0.1, 2.0) * np.exp(-decay * lags) * rng.uniform(-1.0, 1.0, size=lags.size)
         r_xx[0] = abs(r_xx[0]) + 0.1
-        r_rr = AcfEstimate(rng.normal(size=m + 1))
+        r_rr = rng.normal(size=m + 1)
         prob = IdentificationProblem(r_rr=r_rr, r_xx=r_xx, max_delay=m)
         alpha = rng.uniform(-1.0, 1.0, size=m)
         noise_var = float(rng.uniform(0.0, 2.0))
@@ -241,9 +252,9 @@ class TestLoopOracles:
         # the batched forms the solver iterates with, row by row
         alphas = np.stack([alpha, -alpha, 0.5 * alpha])
         noise_vars = np.array([noise_var, 0.0, 2.0 * noise_var])
-        measured = np.stack([r_rr.values] * 3)
-        residuals = _model_residuals(alphas, noise_vars, prob.lag_weights, measured)
-        jacobians = _jacobian(alphas, prob.shifted_acf)
+        measured = np.stack([r_rr] * 3)
+        residuals = _model_residuals(alphas, noise_vars, _lag_weights(prob.r_xx, m + 1, m + 1, 1), measured)
+        jacobians = _jacobian(alphas, _shifted_acf(prob.r_xx, m))
         for row, (a, nv) in enumerate(zip(alphas, noise_vars)):
             np.testing.assert_array_equal(residuals[row], loop_residuals(a, nv, prob))
             np.testing.assert_array_equal(jacobians[row], loop_jacobian(a, nv, prob))
@@ -312,17 +323,15 @@ class TestSolveChannel:
         prob = exact_problem(ch, nv)
         result = solve_channel(prob, SolverOptions(tol=1e-12))
         assert float(np.max(np.abs(result.alpha_hat))) <= 1e-9
-        expected_nv = prob.r_rr.values[0] - prob.r_xx[0]
+        expected_nv = prob.r_rr[0] - prob.r_xx[0]
         assert result.noise_var_hat == pytest.approx(expected_nv, abs=1e-9)
 
     def test_noise_perturbation_moves_only_noise_estimate(self):
         prob = exact_problem(FIG2_CHANNEL, 0.1)
-        bumped_rr = prob.r_rr.values.copy()
+        bumped_rr = prob.r_rr.copy()
         bumped_rr[0] += 0.05
-        from csfchan import AcfEstimate
-
         prob2 = IdentificationProblem(
-            r_rr=AcfEstimate(bumped_rr),
+            r_rr=bumped_rr,
             r_xx=prob.r_xx,
             max_delay=M,
         )
@@ -333,10 +342,8 @@ class TestSolveChannel:
 
     def test_nonconvergence_flagged_not_raised(self):
         bad = predicted_rx_acf(FIG2_CHANNEL, 0.0, PARAMS, max_lag=M)
-        from csfchan import AcfEstimate
-
         prob = IdentificationProblem(
-            r_rr=AcfEstimate(bad.values + 0.5),
+            r_rr=bad + 0.5,
             r_xx=authoritative_acf_table(PARAMS, max_lag=2 * M),
             max_delay=M,
         )
@@ -378,9 +385,9 @@ def reference_solves():
     cfg["sweep_snr"]["methods"] = ["blind_acf"]
     calls = []
 
-    def recording(problems, opts):
-        calls.append((problems, opts))
-        return solve_channels(problems, opts)
+    def recording(r_xx, measured, opts):
+        calls.append(([IdentificationProblem(r_rr=row, r_xx=r_xx, max_delay=len(row) - 1) for row in measured], opts))
+        return solve_channels(r_xx, measured, opts)
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(csfchan.experiments, "solve_channels", recording)
@@ -445,7 +452,7 @@ class TestSolveChannels:
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(np.linalg, "solve", singular_first_steps(member, singular_below))
             expected = [loop_solve(prob, opts) for prob in batch]
-            got = solve_channels(batch, opts)
+            got = solve_batch(batch, opts)
         assert len(got) == size
         for g, e in zip(got, expected):
             assert_same_result(g, e)
@@ -459,17 +466,37 @@ class TestSolveChannels:
         assert len(problems) == 500
         expected = [loop_solve(prob, opts) for prob in problems]
         assert [i for i, e in enumerate(expected) if not e.converged] == STALLS
-        for block in range(0, len(problems), 128):
-            got = solve_channels(problems[block : block + 128], opts)
-            for g, e in zip(got, expected[block : block + 128]):
-                assert_same_result(g, e)
+        for g, e in zip(solve_batch(problems, opts), expected):
+            assert_same_result(g, e)
 
-    def test_problems_must_share_the_table(self):
+    def test_stacked_solves_hold_at_most_one_block(self, reference_solves, monkeypatch):
+        # the 500 reference rows iterate in blocks of 128: the stacked
+        # Jacobian of an iteration never holds more rows than a block
+        problems, opts = reference_solves
+        sizes = []
+
+        def recording(alpha, shifted):
+            sizes.append(alpha.shape[0])
+            return _jacobian(alpha, shifted)
+
+        monkeypatch.setattr(csfchan.estimator, "_jacobian", recording)
+        solve_batch(problems, opts)
+        assert max(sizes) == 128
+
+    def test_malformed_rows_rejected(self):
         prob = exact_problem(FIG2_CHANNEL, 0.1)
-        assert solve_channels([]) == []
-        other = IdentificationProblem(r_rr=prob.r_rr, r_xx=2.0 * prob.r_xx, max_delay=M)
-        with pytest.raises(ValueError, match="share r_xx and max_delay"):
-            solve_channels([prob, other])
-        short = exact_problem(ChannelModel(paths=((0, 1.0),), max_delay=M - 1), 0.1)
-        with pytest.raises(ValueError, match="share r_xx and max_delay"):
-            solve_channels([prob, short])
+        rows = np.stack([prob.r_rr] * 2)
+        empty = solve_channels(prob.r_xx, np.empty((0, M + 1)))
+        assert empty.alpha_hat.shape == (0, M)
+        for field in (empty.noise_var_hat, empty.residual_norm, empty.iterations, empty.converged):
+            assert field.shape == (0,)
+        with pytest.raises(ValueError, match="array of ACF rows"):
+            solve_channels(prob.r_xx, prob.r_rr)
+        with pytest.raises(ValueError, match=f"r_xx must cover lags 0..{2 * M}"):
+            solve_channels(prob.r_xx[: 2 * M], rows)
+        nan_rows, inf_table = rows.copy(), prob.r_xx.copy()
+        nan_rows[1, 3] = np.nan
+        inf_table[3] = np.inf
+        for r_xx, measured in ((prob.r_xx, nan_rows), (inf_table, rows)):
+            with pytest.raises(ValueError, match="finite"):
+                solve_channels(r_xx, measured)

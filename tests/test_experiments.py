@@ -24,7 +24,7 @@ from csfchan.baselines import chaotic_probe_frame, gaussian_probe_frame, ls_esti
 from csfchan.acf import empirical_acf, predicted_rx_acf
 from csfchan.channel import ChannelModel, add_awgn, apply_multipath, attenuation_from_delay, sample_random_channel
 from csfchan.cli import main as cli_main
-from csfchan.estimator import solve_channel, solve_channels
+from csfchan.estimator import EstimationResult, IdentificationProblem, solve_channel, solve_channels
 from csfchan.experiments import (
     DEFAULT_CONFIG,
     ConfigError,
@@ -195,8 +195,8 @@ class TestFig2:
         stream = random_symbols(section["symbols"], seed=derive_seed(cfg["seed"], 1))
         received = apply_multipath(encode_waveform(stream, params), ch)
         received, noise_var = add_awgn(received, section["snr_db"], seed=derive_seed(cfg["seed"], 2))
-        emp = empirical_acf(received, 10).values
-        pred = predicted_rx_acf(ch, noise_var, params, 10).values
+        emp = empirical_acf(received, 10)
+        pred = predicted_rx_acf(ch, noise_var, params, 10)
         np.testing.assert_array_equal([row[1] for row in result.rows[:: params.oversampling]], emp)
         assert result.summary["empirical_peak_lags"] == interior_peak_lags(emp)
         assert result.summary["max_abs_disagreement"] == float(np.max(np.abs(emp - pred)))
@@ -278,7 +278,7 @@ def per_snr_trial(cfg, trial):
     out = {}
     for snr in [float(s) for s in section["snr_db_list"]]:
         clean = apply_multipath(encode_waveform(random_symbols(n_sym, seed=seeds[1]), params), ch)
-        acf = empirical_acf(add_awgn(clean, snr, seed=seeds[2])[0], m).values
+        acf = empirical_acf(add_awgn(clean, snr, seed=seeds[2])[0], m)
         sq_err, converged = _blind_errors(cfg, "sweep_snr", truth[None], acf[None, None])
         out[(snr, "blind_acf")] = (float(sq_err[0, 0]) / path_count, bool(converged[0, 0]))
         for method, frame in (
@@ -347,9 +347,12 @@ class TestReferenceNonConvergence:
     def test_trials_11_and_21(self, monkeypatch):
         solves = []
 
-        def recording_solves(problems, opts):
-            results = solve_channels(problems, opts)
-            solves.extend((prob, opts, result) for prob, result in zip(problems, results))
+        def recording_solves(r_xx, measured, opts):
+            results = solve_channels(r_xx, measured, opts)
+            for i, row in enumerate(measured):
+                prob = IdentificationProblem(r_rr=row, r_xx=r_xx, max_delay=len(row) - 1)
+                result = EstimationResult(*(getattr(results, field.name)[i] for field in dataclasses.fields(results)))
+                solves.append((prob, opts, result))
             return results
 
         monkeypatch.setattr(csfchan.experiments, "solve_channels", recording_solves)
@@ -382,9 +385,9 @@ class TestReferenceNonConvergence:
 
 
 def recorded_blocks(monkeypatch) -> list:
-    """The sizes of the batches the experiments hand to solve_channels,
-    filled in as they run; solve_channel called anywhere in the package
-    fails the test."""
+    """The row counts of the batches the experiments hand to
+    solve_channels, filled in as they run; solve_channel called anywhere
+    in the package fails the test."""
 
     def forbidden(*args, **kwargs):
         raise AssertionError("the sweep solves a frame on its own")
@@ -395,9 +398,9 @@ def recorded_blocks(monkeypatch) -> list:
                 monkeypatch.setattr(module, attr, forbidden)
     blocks = []
 
-    def recording_solves(problems, opts):
-        blocks.append(len(problems))
-        return solve_channels(problems, opts)
+    def recording_solves(r_xx, measured, opts):
+        blocks.append(len(measured))
+        return solve_channels(r_xx, measured, opts)
 
     monkeypatch.setattr(csfchan.experiments, "solve_channels", recording_solves)
     return blocks
@@ -405,20 +408,21 @@ def recorded_blocks(monkeypatch) -> list:
 
 def test_reference_sweep_snr_solves_in_blocks(monkeypatch):
     # the 500 blind problems of the reference sweep go to the solver in
-    # blocks of at most 128, never one frame at a time
+    # one batch, never one frame at a time; the solver blocks them itself
+    # (test_estimator's test_stacked_solves_hold_at_most_one_block)
     blocks = recorded_blocks(monkeypatch)
     cfg = resolve_config(yaml.safe_load((REPO / "configs/snr_sweep_full.yaml").read_text()))
     run_snr_sweep(cfg)
-    assert blocks == [128, 128, 128, 116]
+    assert blocks == [500]
 
 
 def test_reference_sweep_length_solves_in_blocks(monkeypatch):
     # the 140 blind problems (20 trials x 7 lengths) are solved after the
-    # trials, across them, in the same blocks as the SNR sweep's
+    # trials, across them, in one batch as the SNR sweep's are
     blocks = recorded_blocks(monkeypatch)
     cfg = resolve_config(yaml.safe_load((REPO / "configs/length_sweep.yaml").read_text()))
     run_datalength_sweep(cfg)
-    assert blocks == [128, 12]
+    assert blocks == [140]
 
 
 def test_length_sweep_runs_largest_frame_first(monkeypatch):
