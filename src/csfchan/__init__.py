@@ -16,7 +16,6 @@ from .baselines import (
 from .channel import (
     ChannelModel,
     add_awgn,
-    add_awgn_sweep,
     apply_multipath,
     attenuation_from_delay,
     awgn_law,
@@ -34,7 +33,6 @@ from .estimator import (
 from .experiments import derive_seed, resolve_config
 from .waveform import (
     CsfParams,
-    SymbolStream,
     Waveform,
     authoritative_acf_table,
     base_pulse,
@@ -53,10 +51,8 @@ __all__ = [
     "LsEstimate",
     "ProbeFrame",
     "SolverOptions",
-    "SymbolStream",
     "Waveform",
     "add_awgn",
-    "add_awgn_sweep",
     "apply_multipath",
     "attenuation_from_delay",
     "authoritative_acf_table",

@@ -108,9 +108,13 @@ def _lagged_products(x: np.ndarray, y: np.ndarray, shifts: range) -> np.ndarray:
     return np.array(sums, dtype=float)
 
 
-def _check_acf_length(wave: Waveform, max_lag: int) -> None:
+def _check_max_lag(max_lag: int) -> None:
     if max_lag < 0:
         raise ValueError(f"max_lag must be nonnegative, got {max_lag}")
+
+
+def _check_acf_length(wave: Waveform, max_lag: int) -> None:
+    _check_max_lag(max_lag)
     if len(wave) <= (max_lag + 1) * wave.samples_per_symbol:
         raise ValueError(f"waveform too short for max_lag={max_lag}: {len(wave)} samples")
 
@@ -186,6 +190,7 @@ def predicted_rx_acf(
     differences.  The transmit ACF is extended evenly to negative lags.
     """
     m = ch.max_delay if max_lag is None else int(max_lag)
+    _check_max_lag(m)
     table = authoritative_acf_table(params, max_lag=m + int(ch.delays[-1]))
     return _rx_model(ch, noise_var, table, m + 1, 1)
 
@@ -202,6 +207,7 @@ def predicted_rx_acf_trace(
     integrated pulse ACF, which is the valid route off the integer grid.
     The white-noise term contributes only at exactly lag 0.
     """
+    _check_max_lag(max_lag)
     ns = params.oversampling
     # pulse ACF sampled once on the widest grid needed
     full = pulse_acf(np.arange((max_lag + int(ch.delays[-1])) * ns + 1) / ns, params)

@@ -55,11 +55,6 @@ class LsEstimate:
     alpha_hat: np.ndarray
     degenerate: bool
 
-    def relative_taps(self) -> np.ndarray:
-        """Echo taps normalised by the solved main tap, for comparability
-        with estimators that pin the main tap to 1."""
-        return self.alpha_hat[1:] / self.alpha_hat[0]
-
 
 def ls_estimate(frame: ProbeFrame, max_delay: int) -> LsEstimate:
     """Solve min || received - X alpha ||_2 over taps at delays 0..max_delay.
@@ -97,7 +92,7 @@ def ls_estimate(frame: ProbeFrame, max_delay: int) -> LsEstimate:
     return LsEstimate(alpha_hat=solution, degenerate=bool(rank < max_delay + 1))
 
 
-def ls_sweep(probe: Waveform, clean: Waveform, snr_dbs, seed: int, max_delay: int) -> list[LsEstimate]:
+def ls_sweep(probe: Waveform, clean: Waveform, snr_dbs, seed: int, max_delay: int) -> tuple[np.ndarray, bool]:
     """ls_estimate at each SNR of a sweep, by linearity in the noise.
 
     probe is the known probe on the frame grid; clean is the noiseless
@@ -108,8 +103,9 @@ def ls_sweep(probe: Waveform, clean: Waveform, snr_dbs, seed: int, max_delay: in
     add_awgn's at seed + 1 on the full-rate clean output.  The solve is
     linear in the received frame, pinv(X)(y + sigma n) = pinv(X) y +
     sigma pinv(X) n, so one solve on the clean frame and one on the
-    unit-noise frame serve every SNR; whether the probe's Gram matrix is
-    degenerate does not depend on the frame.
+    unit-noise frame serve every SNR.  Returns the taps alpha_0..alpha_M
+    per SNR, one row each (a noiseless row is the clean solve), and the
+    degenerate flag, which depends on the probe alone.
     """
     step = clean.samples_per_symbol // probe.samples_per_symbol
 
@@ -119,15 +115,13 @@ def ls_sweep(probe: Waveform, clean: Waveform, snr_dbs, seed: int, max_delay: in
 
     draw, sigma2s = awgn_law(clean, snr_dbs, seed + 1)
     base = solve(clean.samples)
-    if draw is None:
-        return [base] * len(sigma2s)
-    unit = solve(draw)
-    return [
-        base
-        if sigma2 is None
-        else LsEstimate(alpha_hat=base.alpha_hat + math.sqrt(sigma2) * unit.alpha_hat, degenerate=base.degenerate)
-        for sigma2 in sigma2s
-    ]
+    taps = np.tile(base.alpha_hat, (len(sigma2s), 1))
+    if draw is not None:
+        unit = solve(draw).alpha_hat
+        for row, sigma2 in zip(taps, sigma2s):
+            if sigma2 is not None:
+                row += math.sqrt(sigma2) * unit
+    return taps, base.degenerate
 
 
 def gaussian_probe(n_symbols: int, samples_per_symbol: int, seed: int) -> Waveform:

@@ -20,7 +20,6 @@ __all__ = [
     "attenuation_from_delay",
     "apply_multipath",
     "add_awgn",
-    "add_awgn_sweep",
     "awgn_law",
     "sample_random_channel",
 ]
@@ -126,11 +125,17 @@ def add_awgn(wave: Waveform, snr_db: float | None, seed: int) -> tuple[Waveform,
 
     The noise variance is mean(wave**2) / 10**(snr_db/10), i.e. the SNR is
     referenced to the power of the waveform being corrupted.  snr_db of
-    None or +inf disables noise (variance 0.0).  Deterministic for a fixed seed, and the
-    same seed yields the same underlying standard-normal draw at every
-    SNR, so sweeping SNR with one seed varies only the noise scale.
+    None or +inf disables noise (variance 0.0).  Deterministic for a fixed
+    seed, and the same seed yields the same underlying standard-normal
+    draw at every SNR (awgn_law), so sweeping SNR with one seed varies
+    only the noise scale.
     """
-    return add_awgn_sweep(wave, [snr_db], seed)[0]
+    draw, (sigma2,) = awgn_law(wave, [snr_db], seed)
+    if sigma2 is None:
+        return wave, 0.0
+    draw *= math.sqrt(sigma2)
+    draw += wave.samples
+    return Waveform(draw, wave.samples_per_symbol), sigma2
 
 
 def awgn_law(wave: Waveform, snr_dbs, seed: int) -> tuple[np.ndarray | None, list[float | None]]:
@@ -152,26 +157,6 @@ def awgn_law(wave: Waveform, snr_dbs, seed: int) -> tuple[np.ndarray | None, lis
     power = float(np.mean(draw))
     np.random.default_rng(seed).standard_normal(out=draw)
     return draw, [None if snr_db is None else power / 10.0 ** (snr_db / 10.0) for snr_db in snrs]
-
-
-def add_awgn_sweep(wave: Waveform, snr_dbs, seed: int) -> list[tuple[Waveform, float]]:
-    """add_awgn at each SNR of a sweep from one standard-normal draw.
-
-    The draw and the signal power are computed once (awgn_law) and the
-    draw is scaled to each SNR; sigma * standard_normal equals
-    normal(0, sigma) bit for bit, so each entry is exactly add_awgn at
-    that SNR.
-    """
-    draw, sigma2s = awgn_law(wave, snr_dbs, seed)
-    out = []
-    for sigma2 in sigma2s:
-        if sigma2 is None:
-            out.append((wave, 0.0))
-            continue
-        noisy = np.multiply(draw, math.sqrt(sigma2))  # the draw serves every SNR
-        noisy += wave.samples
-        out.append((Waveform(noisy, wave.samples_per_symbol), sigma2))
-    return out
 
 
 def sample_random_channel(

@@ -28,13 +28,13 @@ from .baselines import gaussian_probe, ls_sweep, symbol_instants
 from .channel import (
     ChannelModel,
     add_awgn,
-    add_awgn_sweep,
     apply_multipath,
     attenuation_from_delay,
+    awgn_law,
     sample_random_channel,
 )
 from .estimator import SolverOptions, solve_channels
-from .waveform import CsfParams, SymbolStream, authoritative_acf_table, encode_waveform, random_symbols
+from .waveform import CsfParams, Waveform, authoritative_acf_table, encode_waveform, random_symbols
 
 __all__ = [
     "ConfigError",
@@ -471,7 +471,7 @@ def _snr_trial(args: tuple) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndar
     section = cfg["sweep_snr"]
     m = int(section["max_delay"])
     n_sym = int(section["symbols"])
-    snr_list = [float(s) for s in section["snr_db_list"]]
+    snr_list = section["snr_db_list"]
     methods = list(section["methods"])
     acfs = np.empty((len(snr_list) if "blind_acf" in methods else 0, m + 1))
     errs = np.zeros((len(snr_list), len(methods)))
@@ -490,17 +490,23 @@ def _snr_trial(args: tuple) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndar
 
     for mi, method in enumerate(methods):
         if method == "blind_acf":
-            for si, (received, _) in enumerate(add_awgn_sweep(clean_csf, snr_list, noise_seed)):
+            draw, sigma2s = awgn_law(clean_csf, snr_list, noise_seed)  # add_awgn at each SNR, from one draw
+            for si, sigma2 in enumerate(sigma2s):
+                received = clean_csf
+                if sigma2 is not None:
+                    noisy = np.multiply(draw, math.sqrt(sigma2))
+                    noisy += clean_csf.samples
+                    received = Waveform(noisy, clean_csf.samples_per_symbol)
                 acfs[si] = empirical_acf(received, m)
             continue
         if method == "ls_gaussian":
             probe = gaussian_probe(n_sym, params.oversampling, seed=probe_seed)
-            estimates = ls_sweep(probe, apply_multipath(probe, ch), snr_list, probe_seed, m)
+            taps, degenerate = ls_sweep(probe, apply_multipath(probe, ch), snr_list, probe_seed, m)
         else:  # ls_chaos
-            estimates = ls_sweep(symbol_instants(csf), clean_csf, snr_list, stream_seed, m)
-        for si, est in enumerate(estimates):
-            errs[si, mi] = np.sum((est.relative_taps() - truth) ** 2) / path_count
-            flags[si, mi] = not est.degenerate
+            taps, degenerate = ls_sweep(symbol_instants(csf), clean_csf, snr_list, stream_seed, m)
+        # echo taps normalised by the solved main tap, as the blind solver pins it to 1
+        errs[:, mi] = np.sum((taps[:, 1:] / taps[:, :1] - truth) ** 2, axis=-1) / path_count
+        flags[:, mi] = not degenerate
     return truth, acfs, errs, flags
 
 
@@ -552,10 +558,7 @@ def run_invariance_demo(cfg: dict) -> ExperimentResult:
     # invariance, so it is shown for contrast, excluded from the statistics
     acfs = np.empty((n_streams + bool(section["include_all_ones"]), max_lag + 1))
     for s in range(len(acfs)):
-        if s < n_streams:
-            stream = random_symbols(n_sym, seed=derive_seed(cfg["seed"], s))
-        else:
-            stream = SymbolStream(np.ones(n_sym))
+        stream = random_symbols(n_sym, seed=derive_seed(cfg["seed"], s)) if s < n_streams else np.ones(n_sym)
         acfs[s] = empirical_acf(encode_waveform(stream, params), max_lag)
     deviations = np.abs(acfs - reference)
 

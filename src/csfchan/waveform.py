@@ -22,7 +22,6 @@ import numpy as np
 
 __all__ = [
     "CsfParams",
-    "SymbolStream",
     "Waveform",
     "base_pulse",
     "sample_base_pulse",
@@ -63,24 +62,6 @@ class CsfParams:
     def pulse_tail(self) -> int:
         """Truncation depth of the t < 0 tail, in symbol periods."""
         return math.ceil(math.log(1.0 / _TAIL_AMPLITUDE) / self.beta)
-
-
-@dataclass(frozen=True)
-class SymbolStream:
-    """Binary antipodal symbols, each exactly -1 or +1."""
-
-    symbols: np.ndarray
-
-    def __post_init__(self):
-        arr = np.asarray(self.symbols, dtype=float)
-        if arr.ndim != 1 or arr.size < 1:
-            raise ValueError("symbols must be a nonempty 1-d sequence")
-        if not np.all(np.abs(arr) == 1.0):
-            raise ValueError("every symbol must be exactly -1 or +1")
-        object.__setattr__(self, "symbols", arr)
-
-    def __len__(self) -> int:
-        return self.symbols.size
 
 
 @dataclass(frozen=True)
@@ -174,8 +155,9 @@ def _pulse_spectrum(params: CsfParams, n_fft: int) -> np.ndarray:
     return spectrum
 
 
-def encode_waveform(stream: SymbolStream, params: CsfParams = CsfParams()) -> Waveform:
-    """Superpose one symbol-shifted shaping pulse per symbol.
+def encode_waveform(stream, params: CsfParams = CsfParams()) -> Waveform:
+    """Superpose one symbol-shifted shaping pulse per symbol of stream, a
+    nonempty 1-d sequence of exact -1s and +1s (anything else: ValueError).
 
     The output grid covers [-pulse_tail, n_symbols) symbol periods at the
     configured oversampling, so it contains the leading tail of the first
@@ -184,27 +166,29 @@ def encode_waveform(stream: SymbolStream, params: CsfParams = CsfParams()) -> Wa
     domain with fftconvolve's padding and product, so the samples equal
     scipy.signal.fftconvolve's bit for bit.
     """
+    symbols = np.asarray(stream, dtype=float)
+    if symbols.ndim != 1 or symbols.size < 1 or not np.all(np.abs(symbols) == 1.0):
+        raise ValueError("symbols must be a nonempty 1-d sequence of exact -1s and +1s")
     ns = params.oversampling
-    n_sym = len(stream)
+    n_sym = symbols.size
     n_out = (n_sym + params.pulse_tail) * ns
     n_fft = _next_fast_len(n_out + ns - 1)  # full convolution length
     # the cached spectrum is built before the frame's buffers, so it sits
     # below them on the heap and their freed space stays one block
     pulse = _pulse_spectrum(params, n_fft)
     train = np.zeros(n_fft)
-    train[: n_sym * ns : ns] = stream.symbols
+    train[: n_sym * ns : ns] = symbols
     spectrum = np.fft.rfft(train)
     spectrum *= pulse
     np.fft.irfft(spectrum, n_fft, out=train)  # the train becomes the output
     return Waveform(train[:n_out], ns)
 
 
-def random_symbols(n: int, seed: int) -> SymbolStream:
-    """n iid equiprobable +-1 symbols from a PCG64 generator."""
+def random_symbols(n: int, seed: int) -> np.ndarray:
+    """n iid equiprobable +-1 symbols from a PCG64 generator, as floats."""
     if n < 1:
         raise ValueError("need at least one symbol")
-    rng = np.random.default_rng(seed)
-    return SymbolStream(rng.choice((-1.0, 1.0), size=n))
+    return np.random.default_rng(seed).choice((-1.0, 1.0), size=n)
 
 
 def theoretical_acf(lag, params: CsfParams = CsfParams()):

@@ -344,6 +344,24 @@ class TestPredictedRxAcf:
         with pytest.raises(ValueError):
             predicted_rx_acf(FIG2_CHANNEL, -0.1, PARAMS, max_lag=10)
 
+    @staticmethod
+    def refuse_work(monkeypatch):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("the transmit ACF was evaluated before max_lag was checked")
+
+        monkeypatch.setattr(csfchan.acf, "authoritative_acf_table", unreachable)
+        monkeypatch.setattr(csfchan.acf, "pulse_acf", unreachable)
+
+    def test_negative_max_lag_rejected(self, monkeypatch):
+        self.refuse_work(monkeypatch)
+        with pytest.raises(ValueError, match="max_lag must be nonnegative, got -1"):
+            predicted_rx_acf(FIG2_CHANNEL, 0.0, PARAMS, max_lag=-1)
+
+    def test_trace_negative_max_lag_rejected(self, monkeypatch):
+        self.refuse_work(monkeypatch)
+        with pytest.raises(ValueError, match="max_lag must be nonnegative, got -1"):
+            predicted_rx_acf_trace(FIG2_CHANNEL, 0.0, PARAMS, max_lag=-1)
+
     def test_three_path_peak_lags(self):
         pred = predicted_rx_acf(FIG2_CHANNEL, 0.0, PARAMS, max_lag=10)
         assert interior_peak_lags(pred) == [2, 5, 7]

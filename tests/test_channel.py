@@ -12,7 +12,6 @@ from csfchan import (
     CsfParams,
     Waveform,
     add_awgn,
-    add_awgn_sweep,
     apply_multipath,
     attenuation_from_delay,
     empirical_acf,
@@ -22,6 +21,7 @@ from csfchan import (
     theoretical_acf,
 )
 from csfchan.channel import _BLOCK, awgn_law
+from csfchan.experiments import _csf_params, _snr_trial, _trial_channel, derive_seed, resolve_config
 
 PARAMS = CsfParams()
 
@@ -231,13 +231,29 @@ class TestAddAwgn:
             np.testing.assert_array_equal(noisy.samples, expected)
             assert noise_var == sigma2
 
+    def test_input_samples_untouched(self):
+        # the noise is scaled in place in the draw, never in the input
+        wave = encode_waveform(random_symbols(128, seed=4), PARAMS)
+        before = wave.samples.copy()
+        for snr in (0.0, 20.0, None):
+            add_awgn(wave, snr, seed=12)
+            np.testing.assert_array_equal(wave.samples, before)
+        assert not np.shares_memory(add_awgn(wave, 10.0, seed=12)[0].samples, wave.samples)
+
     def test_sweep_equals_single_snr_calls(self):
-        wave = encode_waveform(random_symbols(128, seed=3), PARAMS)
+        # the SNR sweep's blind rows scale one draw per SNR; each is the
+        # ACF of add_awgn's frame at that SNR, bit for bit
+        cfg = resolve_config({"seed": 3, "sweep_snr": {"symbols": 128, "methods": ["blind_acf"]}})
         snrs = [0.0, None, 5.0, math.inf, 20.0]
-        for snr, (noisy, sigma2) in zip(snrs, add_awgn_sweep(wave, snrs, seed=9)):
-            single, single_sigma2 = add_awgn(wave, snr, seed=9)
-            np.testing.assert_array_equal(noisy.samples, single.samples)
-            assert sigma2 == single_sigma2
+        cfg["sweep_snr"]["snr_db_list"] = snrs
+        _, acfs, _, _ = _snr_trial((cfg, 0))
+        ch = _trial_channel(cfg, "sweep_snr", 0)
+        symbols = random_symbols(128, seed=derive_seed(cfg["seed"], 0, 1))
+        clean = apply_multipath(encode_waveform(symbols, _csf_params(cfg)), ch)
+        m = cfg["sweep_snr"]["max_delay"]
+        for snr, acf in zip(snrs, acfs, strict=True):
+            single, _ = add_awgn(clean, snr, seed=derive_seed(cfg["seed"], 0, 2))
+            np.testing.assert_array_equal(acf, empirical_acf(single, m))
 
 
 class TestSampleRandomChannel:

@@ -286,7 +286,7 @@ def per_snr_trial(cfg, trial):
             ("ls_chaos", chaotic_probe_frame(n_sym, params, ch, snr, seed=seeds[1])),
         ):
             est = ls_estimate(frame, m)
-            out[(snr, method)] = (err(est.relative_taps()), not est.degenerate)
+            out[(snr, method)] = (err(est.alpha_hat[1:] / est.alpha_hat[0]), not est.degenerate)
     return out
 
 

@@ -12,7 +12,6 @@ from scipy.signal import fftconvolve
 import csfchan.waveform
 from csfchan import (
     CsfParams,
-    SymbolStream,
     Waveform,
     authoritative_acf_table,
     base_pulse,
@@ -105,19 +104,19 @@ class TestCsfParams:
 
 class TestEncodeWaveform:
     def test_single_symbol_is_pulse(self):
-        wave = encode_waveform(SymbolStream(np.array([1.0])), PARAMS)
+        wave = encode_waveform(np.array([1.0]), PARAMS)
         pulse = sample_base_pulse(PARAMS)
         np.testing.assert_allclose(wave.samples, pulse.samples, atol=1e-12)
 
     def test_negation_linearity(self):
         stream = random_symbols(64, seed=5)
-        flipped = SymbolStream(-stream.symbols)
+        flipped = -stream
         a = encode_waveform(stream, PARAMS).samples
         b = encode_waveform(flipped, PARAMS).samples
         np.testing.assert_array_equal(a, -b)
 
     def test_two_symbol_superposition(self):
-        wave = encode_waveform(SymbolStream(np.array([1.0, -1.0])), PARAMS)
+        wave = encode_waveform(np.array([1.0, -1.0]), PARAMS)
         expected = base_pulse(0.5, PARAMS) - base_pulse(-0.5, PARAMS)
         # the grid starts at -pulse_tail
         idx = int((0.5 + PARAMS.pulse_tail) * wave.samples_per_symbol)
@@ -139,7 +138,7 @@ def fftconvolve_encode(stream, params):
     """The scipy synthesis encode_waveform replaced, kept as its oracle."""
     ns = params.oversampling
     train = np.zeros(len(stream) * ns)
-    train[::ns] = stream.symbols
+    train[::ns] = stream
     full = fftconvolve(train, sample_base_pulse(params).samples)
     return full[: (len(stream) + params.pulse_tail) * ns]
 
@@ -192,14 +191,18 @@ class TestRandomSymbols:
     def test_deterministic_for_seed(self):
         a = random_symbols(4, seed=7)
         b = random_symbols(4, seed=7)
-        np.testing.assert_array_equal(a.symbols, b.symbols)
+        np.testing.assert_array_equal(a, b)
 
     def test_values_are_antipodal(self):
         s = random_symbols(1000, seed=2)
-        assert set(np.unique(s.symbols)) == {-1.0, 1.0}
+        assert set(np.unique(s)) == {-1.0, 1.0}
 
     def test_single_symbol(self):
-        assert random_symbols(1, seed=0).symbols[0] in (-1.0, 1.0)
+        assert random_symbols(1, seed=0)[0] in (-1.0, 1.0)
+
+    def test_float_array(self):
+        s = random_symbols(5, seed=0)
+        assert s.dtype == np.float64 and s.shape == (5,)
 
     def test_zero_count_rejected(self):
         with pytest.raises(ValueError):
@@ -208,17 +211,23 @@ class TestRandomSymbols:
     def test_large_sample_mean(self):
         # binomial concentration: 0.02 is > 6 sigma at n = 1e5
         s = random_symbols(100_000, seed=123)
-        assert abs(float(np.mean(s.symbols))) < 0.02
+        assert abs(float(np.mean(s))) < 0.02
 
 
 class TestSymbolStreamInvariants:
+    """encode_waveform takes a nonempty 1-d stream of exact -1s and +1s."""
+
     def test_rejects_non_antipodal(self):
         with pytest.raises(ValueError):
-            SymbolStream(np.array([1.0, 0.5]))
+            encode_waveform(np.array([1.0, 0.5]), PARAMS)
 
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
-            SymbolStream(np.array([]))
+            encode_waveform(np.array([]), PARAMS)
+
+    def test_rejects_two_dimensional(self):
+        with pytest.raises(ValueError):
+            encode_waveform(np.ones((2, 4)), PARAMS)
 
 
 class TestWaveformInvariants:
