@@ -30,7 +30,8 @@ class ChannelModel:
     """Sparse multipath channel.
 
     paths      tuple of (delay in symbol periods, attenuation), strictly
-               increasing delays starting at (0, 1.0)
+               increasing delays starting at (0, 1.0); each attenuation
+               finite and nonnegative
     max_delay  largest delay the receiver searches for (tap count - 1)
 
     The attenuations are taken as given; sample_random_channel and fig2
@@ -51,12 +52,10 @@ class ChannelModel:
             raise ValueError("delays must be strictly increasing")
         if paths[0][1] != 1.0:
             raise ValueError("main-path attenuation must be 1")
-        if any(a < 0.0 for _, a in paths):
-            raise ValueError("attenuations must be nonnegative")
+        if not all(0.0 <= a < math.inf for _, a in paths):
+            raise ValueError("attenuations must be finite and nonnegative")
         if delays[-1] > self.max_delay:
             raise ValueError(f"delay {delays[-1]} exceeds max_delay {self.max_delay}")
-        if len(paths) > self.max_delay + 1:
-            raise ValueError("more paths than delay slots")
         object.__setattr__(self, "paths", paths)
 
     @property
@@ -78,10 +77,10 @@ class ChannelModel:
 
 def attenuation_from_delay(gamma: float, tau: float) -> float:
     """Attenuation exp(-gamma * tau) of an echo delayed by tau."""
-    if tau < 0:
-        raise ValueError("delay must be nonnegative")
-    if gamma <= 0:
-        raise ValueError("damping coefficient must be positive")
+    if not 0 <= tau < math.inf:
+        raise ValueError("delay must be finite and nonnegative")
+    if not 0 < gamma < math.inf:
+        raise ValueError("damping coefficient must be finite and positive")
     return math.exp(-gamma * tau)
 
 

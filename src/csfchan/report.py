@@ -30,8 +30,6 @@ def config_hash(resolved_config: dict) -> str:
 
 
 def format_value(value) -> str:
-    if isinstance(value, bool):
-        return "1" if value else "0"
     if isinstance(value, float):
         return f"{value:.9g}"
     return str(value)

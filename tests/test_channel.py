@@ -47,6 +47,16 @@ class TestAttenuationLaw:
         with pytest.raises(ValueError):
             attenuation_from_delay(0.0, 1.0)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_nonfinite_delay_rejected(self, bad):
+        with pytest.raises(ValueError, match="delay must be finite and nonnegative"):
+            attenuation_from_delay(0.6, bad)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_nonfinite_gamma_rejected(self, bad):
+        with pytest.raises(ValueError, match="damping coefficient must be finite and positive"):
+            attenuation_from_delay(bad, 1.0)
+
 
 class TestChannelModel:
     def test_tap_vector(self):
@@ -71,6 +81,17 @@ class TestChannelModel:
     def test_delay_beyond_max_rejected(self):
         with pytest.raises(ValueError):
             ChannelModel(paths=((0, 1.0), (6, 0.5)), max_delay=5)
+
+    def test_requires_a_path(self):
+        with pytest.raises(ValueError, match="at least the main path"):
+            ChannelModel(paths=(), max_delay=5)
+
+    @pytest.mark.parametrize("bad", [-0.5, math.nan, math.inf, -math.inf])
+    def test_echo_gain_must_be_finite_and_nonnegative(self, bad):
+        # a non-finite gain would make predicted_rx_acf all-NaN and
+        # apply_multipath blame its samples, not the channel
+        with pytest.raises(ValueError, match="attenuations must be finite and nonnegative"):
+            ChannelModel(paths=((0, 1.0), (3, bad)), max_delay=5)
 
 
 class TestApplyMultipath:
@@ -290,6 +311,10 @@ class TestSampleRandomChannel:
     def test_too_many_paths_rejected(self):
         with pytest.raises(ValueError):
             sample_random_channel(max_delay=3, path_count=5, seed=0)
+
+    def test_zero_paths_rejected(self):
+        with pytest.raises(ValueError, match="at least the main path"):
+            sample_random_channel(max_delay=3, path_count=0, seed=0)
 
     def test_deterministic(self):
         a = sample_random_channel(max_delay=10, path_count=4, seed=5)

@@ -184,6 +184,13 @@ class TestProblemInvariants:
             IdentificationProblem(r_rr=est, r_xx=np.ones(2 * M + 1), max_delay=M)
 
 
+class TestResultInvariants:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_nonfinite_taps_rejected(self, bad):
+        with pytest.raises(ValueError, match="estimated taps must be finite"):
+            EstimationResult(np.array([0.3, bad]), 0.0, 0.0, 1, True)
+
+
 class TestBuildResiduals:
     def test_zero_at_ground_truth(self):
         for seed in range(10):

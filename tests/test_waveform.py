@@ -239,6 +239,11 @@ class TestWaveformInvariants:
         with pytest.raises(ValueError):
             Waveform(np.ones(4), 0)
 
+    @pytest.mark.parametrize("samples", [np.array([]), np.ones((2, 4))], ids=["empty", "2-d"])
+    def test_rejects_empty_or_multidimensional(self, samples):
+        with pytest.raises(ValueError, match="samples must be a nonempty 1-d sequence"):
+            Waveform(samples, 16)
+
     @pytest.mark.parametrize("ns", [16.0, np.float64(16.0), True, "16"])
     def test_non_integer_samples_per_symbol_rejected(self, ns):
         # CsfParams.oversampling's rule: apply_multipath and empirical_acf
