@@ -18,6 +18,7 @@ them to the OS.
 from __future__ import annotations
 
 import ctypes
+import numbers
 import os
 from pathlib import Path
 
@@ -109,6 +110,8 @@ def _lagged_products(x: np.ndarray, y: np.ndarray, shifts: range) -> np.ndarray:
 
 
 def _check_max_lag(max_lag: int) -> None:
+    if not isinstance(max_lag, numbers.Integral) or isinstance(max_lag, bool):
+        raise ValueError(f"max_lag must be an integer, got {max_lag!r}")
     if max_lag < 0:
         raise ValueError(f"max_lag must be nonnegative, got {max_lag}")
 
@@ -189,7 +192,7 @@ def predicted_rx_acf(
     eta +- delay, and (iv) echo-pair cross terms at eta + delay
     differences.  The transmit ACF is extended evenly to negative lags.
     """
-    m = ch.max_delay if max_lag is None else int(max_lag)
+    m = ch.max_delay if max_lag is None else max_lag
     _check_max_lag(m)
     table = authoritative_acf_table(params, max_lag=m + int(ch.delays[-1]))
     return _rx_model(ch, noise_var, table, m + 1, 1)

@@ -82,6 +82,8 @@ def ls_estimate(frame: ProbeFrame, max_delay: int) -> LsEstimate:
     cond(X) >~ 1 / sqrt(11 eps) ~ 2e7, where the normal equations have
     no correct digits left.
     """
+    if max_delay < 0:
+        raise ValueError(f"max_delay must be nonnegative, got {max_delay}")
     probe = frame.probe.samples
     ns = frame.probe.samples_per_symbol
     shifts = range(0, (max_delay + 1) * ns, ns)

@@ -9,6 +9,7 @@ SNR measured against the noiseless received signal power.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,9 +31,9 @@ class ChannelModel:
     """Sparse multipath channel.
 
     paths      tuple of (delay in symbol periods, attenuation), strictly
-               increasing delays starting at (0, 1.0); each attenuation
-               finite and nonnegative
-    max_delay  largest delay the receiver searches for (tap count - 1)
+               increasing integer delays starting at (0, 1.0); each
+               attenuation finite and nonnegative
+    max_delay  largest integer delay the receiver searches (tap count - 1)
 
     The attenuations are taken as given; sample_random_channel and fig2
     draw them from the law exp(-gamma * delay) with one gamma per channel.
@@ -42,10 +43,12 @@ class ChannelModel:
     max_delay: int
 
     def __post_init__(self):
+        delays = [d for d, _ in self.paths]
+        if not all(isinstance(d, numbers.Integral) and not isinstance(d, bool) for d in [*delays, self.max_delay]):
+            raise ValueError(f"delays and max_delay must be integers, got {delays} and {self.max_delay!r}")
         paths = tuple((int(d), float(a)) for d, a in self.paths)
         if not paths:
             raise ValueError("channel needs at least the main path")
-        delays = [d for d, _ in paths]
         if delays[0] != 0:
             raise ValueError("main path must be at delay 0")
         if any(d2 <= d1 for d1, d2 in zip(delays, delays[1:])):
@@ -84,37 +87,19 @@ def attenuation_from_delay(gamma: float, tau: float) -> float:
     return math.exp(-gamma * tau)
 
 
-# samples of output apply_multipath completes at a time: a block of
-# 128 KiB of float64 and its scaled echo stay in cache while every path
-# is added, where a whole 1.05M-sample frame takes 8.4 MB per pass
-_BLOCK = 16384
-
-
 def apply_multipath(wave: Waveform, ch: ChannelModel) -> Waveform:
     """Sum of delayed, attenuated copies; length grows by the largest delay.
 
-    The output is filled one cache-sized block at a time; the last block
-    takes the remainder, up to two blocks, so a short frame is one block.
     Each sample starts as the main path (delay 0, gain 1), or 0.0 past
-    the frame's end, and then adds each echo's scaled sample in path
-    order, the same float operations in the same order as one pass per
-    path over the whole output.
-    """
+    the frame's end, then adds each echo's scaled sample in path order."""
     ns = wave.samples_per_symbol
-    x = wave.samples
     n = len(wave)
     out = np.empty(n + int(ch.delays[-1]) * ns)
-    edges = [*range(0, max(out.size - _BLOCK, 1), _BLOCK), out.size]
-    scaled = np.empty(min(out.size, 2 * _BLOCK))
-    for lo, hi in zip(edges, edges[1:]):
-        mid = min(max(n, lo), hi)  # the frame ends at n
-        out[lo:mid] = x[lo:mid]
-        out[mid:hi] = 0.0
-        for d, a in ch.paths[1:]:
-            start = d * ns  # the echo covers out[start : start + n]
-            a0, a1 = max(lo, start), min(hi, start + n)
-            if a0 < a1:
-                out[a0:a1] += np.multiply(x[a0 - start : a1 - start], a, out=scaled[: a1 - a0])
+    out[:n] = wave.samples
+    out[n:] = 0.0
+    scaled = np.empty(n)
+    for d, a in ch.paths[1:]:
+        out[d * ns : d * ns + n] += np.multiply(wave.samples, a, out=scaled)
     return Waveform(out, ns)
 
 
@@ -145,10 +130,10 @@ def awgn_law(wave: Waveform, snr_dbs, seed: int) -> tuple[np.ndarray | None, lis
     None marks a noiseless entry (snr_db None or +inf).  The noise at
     an SNR is sqrt(variance) * draw.  The draw is None, and nothing is
     drawn, when every entry is noiseless.  An snr_db of -inf, noise with
-    no signal, raises ValueError.
+    no signal, or NaN raises ValueError.
     """
-    if any(snr_db == -math.inf for snr_db in snr_dbs):
-        raise ValueError("snr_db must not be -inf")
+    if not all(snr_db is None or snr_db > -math.inf for snr_db in snr_dbs):
+        raise ValueError(f"snr_db must be a number above -inf, got {list(snr_dbs)}")
     snrs = [None if snr_db is None or math.isinf(snr_db) else float(snr_db) for snr_db in snr_dbs]
     if all(snr_db is None for snr_db in snrs):
         return None, snrs

@@ -95,6 +95,13 @@ class TestEmpiricalAcf:
             with pytest.raises(ValueError, match="max_lag must be nonnegative"):
                 acf(wave, -1)
 
+    @pytest.mark.parametrize("bad", [2.5, 2.0, True])
+    def test_non_integer_max_lag_rejected(self, bad):
+        wave = Waveform(np.ones(16 * 20), 16)
+        for acf in (empirical_acf, empirical_acf_trace):
+            with pytest.raises(ValueError, match="max_lag must be an integer"):
+                acf(wave, bad)
+
     def test_single_path_matches_closed_form(self):
         # statistical agreement: the per-lag estimate fluctuates with std
         # about R(0)/sqrt(n_symbols), checked here at five sigma
@@ -361,6 +368,20 @@ class TestPredictedRxAcf:
         self.refuse_work(monkeypatch)
         with pytest.raises(ValueError, match="max_lag must be nonnegative, got -1"):
             predicted_rx_acf_trace(FIG2_CHANNEL, 0.0, PARAMS, max_lag=-1)
+
+    @pytest.mark.parametrize("bad", [2.5, 2.0, True])
+    def test_non_integer_max_lag_rejected(self, monkeypatch, bad):
+        # int() would truncate 2.5 to lags 0..2
+        self.refuse_work(monkeypatch)
+        for predict in (predicted_rx_acf, predicted_rx_acf_trace):
+            with pytest.raises(ValueError, match="max_lag must be an integer"):
+                predict(FIG2_CHANNEL, 0.0, PARAMS, max_lag=bad)
+
+    def test_numpy_integer_max_lag_accepted(self):
+        np.testing.assert_array_equal(
+            predicted_rx_acf(FIG2_CHANNEL, 0.0, PARAMS, max_lag=np.int64(10)),
+            predicted_rx_acf(FIG2_CHANNEL, 0.0, PARAMS, max_lag=10),
+        )
 
     def test_three_path_peak_lags(self):
         pred = predicted_rx_acf(FIG2_CHANNEL, 0.0, PARAMS, max_lag=10)

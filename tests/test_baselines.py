@@ -112,6 +112,12 @@ class TestLsEstimate:
         est = ls_estimate(frame, 2)
         assert est.degenerate
 
+    def test_negative_max_delay_rejected(self):
+        # no taps to solve for is a caller's error, not an empty estimate
+        frame = gaussian_probe_frame(64, 16, CHANNEL, snr_db=None, seed=0)
+        with pytest.raises(ValueError, match="max_delay must be nonnegative, got -1"):
+            ls_estimate(frame, -1)
+
 
 class TestNormalEquationsOracle:
     """ls_estimate solves the normal equations of the shifted-probe design

@@ -20,7 +20,7 @@ from csfchan import (
     sample_random_channel,
     theoretical_acf,
 )
-from csfchan.channel import _BLOCK, awgn_law
+from csfchan.channel import awgn_law
 from csfchan.experiments import _csf_params, _snr_trial, _trial_channel, derive_seed, resolve_config
 
 PARAMS = CsfParams()
@@ -93,6 +93,27 @@ class TestChannelModel:
         with pytest.raises(ValueError, match="attenuations must be finite and nonnegative"):
             ChannelModel(paths=((0, 1.0), (3, bad)), max_delay=5)
 
+    @pytest.mark.parametrize(
+        "paths, max_delay",
+        [
+            (((0, 1.0), (1.7, 0.5)), 3),
+            (((0, 1.0), (2.0, 0.5)), 3),
+            (((0, 1.0), (True, 0.5)), 3),
+            (((0, 1.0), (1, 0.5)), 2.5),
+            (((0, 1.0), (1, 0.5)), True),
+        ],
+        ids=["delay-1.7", "delay-2.0", "delay-bool", "max-delay-2.5", "max-delay-bool"],
+    )
+    def test_non_integer_delay_rejected(self, paths, max_delay):
+        # int() would truncate a delay; a fractional max_delay breaks tap_vector
+        with pytest.raises(ValueError, match="delays and max_delay must be integers"):
+            ChannelModel(paths=paths, max_delay=max_delay)
+
+    def test_numpy_integer_delays_accepted(self):
+        ch = ChannelModel(paths=((np.int64(0), 1.0), (np.int32(2), 0.5)), max_delay=np.int64(4))
+        assert ch.paths == ((0, 1.0), (2, 0.5))
+        np.testing.assert_array_equal(ch.tap_vector(), [0.0, 0.5, 0.0, 0.0])
+
 
 class TestApplyMultipath:
     def test_identity_channel(self):
@@ -131,41 +152,50 @@ class TestApplyMultipath:
         assert abs(ratio / tap_power - 1.0) < 0.02
 
 
-def loop_multipath(wave: Waveform, ch: ChannelModel) -> np.ndarray:
-    """Oracle: apply_multipath as one whole-array pass per path."""
+def sample_sum_multipath(wave: Waveform, ch: ChannelModel) -> np.ndarray:
+    """Oracle: each output sample summed on its own in Python floats, the
+    main path (0.0 past the frame) and then each echo that reaches it, in
+    path order."""
     ns = wave.samples_per_symbol
-    n = len(wave)
-    out = np.empty(n + int(ch.delays[-1]) * ns)
-    out[:n] = wave.samples
-    out[n:] = 0.0
-    scaled = np.empty(n)
-    for d, a in ch.paths[1:]:
-        out[d * ns : d * ns + n] += np.multiply(wave.samples, a, out=scaled)
-    return out
+    x = wave.samples.tolist()
+    n = len(x)
+    out = []
+    for i in range(n + int(ch.delays[-1]) * ns):
+        value = x[i] if i < n else 0.0
+        for d, a in ch.paths[1:]:
+            if 0 <= i - d * ns < n:
+                value += x[i - d * ns] * a
+        out.append(value)
+    return np.array(out)
 
 
 class TestBlockedMultipath:
-    """apply_multipath fills its output block by block with the float
-    operations of the whole-array loop, so the two agree bit for bit."""
+    """apply_multipath adds each echo in path order, so it agrees bit for
+    bit with the per-sample sum, on frames from shorter than the largest
+    echo offset to 49157 samples.  The class and test names are those the
+    tests had when apply_multipath filled its output in blocks."""
 
     DENSE = ChannelModel(paths=tuple((d, 0.9**d) for d in range(11)), max_delay=10)
     MAIN_ONLY = ChannelModel(paths=((0, 1.0),), max_delay=10)
+    ZERO_GAINS = ChannelModel(paths=((0, 1.0), (3, 0.0), (10, 0.0)), max_delay=10)
 
     @pytest.mark.parametrize("ns", [1, 16])
-    @pytest.mark.parametrize("ch", [MAIN_ONLY, FIG2_CHANNEL, DENSE], ids=["main-only", "fig2", "dense"])
+    @pytest.mark.parametrize(
+        "ch", [MAIN_ONLY, FIG2_CHANNEL, DENSE, ZERO_GAINS], ids=["main-only", "fig2", "dense", "zero-gains"]
+    )
     @pytest.mark.parametrize(
         "n, of_output",
         [
-            (_BLOCK - 1, False),
-            (_BLOCK, False),
-            (_BLOCK + 1, False),
-            (_BLOCK - 1, True),
-            (_BLOCK, True),
-            (_BLOCK + 1, True),
-            (2 * _BLOCK, True),  # the last block takes up to two blocks
-            (2 * _BLOCK + 1, True),
-            (3 * _BLOCK + 5, False),
-            (100, False),  # shorter than one block
+            (16383, False),
+            (16384, False),
+            (16385, False),
+            (16383, True),
+            (16384, True),
+            (16385, True),
+            (32768, True),
+            (32769, True),
+            (49157, False),
+            (100, False),
             (3, False),  # shorter than the largest echo offset
         ],
     )
@@ -174,22 +204,22 @@ class TestBlockedMultipath:
         if of_output:
             n -= int(ch.delays[-1]) * ns
         wave = Waveform(np.random.default_rng(n).normal(size=n), ns)
-        np.testing.assert_array_equal(apply_multipath(wave, ch).samples, loop_multipath(wave, ch))
+        np.testing.assert_array_equal(apply_multipath(wave, ch).samples, sample_sum_multipath(wave, ch))
 
     @settings(max_examples=60, deadline=None)
     @given(
         ns=st.sampled_from([1, 16]),
-        n=st.integers(min_value=1, max_value=3 * _BLOCK + 2),
+        n=st.integers(min_value=1, max_value=300),
         max_delay=st.integers(min_value=1, max_value=12),
         data=st.data(),
         seed=st.integers(min_value=0, max_value=2**32 - 1),
     )
-    def test_matches_whole_array_loop(self, ns, n, max_delay, data, seed):
+    def test_matches_per_sample_sum(self, ns, n, max_delay, data, seed):
         delays = data.draw(st.sets(st.integers(min_value=1, max_value=max_delay)))
         gains = data.draw(st.lists(st.floats(0.0, 2.0), min_size=len(delays), max_size=len(delays)))
         ch = ChannelModel(paths=((0, 1.0), *zip(sorted(delays), gains)), max_delay=max_delay)
         wave = Waveform(np.random.default_rng(seed).normal(size=n), ns)
-        np.testing.assert_array_equal(apply_multipath(wave, ch).samples, loop_multipath(wave, ch))
+        np.testing.assert_array_equal(apply_multipath(wave, ch).samples, sample_sum_multipath(wave, ch))
 
 
 class TestAddAwgn:
@@ -200,11 +230,15 @@ class TestAddAwgn:
             np.testing.assert_array_equal(out.samples, wave.samples)
             assert sigma2 == 0.0
 
-    def test_minus_inf_snr_refused(self):
-        # -inf dB is noise with no signal, not the noiseless frame of +inf
+    @pytest.mark.parametrize("bad", [-math.inf, math.nan])
+    def test_minus_inf_or_nan_snr_refused(self, bad):
+        # -inf dB is noise with no signal, not the noiseless frame of +inf;
+        # NaN is no SNR at all, not a fault of the samples
         wave = Waveform(np.ones(64), 16)
-        with pytest.raises(ValueError, match="-inf"):
-            awgn_law(wave, [0.0, -math.inf], seed=1)
+        with pytest.raises(ValueError, match="snr_db must be a number above -inf"):
+            awgn_law(wave, [0.0, bad], seed=1)
+        with pytest.raises(ValueError, match="snr_db must be a number above -inf"):
+            add_awgn(wave, bad, seed=1)
 
     def test_deterministic_for_seed(self):
         wave = Waveform(np.ones(512), 16)
