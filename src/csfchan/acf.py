@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .channel import ChannelModel
-from .waveform import CsfParams, Waveform, authoritative_acf_table, pulse_acf
+from .waveform import CsfParams, Waveform, _trapezoid_pulse_acf, authoritative_acf_table
 
 __all__ = [
     "empirical_acf",
@@ -172,8 +172,8 @@ def _rx_model(ch: ChannelModel, noise_var: float, r_xx: np.ndarray, n_lags: int,
     the transmit ACF r_xx, sampled stride points per symbol period from
     lag 0 past the largest delay, weighted by the tap correlation, plus
     noise_var at lag 0."""
-    if noise_var < 0:
-        raise ValueError("noise variance must be nonnegative")
+    if not 0.0 <= noise_var < np.inf:
+        raise ValueError(f"noise variance must be finite and nonnegative, got {noise_var!r}")
     taps = np.zeros(int(ch.delays[-1]) + 1)
     taps[ch.delays] = ch.attenuations
     return _expand(taps, _lag_weights(r_xx, n_lags, taps.size, stride), noise_var)
@@ -206,12 +206,13 @@ def predicted_rx_acf_trace(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Receive-side ACF on the fractional-lag grid.
 
-    Same expansion as predicted_rx_acf but evaluated with the numerically
-    integrated pulse ACF, which is the valid route off the integer grid.
-    The white-noise term contributes only at exactly lag 0.
+    Same expansion as predicted_rx_acf but evaluated with the trapezoid
+    of the defining integral (pulse_acf), summed in closed form at a cost
+    independent of beta: the valid route off the integer grid.  The
+    white-noise term contributes only at exactly lag 0.
     """
     _check_max_lag(max_lag)
     ns = params.oversampling
-    # pulse ACF sampled once on the widest grid needed
-    full = pulse_acf(np.arange((max_lag + int(ch.delays[-1])) * ns + 1) / ns, params)
+    # pulse ACF on the widest grid needed
+    full = _trapezoid_pulse_acf(np.arange((max_lag + int(ch.delays[-1])) * ns + 1) / ns, params)
     return np.arange(max_lag * ns + 1) / ns, _rx_model(ch, noise_var, full, max_lag * ns + 1, ns)

@@ -213,54 +213,90 @@ def theoretical_acf(lag, params: CsfParams = CsfParams()):
     return out
 
 
+def _check_oversampling(oversampling) -> None:
+    if isinstance(oversampling, bool) or not isinstance(oversampling, numbers.Integral) or oversampling < 1:
+        raise ValueError(f"oversampling must be an integer >= 1, got {oversampling!r}")
+
+
 def pulse_acf(lag, params: CsfParams = CsfParams(), oversampling: int = 256):
     """Autocorrelation of the shaping pulse by direct numerical integration.
 
-    Trapezoidal rule over the truncated support at the given resolution.
-    Works at arbitrary finite real lags; this is the route for the
-    fractional lags of fig2's trace, where the closed form does not
-    apply, and the defining integral the tests check the closed form
-    against.  Its cost grows with the pulse tail, as 1/beta.
-
-    The lagged pulse is not sampled per lag.  Lags that share the
-    fractional part of lag*oversampling, and whose windows overlap, read
-    slices of one sampling on the union of their windows.  At a
-    power-of-two oversampling each grid point is the float sum a per-lag
-    sampling rounds, so the values are those of the per-lag integral bit
-    for bit; elsewhere they may differ in the last bits.
+    Trapezoidal rule over the truncated support at the given resolution,
+    with the lagged pulse sampled afresh at each lag.  Works at arbitrary
+    finite real lags; the defining integral the tests check the closed
+    form and _trapezoid_pulse_acf against.  Its cost grows with the pulse
+    tail, as 1/beta.
     """
+    _check_oversampling(oversampling)
     lag_arr = np.atleast_1d(np.asarray(lag, dtype=float))
     if not np.all(np.isfinite(lag_arr)):
         raise ValueError("lag must be finite")
     dt = 1.0 / oversampling
-    lo, hi = -params.pulse_tail * oversampling, oversampling + 1
-    n = hi - lo
-    p0 = base_pulse(np.arange(lo, hi) * dt, params)
-    lags = lag_arr.tolist()
-    groups: dict[float, list[int]] = {}
-    for i, frac in enumerate(np.modf(lag_arr * oversampling)[0].tolist()):
-        groups.setdefault(frac, []).append(i)
-    runs = []  # (lag index, grid offset) pairs that share one sampling
-    for members in groups.values():
-        members.sort(key=lags.__getitem__)
-        run = [(members[0], 0)]
-        runs.append(run)
-        for i in members[1:]:
-            # a whole step count, exact at a power-of-two oversampling
-            steps = (lags[i] - lags[run[0][0]]) * oversampling
-            if steps - run[-1][1] >= n:  # disjoint windows: sample afresh
-                run = [(i, 0)]
-                runs.append(run)
-            else:
-                run.append((i, round(steps)))
-    vals = np.empty(lag_arr.shape)
-    for run in runs:
-        grid = base_pulse(np.arange(lo, hi + run[-1][1]) * dt + lags[run[0][0]], params)
-        for i, offset in run:
-            vals[i] = np.trapezoid(p0 * grid[offset : offset + n], dx=dt)
+    t = np.arange(-params.pulse_tail * oversampling, oversampling + 1) * dt
+    p0 = base_pulse(t, params)
+    vals = np.array([np.trapezoid(p0 * base_pulse(t + e, params), dx=dt) for e in lag_arr.tolist()])
     if np.isscalar(lag) or np.asarray(lag).ndim == 0:
         return float(vals[0])
     return vals
+
+
+def _trapezoid_pulse_acf(lag, params: CsfParams = CsfParams(), oversampling: int = 256) -> np.ndarray:
+    """pulse_acf's trapezoid at each lag of the 1-d array lag, summed in
+    closed form.
+
+    On the grid t_i = -tail + i/os, i = 0..N-1, each pulse branch is
+    level + Re[X e^(s t_i)] with s = beta + 2 pi i: the tail (level 0)
+    before the symbol instant, the plateau (level 1) for one symbol
+    period, zero after.  Where both factors of the integrand are nonzero
+    (at most four index ranges per lag) their product is a sum of
+    geometric series in z = e^(s/os), z^2 and |z|^2, taken with expm1.
+    Every phase is reduced exactly first (2 pi i/os from i mod os, the
+    lag's from its fractional part).  The cost is one pass over the lags
+    at any beta.
+    """
+    _check_oversampling(oversampling)
+    lag = np.asarray(lag, dtype=float)
+    if not np.all(np.isfinite(lag)):
+        raise ValueError("lag must be finite")
+    beta, os_ = params.beta, oversampling
+    tail = params.pulse_tail * os_  # index of the symbol instant t = 0
+    shape = 1.0 + 1j * beta / (2.0 * math.pi)
+    x = np.array([(1.0 - math.exp(-beta)) * shape, -math.exp(-beta) * shape])  # tail, plateau
+    level = np.array([0.0, 1.0])
+
+    def geometric(k, n):
+        """sum_{j<n} z^(k j) for integers n >= 0."""
+        return np.expm1(k * beta * n / os_ + 2j * math.pi * ((k * n) % os_) / os_) / np.expm1(
+            k * beta / os_ + 2j * math.pi * (k % os_) / os_
+        )
+
+    # index ranges [lo, hi) per lag (axis 0), branch of p(t_i) (axis 1) and
+    # branch of p(t_i + lag) (axis 2); the lagged plateau starts at index
+    # start, clipped where the ranges stay as they are (empty or whole)
+    start = np.clip(np.ceil(tail - lag * os_), -os_, tail + os_).astype(np.int64)
+    lo = np.maximum(np.array([0, tail])[:, None], np.stack([np.zeros_like(start), start], axis=-1)[:, None])
+    hi = np.minimum(np.array([tail, tail + os_])[:, None], np.stack([start, start + os_], axis=-1)[:, None])
+    n = np.maximum(hi - lo, 0)
+    t = (lo - tail) / os_  # t_i at the start of each range
+    phase = 2.0 * math.pi * (lo % os_) / os_
+    p = x[:, None] * np.exp(beta * t + 1j * phase)
+    # the lagged pulse ends at t = 1: capping the exponent there leaves
+    # every range with n > 0 as it is and keeps inf out of the empty ones
+    lagged_phase = phase + 2.0 * math.pi * np.modf(lag)[0][:, None, None]
+    q = x * np.exp(beta * np.minimum(t + lag[:, None, None], 1.0) + 1j * lagged_phase)
+    g1 = geometric(1, n)
+    h = np.expm1(2.0 * beta * n / os_) / np.expm1(2.0 * beta / os_)
+    sums = (
+        level[:, None] * level * n
+        + level[:, None] * (q * g1).real
+        + level * (p * g1).real
+        + 0.5 * (p * q * geometric(2, n)).real
+        + 0.5 * (p * q.conj()).real * h
+    )
+    # the trapezoid halves its end points: f_(N-1) = 0 as p(1) = 0
+    t0 = -float(params.pulse_tail)
+    f0 = base_pulse(t0, params) * base_pulse(t0 + lag, params)
+    return (sums.sum(axis=(1, 2)) - 0.5 * f0) / os_
 
 
 def authoritative_acf_table(params: CsfParams = CsfParams(), max_lag: int = 10) -> np.ndarray:

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
@@ -347,9 +348,12 @@ class TestPredictedRxAcf:
             assert noisy[0] - base[0] == pytest.approx(nv, abs=1e-14)
             np.testing.assert_array_equal(noisy[1:], base[1:])
 
-    def test_negative_noise_rejected(self):
-        with pytest.raises(ValueError):
-            predicted_rx_acf(FIG2_CHANNEL, -0.1, PARAMS, max_lag=10)
+    @pytest.mark.parametrize("noise_var", [-0.1, math.nan, math.inf])
+    def test_negative_noise_rejected(self, noise_var):
+        # NaN passed a `< 0` guard and came back at lag 0, as did inf
+        for predict in (predicted_rx_acf, predicted_rx_acf_trace):
+            with pytest.raises(ValueError, match="noise variance must be finite and nonnegative"):
+                predict(FIG2_CHANNEL, noise_var, PARAMS, max_lag=10)
 
     @staticmethod
     def refuse_work(monkeypatch):
@@ -357,7 +361,7 @@ class TestPredictedRxAcf:
             raise AssertionError("the transmit ACF was evaluated before max_lag was checked")
 
         monkeypatch.setattr(csfchan.acf, "authoritative_acf_table", unreachable)
-        monkeypatch.setattr(csfchan.acf, "pulse_acf", unreachable)
+        monkeypatch.setattr(csfchan.acf, "_trapezoid_pulse_acf", unreachable)
 
     def test_negative_max_lag_rejected(self, monkeypatch):
         self.refuse_work(monkeypatch)
@@ -393,6 +397,25 @@ class TestPredictedRxAcf:
         ns = PARAMS.oversampling
         np.testing.assert_allclose(trace[::ns], pred, atol=1e-8)
         assert grid[-1] == 10.0
+
+    def test_trace_cost_is_independent_of_beta(self, monkeypatch):
+        # at beta = 1e-6 the pulse tail is 13.8M symbol periods, which the
+        # sampled integral (pulse_acf) would hold at 256 points each
+        def unreachable(*args, **kwargs):
+            raise AssertionError("pulse_acf ran")
+
+        monkeypatch.setattr(csfchan.waveform, "pulse_acf", unreachable)
+        params = CsfParams(beta=1e-6)
+        tracemalloc.start()
+        try:
+            grid, trace = predicted_rx_acf_trace(FIG2_CHANNEL, 0.0, params, max_lag=10)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.all(np.isfinite(trace))
+        pred = predicted_rx_acf(FIG2_CHANNEL, 0.0, params, max_lag=10)
+        np.testing.assert_allclose(trace[:: params.oversampling], pred, rtol=0, atol=1e-10)
+        assert peak < 1 << 20
 
 
 class TestSimulationConsistency:

@@ -249,6 +249,18 @@ def test_reference_invariance_bytes(tmp_path):
     assert_reference_bytes(tmp_path, "invariance.csv", "tests/reference")
 
 
+@pytest.mark.parametrize("beta", ["0.1", "0.01"])
+def test_reference_fig2_bytes_at_small_beta(tmp_path, beta):
+    # pulse tails of 139 and 1382 symbol periods under the fractional-lag
+    # prediction; 8192 symbols are too few for the agreement checks, so
+    # the run exits 1, but the bytes are the subject here
+    args = ["--set", f"csf.beta={beta}", "--set", "fig2.symbols=8192", "--out", str(tmp_path)]
+    code = cli_main(["fig2", "--config", str(REPO / "configs/fig2.yaml"), *args])
+    assert code == 1
+    (tmp_path / "fig2.csv").rename(tmp_path / f"fig2_beta{beta}.csv")
+    assert_reference_bytes(tmp_path, f"fig2_beta{beta}.csv", "tests/reference")
+
+
 @pytest.mark.parametrize("methods", [["ls_chaos", "blind_acf"], ["ls_gaussian"]])
 def test_method_subset_rows_match_full_run(methods):
     # each (snr, method) row is that of the three-method run, in the

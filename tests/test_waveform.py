@@ -21,7 +21,7 @@ from csfchan import (
     sample_base_pulse,
     theoretical_acf,
 )
-from csfchan.waveform import _next_fast_len, _pulse_spectrum
+from csfchan.waveform import _next_fast_len, _pulse_spectrum, _trapezoid_pulse_acf
 
 PARAMS = CsfParams()
 LN2 = math.log(2.0)
@@ -326,50 +326,14 @@ class TestAuthoritativeTable:
 
 
 def per_lag_pulse_acf(lag, params, oversampling):
-    """The pulse ACF with the lagged pulse sampled afresh at every lag:
-    the oracle of pulse_acf's one sampling per run of lags."""
+    """The pulse ACF as the trapezoid of the sampled integrand, lag by lag."""
     dt = 1.0 / oversampling
     xi = np.arange(-params.pulse_tail * oversampling, oversampling + 1) * dt
     p0 = base_pulse(xi, params)
     return np.array([np.trapezoid(p0 * base_pulse(xi + e, params), dx=dt) for e in np.atleast_1d(lag)])
 
 
-# lags on the fig2 trace grid (k/16), anywhere, and past either end of the
-# pulse support
-LAGS = st.lists(
-    st.one_of(
-        st.integers(-40 * 16, 40 * 16).map(lambda k: k / 16),
-        st.floats(-40.0, 40.0, allow_nan=False),
-        st.integers(-30, 30).map(float),
-    ),
-    min_size=1,
-    max_size=8,
-)
-BETAS = st.floats(min_value=0.1, max_value=LN2)
-
-
 class TestPulseAcfOracle:
-    @settings(max_examples=30, deadline=None)
-    @given(lags=LAGS, beta=BETAS, oversampling=st.sampled_from([64, 256, 1024]))
-    def test_bit_identical_at_power_of_two_oversampling(self, lags, beta, oversampling):
-        params = CsfParams(beta=beta)
-        got = pulse_acf(np.array(lags), params, oversampling)
-        np.testing.assert_array_equal(got, per_lag_pulse_acf(lags, params, oversampling))
-
-    @settings(max_examples=20, deadline=None)
-    @given(lags=LAGS, beta=BETAS)
-    def test_close_at_other_oversampling(self, lags, beta):
-        # the shared grid points may round differently in the last bit; the
-        # ACF is O(1), so an absolute 1e-14 covers its zero crossings
-        params = CsfParams(beta=beta)
-        got = pulse_acf(np.array(lags), params, 100)
-        np.testing.assert_allclose(got, per_lag_pulse_acf(lags, params, 100), rtol=1e-12, atol=1e-14)
-
-    def test_fig2_lags_bit_identical(self):
-        # the trace of the fig2 config: lags 0..17 in steps of 1/16
-        lags = np.arange(17 * 16 + 1) / 16
-        np.testing.assert_array_equal(pulse_acf(lags, PARAMS), per_lag_pulse_acf(lags, PARAMS, 256))
-
     def test_far_apart_lags_sample_separately(self):
         lags = np.array([0.0, 1e6, -1e6, 0.5, 1e300, -1e300, -0.0, 3.0])
         np.testing.assert_array_equal(pulse_acf(lags, PARAMS), per_lag_pulse_acf(lags, PARAMS, 256))
@@ -387,3 +351,75 @@ class TestPulseAcfOracle:
         monkeypatch.setattr(csfchan.waveform, "base_pulse", no_work)
         with pytest.raises(ValueError, match="lag must be finite"):
             pulse_acf(np.array([0.0, bad]), PARAMS)
+        with pytest.raises(ValueError, match="lag must be finite"):
+            _trapezoid_pulse_acf(np.array([0.0, bad]), PARAMS)
+
+    @pytest.mark.parametrize("acf", [pulse_acf, _trapezoid_pulse_acf], ids=lambda f: f.__name__)
+    @pytest.mark.parametrize("bad", [0, 2.5, -4, True])
+    def test_bad_oversampling_rejected_before_work(self, monkeypatch, acf, bad):
+        # 0 divided by zero, 2.5 failed in a slice, -4 gave zeros and True
+        # ran at oversampling 1
+        def no_work(*args):
+            raise AssertionError("pulse sampled")
+
+        monkeypatch.setattr(csfchan.waveform, "base_pulse", no_work)
+        with pytest.raises(ValueError, match="oversampling must be an integer >= 1"):
+            acf(np.array([0.0, 1.5]), PARAMS, bad)
+
+    def test_numpy_integer_oversampling_accepted(self):
+        lags = np.array([0.0, 1.5])
+        np.testing.assert_array_equal(pulse_acf(lags, PARAMS, np.int64(64)), pulse_acf(lags, PARAMS, 64))
+
+
+# lags on a CSF trace grid (k/ns), anywhere, at integers and far past
+# either end of the pulse support
+def closed_form_lags(ns):
+    return st.lists(
+        st.one_of(
+            st.integers(-40 * ns, 40 * ns).map(lambda k: k / ns),
+            st.floats(-40.0, 40.0, allow_nan=False),
+            st.integers(-30, 30).map(float),
+            st.sampled_from([1e6, -1e6, 1e300, -1e300, -0.0]),
+        ),
+        min_size=1,
+        max_size=4,
+    )
+
+
+def assert_matches_trapezoid(lags, params, oversampling):
+    # the two sum the same terms in different orders, so the error is
+    # measured against the largest value, R(0) (closed form: within 1e-4)
+    lags = np.array(lags)
+    got = _trapezoid_pulse_acf(lags, params, oversampling)
+    want = pulse_acf(lags, params, oversampling)
+    assert np.max(np.abs(got - want)) <= 16 * np.finfo(float).eps * theoretical_acf(0.0, params)
+
+
+def log_uniform_betas(low):
+    # pulse_acf's cost grows as 1/beta, so the draws spread over decades
+    return st.floats(min_value=math.log(low), max_value=math.log(LN2)).map(lambda x: min(math.exp(x), LN2))
+
+
+class TestTrapezoidPulseAcf:
+    @settings(max_examples=15, deadline=None)
+    @given(data=st.data(), beta=log_uniform_betas(1e-3), ns=st.sampled_from([8, 12, 16]))
+    def test_matches_pulse_acf_at_256(self, data, beta, ns):
+        assert_matches_trapezoid(data.draw(closed_form_lags(ns)), CsfParams(beta=beta, oversampling=ns), 256)
+
+    @settings(max_examples=15, deadline=None)
+    @given(
+        data=st.data(),
+        beta=log_uniform_betas(1e-4),
+        ns=st.sampled_from([8, 12, 16]),
+        oversampling=st.sampled_from([8, 16]),
+    )
+    def test_matches_pulse_acf_down_to_beta_1e_4(self, data, beta, ns, oversampling):
+        lags = data.draw(closed_form_lags(ns))
+        assert_matches_trapezoid(lags, CsfParams(beta=beta, oversampling=ns), oversampling)
+
+    @pytest.mark.parametrize("oversampling", [1, 2, 3, 100])
+    def test_small_and_odd_oversampling(self, oversampling):
+        # at 1 and 2 the phase steps 2 pi/os and 4 pi/os reduce to 0 or pi;
+        # 3 and 100 are off the power-of-two grid
+        lags = np.array([0.0, 0.25, 1.0, -2.5, 7.3, 19.0])
+        assert_matches_trapezoid(lags, PARAMS, oversampling)
