@@ -56,6 +56,19 @@ class LsEstimate:
     degenerate: bool
 
 
+def _solve_normal(probe: Waveform, frames: list[np.ndarray], max_delay: int) -> tuple[list[np.ndarray], bool]:
+    """ls_estimate's taps for each received array of frames, on the probe's grid, from one
+    Gram matrix, and its degenerate flag.  One lstsq per array: a stacked right side moves bits."""
+    if max_delay < 0:
+        raise ValueError(f"max_delay must be nonnegative, got {max_delay}")
+    x, ns = probe.samples, probe.samples_per_symbol
+    shifts = range(0, (max_delay + 1) * ns, ns)
+    k = np.arange(max_delay + 1)
+    gram = _lagged_products(x, x, shifts)[np.abs(k[:, None] - k)]
+    solves = [np.linalg.lstsq(gram, _lagged_products(x, y, shifts), rcond=None) for y in frames]
+    return [solve[0] for solve in solves], bool(solves[0][2] < max_delay + 1)
+
+
 def ls_estimate(frame: ProbeFrame, max_delay: int) -> LsEstimate:
     """Solve min || received - X alpha ||_2 over taps at delays 0..max_delay.
 
@@ -82,16 +95,8 @@ def ls_estimate(frame: ProbeFrame, max_delay: int) -> LsEstimate:
     cond(X) >~ 1 / sqrt(11 eps) ~ 2e7, where the normal equations have
     no correct digits left.
     """
-    if max_delay < 0:
-        raise ValueError(f"max_delay must be nonnegative, got {max_delay}")
-    probe = frame.probe.samples
-    ns = frame.probe.samples_per_symbol
-    shifts = range(0, (max_delay + 1) * ns, ns)
-    k = np.arange(max_delay + 1)
-    gram = _lagged_products(probe, probe, shifts)[np.abs(k[:, None] - k)]
-    rhs = _lagged_products(probe, frame.received.samples, shifts)
-    solution, _, rank, _ = np.linalg.lstsq(gram, rhs, rcond=None)
-    return LsEstimate(alpha_hat=solution, degenerate=bool(rank < max_delay + 1))
+    (solution,), degenerate = _solve_normal(frame.probe, [frame.received.samples], max_delay)
+    return LsEstimate(alpha_hat=solution, degenerate=degenerate)
 
 
 def ls_sweep(probe: Waveform, clean: Waveform, snr_dbs, seed: int, max_delay: int) -> tuple[np.ndarray, bool]:
@@ -104,26 +109,26 @@ def ls_sweep(probe: Waveform, clean: Waveform, snr_dbs, seed: int, max_delay: in
     seed as in gaussian_probe_frame and chaotic_probe_frame: the noise is
     add_awgn's at seed + 1 on the full-rate clean output.  The solve is
     linear in the received frame, pinv(X)(y + sigma n) = pinv(X) y +
-    sigma pinv(X) n, so one solve on the clean frame and one on the
-    unit-noise frame serve every SNR.  Returns the taps alpha_0..alpha_M
-    per SNR, one row each (a noiseless row is the clean solve), and the
-    degenerate flag, which depends on the probe alone.
+    sigma pinv(X) n, so one Gram matrix with two right sides (clean
+    frame, unit-noise frame) serves every SNR.  Returns the taps
+    alpha_0..alpha_M per SNR, one row each (a noiseless row is the clean
+    solve), and the degenerate flag, which depends on the probe alone.
+    A probe grid that does not divide clean's, a clean frame shorter than
+    the probe on its grid, or a negative max_delay raises ValueError.
     """
-    step = clean.samples_per_symbol // probe.samples_per_symbol
-
-    def solve(samples: np.ndarray) -> LsEstimate:
-        received = Waveform(samples[::step], probe.samples_per_symbol)
-        return ls_estimate(ProbeFrame(probe=probe, received=received), max_delay)
-
+    ns, frame_ns = probe.samples_per_symbol, clean.samples_per_symbol
+    if frame_ns % ns:
+        raise ValueError(f"probe grid of {ns} samples per symbol does not divide the frame grid of {frame_ns}")
+    step = frame_ns // ns
+    frames = [clean.samples[::step]]
+    if len(frames[0]) < len(probe):
+        raise ValueError("received frame shorter than the probe")
     draw, sigma2s = awgn_law(clean, snr_dbs, seed + 1)
-    base = solve(clean.samples)
-    taps = np.tile(base.alpha_hat, (len(sigma2s), 1))
     if draw is not None:
-        unit = solve(draw).alpha_hat
-        for row, sigma2 in zip(taps, sigma2s):
-            if sigma2 is not None:
-                row += math.sqrt(sigma2) * unit
-    return taps, base.degenerate
+        frames.append(draw[::step])
+    (base, *unit), degenerate = _solve_normal(probe, frames, max_delay)
+    rows = [base if sigma2 is None else base + math.sqrt(sigma2) * unit[0] for sigma2 in sigma2s]
+    return np.array(rows).reshape(len(sigma2s), len(base)), degenerate
 
 
 def gaussian_probe(n_symbols: int, samples_per_symbol: int, seed: int) -> Waveform:

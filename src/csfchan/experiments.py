@@ -464,7 +464,7 @@ def _snr_trial(args: tuple) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndar
     per-method noise seeds are fixed across SNR so only the noise scale
     changes along the sweep.  What does not depend on the SNR is done
     once per trial: the CSF encode and its channel output, the blind
-    method's noise draw, and two solves per LS method (ls_sweep).
+    method's noise draw, and one Gram matrix per LS method (ls_sweep).
     """
     cfg, trial = args
     params = _csf_params(cfg)

@@ -7,12 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import csfchan.baselines
 from csfchan import (
     ChannelModel,
     CsfParams,
     ProbeFrame,
     Waveform,
     apply_multipath,
+    awgn_law,
     chaotic_probe_frame,
     encode_waveform,
     gaussian_probe,
@@ -57,6 +59,27 @@ def tall_lstsq(frame: ProbeFrame, max_delay: int) -> tuple[np.ndarray, bool]:
     return solution, bool(rank < max_delay + 1)
 
 
+def wrapped_ls_sweep(probe: Waveform, clean: Waveform, snr_dbs, seed: int, max_delay: int) -> tuple[np.ndarray, bool]:
+    """Oracle: the sweep as two ls_estimate calls, on ProbeFrames of the
+    clean frame and of the unit-noise draw taken onto the probe's grid,
+    the noise row scaled into each noisy SNR's row."""
+    step = clean.samples_per_symbol // probe.samples_per_symbol
+
+    def solve(samples: np.ndarray):
+        received = Waveform(samples[::step], probe.samples_per_symbol)
+        return ls_estimate(ProbeFrame(probe=probe, received=received), max_delay)
+
+    draw, sigma2s = awgn_law(clean, snr_dbs, seed + 1)
+    base = solve(clean.samples)
+    taps = np.tile(base.alpha_hat, (len(sigma2s), 1))
+    if draw is not None:
+        unit = solve(draw).alpha_hat
+        for row, sigma2 in zip(taps, sigma2s):
+            if sigma2 is not None:
+                row += math.sqrt(sigma2) * unit
+    return taps, base.degenerate
+
+
 class TestProbeFrame:
     def test_grid_mismatch_rejected(self):
         with pytest.raises(ValueError):
@@ -65,6 +88,11 @@ class TestProbeFrame:
     def test_short_received_rejected(self):
         with pytest.raises(ValueError):
             ProbeFrame(probe=Waveform(np.ones(32), 16), received=Waveform(np.ones(16), 16))
+
+    def test_sweep_short_clean_rejected(self):
+        # 40 samples at 16 per symbol are 20 on the probe's grid of 8
+        with pytest.raises(ValueError, match="received frame shorter than the probe"):
+            ls_sweep(Waveform(np.ones(24), 8), Waveform(np.ones(40), 16), [0.0], 0, 2)
 
 
 class TestLsEstimate:
@@ -117,6 +145,11 @@ class TestLsEstimate:
         frame = gaussian_probe_frame(64, 16, CHANNEL, snr_db=None, seed=0)
         with pytest.raises(ValueError, match="max_delay must be nonnegative, got -1"):
             ls_estimate(frame, -1)
+
+    def test_sweep_negative_max_delay_rejected(self):
+        probe = gaussian_probe(64, 16, seed=0)
+        with pytest.raises(ValueError, match="max_delay must be nonnegative, got -1"):
+            ls_sweep(probe, apply_multipath(probe, CHANNEL), [0.0, None], 0, -1)
 
 
 class TestNormalEquationsOracle:
@@ -190,7 +223,8 @@ class TestNormalEquationsOracle:
 class TestSnrSweepReuse:
     """The LS sweep, solved by linearity in the noise, equals ls_estimate on
     the single-SNR frame up to roundoff: the two sides sum the same noisy
-    frame in a different order."""
+    frame in a different order.  It equals two wrapped ls_estimate calls
+    (clean frame, unit-noise frame) bit for bit, from one Gram matrix."""
 
     SNRS = [0.0, 5.0, 10.0, None, 20.0]
 
@@ -228,6 +262,53 @@ class TestSnrSweepReuse:
         probe = Waveform(np.zeros(64), 16)
         clean = Waveform(np.zeros(64 + 2 * 16), 16)
         assert ls_sweep(probe, clean, [0.0, None], 0, 2)[1]
+
+    @staticmethod
+    def probe_and_clean(kind: str) -> tuple[Waveform, Waveform]:
+        if kind == "gaussian":
+            probe = gaussian_probe(96, 16, seed=24)
+            return probe, apply_multipath(probe, CHANNEL)
+        if kind == "chaotic":
+            full = encode_waveform(random_symbols(128, seed=25), PARAMS)
+            return symbol_instants(full), apply_multipath(full, CHANNEL)
+        return Waveform(np.zeros(64), 16), Waveform(np.zeros(64 + M * 16), 16)
+
+    @pytest.mark.parametrize("kind", ["gaussian", "chaotic", "zero"])
+    @pytest.mark.parametrize(
+        "snr_dbs",
+        [[0.0, 5.0, 10.0], [None, 3.0, math.inf, -2.0], [None, math.inf], []],
+        ids=["noisy", "mixed", "noiseless", "empty"],
+    )
+    def test_bit_identical_to_two_wrapped_solves(self, kind, snr_dbs):
+        probe, clean = self.probe_and_clean(kind)
+        taps, degenerate = ls_sweep(probe, clean, snr_dbs, 26, M)
+        expected, expected_degenerate = wrapped_ls_sweep(probe, clean, snr_dbs, 26, M)
+        assert taps.shape == (len(snr_dbs), M + 1)
+        np.testing.assert_array_equal(taps, expected)
+        assert degenerate == expected_degenerate == (kind == "zero")
+
+    def test_one_gram_matrix_per_sweep(self, monkeypatch):
+        grams = []
+        lagged_products = csfchan.baselines._lagged_products
+
+        def counted(x, y, shifts):
+            if x is y:
+                grams.append(len(shifts))
+            return lagged_products(x, y, shifts)
+
+        monkeypatch.setattr(csfchan.baselines, "_lagged_products", counted)
+        probe, clean = self.probe_and_clean("gaussian")
+        ls_sweep(probe, clean, [0.0, None, 10.0], 26, M)
+        assert grams == [M + 1]
+
+    @pytest.mark.parametrize("probe_ns", [5, 32])
+    def test_probe_grid_must_divide_the_frame_grid(self, probe_ns):
+        # 5 would take every 3rd sample of a 16-per-symbol frame, 32 a zero step
+        probe = Waveform(np.ones(8 * probe_ns), probe_ns)
+        clean = Waveform(np.ones(1024), 16)
+        message = f"probe grid of {probe_ns} samples per symbol does not divide the frame grid of 16"
+        with pytest.raises(ValueError, match=message):
+            ls_sweep(probe, clean, [0.0], 0, 2)
 
 
 class TestNoiseSensitivityOrdering:
