@@ -9,13 +9,12 @@ rate, so its frame is taken at symbol-instant samples.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .acf import _lagged_products
-from .channel import ChannelModel, add_awgn, apply_multipath, awgn_law
+from .channel import ChannelModel, _noisy, add_awgn, apply_multipath, awgn_law
 from .waveform import CsfParams, Waveform, encode_waveform, random_symbols
 
 __all__ = [
@@ -110,7 +109,9 @@ def ls_sweep(probe: Waveform, clean: Waveform, snr_dbs, seed: int, max_delay: in
     add_awgn's at seed + 1 on the full-rate clean output.  The solve is
     linear in the received frame, pinv(X)(y + sigma n) = pinv(X) y +
     sigma pinv(X) n, so one Gram matrix with two right sides (clean
-    frame, unit-noise frame) serves every SNR.  Returns the taps
+    frame, unit-noise frame) serves every SNR, and each SNR's row is the
+    clean solve plus sqrt(variance) times the unit-noise solve, the step
+    add_awgn takes on the frame (channel._noisy).  Returns the taps
     alpha_0..alpha_M per SNR, one row each (a noiseless row is the clean
     solve), and the degenerate flag, which depends on the probe alone.
     A probe grid that does not divide clean's, a clean frame shorter than
@@ -126,9 +127,9 @@ def ls_sweep(probe: Waveform, clean: Waveform, snr_dbs, seed: int, max_delay: in
     draw, sigma2s = awgn_law(clean, snr_dbs, seed + 1)
     if draw is not None:
         frames.append(draw[::step])
-    (base, *unit), degenerate = _solve_normal(probe, frames, max_delay)
-    rows = [base if sigma2 is None else base + math.sqrt(sigma2) * unit[0] for sigma2 in sigma2s]
-    return np.array(rows).reshape(len(sigma2s), len(base)), degenerate
+    solves, degenerate = _solve_normal(probe, frames, max_delay)
+    rows = [_noisy(solves[0], solves[-1], sigma2) for sigma2 in sigma2s]
+    return np.array(rows).reshape(len(sigma2s), len(solves[0])), degenerate
 
 
 def gaussian_probe(n_symbols: int, samples_per_symbol: int, seed: int) -> Waveform:

@@ -88,19 +88,25 @@ def attenuation_from_delay(gamma: float, tau: float) -> float:
 
 
 def apply_multipath(wave: Waveform, ch: ChannelModel) -> Waveform:
-    """Sum of delayed, attenuated copies; length grows by the largest delay.
-
-    Each sample starts as the main path (delay 0, gain 1), or 0.0 past
-    the frame's end, then adds each echo's scaled sample in path order."""
+    """The channel output, the sum over paths of gain times the frame delayed
+    by the path's delay; length grows by the largest delay.  Each sample adds
+    each path's scaled sample to 0.0 in path order, the main path first."""
     ns = wave.samples_per_symbol
     n = len(wave)
-    out = np.empty(n + int(ch.delays[-1]) * ns)
-    out[:n] = wave.samples
-    out[n:] = 0.0
-    scaled = np.empty(n)
-    for d, a in ch.paths[1:]:
-        out[d * ns : d * ns + n] += np.multiply(wave.samples, a, out=scaled)
+    out = np.zeros(n + int(ch.delays[-1]) * ns)
+    for d, a in ch.paths:
+        out[d * ns : d * ns + n] += a * wave.samples
     return Waveform(out, ns)
+
+
+def _noisy(clean: np.ndarray, unit: np.ndarray, sigma2: float | None, out=None) -> np.ndarray:
+    """clean + sqrt(sigma2) * unit, written into out (unit scales in place),
+    the frame received at noise variance sigma2; clean when sigma2 is None."""
+    if sigma2 is None:
+        return clean
+    noisy = np.multiply(unit, math.sqrt(sigma2), out=out)
+    noisy += clean
+    return noisy
 
 
 def add_awgn(wave: Waveform, snr_db: float | None, seed: int) -> tuple[Waveform, float]:
@@ -117,9 +123,26 @@ def add_awgn(wave: Waveform, snr_db: float | None, seed: int) -> tuple[Waveform,
     draw, (sigma2,) = awgn_law(wave, [snr_db], seed)
     if sigma2 is None:
         return wave, 0.0
-    draw *= math.sqrt(sigma2)
-    draw += wave.samples
-    return Waveform(draw, wave.samples_per_symbol), sigma2
+    return Waveform(_noisy(wave.samples, draw, sigma2, out=draw), wave.samples_per_symbol), sigma2
+
+
+def _snr_ratio(snr_db) -> float | None:
+    """The power ratio 10**(snr_db/10) of an SNR in dB; None for the
+    noiseless None or +inf.  A finite SNR whose ratio overflows a float or
+    rounds to 0, so that it gives no noise variance, raises ValueError:
+    the usable finite SNRs run from about -3236 to 3082.5 dB."""
+    if snr_db is None or snr_db == math.inf:
+        return None
+    try:
+        ratio = 10.0 ** (float(snr_db) / 10.0)
+    except OverflowError:
+        ratio = math.inf
+    if not 0.0 < ratio < math.inf:
+        raise ValueError(
+            f"SNR {snr_db!r} dB gives no noise variance: 10**(snr_db/10) "
+            f"{'overflows' if ratio else 'rounds to 0'}, usable SNRs run from -3236 to 3082.5 dB"
+        )
+    return ratio
 
 
 def awgn_law(wave: Waveform, snr_dbs, seed: int) -> tuple[np.ndarray | None, list[float | None]]:
@@ -130,17 +153,18 @@ def awgn_law(wave: Waveform, snr_dbs, seed: int) -> tuple[np.ndarray | None, lis
     None marks a noiseless entry (snr_db None or +inf).  The noise at
     an SNR is sqrt(variance) * draw.  The draw is None, and nothing is
     drawn, when every entry is noiseless.  An snr_db of -inf, noise with
-    no signal, or NaN raises ValueError.
+    no signal, or NaN raises ValueError, as does a finite SNR outside the
+    usable range of _snr_ratio.
     """
     if not all(snr_db is None or snr_db > -math.inf for snr_db in snr_dbs):
         raise ValueError(f"snr_db must be a number above -inf, got {list(snr_dbs)}")
-    snrs = [None if snr_db is None or math.isinf(snr_db) else float(snr_db) for snr_db in snr_dbs]
-    if all(snr_db is None for snr_db in snrs):
-        return None, snrs
+    ratios = [_snr_ratio(snr_db) for snr_db in snr_dbs]
+    if all(ratio is None for ratio in ratios):
+        return None, ratios
     draw = np.square(wave.samples)
     power = float(np.mean(draw))
     np.random.default_rng(seed).standard_normal(out=draw)
-    return draw, [None if snr_db is None else power / 10.0 ** (snr_db / 10.0) for snr_db in snrs]
+    return draw, [None if ratio is None else power / ratio for ratio in ratios]
 
 
 def sample_random_channel(

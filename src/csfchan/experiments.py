@@ -27,6 +27,8 @@ from .acf import empirical_acf, empirical_acf_trace, predicted_rx_acf, predicted
 from .baselines import gaussian_probe, ls_sweep, symbol_instants
 from .channel import (
     ChannelModel,
+    _noisy,
+    _snr_ratio,
     add_awgn,
     apply_multipath,
     attenuation_from_delay,
@@ -189,12 +191,13 @@ DEFAULT_CONFIG: dict = {key: default for key, default, *_ in _CONFIG_KEYS[""]} |
 
 def _check_config(cfg: dict, name: str) -> None:
     """Reject an experiment config that cannot run, before any work: a
-    top-level, csf or experiment key that fails its test in _CONFIG_KEYS, CSF
-    parameters that CsfParams refuses, an unknown method, a repeated sweep
-    point (length, SNR or method), a path count outside 1..max_delay+1 (the
-    main path plus one echo per delay slot), fig2 delays that are not 0
-    followed by increasing echo delays up to max_delay, or a frame too short
-    for its ACF (_check_frame)."""
+    top-level, csf or experiment key that fails its test in _CONFIG_KEYS, an
+    SNR that gives no noise variance (_snr_ratio), CSF parameters that
+    CsfParams refuses, an unknown method, a repeated sweep point (length,
+    SNR or method), a path count outside 1..max_delay+1 (the main path plus
+    one echo per delay slot), fig2 delays that are not 0 followed by
+    increasing echo delays up to max_delay, or a frame too short for its
+    ACF (_check_frame)."""
     section = cfg[name]
     for where in ("", "csf", name):
         values, prefix = (cfg[where], f"{where}.") if where else (cfg, "")
@@ -210,6 +213,13 @@ def _check_config(cfg: dict, name: str) -> None:
                 ok = not is_list and valid(value)
             if not ok:
                 raise ConfigError(f"{prefix}{key} must be {what}, got {value!r}")
+    for key in ("snr_db", "snr_db_list"):
+        snrs = section.get(key)
+        for snr_db in snrs if isinstance(snrs, (list, tuple)) else [snrs]:
+            try:
+                _snr_ratio(snr_db)
+            except ValueError as exc:
+                raise ConfigError(f"{name}.{key}: {exc}") from None
     tail = _csf_params(cfg).pulse_tail
     if name == "fig2":
         _check_frame(name, section, "symbols", "max_delay", tail + int(_fig2_channel(section).delays[-1]))
@@ -492,12 +502,7 @@ def _snr_trial(args: tuple) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndar
         if method == "blind_acf":
             draw, sigma2s = awgn_law(clean_csf, snr_list, noise_seed)  # add_awgn at each SNR, from one draw
             for si, sigma2 in enumerate(sigma2s):
-                received = clean_csf
-                if sigma2 is not None:
-                    noisy = np.multiply(draw, math.sqrt(sigma2))
-                    noisy += clean_csf.samples
-                    received = Waveform(noisy, clean_csf.samples_per_symbol)
-                acfs[si] = empirical_acf(received, m)
+                acfs[si] = empirical_acf(Waveform(_noisy(clean_csf.samples, draw, sigma2), params.oversampling), m)
             continue
         if method == "ls_gaussian":
             probe = gaussian_probe(n_sym, params.oversampling, seed=probe_seed)

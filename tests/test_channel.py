@@ -1,6 +1,7 @@
 """Multipath channel and AWGN tests."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from csfchan import (
     sample_random_channel,
     theoretical_acf,
 )
-from csfchan.channel import awgn_law
+from csfchan.channel import _snr_ratio, awgn_law
 from csfchan.experiments import _csf_params, _snr_trial, _trial_channel, derive_seed, resolve_config
 
 PARAMS = CsfParams()
@@ -151,18 +152,25 @@ class TestApplyMultipath:
         tap_power = float(np.sum(FIG2_CHANNEL.attenuations ** 2))
         assert abs(ratio / tap_power - 1.0) < 0.02
 
+    def test_negative_zero_main_path_sample_is_positive_zero(self):
+        # 0.0 + 1.0 * -0.0 is +0.0: the path sum starts every sample at 0.0
+        wave = Waveform(np.array([-0.0, 1.0, -0.0]), 1)
+        ch = ChannelModel(paths=((0, 1.0), (1, 0.5)), max_delay=1)
+        out = apply_multipath(wave, ch).samples
+        np.testing.assert_array_equal(out, [0.0, 1.0, 0.5, 0.0])
+        assert not np.any(np.signbit(out))
+
 
 def sample_sum_multipath(wave: Waveform, ch: ChannelModel) -> np.ndarray:
-    """Oracle: each output sample summed on its own in Python floats, the
-    main path (0.0 past the frame) and then each echo that reaches it, in
-    path order."""
+    """Oracle: each output sample summed on its own in Python floats, from
+    0.0, adding each path that reaches it, main path first, in path order."""
     ns = wave.samples_per_symbol
     x = wave.samples.tolist()
     n = len(x)
     out = []
     for i in range(n + int(ch.delays[-1]) * ns):
-        value = x[i] if i < n else 0.0
-        for d, a in ch.paths[1:]:
+        value = 0.0
+        for d, a in ch.paths:
             if 0 <= i - d * ns < n:
                 value += x[i - d * ns] * a
         out.append(value)
@@ -170,7 +178,7 @@ def sample_sum_multipath(wave: Waveform, ch: ChannelModel) -> np.ndarray:
 
 
 class TestBlockedMultipath:
-    """apply_multipath adds each echo in path order, so it agrees bit for
+    """apply_multipath adds each path in path order, so it agrees bit for
     bit with the per-sample sum, on frames from shorter than the largest
     echo offset to 49157 samples.  The class and test names are those the
     tests had when apply_multipath filled its output in blocks."""
@@ -240,6 +248,21 @@ class TestAddAwgn:
         with pytest.raises(ValueError, match="snr_db must be a number above -inf"):
             add_awgn(wave, bad, seed=1)
 
+    @pytest.mark.parametrize("snr, how", [(3090.0, "overflows"), (3082.55, "overflows"), (-3300, "rounds to 0")])
+    def test_snr_without_noise_variance_refused(self, snr, how):
+        # 10**(snr/10) must be a positive finite float for the variance
+        wave = Waveform(np.ones(64), 16)
+        message = f"SNR {snr!r} dB gives no noise variance: 10**(snr_db/10) {how}, "
+        message += "usable SNRs run from -3236 to 3082.5 dB"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            awgn_law(wave, [0.0, snr, None], seed=1)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            add_awgn(wave, snr, seed=1)
+
+    @pytest.mark.parametrize("snr", [-3236.0, 3082.5])
+    def test_usable_snr_range_ends(self, snr):
+        assert 0.0 < _snr_ratio(snr) < math.inf
+
     def test_deterministic_for_seed(self):
         wave = Waveform(np.ones(512), 16)
         a, _ = add_awgn(wave, 10.0, seed=42)
@@ -278,7 +301,7 @@ class TestAddAwgn:
         # the per-call law add_awgn had before it shared the sweep's draw
         wave = encode_waveform(random_symbols(128, seed=2), PARAMS)
         power = float(np.mean(wave.samples**2))
-        for snr in (-3.0, 0.0, 7.5, 20.0):
+        for snr in (-3000.0, -3.0, 0.0, 7.5, 20.0, 3082.5):
             sigma2 = power / 10.0 ** (snr / 10.0)
             rng = np.random.default_rng(11)
             expected = wave.samples + rng.normal(0.0, math.sqrt(sigma2), size=len(wave))

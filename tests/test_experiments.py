@@ -228,18 +228,53 @@ class TestFig2:
         assert margins.keys() == {"2", "7"} and all(m > 0 for m in margins.values())
 
 
-def test_reference_sweep_snr_bytes(tmp_path):
+def _reference_sweep(tmp_path_factory, command: str, config: str) -> tuple[int, Path, list]:
+    """One reference sweep through the CLI: its exit code, its output
+    directory and the solve_channels blocks recorded while it ran."""
+    out = tmp_path_factory.mktemp(command)
+    with pytest.MonkeyPatch.context() as mp:
+        blocks = recorded_blocks(mp)
+        code = cli_main([command, "--config", str(REPO / config), "--out", str(out)])
+    return code, out, blocks
+
+
+# each reference sweep runs once per module; its bytes and its solve
+# blocks are checked on that one run
+@pytest.fixture(scope="module")
+def sweep_snr_run(tmp_path_factory):
+    return _reference_sweep(tmp_path_factory, "sweep-snr", "configs/snr_sweep_full.yaml")
+
+
+@pytest.fixture(scope="module")
+def sweep_length_run(tmp_path_factory):
+    return _reference_sweep(tmp_path_factory, "sweep-length", "configs/length_sweep.yaml")
+
+
+def test_reference_sweep_snr_bytes(sweep_snr_run):
     # 500 blind solves through the lag weights the prediction shares
-    code = cli_main(["sweep-snr", "--config", str(REPO / "configs/snr_sweep_full.yaml"), "--out", str(tmp_path)])
+    code, out, _ = sweep_snr_run
     assert code == 0
-    assert_reference_bytes(tmp_path, "sweep_snr.csv")
+    assert_reference_bytes(out, "sweep_snr.csv")
 
 
-def test_reference_sweep_length_bytes(tmp_path):
+def test_reference_sweep_snr_solves_in_blocks(sweep_snr_run):
+    # the 500 blind problems of the reference sweep go to the solver in
+    # one batch, never one frame at a time; the solver blocks them itself
+    # (test_estimator's test_stacked_solves_hold_at_most_one_block)
+    assert sweep_snr_run[2] == [500]
+
+
+def test_reference_sweep_length_bytes(sweep_length_run):
     # frames up to 65536 symbols: every ACF lag sums its two halves
-    code = cli_main(["sweep-length", "--config", str(REPO / "configs/length_sweep.yaml"), "--out", str(tmp_path)])
+    code, out, _ = sweep_length_run
     assert code == 0
-    assert_reference_bytes(tmp_path, "sweep_length.csv")
+    assert_reference_bytes(out, "sweep_length.csv")
+
+
+def test_reference_sweep_length_solves_in_blocks(sweep_length_run):
+    # the 140 blind problems (20 trials x 7 lengths) are solved after the
+    # trials, across them, in one batch as the SNR sweep's are
+    assert sweep_length_run[2] == [140]
 
 
 def test_reference_invariance_bytes(tmp_path):
@@ -416,25 +451,6 @@ def recorded_blocks(monkeypatch) -> list:
 
     monkeypatch.setattr(csfchan.experiments, "solve_channels", recording_solves)
     return blocks
-
-
-def test_reference_sweep_snr_solves_in_blocks(monkeypatch):
-    # the 500 blind problems of the reference sweep go to the solver in
-    # one batch, never one frame at a time; the solver blocks them itself
-    # (test_estimator's test_stacked_solves_hold_at_most_one_block)
-    blocks = recorded_blocks(monkeypatch)
-    cfg = resolve_config(yaml.safe_load((REPO / "configs/snr_sweep_full.yaml").read_text()))
-    run_snr_sweep(cfg)
-    assert blocks == [500]
-
-
-def test_reference_sweep_length_solves_in_blocks(monkeypatch):
-    # the 140 blind problems (20 trials x 7 lengths) are solved after the
-    # trials, across them, in one batch as the SNR sweep's are
-    blocks = recorded_blocks(monkeypatch)
-    cfg = resolve_config(yaml.safe_load((REPO / "configs/length_sweep.yaml").read_text()))
-    run_datalength_sweep(cfg)
-    assert blocks == [140]
 
 
 def test_length_sweep_runs_largest_frame_first(monkeypatch):
@@ -662,6 +678,22 @@ BAD_CONFIGS += [  # -inf dB is noise with no signal; +inf, a noiseless frame, ru
         "sweep-snr", "sweep_snr.snr_db_list=[-.inf, 0]", "sweep_snr.snr_db_list must be numbers, got [-inf, 0]",
         id="snr-minus-inf",
     ),
+]
+
+BAD_CONFIGS += [  # 10**(snr/10) overflows above about 3082.5 dB and rounds to 0 below about -3236 dB
+    pytest.param(
+        command,
+        f"{key}={value}",
+        f"{key}: SNR {snr} dB gives no noise variance: 10**(snr_db/10) {how}, usable SNRs run from -3236 to 3082.5 dB",
+        id=f"{command}-snr-{snr}",
+    )
+    for command, key, listed in (
+        ("fig2", "fig2.snr_db", False),
+        ("sweep-length", "sweep_length.snr_db", False),
+        ("sweep-snr", "sweep_snr.snr_db_list", True),
+    )
+    for snr, how in ((3090, "overflows"), (-3300, "rounds to 0"))
+    for value in [f"[0, {snr}]" if listed else snr]
 ]
 
 

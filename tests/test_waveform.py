@@ -278,11 +278,13 @@ class TestTheoreticalAcf:
     @pytest.mark.parametrize("beta", [LN2, 0.5, 0.3, 0.1, 0.03, 0.01, 0.001])
     def test_matches_defining_integral_at_integer_lags(self, beta):
         # the closed form is the only source of the table the solver reads
-        # (authoritative_acf_table), up to lag 2 * max_delay = 20
+        # (authoritative_acf_table), up to lag 2 * max_delay = 20; at beta =
+        # 1e-3 the integral is the closed-form trapezoid, which
+        # test_trapezoid_is_the_integral_at_beta_1e_3 holds to pulse_acf
         params = CsfParams(beta=beta)
         lags = np.arange(21.0)
         closed = theoretical_acf(lags, params)
-        integral = pulse_acf(lags, params, oversampling=256)
+        integral = (_trapezoid_pulse_acf if beta == 0.001 else pulse_acf)(lags, params, 256)
         assert abs(closed[0] - integral[0]) <= 1e-4
         # the trapezoid rule carries a small absolute error, so values far
         # below the zero-lag power are measured against that floor; it
@@ -416,6 +418,11 @@ class TestTrapezoidPulseAcf:
     def test_matches_pulse_acf_down_to_beta_1e_4(self, data, beta, ns, oversampling):
         lags = data.draw(closed_form_lags(ns))
         assert_matches_trapezoid(lags, CsfParams(beta=beta, oversampling=ns), oversampling)
+
+    def test_trapezoid_is_the_integral_at_beta_1e_3(self):
+        # the link from the closed form back to the sampled integral at the
+        # smallest beta of test_matches_defining_integral_at_integer_lags
+        assert_matches_trapezoid([0.0, 1.0, 20.0], CsfParams(beta=0.001), 256)
 
     @pytest.mark.parametrize("oversampling", [1, 2, 3, 100])
     def test_small_and_odd_oversampling(self, oversampling):
