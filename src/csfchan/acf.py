@@ -174,8 +174,7 @@ def _rx_model(ch: ChannelModel, noise_var: float, r_xx: np.ndarray, n_lags: int,
     noise_var at lag 0."""
     if not 0.0 <= noise_var < np.inf:
         raise ValueError(f"noise variance must be finite and nonnegative, got {noise_var!r}")
-    taps = np.zeros(int(ch.delays[-1]) + 1)
-    taps[ch.delays] = ch.attenuations
+    taps = ch.taps[: int(ch.delays[-1]) + 1]
     return _expand(taps, _lag_weights(r_xx, n_lags, taps.size, stride), noise_var)
 
 

@@ -69,13 +69,13 @@ class ChannelModel:
     def attenuations(self) -> np.ndarray:
         return np.array([a for _, a in self.paths])
 
-    def tap_vector(self) -> np.ndarray:
-        """Dense echo-tap vector alpha_1..alpha_M (main path excluded)."""
-        taps = np.zeros(self.max_delay)
-        for d, a in self.paths:
-            if d > 0:
-                taps[d - 1] = a
-        return taps
+    @property
+    def taps(self) -> np.ndarray:
+        """Dense tap vector h = (alpha_0, ..., alpha_max_delay): each path's
+        attenuation at its delay, 0 elsewhere, the main tap alpha_0 = 1 first."""
+        h = np.zeros(self.max_delay + 1)
+        h[self.delays] = self.attenuations
+        return h
 
 
 def attenuation_from_delay(gamma: float, tau: float) -> float:

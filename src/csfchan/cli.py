@@ -114,18 +114,17 @@ def main(argv: list[str] | None = None) -> int:
         print(f"csfchan {args.command}: invalid configuration: {exc}", file=sys.stderr)
         return 2
 
+    failed = [key for key, ok in result.summary.get("checks", {}).items() if not ok]
     out_dir = Path(cfg["out"])
     write_table(out_dir / f"{result.name}.csv", result.columns, result.rows, config_hash(cfg))
-    write_sidecar(out_dir / f"{result.name}.json", cfg, result.summary, result.passed)
+    write_sidecar(out_dir / f"{result.name}.json", cfg, result.summary, not failed)
 
     print(f"{result.name}: wrote {out_dir / (result.name + '.csv')} ({len(result.rows)} rows)")
     for key, value in result.summary.items():
         if not isinstance(value, (dict, list)):
             print(f"  {key}: {value}")
-    if not result.passed:
-        checks = result.summary.get("checks", {})
-        failed = [k for k, ok in checks.items() if not ok]
-        print(f"{result.name}: FAILED checks: {', '.join(failed) or 'see summary'}", file=sys.stderr)
+    if failed:
+        print(f"{result.name}: FAILED checks: {', '.join(failed)}", file=sys.stderr)
         return 1
     return 0
 

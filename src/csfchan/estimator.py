@@ -54,22 +54,24 @@ def _checked(measured, r_xx) -> tuple[np.ndarray, np.ndarray, int]:
 class IdentificationProblem:
     """Inputs of the tap-recovery system.
 
-    r_rr       measured (or exact) received ACF at lags 0..max_delay
-    r_xx       known transmit ACF at lags 0..2*max_delay; the quadratic
-               expansion references lag sums up to twice the delay span
-    max_delay  number of candidate echo taps M
+    r_rr  measured (or exact) received ACF at lags 0..M, for M candidate
+          echo taps
+    r_xx  known transmit ACF at lags 0..2M at least; the quadratic
+          expansion references lag sums up to twice the delay span
     """
 
     r_rr: np.ndarray
     r_xx: np.ndarray
-    max_delay: int
 
     def __post_init__(self):
-        measured, r_xx, m = _checked(np.asarray(self.r_rr, dtype=float)[None], self.r_xx)
-        if m != self.max_delay:
-            raise ValueError(f"r_rr must cover lags 0..{self.max_delay}")
+        measured, r_xx, _ = _checked(np.asarray(self.r_rr, dtype=float)[None], self.r_xx)
         object.__setattr__(self, "r_rr", measured[0])
         object.__setattr__(self, "r_xx", r_xx)
+
+    @property
+    def max_delay(self) -> int:
+        """The number of candidate echo taps M, read off r_rr."""
+        return len(self.r_rr) - 1
 
 
 def _shifted_acf(r_xx: np.ndarray, m: int) -> np.ndarray:

@@ -196,8 +196,9 @@ def _check_config(cfg: dict, name: str) -> None:
     CsfParams refuses, an unknown method, a repeated sweep point (length,
     SNR or method), a path count outside 1..max_delay+1 (the main path plus
     one echo per delay slot), fig2 delays that are not 0 followed by
-    increasing echo delays up to max_delay, or a frame too short for its
-    ACF (_check_frame)."""
+    increasing echo delays up to max_delay, a frame too short for its ACF
+    (_check_frame), or an SNR whose noise overflows the frame's sums
+    (_check_noise)."""
     section = cfg[name]
     for where in ("", "csf", name):
         values, prefix = (cfg[where], f"{where}.") if where else (cfg, "")
@@ -220,9 +221,13 @@ def _check_config(cfg: dict, name: str) -> None:
                 _snr_ratio(snr_db)
             except ValueError as exc:
                 raise ConfigError(f"{name}.{key}: {exc}") from None
-    tail = _csf_params(cfg).pulse_tail
+    params = _csf_params(cfg)
+    tail, ns = params.pulse_tail, params.oversampling
     if name == "fig2":
-        _check_frame(name, section, "symbols", "max_delay", tail + int(_fig2_channel(section).delays[-1]))
+        ch = _fig2_channel(section)
+        padding = tail + int(ch.delays[-1])
+        _check_frame(name, section, "symbols", "max_delay", padding)
+        _check_noise(name, section, (section["symbols"] + padding) * ns, predicted_rx_acf(ch, 0.0, params, 0)[0])
     elif name == "invariance":
         _check_frame(name, section, "symbols", "max_lag", tail)
     if name not in ("sweep_length", "sweep_snr"):
@@ -246,6 +251,10 @@ def _check_config(cfg: dict, name: str) -> None:
         _check_frame(name, section, "lengths", "max_delay", tail + paths - 1)
     elif "blind_acf" in methods:  # the LS baselines take no ACF
         _check_frame(name, section, "symbols", "max_delay", tail + paths - 1)
+    # every gain is at most 1 and the pulse ACF is negative off lag 0, so no
+    # trial's clean frame has more expected power than path_count times R(0)
+    n_sym = max(section["lengths"]) if name == "sweep_length" else section["symbols"]
+    _check_noise(name, section, (n_sym + tail + m) * ns, paths * authoritative_acf_table(params, 0)[0])
 
 
 def _check_frame(name: str, section: dict, symbols_key: str, lag_key: str, padding: int) -> None:
@@ -264,15 +273,36 @@ def _check_frame(name: str, section: dict, symbols_key: str, lag_key: str, paddi
         )
 
 
+# the received frame's sums of squared samples (the noise power, the ACF
+# at lag 0) stay at least this factor below the largest float; it also
+# covers the sampling noise of the frame's power around its expectation
+_SUM_MARGIN = 1e3
+
+
+def _check_noise(name: str, section: dict, n_samples: int, power: float) -> None:
+    """Refuse a finite SNR whose noise would overflow the sums over a
+    received frame of n_samples samples with an expected noise-free power
+    of at most power: n_samples * (power + power / 10**(snr_db/10)) must
+    stay _SUM_MARGIN below the largest float.  The lowest usable SNR is
+    rounded up to 0.1 dB."""
+    key = "snr_db_list" if name == "sweep_snr" else "snr_db"
+    lowest = math.ceil(100.0 * math.log10(_SUM_MARGIN * n_samples * power / np.finfo(float).max)) / 10.0
+    for snr_db in section[key] if name == "sweep_snr" else [section[key]]:
+        if snr_db is not None and snr_db < lowest:
+            raise ConfigError(
+                f"{name}.{key}: SNR {snr_db!r} dB overflows the sums over a received frame of up to {n_samples} "
+                f"samples at a noise-free power up to {power:.4g}; its lowest usable SNR is {lowest} dB"
+            )
+
+
 @dataclass
 class ExperimentResult:
-    """Table plus summary emitted by one experiment run."""
+    """Table plus summary emitted by one experiment run; it passes when every summary["checks"] entry holds."""
 
     name: str
     columns: list
     rows: list
     summary: dict
-    passed: bool = True
 
 
 def _csf_params(cfg: dict) -> CsfParams:
@@ -401,7 +431,6 @@ def run_fig2(cfg: dict) -> ExperimentResult:
         columns=["lag", "empirical_acf", "predicted_acf"],
         rows=rows,
         summary=summary,
-        passed=bool(peaks_ok and strong_ok and agreement_ok),
     )
 
 
@@ -438,7 +467,7 @@ def run_datalength_sweep(cfg: dict) -> ExperimentResult:
     acfs = np.empty((trials, len(lengths), int(section["max_delay"]) + 1))
     for (trial, li), acf in zip(frames, measured):
         acfs[trial, li] = acf
-    truths = np.array([ch.tap_vector() for ch in channels])
+    truths = np.array([ch.taps[1:] for ch in channels])
     errs, converged = _blind_errors(cfg, "sweep_length", truths, acfs)
 
     path_count = int(section["path_count"])
@@ -487,7 +516,7 @@ def _snr_trial(args: tuple) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndar
     errs = np.zeros((len(snr_list), len(methods)))
     flags = np.zeros((len(snr_list), len(methods)), dtype=bool)
     ch = _trial_channel(cfg, "sweep_snr", trial)
-    truth = ch.tap_vector()
+    truth = ch.taps[1:]
     path_count = int(section["path_count"])
 
     stream_seed = derive_seed(cfg["seed"], trial, 1)

@@ -27,7 +27,6 @@ __all__ = [
     "sample_base_pulse",
     "encode_waveform",
     "random_symbols",
-    "theoretical_acf",
     "pulse_acf",
     "authoritative_acf_table",
 ]
@@ -191,28 +190,6 @@ def random_symbols(n: int, seed: int) -> np.ndarray:
     return np.random.default_rng(seed).choice((-1.0, 1.0), size=n)
 
 
-def theoretical_acf(lag, params: CsfParams = CsfParams()):
-    """Closed-form autocorrelation of the shaping pulse.
-
-    Valid at integer lags only, where the tests check it against the
-    defining integral (pulse_acf); even in the lag.  At lag 0 it gives
-    the waveform power, elsewhere an exponentially decaying negative
-    value.
-    """
-    beta, w = params.beta, 2.0 * math.pi
-    eta = np.abs(np.asarray(lag, dtype=float))
-    if not np.all(np.isfinite(eta)):
-        raise ValueError("lag must be finite")
-    i0 = 1.0 + (1.0 - np.exp(-beta)) * (w * w - 3.0 * beta * beta) / (
-        2.0 * beta * (w * w + beta * beta)
-    )
-    side = np.exp((1.0 - eta) * beta) * (1.0 - np.exp(-beta)) * (1.0 - i0) / 2.0
-    out = np.where(eta == 0.0, i0, side)
-    if np.isscalar(lag) or np.asarray(lag).ndim == 0:
-        return float(out)
-    return out
-
-
 def _check_oversampling(oversampling) -> None:
     if isinstance(oversampling, bool) or not isinstance(oversampling, numbers.Integral) or oversampling < 1:
         raise ValueError(f"oversampling must be an integer >= 1, got {oversampling!r}")
@@ -223,8 +200,8 @@ def pulse_acf(lag, params: CsfParams = CsfParams(), oversampling: int = 256):
 
     Trapezoidal rule over the truncated support at the given resolution,
     with the lagged pulse sampled afresh at each lag.  Works at arbitrary
-    finite real lags; the defining integral the tests check the closed
-    form and _trapezoid_pulse_acf against.  Its cost grows with the pulse
+    finite real lags; the defining integral the tests check the closed-form
+    table and _trapezoid_pulse_acf against.  Its cost grows with the pulse
     tail, as 1/beta.
     """
     _check_oversampling(oversampling)
@@ -300,11 +277,17 @@ def _trapezoid_pulse_acf(lag, params: CsfParams = CsfParams(), oversampling: int
 
 
 def authoritative_acf_table(params: CsfParams = CsfParams(), max_lag: int = 10) -> np.ndarray:
-    """Pulse ACF at integer lags 0..max_lag, from the closed form.
+    """Pulse ACF at integer lags 0..max_lag, in closed form, a fresh array
+    per call: the waveform power at lag 0, an exponentially decaying
+    negative value elsewhere.
 
     The known transmit-side ACF that the identification equations
-    consume: theoretical_acf at each integer lag, a fresh array per call.
-    The tests hold it to the defining integral (pulse_acf) over
-    0 < beta <= ln 2; no run evaluates the integral for it.
+    consume.  The closed form holds at integer lags only; off the grid
+    the defining integral (pulse_acf) takes over.  The tests hold the
+    table to that integral over 0 < beta <= ln 2; no run evaluates it.
     """
-    return theoretical_acf(np.arange(max_lag + 1.0), params)
+    beta, w = params.beta, 2.0 * math.pi
+    i0 = 1.0 + (1.0 - np.exp(-beta)) * (w * w - 3.0 * beta * beta) / (2.0 * beta * (w * w + beta * beta))
+    table = np.exp((1.0 - np.arange(max_lag + 1.0)) * beta) * (1.0 - np.exp(-beta)) * (1.0 - i0) / 2.0
+    table[:1] = i0
+    return table

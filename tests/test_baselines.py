@@ -100,14 +100,14 @@ class TestLsEstimate:
         frame = gaussian_probe_frame(256, 16, CHANNEL, snr_db=None, seed=0)
         est = ls_estimate(frame, M)
         assert not est.degenerate
-        expected = np.concatenate([[1.0], CHANNEL.tap_vector()])
+        expected = CHANNEL.taps
         np.testing.assert_allclose(est.alpha_hat, expected, atol=1e-10)
 
     def test_noiseless_exact_recovery_chaotic(self):
         frame = chaotic_probe_frame(512, PARAMS, CHANNEL, snr_db=None, seed=1)
         est = ls_estimate(frame, M)
         assert not est.degenerate
-        expected = np.concatenate([[1.0], CHANNEL.tap_vector()])
+        expected = CHANNEL.taps
         np.testing.assert_allclose(est.alpha_hat, expected, atol=1e-8)
 
     def test_pure_delay_shift_identity(self):
@@ -319,7 +319,7 @@ class TestNoiseSensitivityOrdering:
         errs = {"gauss": [], "chaos": []}
         for trial in range(10):
             ch = sample_random_channel(max_delay=M, path_count=6, seed=trial)
-            truth = ch.tap_vector()
+            truth = ch.taps[1:]
             g = ls_estimate(gaussian_probe_frame(1024, 16, ch, 0.0, seed=100 + trial), M)
             c = ls_estimate(chaotic_probe_frame(1024, PARAMS, ch, 0.0, seed=200 + trial), M)
             errs["gauss"].append(np.sum((g.alpha_hat[1:] / g.alpha_hat[0] - truth) ** 2))

@@ -11,12 +11,11 @@ import importlib.util
 import inspect
 import sys
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from csfchan import ProbeFrame, Waveform, random_symbols
+from csfchan import CsfParams, IdentificationProblem, ProbeFrame, Waveform, authoritative_acf_table, random_symbols
 
 TRACING = Path(__file__).resolve().parents[1] / "benchmarks" / "tracing.py"
 
@@ -68,11 +67,12 @@ def test_counters_read_arguments_the_signature_has(tracing, tmp_path, monkeypatc
     path = tmp_path / "written.csv"
     path.write_text("x\n")
     wave = Waveform(np.ones(64), 4)
+    table = authoritative_acf_table(CsfParams(), 20)
     values = {
         "stream": random_symbols(8, seed=0),
         "wave": wave,
         "max_lag": 2,
-        "prob": SimpleNamespace(max_delay=10),
+        "prob": IdentificationProblem(r_rr=table[:11], r_xx=table),
         "frame": ProbeFrame(probe=wave, received=wave),
         "max_delay": 2,
         "path": path,
@@ -95,3 +95,11 @@ def test_counters_read_arguments_the_signature_has(tracing, tmp_path, monkeypatc
         assert {n for _, n in reads} == READS.get(name, set()), name
         for index, arg in reads:
             assert params[index] == arg, f"{name}: argument {index} is {params[index]!r}, the tracer reads {arg!r}"
+
+
+def test_solve_size_is_read_off_a_problem(tracing):
+    # call_s_m10 times the solves of problems with 10 candidate echo taps
+    table = authoritative_acf_table(CsfParams(), 20)
+    at_m10 = tracing.AT_SIZE["estimator.solve_channel"][1]
+    assert at_m10((IdentificationProblem(r_rr=table[:11], r_xx=table),), {})
+    assert not at_m10((), {"prob": IdentificationProblem(r_rr=table[:6], r_xx=table)})

@@ -19,7 +19,6 @@ from csfchan import (
     encode_waveform,
     random_symbols,
     sample_random_channel,
-    theoretical_acf,
 )
 from csfchan.channel import _snr_ratio, awgn_law
 from csfchan.experiments import _csf_params, _snr_trial, _trial_channel, derive_seed, resolve_config
@@ -61,11 +60,26 @@ class TestAttenuationLaw:
 
 class TestChannelModel:
     def test_tap_vector(self):
-        taps = FIG2_CHANNEL.tap_vector()
-        assert taps.shape == (10,)
-        assert taps[1] == pytest.approx(math.exp(-1.2))
-        assert taps[6] == pytest.approx(math.exp(-4.2))
-        assert np.count_nonzero(taps) == 2
+        # h = (alpha_0, ..., alpha_max_delay), the main tap first
+        taps = FIG2_CHANNEL.taps
+        assert taps.shape == (11,)
+        assert taps[0] == 1.0
+        assert taps[2] == math.exp(-1.2)
+        assert taps[7] == math.exp(-4.2)
+        assert np.count_nonzero(taps) == 3
+
+    def test_taps_keep_a_zero_gain_path(self):
+        ch = ChannelModel(paths=((0, 1.0), (2, 0.0), (4, 0.25)), max_delay=6)
+        np.testing.assert_array_equal(ch.taps, [1.0, 0.0, 0.0, 0.0, 0.25, 0.0, 0.0])
+
+    @settings(max_examples=50, deadline=None)
+    @given(max_delay=st.integers(0, 30), path_count=st.integers(1, 31), seed=st.integers(0, 2**32 - 1))
+    def test_taps_equal_a_per_path_fill(self, max_delay, path_count, seed):
+        ch = sample_random_channel(max_delay=max_delay, path_count=min(path_count, max_delay + 1), seed=seed)
+        filled = np.zeros(max_delay + 1)
+        for d, a in ch.paths:
+            filled[d] = a
+        assert ch.taps.tobytes() == filled.tobytes()
 
     def test_requires_main_path(self):
         with pytest.raises(ValueError):
@@ -106,14 +120,14 @@ class TestChannelModel:
         ids=["delay-1.7", "delay-2.0", "delay-bool", "max-delay-2.5", "max-delay-bool"],
     )
     def test_non_integer_delay_rejected(self, paths, max_delay):
-        # int() would truncate a delay; a fractional max_delay breaks tap_vector
+        # int() would truncate a delay; a fractional max_delay breaks taps
         with pytest.raises(ValueError, match="delays and max_delay must be integers"):
             ChannelModel(paths=paths, max_delay=max_delay)
 
     def test_numpy_integer_delays_accepted(self):
         ch = ChannelModel(paths=((np.int64(0), 1.0), (np.int32(2), 0.5)), max_delay=np.int64(4))
         assert ch.paths == ((0, 1.0), (2, 0.5))
-        np.testing.assert_array_equal(ch.tap_vector(), [0.0, 0.5, 0.0, 0.0])
+        np.testing.assert_array_equal(ch.taps, [1.0, 0.0, 0.5, 0.0, 0.0])
 
 
 class TestApplyMultipath:

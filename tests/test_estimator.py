@@ -50,7 +50,6 @@ def exact_problem(ch: ChannelModel, noise_var: float) -> IdentificationProblem:
     return IdentificationProblem(
         r_rr=predicted_rx_acf(ch, noise_var, PARAMS, max_lag=ch.max_delay),
         r_xx=authoritative_acf_table(PARAMS, max_lag=2 * ch.max_delay),
-        max_delay=ch.max_delay,
     )
 
 
@@ -176,12 +175,14 @@ class TestProblemInvariants:
     def test_short_rxx_rejected(self):
         est = predicted_rx_acf(FIG2_CHANNEL, 0.0, PARAMS, max_lag=M)
         with pytest.raises(ValueError):
-            IdentificationProblem(r_rr=est, r_xx=np.ones(M + 1), max_delay=M)
+            IdentificationProblem(r_rr=est, r_xx=np.ones(M + 1))
 
-    def test_wrong_rr_span_rejected(self):
-        est = predicted_rx_acf(FIG2_CHANNEL, 0.0, PARAMS, max_lag=5)
-        with pytest.raises(ValueError):
-            IdentificationProblem(r_rr=est, r_xx=np.ones(2 * M + 1), max_delay=M)
+    @pytest.mark.parametrize("m", [0, 5, M])
+    def test_max_delay_is_read_off_r_rr(self, m):
+        est = predicted_rx_acf(FIG2_CHANNEL, 0.0, PARAMS, max_lag=m)
+        prob = IdentificationProblem(r_rr=est, r_xx=np.ones(2 * M + 1))
+        assert prob.max_delay == len(est) - 1 == m
+        assert [field.name for field in dataclasses.fields(prob)] == ["r_rr", "r_xx"]
 
 
 class TestResultInvariants:
@@ -197,7 +198,7 @@ class TestBuildResiduals:
             ch = sample_random_channel(max_delay=M, path_count=6, seed=seed)
             nv = 0.05 * seed
             prob = exact_problem(ch, nv)
-            res = build_residuals(ch.tap_vector(), nv, prob)
+            res = build_residuals(ch.taps[1:], nv, prob)
             assert float(np.max(np.abs(res))) <= 1e-12
 
     def test_identity_channel_zero_alpha(self):
@@ -220,7 +221,7 @@ class TestBuildResiduals:
 
     def test_small_perturbation_small_change(self):
         prob = exact_problem(FIG2_CHANNEL, 0.1)
-        alpha = FIG2_CHANNEL.tap_vector()
+        alpha = FIG2_CHANNEL.taps[1:]
         base = build_residuals(alpha, 0.1, prob)
         for delta in (1e-3, 1e-5):
             bumped = alpha.copy()
@@ -247,7 +248,7 @@ class TestLoopOracles:
         r_xx = rng.uniform(0.1, 2.0) * np.exp(-decay * lags) * rng.uniform(-1.0, 1.0, size=lags.size)
         r_xx[0] = abs(r_xx[0]) + 0.1
         r_rr = rng.normal(size=m + 1)
-        prob = IdentificationProblem(r_rr=r_rr, r_xx=r_xx, max_delay=m)
+        prob = IdentificationProblem(r_rr=r_rr, r_xx=r_xx)
         alpha = rng.uniform(-1.0, 1.0, size=m)
         noise_var = float(rng.uniform(0.0, 2.0))
         np.testing.assert_array_equal(
@@ -270,7 +271,7 @@ class TestLoopOracles:
 class TestResidualJacobian:
     def test_noise_column_is_unit_lag0(self):
         prob = exact_problem(FIG2_CHANNEL, 0.1)
-        jac = residual_jacobian(FIG2_CHANNEL.tap_vector(), 0.1, prob)
+        jac = residual_jacobian(FIG2_CHANNEL.taps[1:], 0.1, prob)
         np.testing.assert_array_equal(jac[:, M], np.eye(M + 1)[:, 0])
 
     def test_matches_central_differences(self):
@@ -321,7 +322,7 @@ class TestSolveChannel:
             result = solve_channel(exact_problem(ch, nv), SolverOptions(tol=1e-12))
             assert result.converged, trial
             assert result.residual_norm <= 1e-10
-            assert float(np.max(np.abs(result.alpha_hat - ch.tap_vector()))) <= 1e-6
+            assert float(np.max(np.abs(result.alpha_hat - ch.taps[1:]))) <= 1e-6
             assert abs(result.noise_var_hat - nv) <= 1e-6
 
     def test_single_path_closed_form(self):
@@ -337,11 +338,7 @@ class TestSolveChannel:
         prob = exact_problem(FIG2_CHANNEL, 0.1)
         bumped_rr = prob.r_rr.copy()
         bumped_rr[0] += 0.05
-        prob2 = IdentificationProblem(
-            r_rr=bumped_rr,
-            r_xx=prob.r_xx,
-            max_delay=M,
-        )
+        prob2 = IdentificationProblem(r_rr=bumped_rr, r_xx=prob.r_xx)
         a = solve_channel(prob, SolverOptions(tol=1e-12))
         b = solve_channel(prob2, SolverOptions(tol=1e-12))
         assert float(np.max(np.abs(a.alpha_hat - b.alpha_hat))) <= 1e-8
@@ -352,7 +349,6 @@ class TestSolveChannel:
         prob = IdentificationProblem(
             r_rr=bad + 0.5,
             r_xx=authoritative_acf_table(PARAMS, max_lag=2 * M),
-            max_delay=M,
         )
         result = solve_channel(prob, SolverOptions(tol=1e-12, max_iter=3))
         assert isinstance(result, EstimationResult)
@@ -376,11 +372,9 @@ class TestSolveChannel:
         stream = random_symbols(n_sym, seed=34)
         received = apply_multipath(encode_waveform(stream, PARAMS), ch)
         table = authoritative_acf_table(PARAMS, max_lag=2 * M)
-        prob = IdentificationProblem(
-            r_rr=empirical_acf(received, M), r_xx=table, max_delay=M
-        )
+        prob = IdentificationProblem(r_rr=empirical_acf(received, M), r_xx=table)
         result = solve_channel(prob, SolverOptions(tol=1e-6 * table[0]))
-        assert float(np.max(np.abs(result.alpha_hat - ch.tap_vector()))) <= 0.05
+        assert float(np.max(np.abs(result.alpha_hat - ch.taps[1:]))) <= 0.05
 
 
 @pytest.fixture(scope="module")
@@ -393,7 +387,7 @@ def reference_solves():
     calls = []
 
     def recording(r_xx, measured, opts):
-        calls.append(([IdentificationProblem(r_rr=row, r_xx=r_xx, max_delay=len(row) - 1) for row in measured], opts))
+        calls.append(([IdentificationProblem(r_rr=row, r_xx=r_xx) for row in measured], opts))
         return solve_channels(r_xx, measured, opts)
 
     with pytest.MonkeyPatch.context() as patch:

@@ -19,7 +19,6 @@ from csfchan import (
     pulse_acf,
     random_symbols,
     sample_base_pulse,
-    theoretical_acf,
 )
 from csfchan.waveform import _next_fast_len, _pulse_spectrum, _trapezoid_pulse_acf
 
@@ -261,29 +260,26 @@ class TestTheoreticalAcf:
     def test_value_at_zero_lag(self):
         # frozen from the defining integral evaluated by high-resolution
         # trapezoid (oversampling 4096, tail 60)
-        assert theoretical_acf(0.0, PARAMS) == pytest.approx(1.3433272444214932, abs=1e-12)
-        assert theoretical_acf(0.0, PARAMS) == pytest.approx(1.34329, abs=1e-4)
+        r0 = authoritative_acf_table(PARAMS, 0)[0]
+        assert r0 == pytest.approx(1.3433272444214932, abs=1e-12)
+        assert r0 == pytest.approx(1.34329, abs=1e-4)
 
     def test_value_at_unit_lag(self):
         # frozen from the same high-resolution integration oracle; equals
         # (1 - e^-beta)(1 - R(0))/2 exactly at unit lag
-        assert theoretical_acf(1.0, PARAMS) == pytest.approx(-0.08583181111, abs=1e-10)
-        expected = 0.5 * (1.0 - theoretical_acf(0.0, PARAMS)) / 2.0
-        assert theoretical_acf(1.0, PARAMS) == pytest.approx(expected, rel=1e-12)
-
-    def test_even_symmetry(self):
-        for eta in [0.5, 1.0, 2.25, 7.0]:
-            assert theoretical_acf(eta, PARAMS) == theoretical_acf(-eta, PARAMS)
+        r0, r1 = authoritative_acf_table(PARAMS, 1)
+        assert r1 == pytest.approx(-0.08583181111, abs=1e-10)
+        assert r1 == pytest.approx(0.5 * (1.0 - r0) / 2.0, rel=1e-12)
 
     @pytest.mark.parametrize("beta", [LN2, 0.5, 0.3, 0.1, 0.03, 0.01, 0.001])
     def test_matches_defining_integral_at_integer_lags(self, beta):
-        # the closed form is the only source of the table the solver reads
-        # (authoritative_acf_table), up to lag 2 * max_delay = 20; at beta =
-        # 1e-3 the integral is the closed-form trapezoid, which
-        # test_trapezoid_is_the_integral_at_beta_1e_3 holds to pulse_acf
+        # the closed form is the only source of the table the solver reads,
+        # up to lag 2 * max_delay = 20; at beta = 1e-3 the integral is the
+        # closed-form trapezoid, which test_trapezoid_is_the_integral_at_beta_1e_3
+        # holds to pulse_acf
         params = CsfParams(beta=beta)
         lags = np.arange(21.0)
-        closed = theoretical_acf(lags, params)
+        closed = authoritative_acf_table(params, 20)
         integral = (_trapezoid_pulse_acf if beta == 0.001 else pulse_acf)(lags, params, 256)
         assert abs(closed[0] - integral[0]) <= 1e-4
         # the trapezoid rule carries a small absolute error, so values far
@@ -293,32 +289,33 @@ class TestTheoreticalAcf:
         rel = np.abs(closed - integral) / np.maximum(np.abs(integral), floor)
         assert np.max(rel) <= 0.01
 
-    def test_closed_form_invalid_off_grid(self):
-        # the closed form only holds on integer lags; off the grid the
-        # defining integral takes over (sign even flips at half-integers)
-        eta = 1.5
-        assert abs(theoretical_acf(eta, PARAMS) - pulse_acf(eta, PARAMS)) > 0.05
-
-    def test_nonfinite_lag_rejected(self):
-        with pytest.raises(ValueError):
-            theoretical_acf(math.nan, PARAMS)
-
 
 class TestAuthoritativeTable:
-    def test_matches_closed_form_here(self):
-        table = authoritative_acf_table(PARAMS, max_lag=10)
-        np.testing.assert_allclose(table, theoretical_acf(np.arange(11.0), PARAMS), rtol=1e-12)
-
     def test_never_integrates(self, monkeypatch):
         # at beta = 1e-5 the integral would sample a tail of 1.4M symbol
-        # periods at 256 samples each
+        # periods at 256 samples each; the closed form decays by e^-beta
+        # per lag from (1 - e^-beta)(1 - R(0))/2 at lag 1, and R(0) tends
+        # to 3/2 as beta tends to 0
         def no_integral(*args, **kwargs):
             raise AssertionError("pulse_acf ran")
 
         monkeypatch.setattr(csfchan.waveform, "pulse_acf", no_integral)
-        params = CsfParams(beta=1e-5)
-        table = authoritative_acf_table(params, 20)
-        np.testing.assert_array_equal(table, theoretical_acf(np.arange(21.0), params))
+        beta = 1e-5
+        table = authoritative_acf_table(CsfParams(beta=beta), 20)
+        assert table[0] == pytest.approx(1.5, abs=1e-4)
+        assert table[1] == pytest.approx(-math.expm1(-beta) * (1.0 - table[0]) / 2.0, rel=1e-10)
+        np.testing.assert_allclose(table[1:], table[1] * np.exp(-beta * np.arange(20.0)), rtol=1e-12)
+
+    @pytest.mark.parametrize("beta", [LN2, 0.5, 0.1, 0.01, 1e-3, 1e-5])
+    def test_longer_tables_extend_shorter_ones(self, beta):
+        # predicted_rx_acf and the solver read tables of different lengths:
+        # their common lags must agree bit for bit
+        params = CsfParams(beta=beta)
+        longest = authoritative_acf_table(params, 40)
+        for max_lag in (0, 1, 10, 20):
+            table = authoritative_acf_table(params, max_lag)
+            assert table.shape == (max_lag + 1,)
+            assert table.tobytes() == longest[: max_lag + 1].tobytes()
 
     def test_returns_fresh_copy(self):
         a = authoritative_acf_table(PARAMS, max_lag=5)
@@ -394,7 +391,7 @@ def assert_matches_trapezoid(lags, params, oversampling):
     lags = np.array(lags)
     got = _trapezoid_pulse_acf(lags, params, oversampling)
     want = pulse_acf(lags, params, oversampling)
-    assert np.max(np.abs(got - want)) <= 16 * np.finfo(float).eps * theoretical_acf(0.0, params)
+    assert np.max(np.abs(got - want)) <= 16 * np.finfo(float).eps * authoritative_acf_table(params, 0)[0]
 
 
 def log_uniform_betas(low):
