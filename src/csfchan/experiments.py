@@ -36,7 +36,7 @@ from .channel import (
     sample_random_channel,
 )
 from .estimator import SolverOptions, solve_channels
-from .waveform import CsfParams, Waveform, authoritative_acf_table, encode_waveform, random_symbols
+from .waveform import CsfParams, Waveform, _encode_amplitudes, authoritative_acf_table, encode_waveform, random_symbols
 
 __all__ = [
     "ConfigError",
@@ -382,7 +382,8 @@ def run_fig2(cfg: dict) -> ExperimentResult:
     max_lag = section["max_delay"]
 
     stream = random_symbols(section["symbols"], seed=derive_seed(cfg["seed"], 1))
-    received = apply_multipath(encode_waveform(stream, params), ch)
+    # echo delays are whole symbols, so the channel acts at symbol rate
+    received = _encode_amplitudes(np.convolve(stream, ch.taps[: ch.delays[-1] + 1]), params)
     received, noise_var = add_awgn(received, section["snr_db"], seed=derive_seed(cfg["seed"], 2))
 
     grid, emp_trace = empirical_acf_trace(received, max_lag)
@@ -593,7 +594,7 @@ def run_invariance_demo(cfg: dict) -> ExperimentResult:
     acfs = np.empty((n_streams + bool(section["include_all_ones"]), max_lag + 1))
     for s in range(len(acfs)):
         stream = random_symbols(n_sym, seed=derive_seed(cfg["seed"], s)) if s < n_streams else np.ones(n_sym)
-        acfs[s] = empirical_acf(encode_waveform(stream, params), max_lag)
+        acfs[s] = empirical_acf(_encode_amplitudes(stream, params), max_lag)
     deviations = np.abs(acfs - reference)
 
     rows = []

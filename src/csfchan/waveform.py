@@ -143,7 +143,8 @@ def _next_fast_len(n: int) -> int:
 def _pulse_spectrum(params: CsfParams, n_fft: int) -> np.ndarray:
     """Real FFT of the sampled pulse zero-padded to n_fft (read-only).
 
-    Each experiment encodes its frames in runs of one length: the length
+    encode_waveform reads it for the two sweeps alone, ls_chaos probes
+    included, and each encodes its frames in runs of one length: the length
     sweep runs its frames largest first, so unless two of its lengths lie
     within max_delay symbols of each other, one entry misses once per
     length, as more entries would, and holds no spectrum of a length
@@ -181,6 +182,34 @@ def encode_waveform(stream, params: CsfParams = CsfParams()) -> Waveform:
     spectrum *= pulse
     np.fft.irfft(spectrum, n_fft, out=train)  # the train becomes the output
     return Waveform(train[:n_out], ns)
+
+
+def _encode_amplitudes(amplitudes, params: CsfParams) -> Waveform:
+    """encode_waveform's frame of any real symbol-rate amplitudes a, built at
+    symbol rate: the pulse oscillates with a period of one symbol, so sample
+    r of symbol period q is a_q A_r + T_q B_r.  A is the pulse's last
+    period, B the one before it over e^-beta, and the tail sum
+    T_q = sum_{j=1..pulse_tail} e^(-beta j) a_(q+j) is one symbol-rate FFT
+    at any beta.  The tests hold it to encode_waveform within 1e-13 max|frame|.
+    """
+    amps = np.asarray(amplitudes, dtype=float)
+    ns, tail = params.oversampling, params.pulse_tail
+    before, last = base_pulse(np.arange(-ns, ns) / ns, params).reshape(2, ns)
+    shapes = np.stack([last, before / math.exp(-params.beta)])  # A, B
+    n_out = amps.size + tail
+    n_fft = _next_fast_len(n_out)
+    # the amplitudes over [-tail, n); the leading zeros take the wrap of the
+    # circular correlation below
+    padded = np.zeros(n_fft)
+    padded[tail:n_out] = amps
+    weights = np.exp(-params.beta * np.arange(tail + 1.0))
+    weights[0] = 0.0
+    spectrum = np.fft.rfft(padded)
+    spectrum *= np.fft.rfft(weights, n_fft).conj()
+    tails = np.fft.irfft(spectrum, n_fft)[:n_out]
+    # one (n_out, 2) @ (2, ns) product writes the frame, with no temporary of its size
+    frame = np.stack([padded[:n_out], tails], 1) @ shapes
+    return Waveform(frame.ravel(), ns)
 
 
 def random_symbols(n: int, seed: int) -> np.ndarray:

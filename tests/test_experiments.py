@@ -11,6 +11,7 @@ import re
 import shutil
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -41,7 +42,7 @@ from csfchan.experiments import (
     run_invariance_demo,
     run_snr_sweep,
 )
-from csfchan.waveform import encode_waveform, random_symbols
+from csfchan.waveform import _encode_amplitudes, encode_waveform, random_symbols
 
 
 class TestDeriveSeed:
@@ -194,7 +195,7 @@ class TestFig2:
         paths = ((0, 1.0), (2, attenuation_from_delay(0.6, 2)), (7, attenuation_from_delay(0.6, 7)))
         ch = ChannelModel(paths=paths, max_delay=10)
         stream = random_symbols(section["symbols"], seed=derive_seed(cfg["seed"], 1))
-        received = apply_multipath(encode_waveform(stream, params), ch)
+        received = _encode_amplitudes(np.convolve(stream, ch.taps[:8]), params)
         received, noise_var = add_awgn(received, section["snr_db"], seed=derive_seed(cfg["seed"], 2))
         emp = empirical_acf(received, 10)
         pred = predicted_rx_acf(ch, noise_var, params, 10)
@@ -218,6 +219,24 @@ class TestFig2:
         result = run_fig2(resolve_config({"fig2": {"symbols": 1024, "delays": [0, 2, 10]}}))
         assert result.summary["echo_peak_margins"]["10"] is None
         assert result.summary["checks"]["strong_echoes_in_empirical"] is False
+
+    @pytest.mark.parametrize("snr_db, frames", [(None, 2), (10.0, 3)])
+    def test_peak_memory_is_a_few_frames(self, snr_db, frames):
+        # the frame is built at symbol rate, so no sample-rate FFT buffer
+        # sits beside it: measured 12.9 MB noiseless and 18.4 MB at 10 dB
+        # against an 8.39 MB frame; the FFT encode and the sample-rate path
+        # sum peak at 34.9 MB
+        cfg = resolve_config(yaml.safe_load((REPO / "configs/fig2.yaml").read_text()), {"fig2": {"snr_db": snr_db}})
+        params = _csf_params(cfg)
+        section = cfg["fig2"]
+        frame_bytes = (section["symbols"] + params.pulse_tail + max(section["delays"])) * params.oversampling * 8
+        tracemalloc.start()
+        try:
+            run_fig2(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= frames * frame_bytes
 
     def test_reference_csv_bytes(self, tmp_path):
         # the fig2 reference bytes hold for any BLAS thread count
@@ -764,9 +783,11 @@ class TestSweepConfig:
         def no_work(*args):
             raise AssertionError("work ran")
 
-        # the sweeps work in their trials, fig2 and invariance in the encode
+        # the sweeps work in their trials, fig2 and invariance in the
+        # symbol-rate encode
         monkeypatch.setattr(csfchan.experiments, "_fan_out", no_work)
         monkeypatch.setattr(csfchan.experiments, "encode_waveform", no_work)
+        monkeypatch.setattr(csfchan.experiments, "_encode_amplitudes", no_work)
         key, value = override.split("=")
         *sections, field = key.split(".")
         user = {field: yaml.safe_load(value)}
@@ -801,6 +822,7 @@ def test_every_key_refuses_a_bad_value(tmp_path, capsys, monkeypatch, key):
 
     monkeypatch.setattr(csfchan.experiments, "_fan_out", no_work)
     monkeypatch.setattr(csfchan.experiments, "encode_waveform", no_work)
+    monkeypatch.setattr(csfchan.experiments, "_encode_amplitudes", no_work)
     command = key.partition(".")[0].replace("_", "-")
     command = command if command in csfchan.cli._RUNNERS else "fig2"
     value = "1" if key == "invariance.include_all_ones" else "true"
@@ -869,6 +891,33 @@ def test_bytes_do_not_depend_on_blas_threads(tmp_path):
         sidecar = json.loads((out / "sweep_snr.json").read_text())
         outputs.append(((out / "sweep_snr.csv").read_bytes(), sidecar["summary"]))
     assert outputs[0] == outputs[1] == outputs[2]
+
+
+# the /proc/cpuinfo flag each forced OpenBLAS kernel needs (SSE3 shows as
+# pni); SkylakeX is never forced, as it dies with SIGILL on a host without
+# AVX-512, and the kernel OpenBLAS picks itself runs every other test
+_KERNEL_FLAGS = {"Haswell": "avx2", "Sandybridge": "avx", "Prescott": "pni"}
+
+
+def _cpu_flags() -> set[str]:
+    try:
+        lines = Path("/proc/cpuinfo").read_text().splitlines()
+    except OSError:
+        return set()
+    return set(next((line.split(":", 1)[1].split() for line in lines if line.startswith("flags")), []))
+
+
+@pytest.mark.parametrize("core", _KERNEL_FLAGS)
+def test_symbol_rate_frames_hold_on_every_blas_kernel(tmp_path, core):
+    # fig2 and invariance write their frames through one dgemm, whose
+    # kernels use FMA differently; their reference bytes must not move
+    if _KERNEL_FLAGS[core] not in _cpu_flags():
+        pytest.skip(f"this CPU cannot run OpenBLAS's {core} kernel")
+    fig2 = ["fig2", "--config", str(REPO / "configs/fig2.yaml")]
+    for args in (fig2, ["invariance", "--set", "invariance.include_all_ones=true"]):
+        _run_cli(["-m", "csfchan.cli", *args, "--out", str(tmp_path)], OPENBLAS_CORETYPE=core)
+    assert_reference_bytes(tmp_path, "fig2.csv")
+    assert_reference_bytes(tmp_path, "invariance.csv", "tests/reference")
 
 
 class TestCli:
