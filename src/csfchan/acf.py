@@ -18,14 +18,13 @@ them to the OS.
 from __future__ import annotations
 
 import ctypes
-import numbers
 import os
 from pathlib import Path
 
 import numpy as np
 
 from .channel import ChannelModel
-from .waveform import CsfParams, Waveform, _trapezoid_pulse_acf, authoritative_acf_table
+from .waveform import CsfParams, Waveform, _check_integer, _trapezoid_pulse_acf, authoritative_acf_table
 
 __all__ = [
     "empirical_acf",
@@ -109,15 +108,8 @@ def _lagged_products(x: np.ndarray, y: np.ndarray, shifts: range) -> np.ndarray:
     return np.array(sums, dtype=float)
 
 
-def _check_max_lag(max_lag: int) -> None:
-    if not isinstance(max_lag, numbers.Integral) or isinstance(max_lag, bool):
-        raise ValueError(f"max_lag must be an integer, got {max_lag!r}")
-    if max_lag < 0:
-        raise ValueError(f"max_lag must be nonnegative, got {max_lag}")
-
-
 def _check_acf_length(wave: Waveform, max_lag: int) -> None:
-    _check_max_lag(max_lag)
+    _check_integer("max_lag", max_lag, 0)
     if len(wave) <= (max_lag + 1) * wave.samples_per_symbol:
         raise ValueError(f"waveform too short for max_lag={max_lag}: {len(wave)} samples")
 
@@ -191,8 +183,7 @@ def predicted_rx_acf(
     eta +- delay, and (iv) echo-pair cross terms at eta + delay
     differences.  The transmit ACF is extended evenly to negative lags.
     """
-    m = ch.max_delay if max_lag is None else max_lag
-    _check_max_lag(m)
+    m = ch.max_delay if max_lag is None else _check_integer("max_lag", max_lag, 0)
     table = authoritative_acf_table(params, max_lag=m + int(ch.delays[-1]))
     return _rx_model(ch, noise_var, table, m + 1, 1)
 
@@ -210,7 +201,7 @@ def predicted_rx_acf_trace(
     independent of beta: the valid route off the integer grid.  The
     white-noise term contributes only at exactly lag 0.
     """
-    _check_max_lag(max_lag)
+    max_lag = _check_integer("max_lag", max_lag, 0)
     ns = params.oversampling
     # pulse ACF on the widest grid needed
     full = _trapezoid_pulse_acf(np.arange((max_lag + int(ch.delays[-1])) * ns + 1) / ns, params)

@@ -15,7 +15,7 @@ import numpy as np
 
 from .acf import _lagged_products
 from .channel import ChannelModel, _noisy, add_awgn, apply_multipath, awgn_law
-from .waveform import CsfParams, Waveform, encode_waveform, random_symbols
+from .waveform import CsfParams, Waveform, _check_integer, encode_waveform, random_symbols
 
 __all__ = [
     "ProbeFrame",
@@ -58,8 +58,6 @@ class LsEstimate:
 def _solve_normal(probe: Waveform, frames: list[np.ndarray], max_delay: int) -> tuple[list[np.ndarray], bool]:
     """ls_estimate's taps for each received array of frames, on the probe's grid, from one
     Gram matrix, and its degenerate flag.  One lstsq per array: a stacked right side moves bits."""
-    if max_delay < 0:
-        raise ValueError(f"max_delay must be nonnegative, got {max_delay}")
     x, ns = probe.samples, probe.samples_per_symbol
     shifts = range(0, (max_delay + 1) * ns, ns)
     k = np.arange(max_delay + 1)
@@ -94,6 +92,7 @@ def ls_estimate(frame: ProbeFrame, max_delay: int) -> LsEstimate:
     cond(X) >~ 1 / sqrt(11 eps) ~ 2e7, where the normal equations have
     no correct digits left.
     """
+    max_delay = _check_integer("max_delay", max_delay, 0)
     (solution,), degenerate = _solve_normal(frame.probe, [frame.received.samples], max_delay)
     return LsEstimate(alpha_hat=solution, degenerate=degenerate)
 
@@ -115,8 +114,10 @@ def ls_sweep(probe: Waveform, clean: Waveform, snr_dbs, seed: int, max_delay: in
     alpha_0..alpha_M per SNR, one row each (a noiseless row is the clean
     solve), and the degenerate flag, which depends on the probe alone.
     A probe grid that does not divide clean's, a clean frame shorter than
-    the probe on its grid, or a negative max_delay raises ValueError.
+    the probe on its grid, or a max_delay that is no integer >= 0 raises
+    ValueError.
     """
+    max_delay = _check_integer("max_delay", max_delay, 0)
     ns, frame_ns = probe.samples_per_symbol, clean.samples_per_symbol
     if frame_ns % ns:
         raise ValueError(f"probe grid of {ns} samples per symbol does not divide the frame grid of {frame_ns}")
@@ -134,8 +135,8 @@ def ls_sweep(probe: Waveform, clean: Waveform, snr_dbs, seed: int, max_delay: in
 
 def gaussian_probe(n_symbols: int, samples_per_symbol: int, seed: int) -> Waveform:
     """White Gaussian probe at the sample rate."""
-    rng = np.random.default_rng(seed)
-    return Waveform(rng.normal(size=n_symbols * samples_per_symbol), samples_per_symbol)
+    n_samples = _check_integer("n_symbols", n_symbols, 1) * _check_integer("samples_per_symbol", samples_per_symbol, 1)
+    return Waveform(np.random.default_rng(seed).normal(size=n_samples), samples_per_symbol)
 
 
 def gaussian_probe_frame(

@@ -9,12 +9,11 @@ SNR measured against the noiseless received signal power.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .waveform import Waveform
+from .waveform import Waveform, _check_integer
 
 __all__ = [
     "ChannelModel",
@@ -43,10 +42,9 @@ class ChannelModel:
     max_delay: int
 
     def __post_init__(self):
-        delays = [d for d, _ in self.paths]
-        if not all(isinstance(d, numbers.Integral) and not isinstance(d, bool) for d in [*delays, self.max_delay]):
-            raise ValueError(f"delays and max_delay must be integers, got {delays} and {self.max_delay!r}")
-        paths = tuple((int(d), float(a)) for d, a in self.paths)
+        max_delay = _check_integer("max_delay", self.max_delay, 0)
+        paths = tuple((_check_integer("delay", d, 0), float(a)) for d, a in self.paths)
+        delays = [d for d, _ in paths]
         if not paths:
             raise ValueError("channel needs at least the main path")
         if delays[0] != 0:
@@ -57,9 +55,10 @@ class ChannelModel:
             raise ValueError("main-path attenuation must be 1")
         if not all(0.0 <= a < math.inf for _, a in paths):
             raise ValueError("attenuations must be finite and nonnegative")
-        if delays[-1] > self.max_delay:
-            raise ValueError(f"delay {delays[-1]} exceeds max_delay {self.max_delay}")
+        if delays[-1] > max_delay:
+            raise ValueError(f"delay {delays[-1]} exceeds max_delay {max_delay}")
         object.__setattr__(self, "paths", paths)
+        object.__setattr__(self, "max_delay", max_delay)
 
     @property
     def delays(self) -> np.ndarray:
@@ -179,10 +178,9 @@ def sample_random_channel(
     drawn without replacement from 1..max_delay and attenuated by the
     exponential law.
     """
-    if path_count > max_delay + 1:
+    max_delay = _check_integer("max_delay", max_delay, 0)
+    if _check_integer("path_count", path_count, 1) > max_delay + 1:
         raise ValueError("path_count exceeds available delay slots")
-    if path_count < 1:
-        raise ValueError("need at least the main path")
     rng = np.random.default_rng(seed)
     gamma = float(rng.uniform(*gamma_range))
     paths = [(0, 1.0)]

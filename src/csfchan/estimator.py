@@ -23,6 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .acf import _expand, _lag_weights
+from .waveform import _check_integer
 
 __all__ = [
     "IdentificationProblem",
@@ -90,6 +91,9 @@ _SOLVE_BLOCK = 128
 class SolverOptions:
     tol: float = 1e-10  # residual 2-norm declaring convergence
     max_iter: int = 200
+
+    def __post_init__(self):
+        object.__setattr__(self, "max_iter", _check_integer("max_iter", self.max_iter, 1))
 
 
 @dataclass(frozen=True)

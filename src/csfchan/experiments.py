@@ -37,6 +37,7 @@ from .channel import (
 )
 from .estimator import SolverOptions, solve_channels
 from .waveform import CsfParams, Waveform, _encode_amplitudes, authoritative_acf_table, encode_waveform, random_symbols
+from .waveform import _TAIL_AMPLITUDE, _is_integer
 
 __all__ = [
     "ConfigError",
@@ -110,12 +111,8 @@ def _merge(base: dict, extra, section: str | None = None) -> None:
 _SNR_METHODS = ("blind_acf", "ls_gaussian", "ls_chaos")
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 def _is_count(value, low: int = 1) -> bool:
-    return _is_int(value) and value >= low
+    return _is_integer(value, low)
 
 
 def _is_real(value) -> bool:
@@ -144,7 +141,7 @@ def _is_gamma_range(g) -> bool:
 _CONFIG_KEYS = {
     "": (
         ("experiment", "fig2", None, "the command being run, checked by the CLI", False),
-        ("seed", 1, _is_int, "an integer", False),
+        ("seed", 1, _is_integer, "an integer", False),
         ("trials", 20, _is_count, "an integer >= 1", False),
         ("threads", 1, _is_count, "an integer >= 1", False),
         ("out", "results", lambda out: isinstance(out, str), "a string", False),
@@ -193,11 +190,12 @@ def _check_config(cfg: dict, name: str) -> None:
     """Reject an experiment config that cannot run, before any work: a
     top-level, csf or experiment key that fails its test in _CONFIG_KEYS, an
     SNR that gives no noise variance (_snr_ratio), CSF parameters that
-    CsfParams refuses, an unknown method, a repeated sweep point (length,
-    SNR or method), a path count outside 1..max_delay+1 (the main path plus
-    one echo per delay slot), fig2 delays that are not 0 followed by
-    increasing echo delays up to max_delay, a frame too short for its ACF
-    (_check_frame), or an SNR whose noise overflows the frame's sums
+    CsfParams refuses, a received frame above the cap (_check_frame_size),
+    an unknown method, a repeated sweep point (length, SNR or method), a
+    path count outside 1..max_delay+1 (the main path plus one echo per
+    delay slot), fig2 delays that are not 0 followed by increasing echo
+    delays up to max_delay, a frame too short for its ACF (_check_frame),
+    or an SNR whose noise overflows the frame's sums or the blind solver
     (_check_noise)."""
     section = cfg[name]
     for where in ("", "csf", name):
@@ -222,14 +220,16 @@ def _check_config(cfg: dict, name: str) -> None:
             except ValueError as exc:
                 raise ConfigError(f"{name}.{key}: {exc}") from None
     params = _csf_params(cfg)
-    tail, ns = params.pulse_tail, params.oversampling
     if name == "fig2":
         ch = _fig2_channel(section)
-        padding = tail + int(ch.delays[-1])
+        n_sym, delay = section["symbols"], int(ch.delays[-1])
+        _check_frame_size(name, params, n_sym, delay)
+        padding = params.pulse_tail + delay
         _check_frame(name, section, "symbols", "max_delay", padding)
-        _check_noise(name, section, (section["symbols"] + padding) * ns, predicted_rx_acf(ch, 0.0, params, 0)[0])
+        _check_noise(name, section, (n_sym + padding) * params.oversampling, predicted_rx_acf(ch, 0.0, params, 0)[0])
     elif name == "invariance":
-        _check_frame(name, section, "symbols", "max_lag", tail)
+        _check_frame_size(name, params, section["symbols"], 0)
+        _check_frame(name, section, "symbols", "max_lag", params.pulse_tail)
     if name not in ("sweep_length", "sweep_snr"):
         return
     # the sweeps draw a random channel per trial
@@ -246,15 +246,38 @@ def _check_config(cfg: dict, name: str) -> None:
     paths, m = section["path_count"], section["max_delay"]
     if not (_is_count(paths) and paths <= m + 1):
         raise ConfigError(f"{name}.path_count must lie in 1..max_delay+1 = 1..{m + 1}, got {paths!r}")
+    # the largest frame echoes up to max_delay
+    n_sym = max(section["lengths"]) if name == "sweep_length" else section["symbols"]
+    _check_frame_size(name, params, n_sym, m)
+    tail, ns = params.pulse_tail, params.oversampling
     # the largest of path_count - 1 distinct echo delays is at least path_count - 1
-    if name == "sweep_length":
-        _check_frame(name, section, "lengths", "max_delay", tail + paths - 1)
-    elif "blind_acf" in methods:  # the LS baselines take no ACF
-        _check_frame(name, section, "symbols", "max_delay", tail + paths - 1)
+    blind = name == "sweep_length" or "blind_acf" in methods  # the LS baselines take no ACF
+    if blind:
+        _check_frame(name, section, "lengths" if name == "sweep_length" else "symbols", "max_delay", tail + paths - 1)
     # every gain is at most 1 and the pulse ACF is negative off lag 0, so no
     # trial's clean frame has more expected power than path_count times R(0)
-    n_sym = max(section["lengths"]) if name == "sweep_length" else section["symbols"]
-    _check_noise(name, section, (n_sym + tail + m) * ns, paths * authoritative_acf_table(params, 0)[0])
+    r0 = authoritative_acf_table(params, 0)[0]
+    _check_noise(name, section, (n_sym + tail + m) * ns, paths * r0, r0 if blind else None)
+
+
+# the largest received frame a run builds, in samples: about 64 times the
+# reference sweep_length's largest (1049056), 512 MiB of floats
+_FRAME_CAP = 1 << 26
+
+
+def _check_frame_size(name: str, params: CsfParams, n_symbols: int, delay: int) -> None:
+    """Refuse a received frame of more than _FRAME_CAP samples: n_symbols
+    symbols, the pulse tail ahead of them and echoes up to delay symbol
+    periods late.  A tail past the cap is not rounded up to pulse_tail,
+    whose integer overflows at the smallest beta."""
+    tail = math.log(1.0 / _TAIL_AMPLITUDE) / params.beta
+    samples = (n_symbols + (params.pulse_tail if tail < _FRAME_CAP else tail) + delay) * params.oversampling
+    if samples > _FRAME_CAP:
+        raise ConfigError(
+            f"{name}: the largest received frame, {n_symbols} symbols with a pulse tail of {tail:.4g} symbol "
+            f"periods at csf.beta={params.beta!r} and echoes up to {delay} symbols late, spans {samples:.4g} "
+            f"samples at csf.oversampling={params.oversampling}, above the cap of {_FRAME_CAP} samples"
+        )
 
 
 def _check_frame(name: str, section: dict, symbols_key: str, lag_key: str, padding: int) -> None:
@@ -274,24 +297,44 @@ def _check_frame(name: str, section: dict, symbols_key: str, lag_key: str, paddi
 
 
 # the received frame's sums of squared samples (the noise power, the ACF
-# at lag 0) stay at least this factor below the largest float; it also
-# covers the sampling noise of the frame's power around its expectation
+# at lag 0) and the blind solver's cost stay at least this factor below
+# the largest float; it also covers the sampling noise of the frame's
+# power around its expectation
 _SUM_MARGIN = 1e3
 
 
-def _check_noise(name: str, section: dict, n_samples: int, power: float) -> None:
-    """Refuse a finite SNR whose noise would overflow the sums over a
-    received frame of n_samples samples with an expected noise-free power
-    of at most power: n_samples * (power + power / 10**(snr_db/10)) must
-    stay _SUM_MARGIN below the largest float.  The lowest usable SNR is
-    rounded up to 0.1 dB."""
+def _check_noise(name: str, section: dict, n_samples: int, power: float, r0: float | None = None) -> None:
+    """Refuse a finite SNR below the lowest usable one, the higher of two
+    limits, each rounded up to 0.1 dB; the refusal names the one that binds.
+
+    The sums: over a received frame of n_samples samples with an expected
+    noise-free power of at most power, n_samples * (power + power /
+    10**(snr_db/10)) must stay _SUM_MARGIN below the largest float.
+
+    The blind solver, when it runs (r0 is the pulse ACF R(0)): its
+    Levenberg-Marquardt seed reads each echo tap as r[j] / R(0), and the
+    biased ACF has |r[j]| <= r[0], so with r[0] >= R(0) every tap, the
+    main one included, is at most r[0] / R(0).  The M+1 taps' correlations
+    then sum to at most ((M+1) r[0] / R(0))^2, each lag's weights are at
+    most 2 R(0), and the seed noise and the measured r[j] at most r[0], so
+    each of the M+1 residuals is at most 2 ((M+1)^2 + 1) r[0]^2 / R(0).
+    Their cost, 4 (M+1) ((M+1)^2 + 1)^2 r[0]^4 / R(0)^2 at most, must stay
+    _SUM_MARGIN below the largest float, at r[0] = power / 10**(snr_db/10)."""
     key = "snr_db_list" if name == "sweep_snr" else "snr_db"
-    lowest = math.ceil(100.0 * math.log10(_SUM_MARGIN * n_samples * power / np.finfo(float).max)) / 10.0
+    big = np.finfo(float).max
+    lowest = math.ceil(100.0 * math.log10(_SUM_MARGIN * n_samples * power / big)) / 10.0
+    what = f"the sums over a received frame of up to {n_samples} samples"
+    if r0 is not None:
+        lags = section["max_delay"] + 1
+        cost = 4 * lags * (lags * lags + 1) ** 2 * power**4 / r0**2
+        solver = math.ceil(25.0 * math.log10(_SUM_MARGIN * cost / big)) / 10.0
+        if solver > lowest:
+            lowest, what = solver, f"the blind solver's cost over {lags} lags of a received ACF"
     for snr_db in section[key] if name == "sweep_snr" else [section[key]]:
         if snr_db is not None and snr_db < lowest:
             raise ConfigError(
-                f"{name}.{key}: SNR {snr_db!r} dB overflows the sums over a received frame of up to {n_samples} "
-                f"samples at a noise-free power up to {power:.4g}; its lowest usable SNR is {lowest} dB"
+                f"{name}.{key}: SNR {snr_db!r} dB overflows {what} at a noise-free power up to {power:.4g}; "
+                f"its lowest usable SNR is {lowest} dB"
             )
 
 
@@ -383,7 +426,7 @@ def run_fig2(cfg: dict) -> ExperimentResult:
 
     stream = random_symbols(section["symbols"], seed=derive_seed(cfg["seed"], 1))
     # echo delays are whole symbols, so the channel acts at symbol rate
-    received = _encode_amplitudes(np.convolve(stream, ch.taps[: ch.delays[-1] + 1]), params)
+    received = _encode_amplitudes(apply_multipath(Waveform(stream, 1), ch).samples, params)
     received, noise_var = add_awgn(received, section["snr_db"], seed=derive_seed(cfg["seed"], 2))
 
     grid, emp_trace = empirical_acf_trace(received, max_lag)

@@ -35,6 +35,19 @@ __all__ = [
 _TAIL_AMPLITUDE = 1e-6
 
 
+def _is_integer(value, low=-math.inf) -> bool:
+    """Whether value is an integer of at least low; a bool is no integer."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= low
+
+
+def _check_integer(name: str, value, low: int) -> int:
+    """value as an int; ValueError naming the argument unless it is an
+    integer of at least low."""
+    if not _is_integer(value, low):
+        raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class CsfParams:
     """Shaping-pulse parameters.
@@ -52,10 +65,8 @@ class CsfParams:
     def __post_init__(self):
         if not (0.0 < self.beta <= math.log(2.0) + 1e-12):
             raise ValueError(f"beta must satisfy 0 < beta <= ln2, got {self.beta}")
-        ns = self.oversampling
-        if isinstance(ns, bool) or not isinstance(ns, numbers.Integral) or ns < 8:
-            raise ValueError(f"oversampling must be an integer >= 8, got {self.oversampling}")
-        object.__setattr__(self, "oversampling", int(ns))  # the encode needs int.bit_length
+        ns = _check_integer("oversampling", self.oversampling, 8)
+        object.__setattr__(self, "oversampling", ns)  # the encode needs int.bit_length
 
     @property
     def pulse_tail(self) -> int:
@@ -76,16 +87,14 @@ class Waveform:
     samples_per_symbol: int
 
     def __post_init__(self):
+        ns = _check_integer("samples_per_symbol", self.samples_per_symbol, 1)
         arr = np.asarray(self.samples, dtype=float)
         if arr.ndim != 1 or arr.size == 0:
             raise ValueError("samples must be a nonempty 1-d sequence")
         if not np.all(np.isfinite(arr)):
             raise ValueError("samples must all be finite")
-        ns = self.samples_per_symbol
-        if isinstance(ns, bool) or not isinstance(ns, numbers.Integral) or ns < 1:
-            raise ValueError(f"samples_per_symbol must be a positive integer, got {ns!r}")
         object.__setattr__(self, "samples", arr)
-        object.__setattr__(self, "samples_per_symbol", int(ns))  # slice steps and bounds need int
+        object.__setattr__(self, "samples_per_symbol", ns)  # slice steps and bounds need int
 
     def __len__(self) -> int:
         return self.samples.size
@@ -214,14 +223,8 @@ def _encode_amplitudes(amplitudes, params: CsfParams) -> Waveform:
 
 def random_symbols(n: int, seed: int) -> np.ndarray:
     """n iid equiprobable +-1 symbols from a PCG64 generator, as floats."""
-    if n < 1:
-        raise ValueError("need at least one symbol")
+    n = _check_integer("n", n, 1)
     return np.random.default_rng(seed).choice((-1.0, 1.0), size=n)
-
-
-def _check_oversampling(oversampling) -> None:
-    if isinstance(oversampling, bool) or not isinstance(oversampling, numbers.Integral) or oversampling < 1:
-        raise ValueError(f"oversampling must be an integer >= 1, got {oversampling!r}")
 
 
 def pulse_acf(lag, params: CsfParams = CsfParams(), oversampling: int = 256):
@@ -233,7 +236,7 @@ def pulse_acf(lag, params: CsfParams = CsfParams(), oversampling: int = 256):
     table and _trapezoid_pulse_acf against.  Its cost grows with the pulse
     tail, as 1/beta.
     """
-    _check_oversampling(oversampling)
+    _check_integer("oversampling", oversampling, 1)
     lag_arr = np.atleast_1d(np.asarray(lag, dtype=float))
     if not np.all(np.isfinite(lag_arr)):
         raise ValueError("lag must be finite")
@@ -260,7 +263,7 @@ def _trapezoid_pulse_acf(lag, params: CsfParams = CsfParams(), oversampling: int
     lag's from its fractional part).  The cost is one pass over the lags
     at any beta.
     """
-    _check_oversampling(oversampling)
+    _check_integer("oversampling", oversampling, 1)
     lag = np.asarray(lag, dtype=float)
     if not np.all(np.isfinite(lag)):
         raise ValueError("lag must be finite")
@@ -315,6 +318,7 @@ def authoritative_acf_table(params: CsfParams = CsfParams(), max_lag: int = 10) 
     the defining integral (pulse_acf) takes over.  The tests hold the
     table to that integral over 0 < beta <= ln 2; no run evaluates it.
     """
+    max_lag = _check_integer("max_lag", max_lag, 0)
     beta, w = params.beta, 2.0 * math.pi
     i0 = 1.0 + (1.0 - np.exp(-beta)) * (w * w - 3.0 * beta * beta) / (2.0 * beta * (w * w + beta * beta))
     table = np.exp((1.0 - np.arange(max_lag + 1.0)) * beta) * (1.0 - np.exp(-beta)) * (1.0 - i0) / 2.0

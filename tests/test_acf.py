@@ -92,7 +92,7 @@ class TestEmpiricalAcf:
     def test_negative_max_lag_rejected(self):
         wave = Waveform(np.ones(16 * 20), 16)
         for acf in (empirical_acf, empirical_acf_trace):
-            with pytest.raises(ValueError, match="max_lag must be nonnegative"):
+            with pytest.raises(ValueError, match="max_lag must be an integer >= 0, got -1"):
                 acf(wave, -1)
 
     @pytest.mark.parametrize("bad", [2.5, 2.0, True])
@@ -365,12 +365,12 @@ class TestPredictedRxAcf:
 
     def test_negative_max_lag_rejected(self, monkeypatch):
         self.refuse_work(monkeypatch)
-        with pytest.raises(ValueError, match="max_lag must be nonnegative, got -1"):
+        with pytest.raises(ValueError, match="max_lag must be an integer >= 0, got -1"):
             predicted_rx_acf(FIG2_CHANNEL, 0.0, PARAMS, max_lag=-1)
 
     def test_trace_negative_max_lag_rejected(self, monkeypatch):
         self.refuse_work(monkeypatch)
-        with pytest.raises(ValueError, match="max_lag must be nonnegative, got -1"):
+        with pytest.raises(ValueError, match="max_lag must be an integer >= 0, got -1"):
             predicted_rx_acf_trace(FIG2_CHANNEL, 0.0, PARAMS, max_lag=-1)
 
     @pytest.mark.parametrize("bad", [2.5, 2.0, True])

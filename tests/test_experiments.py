@@ -42,7 +42,7 @@ from csfchan.experiments import (
     run_invariance_demo,
     run_snr_sweep,
 )
-from csfchan.waveform import _encode_amplitudes, encode_waveform, random_symbols
+from csfchan.waveform import Waveform, _encode_amplitudes, encode_waveform, random_symbols
 
 
 class TestDeriveSeed:
@@ -195,7 +195,7 @@ class TestFig2:
         paths = ((0, 1.0), (2, attenuation_from_delay(0.6, 2)), (7, attenuation_from_delay(0.6, 7)))
         ch = ChannelModel(paths=paths, max_delay=10)
         stream = random_symbols(section["symbols"], seed=derive_seed(cfg["seed"], 1))
-        received = _encode_amplitudes(np.convolve(stream, ch.taps[:8]), params)
+        received = _encode_amplitudes(apply_multipath(Waveform(stream, 1), ch).samples, params)
         received, noise_var = add_awgn(received, section["snr_db"], seed=derive_seed(cfg["seed"], 2))
         emp = empirical_acf(received, 10)
         pred = predicted_rx_acf(ch, noise_var, params, 10)
@@ -718,16 +718,57 @@ BAD_CONFIGS += [  # 10**(snr/10) overflows above about 3082.5 dB and rounds to 0
 BAD_CONFIGS += [  # noise that overflows the sums over the received frame, known from the config alone
     pytest.param(
         command,
-        f"{key}={value}",
+        overrides,
         f"{key}: SNR {snr} dB overflows the sums over a received frame of up to {n} samples at a noise-free "
         f"power up to {power}; its lowest usable SNR is {lowest} dB",
         id=f"{command}-noise-overflow-{snr}",
     )
-    for command, key, value, snr, n, power, lowest in (
-        ("fig2", "fig2.snr_db", "-3030", -3030, 1049008, 1.44, -2990.7),
-        ("sweep-length", "sweep_length.snr_db", "-3030", -3030, 1049056, 8.06, -2983.2),
-        ("sweep-snr", "sweep_snr.snr_db_list", "[0, -3050]", -3050, 16864, 8.06, -3001.2),
-        ("sweep-snr", "sweep_snr.snr_db_list", "[-3100]", -3100, 16864, 8.06, -3001.2),
+    for command, key, overrides, snr, n, power, lowest in (
+        ("fig2", "fig2.snr_db", "fig2.snr_db=-3030", -3030, 1049008, 1.44, -2990.7),
+        # without blind_acf no ACF is solved, and the sums' limit binds
+        (
+            "sweep-snr",
+            "sweep_snr.snr_db_list",
+            ("sweep_snr.methods=[ls_gaussian, ls_chaos]", "sweep_snr.snr_db_list=[-3100]"),
+            -3100,
+            16864,
+            8.06,
+            -3001.2,
+        ),
+    )
+]
+
+BAD_CONFIGS += [  # noise that overflows the blind solver's cost, from far above the sums' limit
+    pytest.param(
+        command,
+        f"{key}={value}",
+        f"{key}: SNR {snr} dB overflows the blind solver's cost over 11 lags of a received ACF at a noise-free "
+        "power up to 8.06; its lowest usable SNR is -740.1 dB",
+        id=f"{command}-solver-overflow-{snr}",
+    )
+    for command, key, value, snr in (
+        ("sweep-length", "sweep_length.snr_db", "-3030", -3030),
+        ("sweep-snr", "sweep_snr.snr_db_list", "[0, -3050]", -3050),
+        ("sweep-snr", "sweep_snr.snr_db_list", "[-3100]", -3100),
+        ("sweep-length", "sweep_length.snr_db", "-800", -800),
+        ("sweep-snr", "sweep_snr.snr_db_list", "[-800]", -800),
+    )
+]
+
+BAD_CONFIGS += [  # a tiny beta stretches the pulse tail past the frame cap of 2**26 samples
+    pytest.param(
+        command,
+        overrides,
+        f"{command.replace('-', '_')}: the largest received frame, {symbols} symbols with a pulse tail of {tail} "
+        f"symbol periods at csf.beta={beta} and echoes up to {delay} symbols late, spans {samples} samples at "
+        "csf.oversampling=16, above the cap of 67108864 samples",
+        id=f"{command}-frame-cap-{beta}",
+    )
+    for command, overrides, symbols, beta, tail, delay, samples in (
+        ("invariance", "csf.beta=5e-324", 4096, "5e-324", "inf", 0, "inf"),
+        ("fig2", "csf.beta=1e-300", 65536, "1e-300", "1.382e+301", 7, "2.21e+302"),
+        ("invariance", "csf.beta=1e-9", 4096, "1e-09", "1.382e+10", 0, "2.21e+11"),
+        ("sweep-snr", ("csf.beta=1e-7", "sweep_snr.symbols=64"), 64, "1e-07", "1.382e+08", 10, "2.21e+09"),
     )
 ]
 
@@ -770,6 +811,25 @@ def test_fig2_runs_10_db_above_the_lowest_usable_snr(tmp_path):
     assert values[0, 1] > 1e290
 
 
+@pytest.mark.parametrize(
+    "command, name, sets",
+    [
+        ("sweep-length", "sweep_length", ["sweep_length.lengths=[1024, 4096]"]),
+        ("sweep-snr", "sweep_snr", []),
+    ],
+)
+def test_sweeps_run_at_the_lowest_usable_blind_snr(tmp_path, command, name, sets):
+    # the blind solver's cost stays finite, with no overflow warning (an
+    # error under this suite's filters), where the sums' limit lies far lower
+    snr = lowest_usable_snr(resolve_config(), name)
+    assert snr > -800
+    setting = f"sweep_snr.snr_db_list=[{snr}]" if name == "sweep_snr" else f"sweep_length.snr_db={snr}"
+    args = [arg for text in [*sets, setting] for arg in ("--set", text)]
+    assert cli_main([command, "--trials", "2", *args, "--out", str(tmp_path)]) == 0
+    rows = (tmp_path / f"{name}.csv").read_text().splitlines()[1:]
+    assert rows and all(np.isfinite(float(row.split(",")[-2])) for row in rows)
+
+
 class TestSweepConfig:
     RUNNERS = {
         "sweep-snr": run_snr_sweep,
@@ -788,18 +848,22 @@ class TestSweepConfig:
         monkeypatch.setattr(csfchan.experiments, "_fan_out", no_work)
         monkeypatch.setattr(csfchan.experiments, "encode_waveform", no_work)
         monkeypatch.setattr(csfchan.experiments, "_encode_amplitudes", no_work)
-        key, value = override.split("=")
-        *sections, field = key.split(".")
-        user = {field: yaml.safe_load(value)}
-        for section in reversed(sections):
-            user = {section: user}
-        cfg = resolve_config({"trials": 1, **user})
+        layers = [{"trials": 1}]
+        for text in [override] if isinstance(override, str) else override:
+            key, value = text.split("=")
+            *sections, field = key.split(".")
+            user = {field: csfchan.cli._load(value)}
+            for section in reversed(sections):
+                user = {section: user}
+            layers.append(user)
         with pytest.raises(ConfigError, match=re.escape(message)):
-            self.RUNNERS[command](cfg)
+            self.RUNNERS[command](resolve_config(*layers))
 
     @pytest.mark.parametrize("command, override, message", BAD_CONFIGS)
     def test_cli_exits_nonzero_without_output(self, tmp_path, capsys, command, override, message):
-        code = cli_main([command, "--trials", "1", "--set", override, "--out", str(tmp_path / "out")])
+        overrides = [override] if isinstance(override, str) else override
+        sets = [arg for text in overrides for arg in ("--set", text)]
+        code = cli_main([command, "--trials", "1", *sets, "--out", str(tmp_path / "out")])
         assert code == 2
         assert message in capsys.readouterr().err
         assert not (tmp_path / "out").exists()

@@ -197,13 +197,31 @@ def frame_error(stream, params, ch) -> float:
     return float(np.max(np.abs(frame - oracle)) / np.max(np.abs(oracle)))
 
 
+def superposition(amplitudes, params) -> np.ndarray:
+    """The frame sum_k a_k p(t - k) on the grid t = -pulse_tail + i/Ns,
+    with p from base_pulse and the sum taken in long double: phase r of
+    symbol period q sums a_k p(q - k - pulse_tail + r/Ns), a convolution
+    of the amplitudes with the pulse's samples at that phase."""
+    ns, tail = params.oversampling, params.pulse_tail
+    pulse = base_pulse(np.arange(-tail * ns, ns) / ns, params).astype(np.longdouble)
+    amps = np.asarray(amplitudes, dtype=np.longdouble)
+    frame = np.empty((amps.size + tail) * ns, dtype=np.longdouble)
+    for r in range(ns):
+        frame[r::ns] = np.convolve(amps, pulse[r::ns])
+    return frame
+
+
 class TestEncodeAmplitudes:
-    """_encode_amplitudes, at symbol rate, against its oracle within
-    1e-13 max|frame|.  The worst case measured over these tests is 4.4e-14,
-    the all-ones stream at beta = 1e-3 (random streams: 1.1e-14 at most).
-    That case is mostly the oracle's rounding: against a long-double sum
-    of the same frame it reads 9.6e-15 for _encode_amplitudes and 4.4e-14
-    for the FFT encode."""
+    """_encode_amplitudes, at symbol rate, against two oracles.
+
+    The FFT encode followed by the sample-rate path sum, within 1e-13
+    max|frame|: the worst case measured is 4.4e-14, the all-ones stream at
+    beta = 1e-3 (random streams: 1.1e-14 at most).  And the direct
+    superposition, summed in long double, within 5e-14 max|frame|: there
+    the same all-ones case reads 4.4e-14 and the FFT encode 6.8e-16, so
+    that error is _encode_amplitudes' own.  It grows with the length of a
+    stream of nonzero mean (1.8e-14 at 400 symbols, 7.8e-14 at 2000); the
+    +-1 and channel amplitudes read 8.9e-15 at most."""
 
     CHANNELS = {
         "main path only": ChannelModel(((0, 1.0),), max_delay=0),
@@ -222,6 +240,18 @@ class TestEncodeAmplitudes:
     def test_matches_at_the_longest_sweep_frame(self, beta):
         stream = random_symbols(65536, seed=28)
         assert frame_error(stream, CsfParams(beta=beta), self.CHANNELS["fig2"]) <= 1e-13
+
+    @pytest.mark.parametrize("beta", [LN2, 0.05, 1e-3])
+    @pytest.mark.parametrize("amplitudes", ["+-1", "all ones", "fig2 channel"])
+    def test_matches_the_exact_sum(self, beta, amplitudes):
+        stream = self.STREAMS["all ones" if amplitudes == "all ones" else "random"]
+        if amplitudes == "fig2 channel":  # as run_fig2 builds them
+            stream = apply_multipath(Waveform(stream, 1), self.CHANNELS["fig2"]).samples
+        params = CsfParams(beta=beta)
+        exact = superposition(stream, params)
+        frame = _encode_amplitudes(stream, params).samples
+        assert frame.size == exact.size
+        assert np.max(np.abs(frame - exact)) <= 5e-14 * np.max(np.abs(exact))
 
 
 class TestRandomSymbols:
@@ -285,7 +315,7 @@ class TestWaveformInvariants:
     def test_non_integer_samples_per_symbol_rejected(self, ns):
         # CsfParams.oversampling's rule: apply_multipath and empirical_acf
         # slice and bound by it
-        with pytest.raises(ValueError, match="samples_per_symbol must be a positive integer"):
+        with pytest.raises(ValueError, match="samples_per_symbol must be an integer >= 1"):
             Waveform(np.ones(4), ns)
 
     def test_numpy_integer_samples_per_symbol_becomes_int(self):
