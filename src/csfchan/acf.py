@@ -108,10 +108,10 @@ def _lagged_products(x: np.ndarray, y: np.ndarray, shifts: range) -> np.ndarray:
     return np.array(sums, dtype=float)
 
 
-def _check_acf_length(wave: Waveform, max_lag: int) -> None:
+def _check_acf_length(n_samples: int, ns: int, max_lag: int) -> None:
     _check_integer("max_lag", max_lag, 0)
-    if len(wave) <= (max_lag + 1) * wave.samples_per_symbol:
-        raise ValueError(f"waveform too short for max_lag={max_lag}: {len(wave)} samples")
+    if n_samples <= (max_lag + 1) * ns:
+        raise ValueError(f"waveform too short for max_lag={max_lag}: {n_samples} samples")
 
 
 def empirical_acf(wave: Waveform, max_lag: int) -> np.ndarray:
@@ -122,16 +122,41 @@ def empirical_acf(wave: Waveform, max_lag: int) -> np.ndarray:
     With one time unit per symbol period this estimates the per-unit-time
     autocorrelation, directly comparable to the pulse ACF.
     """
-    _check_acf_length(wave, max_lag)
+    _check_acf_length(len(wave), wave.samples_per_symbol, max_lag)
     ns, x = wave.samples_per_symbol, wave.samples
     return _lagged_products(x, x, range(0, max_lag * ns + 1, ns)) / len(x)
 
 
 def empirical_acf_trace(wave: Waveform, max_lag: int) -> tuple[np.ndarray, np.ndarray]:
     """ACF at every sample lag 0..max_lag*Ns (fractional-lag plot trace)."""
-    _check_acf_length(wave, max_lag)
+    _check_acf_length(len(wave), wave.samples_per_symbol, max_lag)
     ns, x = wave.samples_per_symbol, wave.samples
     return np.arange(max_lag * ns + 1) / ns, _lagged_products(x, x, range(max_lag * ns + 1)) / len(x)
+
+
+def _pieces_acf_trace(pieces: tuple[np.ndarray, np.ndarray, np.ndarray], max_lag: int) -> np.ndarray:
+    """empirical_acf_trace's ACF values, at every sample lag 0..max_lag*Ns,
+    of the frame _encode_amplitudes builds from pieces
+    (waveform._amplitude_pieces), taken from the pieces with no frame built.
+
+    Sample r of symbol period q of the frame is c_q A_r + T_q B_r, so at
+    lag k*Ns + s, 0 <= s < Ns, its lagged sum is, over the pairs of (c, A)
+    and (T, B) taken as (u, X) and (v, Y), sum G(s) C(k) + H(s) C(k+1):
+    the symbol-rate sums C(j) = sum_q u_q v_(q+j) times the shape sums
+    G(s) = sum_(r < Ns-s) X_r Y_(r+s) and H(s) = sum_(r >= Ns-s) X_r Y_(r+s-Ns).
+    H(0) = 0, so each integer lag k is G(0) C(k) summed over the pairs.
+    """
+    c, tails, shapes = pieces
+    ns = shapes.shape[1]
+    _check_acf_length(c.size * ns, ns, max_lag)
+    k, s = np.divmod(np.arange(max_lag * ns + 1), ns)
+    acf = np.zeros(k.size)
+    for u, x in zip((c, tails), shapes):
+        for v, y in zip((c, tails), shapes):
+            sums = _lagged_products(u, v, range(max_lag + 2))
+            acf += _lagged_products(x, y, range(ns))[s] * sums[k]
+            acf += _lagged_products(y, x, range(ns, 0, -1))[s] * sums[k + 1]
+    return acf / (c.size * ns)
 
 
 def _lag_weights(r_xx: np.ndarray, n_lags: int, n_taps: int, stride: int) -> np.ndarray:

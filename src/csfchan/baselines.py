@@ -114,10 +114,10 @@ def ls_sweep(probe: Waveform, clean: Waveform, snr_dbs, seed: int, max_delay: in
     alpha_0..alpha_M per SNR, one row each (a noiseless row is the clean
     solve), and the degenerate flag, which depends on the probe alone.
     A probe grid that does not divide clean's, a clean frame shorter than
-    the probe on its grid, or a max_delay that is no integer >= 0 raises
-    ValueError.
+    the probe on its grid, or a seed or max_delay that is no integer >= 0
+    raises ValueError.
     """
-    max_delay = _check_integer("max_delay", max_delay, 0)
+    seed, max_delay = _check_integer("seed", seed, 0), _check_integer("max_delay", max_delay, 0)
     ns, frame_ns = probe.samples_per_symbol, clean.samples_per_symbol
     if frame_ns % ns:
         raise ValueError(f"probe grid of {ns} samples per symbol does not divide the frame grid of {frame_ns}")
@@ -136,7 +136,8 @@ def ls_sweep(probe: Waveform, clean: Waveform, snr_dbs, seed: int, max_delay: in
 def gaussian_probe(n_symbols: int, samples_per_symbol: int, seed: int) -> Waveform:
     """White Gaussian probe at the sample rate."""
     n_samples = _check_integer("n_symbols", n_symbols, 1) * _check_integer("samples_per_symbol", samples_per_symbol, 1)
-    return Waveform(np.random.default_rng(seed).normal(size=n_samples), samples_per_symbol)
+    rng = np.random.default_rng(_check_integer("seed", seed, 0))
+    return Waveform(rng.normal(size=n_samples), samples_per_symbol)
 
 
 def gaussian_probe_frame(

@@ -153,8 +153,9 @@ def awgn_law(wave: Waveform, snr_dbs, seed: int) -> tuple[np.ndarray | None, lis
     an SNR is sqrt(variance) * draw.  The draw is None, and nothing is
     drawn, when every entry is noiseless.  An snr_db of -inf, noise with
     no signal, or NaN raises ValueError, as does a finite SNR outside the
-    usable range of _snr_ratio.
+    usable range of _snr_ratio, and so does a seed that is no integer >= 0.
     """
+    seed = _check_integer("seed", seed, 0)
     if not all(snr_db is None or snr_db > -math.inf for snr_db in snr_dbs):
         raise ValueError(f"snr_db must be a number above -inf, got {list(snr_dbs)}")
     ratios = [_snr_ratio(snr_db) for snr_db in snr_dbs]
@@ -181,7 +182,7 @@ def sample_random_channel(
     max_delay = _check_integer("max_delay", max_delay, 0)
     if _check_integer("path_count", path_count, 1) > max_delay + 1:
         raise ValueError("path_count exceeds available delay slots")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_check_integer("seed", seed, 0))
     gamma = float(rng.uniform(*gamma_range))
     paths = [(0, 1.0)]
     if path_count > 1:

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .acf import empirical_acf, empirical_acf_trace, predicted_rx_acf, predicted_rx_acf_trace
+from .acf import _pieces_acf_trace, empirical_acf, empirical_acf_trace, predicted_rx_acf, predicted_rx_acf_trace
 from .baselines import gaussian_probe, ls_sweep, symbol_instants
 from .channel import (
     ChannelModel,
@@ -36,8 +36,8 @@ from .channel import (
     sample_random_channel,
 )
 from .estimator import SolverOptions, solve_channels
-from .waveform import CsfParams, Waveform, _encode_amplitudes, authoritative_acf_table, encode_waveform, random_symbols
-from .waveform import _TAIL_AMPLITUDE, _is_integer
+from .waveform import CsfParams, Waveform, _amplitude_pieces, _encode_amplitudes, authoritative_acf_table
+from .waveform import _TAIL_AMPLITUDE, _is_integer, encode_waveform, random_symbols
 
 __all__ = [
     "ConfigError",
@@ -424,13 +424,18 @@ def run_fig2(cfg: dict) -> ExperimentResult:
     ch = _fig2_channel(section)
     max_lag = section["max_delay"]
 
-    stream = random_symbols(section["symbols"], seed=derive_seed(cfg["seed"], 1))
+    stream_seed = derive_seed(cfg["seed"], 1)
     # echo delays are whole symbols, so the channel acts at symbol rate
-    received = _encode_amplitudes(apply_multipath(Waveform(stream, 1), ch).samples, params)
-    received, noise_var = add_awgn(received, section["snr_db"], seed=derive_seed(cfg["seed"], 2))
-
-    grid, emp_trace = empirical_acf_trace(received, max_lag)
-    _, pred_trace = predicted_rx_acf_trace(ch, noise_var, params, max_lag)
+    amplitudes = apply_multipath(Waveform(random_symbols(section["symbols"], seed=stream_seed), 1), ch).samples
+    if _snr_ratio(section["snr_db"]) is None:
+        # a noiseless frame's ACF follows from its symbol-rate pieces
+        noise_var, emp_trace = 0.0, _pieces_acf_trace(_amplitude_pieces(amplitudes, params), max_lag)
+    else:
+        # noise has no symbol-rate form: the frame is built and measured
+        received = _encode_amplitudes(amplitudes, params)
+        received, noise_var = add_awgn(received, section["snr_db"], seed=derive_seed(cfg["seed"], 2))
+        _, emp_trace = empirical_acf_trace(received, max_lag)
+    grid, pred_trace = predicted_rx_acf_trace(ch, noise_var, params, max_lag)
     # the integer lags are every Ns-th lag of the trace, bit for bit
     emp = emp_trace[:: params.oversampling]
     pred = predicted_rx_acf(ch, noise_var, params, max_lag)
@@ -637,7 +642,8 @@ def run_invariance_demo(cfg: dict) -> ExperimentResult:
     acfs = np.empty((n_streams + bool(section["include_all_ones"]), max_lag + 1))
     for s in range(len(acfs)):
         stream = random_symbols(n_sym, seed=derive_seed(cfg["seed"], s)) if s < n_streams else np.ones(n_sym)
-        acfs[s] = empirical_acf(_encode_amplitudes(stream, params), max_lag)
+        # the integer lags are every Ns-th lag of the trace
+        acfs[s] = _pieces_acf_trace(_amplitude_pieces(stream, params), max_lag)[:: params.oversampling]
     deviations = np.abs(acfs - reference)
 
     rows = []

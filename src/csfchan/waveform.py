@@ -193,13 +193,14 @@ def encode_waveform(stream, params: CsfParams = CsfParams()) -> Waveform:
     return Waveform(train[:n_out], ns)
 
 
-def _encode_amplitudes(amplitudes, params: CsfParams) -> Waveform:
-    """encode_waveform's frame of any real symbol-rate amplitudes a, built at
-    symbol rate: the pulse oscillates with a period of one symbol, so sample
-    r of symbol period q is a_q A_r + T_q B_r.  A is the pulse's last
-    period, B the one before it over e^-beta, and the tail sum
-    T_q = sum_{j=1..pulse_tail} e^(-beta j) a_(q+j) is one symbol-rate FFT
-    at any beta.  The tests hold it to encode_waveform within 1e-13 max|frame|.
+def _amplitude_pieces(amplitudes, params: CsfParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The symbol-rate pieces (c, T, shapes) of encode_waveform's frame of
+    any real symbol-rate amplitudes a: the pulse oscillates with a period of
+    one symbol, so sample r of symbol period q, q over [-pulse_tail, n), is
+    c_q A_r + T_q B_r.  c is a after pulse_tail zeros; shapes stacks A, the
+    pulse's last period, and B, the one before it over e^-beta; the tail
+    sum T_q = sum_{j=1..pulse_tail} e^(-beta j) c_(q+j) is one symbol-rate
+    FFT at any beta.
     """
     amps = np.asarray(amplitudes, dtype=float)
     ns, tail = params.oversampling, params.pulse_tail
@@ -215,16 +216,23 @@ def _encode_amplitudes(amplitudes, params: CsfParams) -> Waveform:
     weights[0] = 0.0
     spectrum = np.fft.rfft(padded)
     spectrum *= np.fft.rfft(weights, n_fft).conj()
-    tails = np.fft.irfft(spectrum, n_fft)[:n_out]
+    return padded[:n_out], np.fft.irfft(spectrum, n_fft)[:n_out], shapes
+
+
+def _encode_amplitudes(amplitudes, params: CsfParams) -> Waveform:
+    """encode_waveform's frame of any real symbol-rate amplitudes, built at
+    symbol rate from _amplitude_pieces.  The tests hold it to
+    encode_waveform within 1e-13 max|frame|.
+    """
+    c, tails, shapes = _amplitude_pieces(amplitudes, params)
     # one (n_out, 2) @ (2, ns) product writes the frame, with no temporary of its size
-    frame = np.stack([padded[:n_out], tails], 1) @ shapes
-    return Waveform(frame.ravel(), ns)
+    return Waveform((np.stack([c, tails], 1) @ shapes).ravel(), params.oversampling)
 
 
 def random_symbols(n: int, seed: int) -> np.ndarray:
     """n iid equiprobable +-1 symbols from a PCG64 generator, as floats."""
     n = _check_integer("n", n, 1)
-    return np.random.default_rng(seed).choice((-1.0, 1.0), size=n)
+    return np.random.default_rng(_check_integer("seed", seed, 0)).choice((-1.0, 1.0), size=n)
 
 
 def pulse_acf(lag, params: CsfParams = CsfParams(), oversampling: int = 256):

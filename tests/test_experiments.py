@@ -6,6 +6,7 @@ import ctypes
 import dataclasses
 import itertools
 import json
+import math
 import os
 import re
 import shutil
@@ -23,7 +24,7 @@ import csfchan.cli
 import csfchan.experiments
 import csfchan.report
 from csfchan.baselines import chaotic_probe_frame, gaussian_probe_frame, ls_estimate
-from csfchan.acf import empirical_acf, predicted_rx_acf
+from csfchan.acf import empirical_acf, empirical_acf_trace, predicted_rx_acf
 from csfchan.channel import ChannelModel, add_awgn, apply_multipath, attenuation_from_delay, sample_random_channel
 from csfchan.cli import main as cli_main
 from csfchan.estimator import EstimationResult, IdentificationProblem, solve_channel, solve_channels
@@ -111,6 +112,22 @@ class TestRunners:
         refs = sorted({row[3] for row in result.rows if row[1] == 0})
         assert len(refs) == 1
         assert result.summary["max_pairwise_abs_dev"] > 0.0
+
+    def test_invariance_acf_is_the_unbuilt_frames(self, monkeypatch):
+        # every stream's ACF comes from its symbol-rate pieces, building no
+        # frame; it is empirical_acf of that frame within 1e-13 R(0)
+        cfg = resolve_config({"seed": 5, "invariance": {"streams": 2, "symbols": 512, "include_all_ones": True}})
+        streams = [random_symbols(512, seed=derive_seed(5, s)) for s in range(2)] + [np.ones(512)]
+        oracles = [empirical_acf(_encode_amplitudes(stream, _csf_params(cfg)), 10) for stream in streams]
+
+        def no_frame(*args):
+            raise AssertionError("a sample-rate frame was built or measured")
+
+        for name in ("_encode_amplitudes", "empirical_acf"):
+            monkeypatch.setattr(csfchan.experiments, name, no_frame)
+        acfs = np.array([row[2] for row in run_invariance_demo(cfg).rows]).reshape(3, 11)
+        for acf, oracle in zip(acfs, oracles):
+            assert np.max(np.abs(acf - oracle)) <= 1e-13 * oracle[0]
 
     def test_fig2_small(self):
         cfg = resolve_config({"seed": 1, "fig2": {"symbols": 4096}})
@@ -206,6 +223,28 @@ class TestFig2:
             str(d): float(min(emp[d] - emp[d - 1], emp[d] - emp[d + 1])) for d in (2, 7)
         }
 
+    @pytest.mark.parametrize("snr_db", [None, math.inf])
+    def test_noiseless_trace_is_the_unbuilt_frames(self, monkeypatch, snr_db):
+        # a noiseless run takes its trace from the frame's symbol-rate
+        # pieces, building no frame; it is the sample-rate trace of that
+        # frame within test_acf's bound for the pieces, 1e-13 R(0)
+        cfg = resolve_config({"seed": 3, "fig2": {"symbols": 4096, "snr_db": snr_db}})
+        paths = ((0, 1.0), (2, attenuation_from_delay(0.6, 2)), (7, attenuation_from_delay(0.6, 7)))
+        stream = random_symbols(4096, seed=derive_seed(3, 1))
+        amplitudes = apply_multipath(Waveform(stream, 1), ChannelModel(paths, 10)).samples
+        frame = _encode_amplitudes(amplitudes, _csf_params(cfg))
+        _, oracle = empirical_acf_trace(frame, 10)
+
+        def no_frame(*args):
+            raise AssertionError("a sample-rate frame was built or measured")
+
+        for name in ("_encode_amplitudes", "empirical_acf_trace", "add_awgn"):
+            monkeypatch.setattr(csfchan.experiments, name, no_frame)
+        result = run_fig2(cfg)
+        trace = np.array([row[1] for row in result.rows])
+        assert np.max(np.abs(trace - oracle)) <= 1e-13 * oracle[0]
+        assert result.summary["noise_sigma2"] == 0.0
+
     def test_failed_echo_check_explains_itself(self):
         # seed 201 is one of the 7 seeds in 400 where the weak echo at
         # delay 7 is not a local peak of the measured ACF
@@ -220,12 +259,13 @@ class TestFig2:
         assert result.summary["echo_peak_margins"]["10"] is None
         assert result.summary["checks"]["strong_echoes_in_empirical"] is False
 
-    @pytest.mark.parametrize("snr_db, frames", [(None, 2), (10.0, 3)])
+    @pytest.mark.parametrize("snr_db, frames", [(None, 1), (10.0, 3)])
     def test_peak_memory_is_a_few_frames(self, snr_db, frames):
-        # the frame is built at symbol rate, so no sample-rate FFT buffer
-        # sits beside it: measured 12.9 MB noiseless and 18.4 MB at 10 dB
-        # against an 8.39 MB frame; the FFT encode and the sample-rate path
-        # sum peak at 34.9 MB
+        # a noiseless run builds no frame, its ACF comes from the
+        # symbol-rate pieces: measured 3.44 MB against an 8.39 MB frame; at
+        # 10 dB the frame is built at symbol rate, so no sample-rate FFT
+        # buffer sits beside it: 18.4 MB; the FFT encode and the
+        # sample-rate path sum peak at 34.9 MB
         cfg = resolve_config(yaml.safe_load((REPO / "configs/fig2.yaml").read_text()), {"fig2": {"snr_db": snr_db}})
         params = _csf_params(cfg)
         section = cfg["fig2"]
@@ -303,16 +343,22 @@ def test_reference_invariance_bytes(tmp_path):
     assert_reference_bytes(tmp_path, "invariance.csv", "tests/reference")
 
 
-@pytest.mark.parametrize("beta", ["0.1", "0.01"])
-def test_reference_fig2_bytes_at_small_beta(tmp_path, beta):
+@pytest.mark.parametrize(
+    "name, override",
+    [("beta0.1", "csf.beta=0.1"), ("beta0.01", "csf.beta=0.01"), ("snr10", "fig2.snr_db=10")],
+    ids=["0.1", "0.01", "snr10"],
+)
+def test_reference_fig2_bytes_at_small_beta(tmp_path, name, override):
     # pulse tails of 139 and 1382 symbol periods under the fractional-lag
-    # prediction; 8192 symbols are too few for the agreement checks, so
-    # the run exits 1, but the bytes are the subject here
-    args = ["--set", f"csf.beta={beta}", "--set", "fig2.symbols=8192", "--out", str(tmp_path)]
+    # prediction, and the noisy route, which builds and measures the frame
+    # (a noiseless run takes the trace from the frame's pieces); 8192
+    # symbols are too few for the agreement checks, so the run exits 1,
+    # but the bytes are the subject here
+    args = ["--set", override, "--set", "fig2.symbols=8192", "--out", str(tmp_path)]
     code = cli_main(["fig2", "--config", str(REPO / "configs/fig2.yaml"), *args])
     assert code == 1
-    (tmp_path / "fig2.csv").rename(tmp_path / f"fig2_beta{beta}.csv")
-    assert_reference_bytes(tmp_path, f"fig2_beta{beta}.csv", "tests/reference")
+    (tmp_path / "fig2.csv").rename(tmp_path / f"fig2_{name}.csv")
+    assert_reference_bytes(tmp_path, f"fig2_{name}.csv", "tests/reference")
 
 
 @pytest.mark.parametrize("methods", [["ls_chaos", "blind_acf"], ["ls_gaussian"]])
@@ -844,10 +890,11 @@ class TestSweepConfig:
             raise AssertionError("work ran")
 
         # the sweeps work in their trials, fig2 and invariance in the
-        # symbol-rate encode
+        # symbol-rate encode or, noiseless, its pieces
         monkeypatch.setattr(csfchan.experiments, "_fan_out", no_work)
         monkeypatch.setattr(csfchan.experiments, "encode_waveform", no_work)
         monkeypatch.setattr(csfchan.experiments, "_encode_amplitudes", no_work)
+        monkeypatch.setattr(csfchan.experiments, "_amplitude_pieces", no_work)
         layers = [{"trials": 1}]
         for text in [override] if isinstance(override, str) else override:
             key, value = text.split("=")
@@ -887,6 +934,7 @@ def test_every_key_refuses_a_bad_value(tmp_path, capsys, monkeypatch, key):
     monkeypatch.setattr(csfchan.experiments, "_fan_out", no_work)
     monkeypatch.setattr(csfchan.experiments, "encode_waveform", no_work)
     monkeypatch.setattr(csfchan.experiments, "_encode_amplitudes", no_work)
+    monkeypatch.setattr(csfchan.experiments, "_amplitude_pieces", no_work)
     command = key.partition(".")[0].replace("_", "-")
     command = command if command in csfchan.cli._RUNNERS else "fig2"
     value = "1" if key == "invariance.include_all_ones" else "true"

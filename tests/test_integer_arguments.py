@@ -13,7 +13,9 @@ from csfchan import (
     CsfParams,
     SolverOptions,
     Waveform,
+    add_awgn,
     authoritative_acf_table,
+    awgn_law,
     empirical_acf,
     empirical_acf_trace,
     gaussian_probe,
@@ -56,6 +58,12 @@ ARGUMENTS = {
     "ls_estimate.max_delay": (lambda v: ls_estimate(ProbeFrame(PROBE, PROBE), v), "max_delay", 0),
     "ls_sweep.max_delay": (lambda v: ls_sweep(PROBE, PROBE, [0.0], 0, v), "max_delay", 0),
     "SolverOptions.max_iter": (lambda v: SolverOptions(max_iter=v), "max_iter", 1),
+    "random_symbols.seed": (lambda v: random_symbols(8, seed=v), "seed", 0),
+    "gaussian_probe.seed": (lambda v: gaussian_probe(64, 16, seed=v), "seed", 0),
+    "sample_random_channel.seed": (lambda v: sample_random_channel(10, seed=v), "seed", 0),
+    "add_awgn.seed": (lambda v: add_awgn(WAVE, 10.0, v), "seed", 0),
+    "awgn_law.seed": (lambda v: awgn_law(WAVE, [10.0], v), "seed", 0),
+    "ls_sweep.seed": (lambda v: ls_sweep(PROBE, PROBE, [0.0], v, 4), "seed", 0),
 }
 
 
