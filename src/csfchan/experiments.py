@@ -190,13 +190,11 @@ def _check_config(cfg: dict, name: str) -> None:
     """Reject an experiment config that cannot run, before any work: a
     top-level, csf or experiment key that fails its test in _CONFIG_KEYS, an
     SNR that gives no noise variance (_snr_ratio), CSF parameters that
-    CsfParams refuses, a received frame above the cap (_check_frame_size),
-    an unknown method, a repeated sweep point (length, SNR or method), a
-    path count outside 1..max_delay+1 (the main path plus one echo per
-    delay slot), fig2 delays that are not 0 followed by increasing echo
-    delays up to max_delay, a frame too short for its ACF (_check_frame),
-    or an SNR whose noise overflows the frame's sums or the blind solver
-    (_check_noise)."""
+    CsfParams refuses, fig2 delays that are not 0 followed by increasing
+    echo delays up to max_delay, an unknown method, a repeated sweep point
+    (length, SNR or method), a path count outside 1..max_delay+1 (the main
+    path plus one echo per delay slot), or received frames that cannot be
+    built or measured (_check_frames)."""
     section = cfg[name]
     for where in ("", "csf", name):
         values, prefix = (cfg[where], f"{where}.") if where else (cfg, "")
@@ -220,81 +218,42 @@ def _check_config(cfg: dict, name: str) -> None:
             except ValueError as exc:
                 raise ConfigError(f"{name}.{key}: {exc}") from None
     params = _csf_params(cfg)
+    # each experiment's received frames, as _check_frames reads them; the
+    # power bound is a function called after the ACF check, as fig2's reads
+    # the channel's dense taps, max_delay + 1 of them, which that check bounds
     if name == "fig2":
         ch = _fig2_channel(section)
-        n_sym, delay = section["symbols"], int(ch.delays[-1])
-        _check_frame_size(name, params, n_sym, delay)
-        padding = params.pulse_tail + delay
-        _check_frame(name, section, "symbols", "max_delay", padding)
-        _check_noise(name, section, (n_sym + padding) * params.oversampling, predicted_rx_acf(ch, 0.0, params, 0)[0])
+        delay = int(ch.delays[-1])
+        frames = ("symbols", "max_delay", delay, delay, lambda: predicted_rx_acf(ch, 0.0, params, 0)[0], None)
     elif name == "invariance":
-        _check_frame_size(name, params, section["symbols"], 0)
-        _check_frame(name, section, "symbols", "max_lag", params.pulse_tail)
-    if name not in ("sweep_length", "sweep_snr"):
-        return
-    # the sweeps draw a random channel per trial
-    methods = section.get("methods", [])
-    unknown = [meth for meth in methods if meth not in _SNR_METHODS]
-    if unknown:
-        raise ConfigError(f"{name}.methods: unknown {unknown}, expected a subset of {list(_SNR_METHODS)}")
-    # a repeated point would write its row twice and keep one in the summary
-    for key, noun in (("lengths", "length"), ("snr_db_list", "SNR"), ("methods", "method")):
-        values = section.get(key, [])
-        repeated = sorted({value for value in values if values.count(value) > 1})
-        if repeated:
-            raise ConfigError(f"{name}.{key}: repeated {repeated}, name each {noun} once")
-    paths, m = section["path_count"], section["max_delay"]
-    if not (_is_count(paths) and paths <= m + 1):
-        raise ConfigError(f"{name}.path_count must lie in 1..max_delay+1 = 1..{m + 1}, got {paths!r}")
-    # the largest frame echoes up to max_delay
-    n_sym = max(section["lengths"]) if name == "sweep_length" else section["symbols"]
-    _check_frame_size(name, params, n_sym, m)
-    tail, ns = params.pulse_tail, params.oversampling
-    # the largest of path_count - 1 distinct echo delays is at least path_count - 1
-    blind = name == "sweep_length" or "blind_acf" in methods  # the LS baselines take no ACF
-    if blind:
-        _check_frame(name, section, "lengths" if name == "sweep_length" else "symbols", "max_delay", tail + paths - 1)
-    # every gain is at most 1 and the pulse ACF is negative off lag 0, so no
-    # trial's clean frame has more expected power than path_count times R(0)
-    r0 = authoritative_acf_table(params, 0)[0]
-    _check_noise(name, section, (n_sym + tail + m) * ns, paths * r0, r0 if blind else None)
+        frames = ("symbols", "max_lag", 0, 0, None, None)
+    else:  # the sweeps draw a random channel per trial
+        methods = section.get("methods", [])
+        unknown = [meth for meth in methods if meth not in _SNR_METHODS]
+        if unknown:
+            raise ConfigError(f"{name}.methods: unknown {unknown}, expected a subset of {list(_SNR_METHODS)}")
+        # a repeated point would write its row twice and keep one in the summary
+        for key, noun in (("lengths", "length"), ("snr_db_list", "SNR"), ("methods", "method")):
+            values = section.get(key, [])
+            repeated = sorted({value for value in values if values.count(value) > 1})
+            if repeated:
+                raise ConfigError(f"{name}.{key}: repeated {repeated}, name each {noun} once")
+        paths, m = section["path_count"], section["max_delay"]
+        if not (_is_count(paths) and paths <= m + 1):
+            raise ConfigError(f"{name}.path_count must lie in 1..max_delay+1 = 1..{m + 1}, got {paths!r}")
+        blind = name == "sweep_length" or "blind_acf" in methods  # the LS baselines take no ACF
+        symbols_key, r0 = "lengths" if name == "sweep_length" else "symbols", authoritative_acf_table(params, 0)[0]
+        # the largest of path_count - 1 distinct echo delays is at least
+        # path_count - 1; every gain is at most 1 and the pulse ACF is
+        # negative off lag 0, so no trial's clean frame has more expected
+        # power than path_count times R(0)
+        frames = (symbols_key, "max_delay" if blind else None, m, paths - 1, lambda: paths * r0, r0 if blind else None)
+    _check_frames(name, section, params, frames)
 
 
 # the largest received frame a run builds, in samples: about 64 times the
 # reference sweep_length's largest (1049056), 512 MiB of floats
 _FRAME_CAP = 1 << 26
-
-
-def _check_frame_size(name: str, params: CsfParams, n_symbols: int, delay: int) -> None:
-    """Refuse a received frame of more than _FRAME_CAP samples: n_symbols
-    symbols, the pulse tail ahead of them and echoes up to delay symbol
-    periods late.  A tail past the cap is not rounded up to pulse_tail,
-    whose integer overflows at the smallest beta."""
-    tail = math.log(1.0 / _TAIL_AMPLITUDE) / params.beta
-    samples = (n_symbols + (params.pulse_tail if tail < _FRAME_CAP else tail) + delay) * params.oversampling
-    if samples > _FRAME_CAP:
-        raise ConfigError(
-            f"{name}: the largest received frame, {n_symbols} symbols with a pulse tail of {tail:.4g} symbol "
-            f"periods at csf.beta={params.beta!r} and echoes up to {delay} symbols late, spans {samples:.4g} "
-            f"samples at csf.oversampling={params.oversampling}, above the cap of {_FRAME_CAP} samples"
-        )
-
-
-def _check_frame(name: str, section: dict, symbols_key: str, lag_key: str, padding: int) -> None:
-    """Refuse a received frame too short for its ACF: empirical_acf needs
-    more than max_lag + 1 symbol periods, and the frame spans its symbols
-    plus padding, the pulse tail ahead of them and the largest echo delay
-    (in a sweep the smallest it can be)."""
-    symbols, max_lag = section[symbols_key], section[lag_key]
-    if isinstance(symbols, (list, tuple)):
-        symbols = min(symbols)
-    if symbols + padding <= max_lag + 1:
-        raise ConfigError(
-            f"{name}.{symbols_key}: a frame of {symbols} symbols spans {symbols + padding} symbol periods with "
-            f"its pulse tail and echoes, too short for the ACF to lag {name}.{lag_key}={max_lag}, "
-            f"which needs more than {max_lag + 1}"
-        )
-
 
 # the received frame's sums of squared samples (the noise power, the ACF
 # at lag 0) and the blind solver's cost stay at least this factor below
@@ -303,15 +262,29 @@ def _check_frame(name: str, section: dict, symbols_key: str, lag_key: str, paddi
 _SUM_MARGIN = 1e3
 
 
-def _check_noise(name: str, section: dict, n_samples: int, power: float, r0: float | None = None) -> None:
-    """Refuse a finite SNR below the lowest usable one, the higher of two
-    limits, each rounded up to 0.1 dB; the refusal names the one that binds.
+def _check_frames(name: str, section: dict, params: CsfParams, frames: tuple) -> None:
+    """Refuse an experiment's received frames when they cannot be built or
+    measured.  frames describes them as (symbols_key, lag_key, delay,
+    least_delay, power, r0): each frame spans its symbols
+    (section[symbols_key], one count or a list of them), the pulse tail
+    ahead of them and echoes up to delay symbol periods late in the largest
+    frame, at least least_delay in the shortest.  In this order:
 
-    The sums: over a received frame of n_samples samples with an expected
-    noise-free power of at most power, n_samples * (power + power /
-    10**(snr_db/10)) must stay _SUM_MARGIN below the largest float.
+    The cap: the largest frame must span at most _FRAME_CAP samples.  A
+    tail past the cap is not rounded up to pulse_tail, whose integer
+    overflows at the smallest beta.
 
-    The blind solver, when it runs (r0 is the pulse ACF R(0)): its
+    The ACF, measured to the lag section[lag_key] (no ACF when lag_key is
+    None): empirical_acf needs the shortest frame to span more than
+    max_lag + 1 symbol periods.
+
+    The noise, when power() gives a bound on the frames' expected
+    noise-free power (no noise when power is None).  A finite SNR below the
+    lowest usable one is refused: the higher of two limits, each rounded up
+    to 0.1 dB, and the refusal names the one that binds.  The sums: over
+    the largest frame, of n_samples samples, n_samples * (power + power /
+    10**(snr_db/10)) must stay _SUM_MARGIN below the largest float.  The
+    blind solver, when it runs (r0 is the pulse ACF R(0)): its
     Levenberg-Marquardt seed reads each echo tap as r[j] / R(0), and the
     biased ACF has |r[j]| <= r[0], so with r[0] >= R(0) every tap, the
     main one included, is at most r[0] / R(0).  The M+1 taps' correlations
@@ -320,6 +293,28 @@ def _check_noise(name: str, section: dict, n_samples: int, power: float, r0: flo
     each of the M+1 residuals is at most 2 ((M+1)^2 + 1) r[0]^2 / R(0).
     Their cost, 4 (M+1) ((M+1)^2 + 1)^2 r[0]^4 / R(0)^2 at most, must stay
     _SUM_MARGIN below the largest float, at r[0] = power / 10**(snr_db/10)."""
+    symbols_key, lag_key, delay, least_delay, power, r0 = frames
+    counts = section[symbols_key] if symbols_key == "lengths" else [section[symbols_key]]
+    longest, shortest = max(counts), min(counts)
+    tail = math.log(1.0 / _TAIL_AMPLITUDE) / params.beta
+    n_samples = (longest + (params.pulse_tail if tail < _FRAME_CAP else tail) + delay) * params.oversampling
+    if n_samples > _FRAME_CAP:
+        raise ConfigError(
+            f"{name}: the largest received frame, {longest} symbols with a pulse tail of {tail:.4g} symbol "
+            f"periods at csf.beta={params.beta!r} and echoes up to {delay} symbols late, spans {n_samples:.4g} "
+            f"samples at csf.oversampling={params.oversampling}, above the cap of {_FRAME_CAP} samples"
+        )
+    span = shortest + params.pulse_tail + least_delay
+    if lag_key is not None and span <= section[lag_key] + 1:
+        max_lag = section[lag_key]
+        raise ConfigError(
+            f"{name}.{symbols_key}: a frame of {shortest} symbols spans {span} symbol periods with "
+            f"its pulse tail and echoes, too short for the ACF to lag {name}.{lag_key}={max_lag}, "
+            f"which needs more than {max_lag + 1}"
+        )
+    if power is None:
+        return
+    power = power()
     key = "snr_db_list" if name == "sweep_snr" else "snr_db"
     big = np.finfo(float).max
     lowest = math.ceil(100.0 * math.log10(_SUM_MARGIN * n_samples * power / big)) / 10.0

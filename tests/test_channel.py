@@ -243,6 +243,30 @@ class TestBlockedMultipath:
         wave = Waveform(np.random.default_rng(seed).normal(size=n), ns)
         np.testing.assert_array_equal(apply_multipath(wave, ch).samples, sample_sum_multipath(wave, ch))
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        ns=st.sampled_from([1, 16]),
+        n=st.integers(min_value=1, max_value=300),
+        max_delay=st.integers(min_value=1, max_value=12),
+        data=st.data(),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_matches_exact_per_sample_sum(self, ns, n, max_delay, data, seed):
+        # whatever the order of its additions: each sample within (k - 1)
+        # eps times the sum of the absolute terms of its exact sum (math.fsum)
+        # over the k paths that reach it, the rounding bound of k - 1
+        # additions (Higham, Accuracy and Stability of Numerical Algorithms, 4.2)
+        delays = data.draw(st.sets(st.integers(min_value=1, max_value=max_delay)))
+        gains = data.draw(st.lists(st.floats(0.0, 2.0), min_size=len(delays), max_size=len(delays)))
+        ch = ChannelModel(paths=((0, 1.0), *zip(sorted(delays), gains)), max_delay=max_delay)
+        x = np.random.default_rng(seed).normal(size=n).tolist()
+        out = apply_multipath(Waveform(x, ns), ch).samples
+        assert out.size == n + max(delays, default=0) * ns
+        for i, value in enumerate(out.tolist()):
+            terms = [a * x[i - d * ns] for d, a in ch.paths if 0 <= i - d * ns < n]
+            bound = (len(terms) - 1) * np.finfo(float).eps * math.fsum(map(abs, terms))
+            assert abs(value - math.fsum(terms)) <= bound
+
 
 class TestAddAwgn:
     def test_disabled_noise_passthrough(self):

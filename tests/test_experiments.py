@@ -818,6 +818,24 @@ BAD_CONFIGS += [  # a tiny beta stretches the pulse tail past the frame cap of 2
     )
 ]
 
+BAD_CONFIGS += [  # two faults in one config: the frame cap first, then the ACF's length, then the noise
+    pytest.param(
+        "fig2",
+        ("fig2.max_delay=70000", "fig2.snr_db=-3030"),
+        "fig2.symbols: a frame of 65536 symbols spans 65563 symbol periods with its pulse tail and echoes, "
+        "too short for the ACF to lag fig2.max_delay=70000, which needs more than 70001",
+        id="fig2-frame-short-before-noise-overflow",
+    ),
+    pytest.param(
+        "invariance",
+        ("csf.beta=1e-9", "invariance.max_lag=5000"),
+        "invariance: the largest received frame, 4096 symbols with a pulse tail of 1.382e+10 symbol periods at "
+        "csf.beta=1e-09 and echoes up to 0 symbols late, spans 2.21e+11 samples at csf.oversampling=16, above "
+        "the cap of 67108864 samples",
+        id="invariance-frame-cap-before-frame-short",
+    ),
+]
+
 
 def lowest_usable_snr(cfg: dict, name: str) -> float:
     """The lowest usable SNR that the refusal of a far lower one states."""
