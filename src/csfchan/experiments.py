@@ -186,10 +186,11 @@ DEFAULT_CONFIG: dict = {key: default for key, default, *_ in _CONFIG_KEYS[""]} |
 }
 
 
-def _check_config(cfg: dict, name: str) -> None:
-    """Reject an experiment config that cannot run, before any work: a
-    top-level, csf or experiment key that fails its test in _CONFIG_KEYS, an
-    SNR that gives no noise variance (_snr_ratio), CSF parameters that
+def _check_config(cfg: dict, name: str) -> CsfParams:
+    """The CSF parameters of an experiment config, the run's one build of
+    them, once the config is known to run.  Refused before any work: a
+    top-level, csf or experiment key that fails its test in _CONFIG_KEYS,
+    an SNR that gives no noise variance (_snr_ratio), CSF parameters that
     CsfParams refuses, fig2 delays that are not 0 followed by increasing
     echo delays up to max_delay, an unknown method, a repeated sweep point
     (length, SNR or method), a path count outside 1..max_delay+1 (the main
@@ -217,7 +218,10 @@ def _check_config(cfg: dict, name: str) -> None:
                 _snr_ratio(snr_db)
             except ValueError as exc:
                 raise ConfigError(f"{name}.{key}: {exc}") from None
-    params = _csf_params(cfg)
+    try:
+        params = CsfParams(**cfg["csf"])
+    except ValueError as exc:
+        raise ConfigError(f"csf: {exc}") from None
     # each experiment's received frames, as _check_frames reads them; the
     # power bound is a function called after the ACF check, as fig2's reads
     # the channel's dense taps, max_delay + 1 of them, which that check bounds
@@ -249,6 +253,7 @@ def _check_config(cfg: dict, name: str) -> None:
         # power than path_count times R(0)
         frames = (symbols_key, "max_delay" if blind else None, m, paths - 1, lambda: paths * r0, r0 if blind else None)
     _check_frames(name, section, params, frames)
+    return params
 
 
 # the largest received frame a run builds, in samples: about 64 times the
@@ -343,14 +348,6 @@ class ExperimentResult:
     summary: dict
 
 
-def _csf_params(cfg: dict) -> CsfParams:
-    """The CSF parameters of a checked config; ConfigError when CsfParams refuses them."""
-    try:
-        return CsfParams(**cfg["csf"])
-    except ValueError as exc:
-        raise ConfigError(f"csf: {exc}") from None
-
-
 def _fig2_channel(section: dict) -> ChannelModel:
     """The fixed channel of fig2: the main path at delay 0, then one echo
     per further delay with the attenuation law; ConfigError when the
@@ -374,16 +371,18 @@ def _trial_channel(cfg: dict, name: str, trial: int) -> ChannelModel:
     )
 
 
-def _blind_errors(cfg: dict, name: str, truths: np.ndarray, acfs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _blind_errors(params: CsfParams, channels: list, acfs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The squared tap error and converged flag of each blind solve, both
-    shaped (trials, points), given the true taps (trials, M) and the
-    measured receive ACFs (trials, points, M+1) of a sweep.  The rows of
-    all trials are solved in one batch against one pulse-ACF table."""
-    m = int(cfg[name]["max_delay"])
-    table = authoritative_acf_table(_csf_params(cfg), max_lag=2 * m)
+    shaped (trials, points), given each trial's channel and the measured
+    receive ACFs (trials, points, M+1) of a sweep; M is read off the ACF
+    rows, the true echo taps off the channels.  The rows of all trials are
+    solved in one batch against one pulse-ACF table."""
+    m = acfs.shape[-1] - 1
+    table = authoritative_acf_table(params, max_lag=2 * m)
     # empirical inputs never reach machine-precision residuals
     result = solve_channels(table, acfs.reshape(-1, m + 1), SolverOptions(tol=1e-6 * table[0], max_iter=100))
     taps = result.alpha_hat.reshape(acfs.shape[:2] + (m,))
+    truths = np.array([ch.taps[1:] for ch in channels])
     return np.sum((taps - truths[:, None]) ** 2, axis=-1), result.converged.reshape(acfs.shape[:2])
 
 
@@ -413,8 +412,7 @@ def expected_secondary_peaks(ch: ChannelModel) -> set[int]:
 def run_fig2(cfg: dict) -> ExperimentResult:
     """Simulate the fixed three-path channel and compare measured vs
     predicted receive ACF, checking the secondary-peak locations."""
-    _check_config(cfg, "fig2")
-    params = _csf_params(cfg)
+    params = _check_config(cfg, "fig2")
     section = cfg["fig2"]
     ch = _fig2_channel(section)
     max_lag = section["max_delay"]
@@ -484,17 +482,17 @@ def run_fig2(cfg: dict) -> ExperimentResult:
 
 def _length_frame(args: tuple) -> np.ndarray:
     """The measured receive ACF of one frame of the length sweep: frame li
-    of the trial, through the trial's channel ch."""
-    cfg, trial, li, ch = args
+    of the trial, encoded with params, through the trial's channel ch."""
+    cfg, params, trial, li, ch = args
     section = cfg["sweep_length"]
     stream = random_symbols(int(section["lengths"][li]), seed=derive_seed(cfg["seed"], trial, 1, li))
-    received = apply_multipath(encode_waveform(stream, _csf_params(cfg)), ch)
+    received = apply_multipath(encode_waveform(stream, params), ch)
     received, _ = add_awgn(received, float(section["snr_db"]), seed=derive_seed(cfg["seed"], trial, 2, li))
     return empirical_acf(received, int(section["max_delay"]))
 
 
 def run_datalength_sweep(cfg: dict) -> ExperimentResult:
-    _check_config(cfg, "sweep_length")
+    params = _check_config(cfg, "sweep_length")
     section, trials = cfg["sweep_length"], cfg["trials"]
     lengths = [int(n_sym) for n_sym in section["lengths"]]
     channels = [_trial_channel(cfg, "sweep_length", trial) for trial in range(trials)]
@@ -507,19 +505,18 @@ def run_datalength_sweep(cfg: dict) -> ExperimentResult:
         key=lambda frame: lengths[frame[1]] + int(channels[frame[0]].delays[-1]),
         reverse=True,
     )
-    measured = _fan_out(_length_frame, [(cfg, trial, li, channels[trial]) for trial, li in frames], cfg["threads"])
+    tasks = [(cfg, params, trial, li, channels[trial]) for trial, li in frames]
+    measured = _fan_out(_length_frame, tasks, cfg["threads"])
     acfs = np.empty((trials, len(lengths), int(section["max_delay"]) + 1))
     for (trial, li), acf in zip(frames, measured):
         acfs[trial, li] = acf
-    truths = np.array([ch.taps[1:] for ch in channels])
-    errs, converged = _blind_errors(cfg, "sweep_length", truths, acfs)
+    errs, converged = _blind_errors(params, channels, acfs)
 
     path_count = int(section["path_count"])
-    ns = int(cfg["csf"]["oversampling"])
     rows = []
     for li, n_sym in enumerate(section["lengths"]):
         mse = float(np.mean(errs[:, li])) / path_count
-        rows.append((int(n_sym), int(n_sym) * ns, trials, mse, float(np.mean(converged[:, li]))))
+        rows.append((int(n_sym), int(n_sym) * params.oversampling, trials, mse, float(np.mean(converged[:, li]))))
     summary = {
         "snr_db": float(section["snr_db"]),
         "path_count": path_count,
@@ -537,8 +534,9 @@ def run_datalength_sweep(cfg: dict) -> ExperimentResult:
 # MSE vs SNR, method comparison
 # ---------------------------------------------------------------------------
 
-def _snr_trial(args: tuple) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """One trial of the SNR sweep: the true taps, the blind method's
+def _snr_trial(args: tuple) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One trial of the SNR sweep, encoded with the run's params through
+    the trial's channel ch, both built by the caller: the blind method's
     measured receive ACF per SNR (no rows without blind_acf), and the
     error and flag of each LS method, shaped (snrs, methods) in config
     order; the blind column stays 0 and False, solved after the trials.
@@ -549,8 +547,7 @@ def _snr_trial(args: tuple) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndar
     once per trial: the CSF encode and its channel output, the blind
     method's noise draw, and one Gram matrix per LS method (ls_sweep).
     """
-    cfg, trial = args
-    params = _csf_params(cfg)
+    cfg, params, trial, ch = args
     section = cfg["sweep_snr"]
     m = int(section["max_delay"])
     n_sym = int(section["symbols"])
@@ -559,7 +556,6 @@ def _snr_trial(args: tuple) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndar
     acfs = np.empty((len(snr_list) if "blind_acf" in methods else 0, m + 1))
     errs = np.zeros((len(snr_list), len(methods)))
     flags = np.zeros((len(snr_list), len(methods)), dtype=bool)
-    ch = _trial_channel(cfg, "sweep_snr", trial)
     truth = ch.taps[1:]
     path_count = int(section["path_count"])
 
@@ -585,19 +581,20 @@ def _snr_trial(args: tuple) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndar
         # echo taps normalised by the solved main tap, as the blind solver pins it to 1
         errs[:, mi] = np.sum((taps[:, 1:] / taps[:, :1] - truth) ** 2, axis=-1) / path_count
         flags[:, mi] = not degenerate
-    return truth, acfs, errs, flags
+    return acfs, errs, flags
 
 
 def run_snr_sweep(cfg: dict) -> ExperimentResult:
-    _check_config(cfg, "sweep_snr")
+    params = _check_config(cfg, "sweep_snr")
     section, trials = cfg["sweep_snr"], cfg["trials"]
-    tasks = [(cfg, trial) for trial in range(trials)]
-    truths, acfs, errs, flags = map(np.array, zip(*_fan_out(_snr_trial, tasks, cfg["threads"])))
+    channels = [_trial_channel(cfg, "sweep_snr", trial) for trial in range(trials)]
+    tasks = [(cfg, params, trial, ch) for trial, ch in enumerate(channels)]
+    acfs, errs, flags = map(np.array, zip(*_fan_out(_snr_trial, tasks, cfg["threads"])))
     snr_list = [float(s) for s in section["snr_db_list"]]
     methods = list(section["methods"])
     if "blind_acf" in methods:
         blind = methods.index("blind_acf")
-        sq_err, flags[..., blind] = _blind_errors(cfg, "sweep_snr", truths, acfs)
+        sq_err, flags[..., blind] = _blind_errors(params, channels, acfs)
         errs[..., blind] = sq_err / int(section["path_count"])
 
     rows = [
@@ -623,9 +620,8 @@ def run_snr_sweep(cfg: dict) -> ExperimentResult:
 # ---------------------------------------------------------------------------
 
 def run_invariance_demo(cfg: dict) -> ExperimentResult:
-    _check_config(cfg, "invariance")
+    params = _check_config(cfg, "invariance")
     section = cfg["invariance"]
-    params = _csf_params(cfg)
     max_lag = section["max_lag"]
     n_sym = section["symbols"]
     n_streams = section["streams"]

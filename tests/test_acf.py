@@ -168,6 +168,21 @@ class TestEmpiricalAcf:
         assert one != two  # at these seeds the two orders round apart
         assert empirical_acf(Waveform(x, 1), 0)[0] == (two if halves else one) / n
 
+    @pytest.mark.parametrize("ns, max_lag, n", [(1, 10, 10001), (8, 2, 16704), (16, 1, 20000)])
+    def test_long_lags_match_the_exact_sum(self, ns, max_lag, n):
+        # each lag, summed in two halves past 10000 products, lies within
+        # 4 eps sum|x[n + j] x[n]| / N of math.fsum over its products: the
+        # dot's blocked partial sums keep the error near one ulp of the
+        # lag-0 sum (1.4 ulp measured on a 1.05M-sample frame), and fsum's
+        # products round once each
+        x = np.random.default_rng(n).normal(size=n)
+        products = [x[j:] * x[: n - j] for j in range(max_lag * ns + 1)]
+        exact = np.array([math.fsum(p) for p in products]) / n
+        bound = 4 * np.finfo(float).eps * np.array([math.fsum(np.abs(p)) for p in products]) / n
+        _, trace = empirical_acf_trace(Waveform(x, ns), max_lag)
+        assert np.all(np.abs(trace - exact) <= bound)
+        assert np.all(np.abs(empirical_acf(Waveform(x, ns), max_lag) - exact[::ns]) <= bound[::ns])
+
 
 class TestLaggedProducts:
     @settings(max_examples=200, deadline=None)

@@ -13,6 +13,7 @@ from csfchan import (
     CsfParams,
     ProbeFrame,
     Waveform,
+    add_awgn,
     apply_multipath,
     awgn_law,
     chaotic_probe_frame,
@@ -286,6 +287,26 @@ class TestSnrSweepReuse:
         assert taps.shape == (len(snr_dbs), M + 1)
         np.testing.assert_array_equal(taps, expected)
         assert degenerate == expected_degenerate == (kind == "zero")
+
+    @pytest.mark.parametrize("kind", ["gaussian", "chaotic", "zero"])
+    @pytest.mark.parametrize(
+        "snr_dbs",
+        [[0.0, 5.0, 10.0], [None, 3.0, math.inf, -2.0], [None, math.inf]],
+        ids=["noisy", "mixed", "noiseless"],
+    )
+    def test_rows_match_tall_lstsq(self, kind, snr_dbs):
+        # each row is the tall solve of the frame built at its SNR,
+        # add_awgn's at seed + 1 taken onto the probe's grid, to
+        # TestNormalEquationsOracle's rtol
+        probe, clean = self.probe_and_clean(kind)
+        taps, degenerate = ls_sweep(probe, clean, snr_dbs, 26, M)
+        step = clean.samples_per_symbol // probe.samples_per_symbol
+        for snr_db, row in zip(snr_dbs, taps, strict=True):
+            received = add_awgn(clean, snr_db, 27)[0].samples[::step]
+            frame = ProbeFrame(probe=probe, received=Waveform(received, probe.samples_per_symbol))
+            expected, expected_degenerate = tall_lstsq(frame, M)
+            np.testing.assert_allclose(row, expected, rtol=1e-9, atol=1e-12 * np.max(np.abs(expected)))
+            assert degenerate == expected_degenerate
 
     def test_one_gram_matrix_per_sweep(self, monkeypatch):
         grams = []

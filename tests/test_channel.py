@@ -21,7 +21,7 @@ from csfchan import (
     sample_random_channel,
 )
 from csfchan.channel import _snr_ratio, awgn_law
-from csfchan.experiments import _csf_params, _snr_trial, _trial_channel, derive_seed, resolve_config
+from csfchan.experiments import _snr_trial, _trial_channel, derive_seed, resolve_config
 
 PARAMS = CsfParams()
 
@@ -362,10 +362,10 @@ class TestAddAwgn:
         cfg = resolve_config({"seed": 3, "sweep_snr": {"symbols": 128, "methods": ["blind_acf"]}})
         snrs = [0.0, None, 5.0, math.inf, 20.0]
         cfg["sweep_snr"]["snr_db_list"] = snrs
-        _, acfs, _, _ = _snr_trial((cfg, 0))
-        ch = _trial_channel(cfg, "sweep_snr", 0)
+        params, ch = CsfParams(**cfg["csf"]), _trial_channel(cfg, "sweep_snr", 0)
+        acfs, _, _ = _snr_trial((cfg, params, 0, ch))
         symbols = random_symbols(128, seed=derive_seed(cfg["seed"], 0, 1))
-        clean = apply_multipath(encode_waveform(symbols, _csf_params(cfg)), ch)
+        clean = apply_multipath(encode_waveform(symbols, params), ch)
         m = cfg["sweep_snr"]["max_delay"]
         for snr, acf in zip(snrs, acfs, strict=True):
             single, _ = add_awgn(clean, snr, seed=derive_seed(cfg["seed"], 0, 2))

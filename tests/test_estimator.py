@@ -33,7 +33,7 @@ from csfchan import (
 )
 from csfchan.acf import _lag_weights
 from csfchan.estimator import _DAMPING0, _STEP_TOL, _jacobian, _model_residuals, _shifted_acf
-from csfchan.experiments import _blind_errors, _snr_trial, resolve_config
+from csfchan.experiments import _blind_errors, _snr_trial, _trial_channel, resolve_config
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -96,6 +96,36 @@ def loop_jacobian(alpha, noise_var, prob) -> np.ndarray:
             jac[k, j - 1] = T[k - j + 2 * m] + T[2 * m - k - j]
     jac[0, m] = 1.0
     return jac
+
+
+def exact_residuals(alpha, noise_var, prob) -> tuple[np.ndarray, np.ndarray]:
+    """build_residuals as math.fsum over the terms of the quadratic
+    expansion, sum_(i,j) a_i a_j r_xx[|k - i + j|] + noise_var [k = 0] -
+    r_rr[k], and the sum of the terms' magnitudes, per lag k."""
+    m = prob.max_delay
+    a = np.concatenate(([1.0], alpha))
+    sums, sizes = np.empty(m + 1), np.empty(m + 1)
+    for k in range(m + 1):
+        terms = [a[i] * a[j] * prob.r_xx[abs(k - i + j)] for i in range(m + 1) for j in range(m + 1)]
+        terms += [noise_var if k == 0 else 0.0, -prob.r_rr[k]]
+        sums[k], sizes[k] = math.fsum(terms), math.fsum(map(abs, terms))
+    return sums, sizes
+
+
+def exact_jacobian(alpha, prob) -> tuple[np.ndarray, np.ndarray]:
+    """residual_jacobian as math.fsum over the terms of each partial in a_j,
+    sum_b a_b (r_xx[|k - j + b|] + r_xx[|k + j - b|]), then the unit noise
+    column, and the sum of the terms' magnitudes, per entry."""
+    m = prob.max_delay
+    a = np.concatenate(([1.0], alpha))
+    sums, sizes = np.zeros((m + 1, m + 1)), np.zeros((m + 1, m + 1))
+    for k in range(m + 1):
+        for j in range(1, m + 1):
+            terms = [a[b] * prob.r_xx[abs(k - j + b)] for b in range(m + 1)]
+            terms += [a[b] * prob.r_xx[abs(k + j - b)] for b in range(m + 1)]
+            sums[k, j - 1], sizes[k, j - 1] = math.fsum(terms), math.fsum(map(abs, terms))
+    sums[0, m] = sizes[0, m] = 1.0
+    return sums, sizes
 
 
 def loop_seed(prob) -> np.ndarray:
@@ -235,6 +265,18 @@ class TestBuildResiduals:
             build_residuals(np.zeros(M - 1), 0.0, prob)
 
 
+def random_case(m, decay, seed):
+    """A problem with a decaying random r_xx, and taps and a noise variance
+    to evaluate it at."""
+    rng = np.random.default_rng(seed)
+    lags = np.arange(2 * m + 1)
+    r_xx = rng.uniform(0.1, 2.0) * np.exp(-decay * lags) * rng.uniform(-1.0, 1.0, size=lags.size)
+    r_xx[0] = abs(r_xx[0]) + 0.1
+    r_rr = rng.normal(size=m + 1)
+    prob = IdentificationProblem(r_rr=r_rr, r_xx=r_xx)
+    return prob, rng.uniform(-1.0, 1.0, size=m), float(rng.uniform(0.0, 2.0))
+
+
 class TestLoopOracles:
     @settings(max_examples=300, deadline=None)
     @given(
@@ -243,14 +285,8 @@ class TestLoopOracles:
         seed=st.integers(min_value=0, max_value=2**32 - 1),
     )
     def test_bit_identical_to_loops(self, m, decay, seed):
-        rng = np.random.default_rng(seed)
-        lags = np.arange(2 * m + 1)
-        r_xx = rng.uniform(0.1, 2.0) * np.exp(-decay * lags) * rng.uniform(-1.0, 1.0, size=lags.size)
-        r_xx[0] = abs(r_xx[0]) + 0.1
-        r_rr = rng.normal(size=m + 1)
-        prob = IdentificationProblem(r_rr=r_rr, r_xx=r_xx)
-        alpha = rng.uniform(-1.0, 1.0, size=m)
-        noise_var = float(rng.uniform(0.0, 2.0))
+        prob, alpha, noise_var = random_case(m, decay, seed)
+        r_rr = prob.r_rr
         np.testing.assert_array_equal(
             build_residuals(alpha, noise_var, prob), loop_residuals(alpha, noise_var, prob)
         )
@@ -266,6 +302,35 @@ class TestLoopOracles:
         for row, (a, nv) in enumerate(zip(alphas, noise_vars)):
             np.testing.assert_array_equal(residuals[row], loop_residuals(a, nv, prob))
             np.testing.assert_array_equal(jacobians[row], loop_jacobian(a, nv, prob))
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        m=st.integers(min_value=1, max_value=12),
+        decay=st.floats(min_value=0.05, max_value=2.0),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_match_the_exact_sums(self, m, decay, seed):
+        # every term is a product of inputs; a residual's terms pass at most
+        # 2m + 5 roundings (m + 1 in the tap correlation's dot, two in its
+        # lag weight and product, m in the sum over correlations, two for
+        # the noise and the measurement) and the oracle's 2 per product and
+        # 1 in fsum, so |error| <= (2m + 8) u sum|terms| = (m + 4) eps
+        # sum|terms|; a partial's terms pass m + 2 (one dot, one sum) and the
+        # oracle's 2, (m + 4) eps / 2 sum|terms|
+        prob, alpha, noise_var = random_case(m, decay, seed)
+        eps = np.finfo(float).eps
+        alphas = np.stack([alpha, -alpha, 0.5 * alpha])
+        noise_vars = np.array([noise_var, 0.0, 2.0 * noise_var])
+        measured = np.stack([prob.r_rr] * 3)
+        residuals = _model_residuals(alphas, noise_vars, _lag_weights(prob.r_xx, m + 1, m + 1, 1), measured)
+        jacobians = _jacobian(alphas, _shifted_acf(prob.r_xx, m))
+        cases = [(build_residuals(alpha, noise_var, prob), residual_jacobian(alpha, noise_var, prob), alpha, noise_var)]
+        cases += zip(residuals, jacobians, alphas, noise_vars)
+        for res, jac, a, nv in cases:
+            exact, sizes = exact_residuals(a, nv, prob)
+            assert np.all(np.abs(res - exact) <= (m + 4) * eps * sizes)
+            exact, sizes = exact_jacobian(a, prob)
+            assert np.all(np.abs(jac - exact) <= (m + 4) * eps / 2 * sizes)
 
 
 class TestResidualJacobian:
@@ -392,8 +457,10 @@ def reference_solves():
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(csfchan.experiments, "solve_channels", recording)
-        truths, acfs, _, _ = map(np.array, zip(*(_snr_trial((cfg, trial)) for trial in range(cfg["trials"]))))
-        _blind_errors(cfg, "sweep_snr", truths, acfs)
+        params = CsfParams(**cfg["csf"])
+        channels = [_trial_channel(cfg, "sweep_snr", trial) for trial in range(cfg["trials"])]
+        acfs = np.array([_snr_trial((cfg, params, trial, ch))[0] for trial, ch in enumerate(channels)])
+        _blind_errors(params, channels, acfs)
     assert len({opts for _, opts in calls}) == 1
     return [prob for problems, _ in calls for prob in problems], calls[0][1]
 

@@ -32,8 +32,8 @@ from csfchan.experiments import (
     DEFAULT_CONFIG,
     ConfigError,
     _blind_errors,
-    _csf_params,
     _snr_trial,
+    _trial_channel,
     derive_seed,
     expected_secondary_peaks,
     interior_peak_lags,
@@ -43,7 +43,7 @@ from csfchan.experiments import (
     run_invariance_demo,
     run_snr_sweep,
 )
-from csfchan.waveform import Waveform, _encode_amplitudes, encode_waveform, random_symbols
+from csfchan.waveform import CsfParams, Waveform, _encode_amplitudes, encode_waveform, random_symbols
 
 
 class TestDeriveSeed:
@@ -118,7 +118,7 @@ class TestRunners:
         # frame; it is empirical_acf of that frame within 1e-13 R(0)
         cfg = resolve_config({"seed": 5, "invariance": {"streams": 2, "symbols": 512, "include_all_ones": True}})
         streams = [random_symbols(512, seed=derive_seed(5, s)) for s in range(2)] + [np.ones(512)]
-        oracles = [empirical_acf(_encode_amplitudes(stream, _csf_params(cfg)), 10) for stream in streams]
+        oracles = [empirical_acf(_encode_amplitudes(stream, CsfParams(**cfg["csf"])), 10) for stream in streams]
 
         def no_frame(*args):
             raise AssertionError("a sample-rate frame was built or measured")
@@ -207,7 +207,7 @@ class TestFig2:
         # field built from it must be what empirical_acf gives
         cfg = resolve_config({"seed": 3, "fig2": {"symbols": 4096, "snr_db": 10.0}})
         result = run_fig2(cfg)
-        params = _csf_params(cfg)
+        params = CsfParams(**cfg["csf"])
         section = cfg["fig2"]
         paths = ((0, 1.0), (2, attenuation_from_delay(0.6, 2)), (7, attenuation_from_delay(0.6, 7)))
         ch = ChannelModel(paths=paths, max_delay=10)
@@ -232,7 +232,7 @@ class TestFig2:
         paths = ((0, 1.0), (2, attenuation_from_delay(0.6, 2)), (7, attenuation_from_delay(0.6, 7)))
         stream = random_symbols(4096, seed=derive_seed(3, 1))
         amplitudes = apply_multipath(Waveform(stream, 1), ChannelModel(paths, 10)).samples
-        frame = _encode_amplitudes(amplitudes, _csf_params(cfg))
+        frame = _encode_amplitudes(amplitudes, CsfParams(**cfg["csf"]))
         _, oracle = empirical_acf_trace(frame, 10)
 
         def no_frame(*args):
@@ -267,7 +267,7 @@ class TestFig2:
         # buffer sits beside it: 18.4 MB; the FFT encode and the
         # sample-rate path sum peak at 34.9 MB
         cfg = resolve_config(yaml.safe_load((REPO / "configs/fig2.yaml").read_text()), {"fig2": {"snr_db": snr_db}})
-        params = _csf_params(cfg)
+        params = CsfParams(**cfg["csf"])
         section = cfg["fig2"]
         frame_bytes = (section["symbols"] + params.pulse_tail + max(section["delays"])) * params.oversampling * 8
         tracemalloc.start()
@@ -377,7 +377,7 @@ def test_method_subset_rows_match_full_run(methods):
 def per_snr_trial(cfg, trial):
     """The SNR-sweep trial with every frame rebuilt at each SNR through the
     single-SNR calls: the oracle of the once-per-trial form."""
-    params = _csf_params(cfg)
+    params = CsfParams(**cfg["csf"])
     section = cfg["sweep_snr"]
     m, n_sym, path_count = section["max_delay"], section["symbols"], section["path_count"]
     seeds = [derive_seed(cfg["seed"], trial, k) for k in range(4)]
@@ -391,7 +391,7 @@ def per_snr_trial(cfg, trial):
     for snr in [float(s) for s in section["snr_db_list"]]:
         clean = apply_multipath(encode_waveform(random_symbols(n_sym, seed=seeds[1]), params), ch)
         acf = empirical_acf(add_awgn(clean, snr, seed=seeds[2])[0], m)
-        sq_err, converged = _blind_errors(cfg, "sweep_snr", truth[None], acf[None, None])
+        sq_err, converged = _blind_errors(params, [ch], acf[None, None])
         out[(snr, "blind_acf")] = (float(sq_err[0, 0]) / path_count, bool(converged[0, 0]))
         for method, frame in (
             ("ls_gaussian", gaussian_probe_frame(n_sym, params.oversampling, ch, snr, seed=seeds[3])),
@@ -406,10 +406,11 @@ def snr_trial_errors(cfg, trial):
     """_snr_trial's (error, flag) per (snr_db, method), its blind rows
     solved through _blind_errors as run_snr_sweep solves them."""
     section = cfg["sweep_snr"]
-    truth, acfs, errs, flags = _snr_trial((cfg, trial))
+    params, ch = CsfParams(**cfg["csf"]), _trial_channel(cfg, "sweep_snr", trial)
+    acfs, errs, flags = _snr_trial((cfg, params, trial, ch))
     methods = list(section["methods"])
     if "blind_acf" in methods:
-        sq_err, converged = _blind_errors(cfg, "sweep_snr", truth[None], acfs[None])
+        sq_err, converged = _blind_errors(params, [ch], acfs[None])
         errs[:, methods.index("blind_acf")] = sq_err[0] / section["path_count"]
         flags[:, methods.index("blind_acf")] = converged[0]
     return {
@@ -528,9 +529,13 @@ def test_length_sweep_runs_largest_frame_first(monkeypatch):
         {"seed": 2, "trials": 3, "sweep_length": {"lengths": [256, 1024, 512, 255], "max_delay": 4, "path_count": 3}}
     )
     lengths = cfg["sweep_length"]["lengths"]
+    params = CsfParams(**cfg["csf"])
     channels = [csfchan.experiments._trial_channel(cfg, "sweep_length", trial) for trial in range(3)]
     expected = np.array(
-        [[csfchan.experiments._length_frame((cfg, t, li, ch)) for li in range(4)] for t, ch in enumerate(channels)]
+        [
+            [csfchan.experiments._length_frame((cfg, params, t, li, ch)) for li in range(4)]
+            for t, ch in enumerate(channels)
+        ]
     )
     seeds = {derive_seed(cfg["seed"], t, 1, li): (t, li) for t in range(3) for li in range(4)}
     frames, received, noise_seeds, measured = [], [], [], []
@@ -548,9 +553,9 @@ def test_length_sweep_runs_largest_frame_first(monkeypatch):
         noise_seeds.append(seed)
         return add_awgn(wave, snr_db, seed)
 
-    def recording_errors(cfg, name, truths, acfs):
+    def recording_errors(params, channels, acfs):
         measured.append(acfs)
-        return _blind_errors(cfg, name, truths, acfs)
+        return _blind_errors(params, channels, acfs)
 
     monkeypatch.setattr(csfchan.experiments, "random_symbols", recording_symbols)
     monkeypatch.setattr(csfchan.experiments, "apply_multipath", recording_multipath)
@@ -594,6 +599,48 @@ def test_pool_never_outnumbers_tasks(monkeypatch, runner, section):
     serial = runner(resolve_config({"trials": 2, **section}))
     assert runner(resolve_config({"trials": 2, "threads": 5000, **section})).rows == serial.rows
     assert sizes == [2]
+
+
+SMALL_RUNS = {
+    "fig2": (run_fig2, {"fig2": {"symbols": 1024}}),
+    "invariance": (run_invariance_demo, {"invariance": {"streams": 2, "symbols": 512}}),
+    "sweep_length": (run_datalength_sweep, {"trials": 2, "sweep_length": {"lengths": [256, 512]}}),
+    "sweep_snr": (run_snr_sweep, {"trials": 3, "sweep_snr": {"symbols": 256}}),
+}
+
+
+@pytest.mark.parametrize("name", SMALL_RUNS)
+def test_each_run_builds_its_csf_params_once(monkeypatch, name):
+    # the config check builds the run's CsfParams and every task carries
+    # them, so no runner, worker or blind scorer builds them again
+    runner, layer = SMALL_RUNS[name]
+    builds = []
+
+    def counting(**csf):
+        builds.append(csf)
+        return CsfParams(**csf)
+
+    monkeypatch.setattr(csfchan.experiments, "CsfParams", counting)
+    runner(resolve_config({"threads": 1, **layer}))
+    assert len(builds) == 1
+
+
+@pytest.mark.parametrize("name", ["sweep_length", "sweep_snr"])
+def test_sweep_workers_draw_no_channel(monkeypatch, name):
+    # both sweeps draw every trial's channel in the parent, before the
+    # fan-out; a task carries its channel to the worker
+    runner, layer = SMALL_RUNS[name]
+    fan_out = csfchan.experiments._fan_out
+
+    def no_draw(*args, **kwargs):
+        raise AssertionError("a worker drew a channel")
+
+    def drawn_fan_out(worker, tasks, threads):
+        monkeypatch.setattr(csfchan.experiments, "sample_random_channel", no_draw)
+        return fan_out(worker, tasks, threads)
+
+    monkeypatch.setattr(csfchan.experiments, "_fan_out", drawn_fan_out)
+    runner(resolve_config({"threads": 1, **layer}))
 
 
 class TestTrialCount:
