@@ -24,7 +24,6 @@ __all__ = [
     "CsfParams",
     "Waveform",
     "base_pulse",
-    "sample_base_pulse",
     "encode_waveform",
     "random_symbols",
     "pulse_acf",
@@ -122,14 +121,6 @@ def base_pulse(t, params: CsfParams = CsfParams()):
     return out
 
 
-def sample_base_pulse(params: CsfParams = CsfParams()) -> Waveform:
-    """Sample the truncated pulse on its support [-pulse_tail, 1) at
-    params.oversampling samples per symbol period."""
-    ns = params.oversampling
-    idx = np.arange(-params.pulse_tail * ns, ns)
-    return Waveform(base_pulse(idx / ns, params), ns)
-
-
 def _next_fast_len(n: int) -> int:
     """Smallest 5-smooth integer (2^a 3^b 5^c) that is >= n, n >= 1.
 
@@ -150,7 +141,8 @@ def _next_fast_len(n: int) -> int:
 
 @lru_cache(maxsize=1)
 def _pulse_spectrum(params: CsfParams, n_fft: int) -> np.ndarray:
-    """Real FFT of the sampled pulse zero-padded to n_fft (read-only).
+    """Real FFT of the pulse sampled on its support [-pulse_tail, 1) at
+    params.oversampling samples per symbol, zero-padded to n_fft (read-only).
 
     encode_waveform reads it for the two sweeps alone, ls_chaos probes
     included, and each encodes its frames in runs of one length: the length
@@ -159,7 +151,8 @@ def _pulse_spectrum(params: CsfParams, n_fft: int) -> np.ndarray:
     length, as more entries would, and holds no spectrum of a length
     already done.
     """
-    spectrum = np.fft.rfft(sample_base_pulse(params).samples, n_fft)
+    ns = params.oversampling
+    spectrum = np.fft.rfft(base_pulse(np.arange(-params.pulse_tail * ns, ns) / ns, params), n_fft)
     spectrum.flags.writeable = False
     return spectrum
 

@@ -20,12 +20,24 @@ from csfchan import (
     encode_waveform,
     pulse_acf,
     random_symbols,
-    sample_base_pulse,
 )
-from csfchan.waveform import _encode_amplitudes, _next_fast_len, _pulse_spectrum, _trapezoid_pulse_acf
+from csfchan.waveform import (
+    _amplitude_pieces,
+    _encode_amplitudes,
+    _next_fast_len,
+    _pulse_spectrum,
+    _trapezoid_pulse_acf,
+)
 
 PARAMS = CsfParams()
 LN2 = math.log(2.0)
+
+
+def support_samples(params) -> np.ndarray:
+    """The pulse sampled on its support [-pulse_tail, 1) at Ns samples per
+    symbol, t = -pulse_tail + i/Ns: the samples both encodes shape with."""
+    ns = params.oversampling
+    return base_pulse(np.arange(-params.pulse_tail * ns, ns) / ns, params)
 
 
 class TestBasePulse:
@@ -106,8 +118,7 @@ class TestCsfParams:
 class TestEncodeWaveform:
     def test_single_symbol_is_pulse(self):
         wave = encode_waveform(np.array([1.0]), PARAMS)
-        pulse = sample_base_pulse(PARAMS)
-        np.testing.assert_allclose(wave.samples, pulse.samples, atol=1e-12)
+        np.testing.assert_allclose(wave.samples, support_samples(PARAMS), atol=1e-12)
 
     def test_negation_linearity(self):
         stream = random_symbols(64, seed=5)
@@ -140,7 +151,7 @@ def fftconvolve_encode(stream, params):
     ns = params.oversampling
     train = np.zeros(len(stream) * ns)
     train[::ns] = stream
-    full = fftconvolve(train, sample_base_pulse(params).samples)
+    full = fftconvolve(train, support_samples(params))
     return full[: (len(stream) + params.pulse_tail) * ns]
 
 
@@ -203,7 +214,7 @@ def superposition(amplitudes, params) -> np.ndarray:
     symbol period q sums a_k p(q - k - pulse_tail + r/Ns), a convolution
     of the amplitudes with the pulse's samples at that phase."""
     ns, tail = params.oversampling, params.pulse_tail
-    pulse = base_pulse(np.arange(-tail * ns, ns) / ns, params).astype(np.longdouble)
+    pulse = support_samples(params).astype(np.longdouble)
     amps = np.asarray(amplitudes, dtype=np.longdouble)
     frame = np.empty((amps.size + tail) * ns, dtype=np.longdouble)
     for r in range(ns):
@@ -223,7 +234,12 @@ class TestEncodeAmplitudes:
     stream of nonzero mean (1.8e-14 at 400 symbols, 7.8e-14 at 2000); the
     +-1 and channel amplitudes read 8.9e-15 at most.  The FFT encode of the
     +-1 and all-ones streams is held to the same superposition within
-    1e-14 max|frame|, the bound stated before it was measured."""
+    1e-14 max|frame|, the bound stated before it was measured.
+
+    The +-1 and all-ones streams of 65536 symbols, the sweeps' longest
+    frame, run at beta = ln 2 and 0.05 under the same two bounds: both
+    encodes read 3.3e-15 max|frame| at most there.  Beta = 1e-3 stays out
+    at that length, as its oracle takes about 1.4e10 long-double products."""
 
     CHANNELS = {
         "main path only": ChannelModel(((0, 1.0),), max_delay=0),
@@ -243,10 +259,25 @@ class TestEncodeAmplitudes:
         stream = random_symbols(65536, seed=28)
         assert frame_error(stream, CsfParams(beta=beta), self.CHANNELS["fig2"]) <= 1e-13
 
-    @pytest.mark.parametrize("beta", [LN2, 0.05, 1e-3])
-    @pytest.mark.parametrize("amplitudes", ["+-1", "all ones", "fig2 channel"])
-    def test_matches_the_exact_sum(self, beta, amplitudes):
-        stream = self.STREAMS["all ones" if amplitudes == "all ones" else "random"]
+    @pytest.mark.parametrize("beta", [LN2, 0.05, 0.01, 1e-3])
+    def test_shapes_are_the_fft_encodes_pulse_samples(self, beta):
+        # the FFT encode convolves with the support samples (TestEncodeOracle);
+        # the symbol-rate shapes A and B e^-beta are its last two periods
+        params = CsfParams(beta=beta)
+        before, last = support_samples(params)[-2 * params.oversampling :].reshape(2, -1)
+        _, _, (a, b) = _amplitude_pieces(np.ones(1), params)
+        np.testing.assert_array_equal(a, last)
+        np.testing.assert_array_max_ulp(b * math.exp(-beta), before, maxulp=1)
+
+    LONG_STREAMS = {"+-1, 65536 symbols": random_symbols(65536, seed=28), "all ones, 65536 symbols": np.ones(65536)}
+
+    @pytest.mark.parametrize(
+        "amplitudes, beta",
+        [(a, beta) for a in ("+-1", "all ones", "fig2 channel") for beta in (LN2, 0.05, 1e-3)]
+        + [(a, beta) for a in LONG_STREAMS for beta in (LN2, 0.05)],
+    )
+    def test_matches_the_exact_sum(self, amplitudes, beta):
+        stream = self.LONG_STREAMS.get(amplitudes, self.STREAMS["all ones" if amplitudes == "all ones" else "random"])
         if amplitudes == "fig2 channel":  # as run_fig2 builds them
             stream = apply_multipath(Waveform(stream, 1), self.CHANNELS["fig2"]).samples
         params = CsfParams(beta=beta)
