@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .channel import ChannelModel
-from .waveform import CsfParams, Waveform, _check_integer, _trapezoid_pulse_acf, authoritative_acf_table
+from .waveform import CsfParams, Waveform, _check_integer, authoritative_acf_table, pulse_acf
 
 __all__ = [
     "empirical_acf",
@@ -195,12 +195,7 @@ def _rx_model(ch: ChannelModel, noise_var: float, r_xx: np.ndarray, n_lags: int,
     return _expand(taps, _lag_weights(r_xx, n_lags, taps.size, stride), noise_var)
 
 
-def predicted_rx_acf(
-    ch: ChannelModel,
-    noise_var: float,
-    params: CsfParams = CsfParams(),
-    max_lag: int | None = None,
-) -> np.ndarray:
+def predicted_rx_acf(ch: ChannelModel, noise_var: float, params: CsfParams, max_lag: int) -> np.ndarray:
     """Receive-side ACF at integer lags 0..max_lag implied by the channel taps.
 
     Sums, per lag eta: (i) the transmit ACF scaled by the total tap power,
@@ -208,16 +203,13 @@ def predicted_rx_acf(
     eta +- delay, and (iv) echo-pair cross terms at eta + delay
     differences.  The transmit ACF is extended evenly to negative lags.
     """
-    m = ch.max_delay if max_lag is None else _check_integer("max_lag", max_lag, 0)
-    table = authoritative_acf_table(params, max_lag=m + int(ch.delays[-1]))
-    return _rx_model(ch, noise_var, table, m + 1, 1)
+    max_lag = _check_integer("max_lag", max_lag, 0)
+    table = authoritative_acf_table(params, max_lag=max_lag + int(ch.delays[-1]))
+    return _rx_model(ch, noise_var, table, max_lag + 1, 1)
 
 
 def predicted_rx_acf_trace(
-    ch: ChannelModel,
-    noise_var: float,
-    params: CsfParams = CsfParams(),
-    max_lag: int = 10,
+    ch: ChannelModel, noise_var: float, params: CsfParams, max_lag: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Receive-side ACF on the fractional-lag grid.
 
@@ -229,5 +221,5 @@ def predicted_rx_acf_trace(
     max_lag = _check_integer("max_lag", max_lag, 0)
     ns = params.oversampling
     # pulse ACF on the widest grid needed
-    full = _trapezoid_pulse_acf(np.arange((max_lag + int(ch.delays[-1])) * ns + 1) / ns, params)
+    full = pulse_acf(np.arange((max_lag + int(ch.delays[-1])) * ns + 1) / ns, params)
     return np.arange(max_lag * ns + 1) / ns, _rx_model(ch, noise_var, full, max_lag * ns + 1, ns)

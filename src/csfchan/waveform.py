@@ -229,30 +229,10 @@ def random_symbols(n: int, seed: int) -> np.ndarray:
 
 
 def pulse_acf(lag, params: CsfParams = CsfParams(), oversampling: int = 256):
-    """Autocorrelation of the shaping pulse by direct numerical integration.
-
-    Trapezoidal rule over the truncated support at the given resolution,
-    with the lagged pulse sampled afresh at each lag.  Works at arbitrary
-    finite real lags; the defining integral the tests check the closed-form
-    table and _trapezoid_pulse_acf against.  Its cost grows with the pulse
-    tail, as 1/beta.
-    """
-    _check_integer("oversampling", oversampling, 1)
-    lag_arr = np.atleast_1d(np.asarray(lag, dtype=float))
-    if not np.all(np.isfinite(lag_arr)):
-        raise ValueError("lag must be finite")
-    dt = 1.0 / oversampling
-    t = np.arange(-params.pulse_tail * oversampling, oversampling + 1) * dt
-    p0 = base_pulse(t, params)
-    vals = np.array([np.trapezoid(p0 * base_pulse(t + e, params), dx=dt) for e in lag_arr.tolist()])
-    if np.isscalar(lag) or np.asarray(lag).ndim == 0:
-        return float(vals[0])
-    return vals
-
-
-def _trapezoid_pulse_acf(lag, params: CsfParams = CsfParams(), oversampling: int = 256) -> np.ndarray:
-    """pulse_acf's trapezoid at each lag of the 1-d array lag, summed in
-    closed form.
+    """Autocorrelation of the shaping pulse at finite real lags: the
+    trapezoid of its defining integral over the truncated support, at
+    oversampling points per symbol period, summed in closed form.  A
+    scalar lag gives a float, a 1-d array of lags an array.
 
     On the grid t_i = -tail + i/os, i = 0..N-1, each pulse branch is
     level + Re[X e^(s t_i)] with s = beta + 2 pi i: the tail (level 0)
@@ -262,11 +242,13 @@ def _trapezoid_pulse_acf(lag, params: CsfParams = CsfParams(), oversampling: int
     geometric series in z = e^(s/os), z^2 and |z|^2, taken with expm1.
     Every phase is reduced exactly first (2 pi i/os from i mod os, the
     lag's from its fractional part).  The cost is one pass over the lags
-    at any beta.
+    at any beta; the tests hold it to the sampled integrand's trapezoid.
     """
     _check_integer("oversampling", oversampling, 1)
-    lag = np.asarray(lag, dtype=float)
-    if not np.all(np.isfinite(lag)):
+    lags = np.atleast_1d(np.asarray(lag, dtype=float))
+    if lags.ndim != 1:
+        raise ValueError(f"lag must be a scalar or a 1-d array, got shape {lags.shape}")
+    if not np.all(np.isfinite(lags)):
         raise ValueError("lag must be finite")
     beta, os_ = params.beta, oversampling
     tail = params.pulse_tail * os_  # index of the symbol instant t = 0
@@ -283,7 +265,7 @@ def _trapezoid_pulse_acf(lag, params: CsfParams = CsfParams(), oversampling: int
     # index ranges [lo, hi) per lag (axis 0), branch of p(t_i) (axis 1) and
     # branch of p(t_i + lag) (axis 2); the lagged plateau starts at index
     # start, clipped where the ranges stay as they are (empty or whole)
-    start = np.clip(np.ceil(tail - lag * os_), -os_, tail + os_).astype(np.int64)
+    start = np.clip(np.ceil(tail - lags * os_), -os_, tail + os_).astype(np.int64)
     lo = np.maximum(np.array([0, tail])[:, None], np.stack([np.zeros_like(start), start], axis=-1)[:, None])
     hi = np.minimum(np.array([tail, tail + os_])[:, None], np.stack([start, start + os_], axis=-1)[:, None])
     n = np.maximum(hi - lo, 0)
@@ -292,8 +274,8 @@ def _trapezoid_pulse_acf(lag, params: CsfParams = CsfParams(), oversampling: int
     p = x[:, None] * np.exp(beta * t + 1j * phase)
     # the lagged pulse ends at t = 1: capping the exponent there leaves
     # every range with n > 0 as it is and keeps inf out of the empty ones
-    lagged_phase = phase + 2.0 * math.pi * np.modf(lag)[0][:, None, None]
-    q = x * np.exp(beta * np.minimum(t + lag[:, None, None], 1.0) + 1j * lagged_phase)
+    lagged_phase = phase + 2.0 * math.pi * np.modf(lags)[0][:, None, None]
+    q = x * np.exp(beta * np.minimum(t + lags[:, None, None], 1.0) + 1j * lagged_phase)
     g1 = geometric(1, n)
     h = np.expm1(2.0 * beta * n / os_) / np.expm1(2.0 * beta / os_)
     sums = (
@@ -305,8 +287,9 @@ def _trapezoid_pulse_acf(lag, params: CsfParams = CsfParams(), oversampling: int
     )
     # the trapezoid halves its end points: f_(N-1) = 0 as p(1) = 0
     t0 = -float(params.pulse_tail)
-    f0 = base_pulse(t0, params) * base_pulse(t0 + lag, params)
-    return (sums.sum(axis=(1, 2)) - 0.5 * f0) / os_
+    f0 = base_pulse(t0, params) * base_pulse(t0 + lags, params)
+    vals = (sums.sum(axis=(1, 2)) - 0.5 * f0) / os_
+    return float(vals[0]) if np.ndim(lag) == 0 else vals
 
 
 def authoritative_acf_table(params: CsfParams = CsfParams(), max_lag: int = 10) -> np.ndarray:
@@ -316,8 +299,9 @@ def authoritative_acf_table(params: CsfParams = CsfParams(), max_lag: int = 10) 
 
     The known transmit-side ACF that the identification equations
     consume.  The closed form holds at integer lags only; off the grid
-    the defining integral (pulse_acf) takes over.  The tests hold the
-    table to that integral over 0 < beta <= ln 2; no run evaluates it.
+    the trapezoid of the defining integral (pulse_acf) takes over, as in
+    fig2's trace.  The tests hold the table to that integral over
+    0 < beta <= ln 2.
     """
     max_lag = _check_integer("max_lag", max_lag, 0)
     beta, w = params.beta, 2.0 * math.pi

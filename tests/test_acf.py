@@ -22,12 +22,12 @@ from csfchan import (
     Waveform,
     apply_multipath,
     authoritative_acf_table,
+    base_pulse,
     empirical_acf,
     empirical_acf_trace,
     encode_waveform,
     predicted_rx_acf,
     predicted_rx_acf_trace,
-    pulse_acf,
     random_symbols,
     sample_random_channel,
 )
@@ -295,10 +295,16 @@ def loop_rx_acf(ch: ChannelModel, noise_var: float, params: CsfParams, max_lag: 
 
 
 def loop_rx_acf_trace(ch: ChannelModel, noise_var: float, params: CsfParams, max_lag: int) -> np.ndarray:
-    """Oracle: predicted_rx_acf_trace as a double loop over path pairs."""
+    """Oracle: predicted_rx_acf_trace as a double loop over path pairs,
+    with the pulse ACF the trapezoid of the sampled integrand (256 points
+    per symbol period), lag by lag."""
     ns = params.oversampling
     grid = np.arange(max_lag * ns + 1) / ns
-    full = pulse_acf(np.arange((max_lag + int(ch.delays[-1])) * ns + 1) / ns, params)
+    dt = 1.0 / 256
+    t = np.arange(-params.pulse_tail * 256, 256 + 1) * dt
+    p0 = base_pulse(t, params)
+    lags = np.arange((max_lag + int(ch.delays[-1])) * ns + 1) / ns
+    full = np.array([np.trapezoid(p0 * base_pulse(t + e, params), dx=dt) for e in lags.tolist()])
     out = np.zeros_like(grid)
     for di, ai in ch.paths:
         for dj, aj in ch.paths:
@@ -377,7 +383,7 @@ class TestPredictedRxAcf:
             raise AssertionError("the transmit ACF was evaluated before max_lag was checked")
 
         monkeypatch.setattr(csfchan.acf, "authoritative_acf_table", unreachable)
-        monkeypatch.setattr(csfchan.acf, "_trapezoid_pulse_acf", unreachable)
+        monkeypatch.setattr(csfchan.acf, "pulse_acf", unreachable)
 
     def test_negative_max_lag_rejected(self, monkeypatch):
         self.refuse_work(monkeypatch)
@@ -397,6 +403,16 @@ class TestPredictedRxAcf:
             with pytest.raises(ValueError, match="max_lag must be an integer"):
                 predict(FIG2_CHANNEL, 0.0, PARAMS, max_lag=bad)
 
+    @pytest.mark.parametrize("missing", ["params", "max_lag"])
+    @pytest.mark.parametrize("predict", [predicted_rx_acf, predicted_rx_acf_trace], ids=lambda f: f.__name__)
+    def test_params_and_max_lag_have_no_default(self, predict, missing):
+        # the defaults went unused and disagreed: max_lag was ch.max_delay
+        # in one and 10 in the other
+        kwargs = {"params": PARAMS, "max_lag": 10}
+        del kwargs[missing]
+        with pytest.raises(TypeError, match=f"missing 1 required positional argument: '{missing}'"):
+            predict(FIG2_CHANNEL, 0.0, **kwargs)
+
     def test_numpy_integer_max_lag_accepted(self):
         np.testing.assert_array_equal(
             predicted_rx_acf(FIG2_CHANNEL, 0.0, PARAMS, max_lag=np.int64(10)),
@@ -414,13 +430,9 @@ class TestPredictedRxAcf:
         np.testing.assert_allclose(trace[::ns], pred, atol=1e-8)
         assert grid[-1] == 10.0
 
-    def test_trace_cost_is_independent_of_beta(self, monkeypatch):
-        # at beta = 1e-6 the pulse tail is 13.8M symbol periods, which the
-        # sampled integral (pulse_acf) would hold at 256 points each
-        def unreachable(*args, **kwargs):
-            raise AssertionError("pulse_acf ran")
-
-        monkeypatch.setattr(csfchan.waveform, "pulse_acf", unreachable)
+    def test_trace_cost_is_independent_of_beta(self):
+        # at beta = 1e-6 the pulse tail is 13.8M symbol periods, which a
+        # sampled integral would hold at 256 points each
         params = CsfParams(beta=1e-6)
         tracemalloc.start()
         try:

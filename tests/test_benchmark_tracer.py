@@ -9,13 +9,23 @@ zero; these tests catch that.  The tracer module is only imported here.
 import importlib
 import importlib.util
 import inspect
+import math
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from csfchan import CsfParams, IdentificationProblem, ProbeFrame, Waveform, authoritative_acf_table, random_symbols
+import csfchan.acf
+from csfchan import (
+    ChannelModel,
+    CsfParams,
+    IdentificationProblem,
+    ProbeFrame,
+    Waveform,
+    authoritative_acf_table,
+    random_symbols,
+)
 
 TRACING = Path(__file__).resolve().parents[1] / "benchmarks" / "tracing.py"
 
@@ -103,3 +113,20 @@ def test_solve_size_is_read_off_a_problem(tracing):
     at_m10 = tracing.AT_SIZE["estimator.solve_channel"][1]
     assert at_m10((IdentificationProblem(r_rr=table[:11], r_xx=table),), {})
     assert not at_m10((), {"prob": IdentificationProblem(r_rr=table[:6], r_xx=table)})
+
+
+def test_fig2_trace_prediction_feeds_the_pulse_acf_span(tracing, monkeypatch):
+    # fig2's trace prediction reads the pulse ACF through the name
+    # csfchan.acf binds, the one install() rebinds; without it the
+    # waveform.pulse_acf metrics read 0 however long the call takes
+    for name, module in list(sys.modules.items()):
+        if name.startswith("csfchan."):
+            for attr, value in list(vars(module).items()):
+                if inspect.isfunction(value):
+                    monkeypatch.setattr(module, attr, value)  # undone after the test
+    tracer = tracing.Tracer()
+    tracer.install()
+    fig2_channel = ChannelModel(((0, 1.0), (2, math.exp(-1.2)), (7, math.exp(-4.2))), max_delay=10)
+    csfchan.acf.predicted_rx_acf_trace(fig2_channel, 0.0, CsfParams(), 10)
+    assert tracer.counts["waveform.pulse_acf.calls"] == 1
+    assert tracer.metrics()["waveform.pulse_acf.self_s"] > 0.0

@@ -29,7 +29,6 @@ from csfchan import (
     sample_random_channel,
 )
 from csfchan.baselines import ProbeFrame
-from csfchan.waveform import _trapezoid_pulse_acf
 
 PARAMS = CsfParams()
 WAVE = Waveform(np.ones(16 * 20), 16)
@@ -41,7 +40,6 @@ ARGUMENTS = {
     "CsfParams.oversampling": (lambda v: CsfParams(oversampling=v), "oversampling", 8),
     "Waveform.samples_per_symbol": (lambda v: Waveform(np.ones(4), v), "samples_per_symbol", 1),
     "pulse_acf.oversampling": (lambda v: pulse_acf(0.5, PARAMS, v), "oversampling", 1),
-    "_trapezoid_pulse_acf.oversampling": (lambda v: _trapezoid_pulse_acf(np.array([0.5]), PARAMS, v), "oversampling", 1),
     "authoritative_acf_table.max_lag": (lambda v: authoritative_acf_table(PARAMS, v), "max_lag", 0),
     "random_symbols.n": (lambda v: random_symbols(v, seed=0), "n", 1),
     "empirical_acf.max_lag": (lambda v: empirical_acf(WAVE, v), "max_lag", 0),
@@ -76,7 +74,7 @@ def no_work(monkeypatch):
 
     monkeypatch.setattr(np.random, "default_rng", work)
     monkeypatch.setattr(csfchan.waveform, "base_pulse", work)
-    for name in ("_lagged_products", "authoritative_acf_table", "_trapezoid_pulse_acf"):
+    for name in ("_lagged_products", "authoritative_acf_table", "pulse_acf"):
         monkeypatch.setattr(csfchan.acf, name, work)
     for name in ("_lagged_products", "awgn_law"):
         monkeypatch.setattr(csfchan.baselines, name, work)

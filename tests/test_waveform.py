@@ -1,6 +1,7 @@
 """Shaping pulse, waveform synthesis, and closed-form ACF tests."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -21,13 +22,7 @@ from csfchan import (
     pulse_acf,
     random_symbols,
 )
-from csfchan.waveform import (
-    _amplitude_pieces,
-    _encode_amplitudes,
-    _next_fast_len,
-    _pulse_spectrum,
-    _trapezoid_pulse_acf,
-)
+from csfchan.waveform import _amplitude_pieces, _encode_amplitudes, _next_fast_len, _pulse_spectrum
 
 PARAMS = CsfParams()
 LN2 = math.log(2.0)
@@ -379,13 +374,13 @@ class TestTheoreticalAcf:
     @pytest.mark.parametrize("beta", [LN2, 0.5, 0.3, 0.1, 0.03, 0.01, 0.001])
     def test_matches_defining_integral_at_integer_lags(self, beta):
         # the closed form is the only source of the table the solver reads,
-        # up to lag 2 * max_delay = 20; at beta = 1e-3 the integral is the
-        # closed-form trapezoid, which test_trapezoid_is_the_integral_at_beta_1e_3
-        # holds to pulse_acf
+        # up to lag 2 * max_delay = 20; at beta = 1e-3 the integral is
+        # pulse_acf's closed-form trapezoid, which
+        # test_trapezoid_is_the_integral_at_beta_1e_3 holds to the sampled one
         params = CsfParams(beta=beta)
         lags = np.arange(21.0)
         closed = authoritative_acf_table(params, 20)
-        integral = (_trapezoid_pulse_acf if beta == 0.001 else pulse_acf)(lags, params, 256)
+        integral = (pulse_acf if beta == 0.001 else per_lag_pulse_acf)(lags, params, 256)
         assert abs(closed[0] - integral[0]) <= 1e-4
         # the trapezoid rule carries a small absolute error, so values far
         # below the zero-lag power are measured against that floor; it
@@ -439,13 +434,30 @@ def per_lag_pulse_acf(lag, params, oversampling):
 
 class TestPulseAcfOracle:
     def test_far_apart_lags_sample_separately(self):
-        lags = np.array([0.0, 1e6, -1e6, 0.5, 1e300, -1e300, -0.0, 3.0])
-        np.testing.assert_array_equal(pulse_acf(lags, PARAMS), per_lag_pulse_acf(lags, PARAMS, 256))
+        assert_matches_trapezoid([0.0, 1e6, -1e6, 0.5, 1e300, -1e300, -0.0, 3.0], PARAMS, 256)
 
     def test_scalar_in_scalar_out(self):
         value = pulse_acf(1.5, PARAMS)
         assert isinstance(value, float)
-        assert value == per_lag_pulse_acf(1.5, PARAMS, 256)[0]
+        assert value == pulse_acf(np.array([1.5]), PARAMS)[0]
+        assert_matches_trapezoid([1.5], PARAMS, 256)
+
+    @pytest.mark.parametrize("lag", [np.float64(1.5), np.array(1.5)], ids=["numpy-scalar", "0-d-array"])
+    def test_zero_dimensional_lag_gives_a_float(self, lag):
+        value = pulse_acf(lag, PARAMS)
+        assert type(value) is float
+        assert value == pulse_acf(1.5, PARAMS)
+
+    @pytest.mark.parametrize("shape", [(2, 2), (3, 1), (1, 0)])
+    def test_lag_of_more_than_one_dimension_rejected_before_work(self, monkeypatch, shape):
+        # a 2x2 lag once read 0.094 at lag 0 instead of R(0) = 1.343, and a
+        # column was flattened
+        def no_work(*args):
+            raise AssertionError("pulse sampled")
+
+        monkeypatch.setattr(csfchan.waveform, "base_pulse", no_work)
+        with pytest.raises(ValueError, match=re.escape(f"lag must be a scalar or a 1-d array, got shape {shape}")):
+            pulse_acf(np.zeros(shape), PARAMS)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_nonfinite_lag_rejected_before_work(self, monkeypatch, bad):
@@ -455,12 +467,9 @@ class TestPulseAcfOracle:
         monkeypatch.setattr(csfchan.waveform, "base_pulse", no_work)
         with pytest.raises(ValueError, match="lag must be finite"):
             pulse_acf(np.array([0.0, bad]), PARAMS)
-        with pytest.raises(ValueError, match="lag must be finite"):
-            _trapezoid_pulse_acf(np.array([0.0, bad]), PARAMS)
 
-    @pytest.mark.parametrize("acf", [pulse_acf, _trapezoid_pulse_acf], ids=lambda f: f.__name__)
     @pytest.mark.parametrize("bad", [0, 2.5, -4, True])
-    def test_bad_oversampling_rejected_before_work(self, monkeypatch, acf, bad):
+    def test_bad_oversampling_rejected_before_work(self, monkeypatch, bad):
         # 0 divided by zero, 2.5 failed in a slice, -4 gave zeros and True
         # ran at oversampling 1
         def no_work(*args):
@@ -468,7 +477,7 @@ class TestPulseAcfOracle:
 
         monkeypatch.setattr(csfchan.waveform, "base_pulse", no_work)
         with pytest.raises(ValueError, match="oversampling must be an integer >= 1"):
-            acf(np.array([0.0, 1.5]), PARAMS, bad)
+            pulse_acf(np.array([0.0, 1.5]), PARAMS, bad)
 
     def test_numpy_integer_oversampling_accepted(self):
         lags = np.array([0.0, 1.5])
@@ -491,16 +500,17 @@ def closed_form_lags(ns):
 
 
 def assert_matches_trapezoid(lags, params, oversampling):
-    # the two sum the same terms in different orders, so the error is
-    # measured against the largest value, R(0) (closed form: within 1e-4)
+    # pulse_acf against the sampled integrand's trapezoid: the two sum the
+    # same terms in different orders, so the error is measured against the
+    # largest value, R(0) (closed form: within 1e-4)
     lags = np.array(lags)
-    got = _trapezoid_pulse_acf(lags, params, oversampling)
-    want = pulse_acf(lags, params, oversampling)
+    got = pulse_acf(lags, params, oversampling)
+    want = per_lag_pulse_acf(lags, params, oversampling)
     assert np.max(np.abs(got - want)) <= 16 * np.finfo(float).eps * authoritative_acf_table(params, 0)[0]
 
 
 def log_uniform_betas(low):
-    # pulse_acf's cost grows as 1/beta, so the draws spread over decades
+    # per_lag_pulse_acf's cost grows as 1/beta, so the draws spread over decades
     return st.floats(min_value=math.log(low), max_value=math.log(LN2)).map(lambda x: min(math.exp(x), LN2))
 
 
