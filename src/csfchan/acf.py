@@ -9,7 +9,13 @@ Importing this module, and so csfchan, sets two things for the whole
 process.  It pins numpy's bundled OpenBLAS to one thread: every
 correlation of the package, the empirical ACF and the LS baselines'
 probe correlations alike, sums its dot products in a fixed order
-(_lagged_products) that a threaded BLAS would change.  And it fixes
+(_lagged_products) that a threaded BLAS would change.  When
+OPENBLAS_NUM_THREADS is unset, csfchan's __init__ has already loaded
+OpenBLAS with one thread and no worker, and the pin changes nothing.
+Where numpy was imported before csfchan, or the variable was set, OpenBLAS
+loaded with its own count, each extra worker spins about 0.1 s of CPU
+before it sleeps, and the pin sets one thread after the fact
+(_pin_blas_to_one_thread).  And it fixes
 glibc's malloc thresholds (_keep_freed_memory), so the heap keeps the
 frame-sized buffers it frees for the next frame instead of returning
 them to the OS.
@@ -41,6 +47,14 @@ def _pin_blas_to_one_thread() -> None:
     package, doubling their CPU time, and changes the order in which a
     dot product sums.  Does nothing when numpy carries no bundled
     OpenBLAS or has not loaded it.
+
+    OpenBLAS starts one worker thread per extra core when it loads, and
+    each spins about 0.1 s of CPU before it sleeps; setting one thread
+    afterwards does not stop that spin.  So csfchan's __init__ imports
+    numpy with OPENBLAS_NUM_THREADS=1 when the variable is unset, and
+    OpenBLAS starts no worker at all; this call then only confirms the
+    count.  It sets one thread where numpy was loaded before csfchan, or
+    the variable was set to another count.
     """
     for lib in sorted((Path(np.__file__).parents[1] / "numpy.libs").glob("libscipy_openblas*.so")):
         try:

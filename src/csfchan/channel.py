@@ -156,8 +156,9 @@ def awgn_law(wave: Waveform, snr_dbs, seed: int) -> tuple[np.ndarray | None, lis
     usable range of _snr_ratio, and so does a seed that is no integer >= 0.
     """
     seed = _check_integer("seed", seed, 0)
+    snr_dbs = list(snr_dbs)  # an iterator too: the checks below read it twice
     if not all(snr_db is None or snr_db > -math.inf for snr_db in snr_dbs):
-        raise ValueError(f"snr_db must be a number above -inf, got {list(snr_dbs)}")
+        raise ValueError(f"snr_db must be a number above -inf, got {snr_dbs}")
     ratios = [_snr_ratio(snr_db) for snr_db in snr_dbs]
     if all(ratio is None for ratio in ratios):
         return None, ratios

@@ -18,6 +18,8 @@ them (converged, zero residual, different taps).
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -93,6 +95,10 @@ class SolverOptions:
     max_iter: int = 200
 
     def __post_init__(self):
+        # NaN or a negative tol converges nothing, inf everything
+        real = isinstance(self.tol, numbers.Real) and not isinstance(self.tol, bool)
+        if not (real and 0 <= self.tol < math.inf):
+            raise ValueError(f"tol must be a finite real number >= 0, got {self.tol!r}")
         object.__setattr__(self, "max_iter", _check_integer("max_iter", self.max_iter, 1))
 
 

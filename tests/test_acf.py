@@ -1,6 +1,8 @@
 """Empirical ACF estimation and receive-side ACF prediction tests."""
 
 import ctypes
+import inspect
+import json
 import math
 import os
 import subprocess
@@ -223,6 +225,49 @@ def test_import_pins_openblas_to_one_thread():
         assert pool.submit(_openblas_threads).result(timeout=60) == 1
 
 
+def _run_python(code: str, env) -> str:
+    """Standard output of code run in a fresh interpreter with env,
+    importing csfchan from this tree."""
+    src = str(Path(csfchan.__file__).resolve().parents[1])
+    env = dict(env, PYTHONPATH=os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p))
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True).stdout
+
+
+# the threads of a fresh interpreter once csfchan.cli is imported, then the
+# thread count of its OpenBLAS and OPENBLAS_NUM_THREADS as it reads then
+_BLAS_THREADS = f"""
+import ctypes, json, os
+from pathlib import Path
+
+import csfchan.cli
+import numpy as np
+
+tasks = len(os.listdir("/proc/self/task"))
+
+{inspect.getsource(_openblas_threads)}
+
+print(json.dumps([tasks, _openblas_threads(), os.environ.get("OPENBLAS_NUM_THREADS")]))
+"""
+
+
+@pytest.mark.parametrize("variable", [None, "2"], ids=["unset", "2"])
+def test_openblas_loads_with_one_thread(variable):
+    # unset, the variable is 1 while numpy loads OpenBLAS, which then starts
+    # no worker thread, and is gone again after; a value set before the
+    # import stays, and the pin takes OpenBLAS down to one thread
+    if not Path("/proc/self/task").is_dir():
+        pytest.skip("no /proc/self/task")
+    if _openblas_threads() is None:
+        pytest.skip("numpy carries no bundled OpenBLAS")
+    env = {name: value for name, value in os.environ.items() if name != "OPENBLAS_NUM_THREADS"}
+    if variable is not None:
+        env["OPENBLAS_NUM_THREADS"] = variable
+    tasks, threads, after = json.loads(_run_python(_BLAS_THREADS, env))
+    assert (threads, after) == (1, variable)
+    if variable is None:
+        assert tasks == 1
+
+
 # minor page faults of three 65536-symbol frames (1.05M samples) after a
 # first one has sized the heap
 _FRAME_FAULTS = """
@@ -249,10 +294,7 @@ def test_import_keeps_freed_frame_memory():
     # the OS they would fault in again, some 30000 pages per three frames
     if getattr(ctypes.CDLL(None), "mallopt", None) is None:
         pytest.skip("libc has no mallopt")
-    src = str(Path(csfchan.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    run = subprocess.run([sys.executable, "-c", _FRAME_FAULTS], env=env, capture_output=True, text=True, check=True)
-    assert int(run.stdout) < 1000
+    assert int(_run_python(_FRAME_FAULTS, os.environ)) < 1000
 
 
 def brute_force_rx_acf(ch: ChannelModel, noise_var: float, max_lag: int) -> np.ndarray:

@@ -259,6 +259,21 @@ class TestSnrSweepReuse:
         for row in taps:
             np.testing.assert_array_equal(row, expected)
 
+    @pytest.mark.parametrize(
+        "once",
+        [lambda snrs: (s for s in snrs), lambda snrs: map(float, map(str, snrs))],
+        ids=["generator", "map"],
+    )
+    def test_snrs_from_an_iterator(self, once):
+        # one row per SNR, as from the list, not zero rows
+        probe = gaussian_probe(64, 16, seed=27)
+        clean = apply_multipath(probe, CHANNEL)
+        taps, degenerate = ls_sweep(probe, clean, once([10.0, 20.0]), 27, M)
+        expected, expected_degenerate = ls_sweep(probe, clean, [10.0, 20.0], 27, M)
+        assert taps.shape == (2, M + 1)
+        np.testing.assert_array_equal(taps, expected)
+        assert degenerate == expected_degenerate
+
     def test_degenerate_flag_from_the_design(self):
         probe = Waveform(np.zeros(64), 16)
         clean = Waveform(np.zeros(64 + 2 * 16), 16)

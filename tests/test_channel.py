@@ -286,6 +286,22 @@ class TestAddAwgn:
         with pytest.raises(ValueError, match="snr_db must be a number above -inf"):
             add_awgn(wave, bad, seed=1)
 
+    @pytest.mark.parametrize(
+        "once",
+        [lambda snrs: (s for s in snrs), lambda snrs: map(float, map(str, snrs))],
+        ids=["generator", "map"],
+    )
+    def test_snrs_from_an_iterator(self, once):
+        # the SNRs are read once, so an iterator gives the list's law and
+        # its refusal names every entry
+        wave = Waveform(np.linspace(-1.0, 1.0, 64), 16)
+        draw, sigma2s = awgn_law(wave, once([10.0, 20.0]), seed=1)
+        expected_draw, expected = awgn_law(wave, [10.0, 20.0], seed=1)
+        np.testing.assert_array_equal(draw, expected_draw)
+        assert sigma2s == expected and len(sigma2s) == 2
+        with pytest.raises(ValueError, match=re.escape("got [10.0, -inf]")):
+            awgn_law(wave, once([10.0, -math.inf]), seed=1)
+
     @pytest.mark.parametrize("snr, how", [(3090.0, "overflows"), (3082.55, "overflows"), (-3300, "rounds to 0")])
     def test_snr_without_noise_variance_refused(self, snr, how):
         # 10**(snr/10) must be a positive finite float for the variance

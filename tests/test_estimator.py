@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -213,6 +214,23 @@ class TestProblemInvariants:
         prob = IdentificationProblem(r_rr=est, r_xx=np.ones(2 * M + 1))
         assert prob.max_delay == len(est) - 1 == m
         assert [field.name for field in dataclasses.fields(prob)] == ["r_rr", "r_xx"]
+
+
+class TestSolverOptions:
+    @pytest.mark.parametrize("bad", [math.nan, -1.0, -1e-300, math.inf, -math.inf, True, False, "1e-6", 1j, None])
+    def test_tol_refused(self, bad):
+        # NaN or a negative tol would flag an exact solve unconverged, and
+        # inf would flag every seed converged
+        with pytest.raises(ValueError, match=f"^tol must be a finite real number >= 0, got {re.escape(repr(bad))}$"):
+            SolverOptions(tol=bad)
+
+    @pytest.mark.parametrize("tol", [0, 0.0, 1e-12, np.float64(1e-6), 5])
+    def test_tol_taken_as_given(self, tol):
+        assert SolverOptions(tol=tol).tol == tol
+
+    def test_zero_tol_converges_an_exact_solve(self):
+        prob = exact_problem(ChannelModel(paths=((0, 1.0),), max_delay=M), 0.0)
+        assert solve_channel(prob, SolverOptions(tol=0.0)).converged
 
 
 class TestResultInvariants:
