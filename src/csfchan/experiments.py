@@ -371,19 +371,19 @@ def _trial_channel(cfg: dict, name: str, trial: int) -> ChannelModel:
     )
 
 
-def _blind_errors(params: CsfParams, channels: list, acfs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The squared tap error and converged flag of each blind solve, both
-    shaped (trials, points), given each trial's channel and the measured
-    receive ACFs (trials, points, M+1) of a sweep; M is read off the ACF
-    rows, the true echo taps off the channels.  The rows of all trials are
-    solved in one batch against one pulse-ACF table."""
+def _blind_taps(params: CsfParams, acfs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The echo taps (..., M) and converged flags (...) of blind solves of ACF rows (..., M+1), in one batch."""
     m = acfs.shape[-1] - 1
     table = authoritative_acf_table(params, max_lag=2 * m)
     # empirical inputs never reach machine-precision residuals
     result = solve_channels(table, acfs.reshape(-1, m + 1), SolverOptions(tol=1e-6 * table[0], max_iter=100))
-    taps = result.alpha_hat.reshape(acfs.shape[:2] + (m,))
+    return result.alpha_hat.reshape(acfs.shape[:-1] + (m,)), result.converged.reshape(acfs.shape[:-1])
+
+
+def _tap_errors(taps: np.ndarray, channels: list) -> np.ndarray:
+    """Each solve's squared echo-tap error, taps (trials, ..., M) against its trial's channel."""
     truths = np.array([ch.taps[1:] for ch in channels])
-    return np.sum((taps - truths[:, None]) ** 2, axis=-1), result.converged.reshape(acfs.shape[:2])
+    return np.sum((taps - np.expand_dims(truths, tuple(range(1, taps.ndim - 1)))) ** 2, axis=-1)
 
 
 def interior_peak_lags(values: np.ndarray) -> list[int]:
@@ -510,7 +510,8 @@ def run_datalength_sweep(cfg: dict) -> ExperimentResult:
     acfs = np.empty((trials, len(lengths), int(section["max_delay"]) + 1))
     for (trial, li), acf in zip(frames, measured):
         acfs[trial, li] = acf
-    errs, converged = _blind_errors(params, channels, acfs)
+    taps, converged = _blind_taps(params, acfs)
+    errs = _tap_errors(taps, channels)
 
     path_count = int(section["path_count"])
     rows = []
@@ -534,12 +535,11 @@ def run_datalength_sweep(cfg: dict) -> ExperimentResult:
 # MSE vs SNR, method comparison
 # ---------------------------------------------------------------------------
 
-def _snr_trial(args: tuple) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _snr_trial(args: tuple) -> tuple[list, np.ndarray, list]:
     """One trial of the SNR sweep, encoded with the run's params through
     the trial's channel ch, both built by the caller: the blind method's
-    measured receive ACF per SNR (no rows without blind_acf), and the
-    error and flag of each LS method, shaped (snrs, methods) in config
-    order; the blind column stays 0 and False, solved after the trials.
+    measured receive ACF per SNR (none without blind_acf), and each LS
+    method's taps alpha_0..alpha_M per SNR (ls_sweep) and full-rank flag.
 
     One channel and one symbol stream serve every method and SNR point;
     per-method noise seeds are fixed across SNR so only the noise scale
@@ -549,39 +549,42 @@ def _snr_trial(args: tuple) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """
     cfg, params, trial, ch = args
     section = cfg["sweep_snr"]
-    m = int(section["max_delay"])
-    n_sym = int(section["symbols"])
-    snr_list = section["snr_db_list"]
-    methods = list(section["methods"])
-    acfs = np.empty((len(snr_list) if "blind_acf" in methods else 0, m + 1))
-    errs = np.zeros((len(snr_list), len(methods)))
-    flags = np.zeros((len(snr_list), len(methods)), dtype=bool)
-    truth = ch.taps[1:]
-    path_count = int(section["path_count"])
+    m, n_sym = int(section["max_delay"]), int(section["symbols"])
+    snr_list, methods = section["snr_db_list"], section["methods"]
+    acfs, ls = [], []
 
-    stream_seed = derive_seed(cfg["seed"], trial, 1)
-    noise_seed = derive_seed(cfg["seed"], trial, 2)
-    probe_seed = derive_seed(cfg["seed"], trial, 3)
+    stream_seed, noise_seed, probe_seed = (derive_seed(cfg["seed"], trial, k) for k in (1, 2, 3))
 
     if "blind_acf" in methods or "ls_chaos" in methods:
         csf = encode_waveform(random_symbols(n_sym, seed=stream_seed), params)
-        clean_csf = apply_multipath(csf, ch)
+        clean = apply_multipath(csf, ch)
 
-    for mi, method in enumerate(methods):
+    for method in methods:
         if method == "blind_acf":
-            draw, sigma2s = awgn_law(clean_csf, snr_list, noise_seed)  # add_awgn at each SNR, from one draw
-            for si, sigma2 in enumerate(sigma2s):
-                acfs[si] = empirical_acf(Waveform(_noisy(clean_csf.samples, draw, sigma2), params.oversampling), m)
-            continue
-        if method == "ls_gaussian":
+            draw, sigma2s = awgn_law(clean, snr_list, noise_seed)  # add_awgn at each SNR, from one draw
+            acfs = [empirical_acf(Waveform(_noisy(clean.samples, draw, v), params.oversampling), m) for v in sigma2s]
+        elif method == "ls_gaussian":
             probe = gaussian_probe(n_sym, params.oversampling, seed=probe_seed)
-            taps, degenerate = ls_sweep(probe, apply_multipath(probe, ch), snr_list, probe_seed, m)
+            ls.append(ls_sweep(probe, apply_multipath(probe, ch), snr_list, probe_seed, m))
         else:  # ls_chaos
-            taps, degenerate = ls_sweep(symbol_instants(csf), clean_csf, snr_list, stream_seed, m)
-        # echo taps normalised by the solved main tap, as the blind solver pins it to 1
-        errs[:, mi] = np.sum((taps[:, 1:] / taps[:, :1] - truth) ** 2, axis=-1) / path_count
-        flags[:, mi] = not degenerate
-    return acfs, errs, flags
+            ls.append(ls_sweep(symbol_instants(csf), clean, snr_list, stream_seed, m))
+    return acfs, np.reshape([taps for taps, _ in ls], (len(ls), len(snr_list), m + 1)), [not deg for _, deg in ls]
+
+
+def _snr_errors(params: CsfParams, section: dict, channels: list, acfs, ls_taps, full_rank) -> tuple:
+    """Per-path squared tap errors and converged flags (trials, snrs, methods) of _snr_trial's returns, stacked."""
+    methods = list(section["methods"])
+    errs = np.empty((len(channels), len(section["snr_db_list"]), len(methods)))
+    flags = np.empty(errs.shape, dtype=bool)
+    if "blind_acf" in methods:
+        blind = methods.index("blind_acf")
+        taps, flags[:, :, blind] = _blind_taps(params, acfs)
+        errs[:, :, blind] = _tap_errors(taps, channels)
+    ls = [mi for mi, method in enumerate(methods) if method != "blind_acf"]
+    # echo taps normalised by the solved main tap, as the blind solver pins it to 1
+    errs[:, :, ls] = np.moveaxis(_tap_errors(ls_taps[..., 1:] / ls_taps[..., :1], channels), 1, 2)
+    flags[:, :, ls] = full_rank[:, None]
+    return errs / int(section["path_count"]), flags
 
 
 def run_snr_sweep(cfg: dict) -> ExperimentResult:
@@ -589,17 +592,12 @@ def run_snr_sweep(cfg: dict) -> ExperimentResult:
     section, trials = cfg["sweep_snr"], cfg["trials"]
     channels = [_trial_channel(cfg, "sweep_snr", trial) for trial in range(trials)]
     tasks = [(cfg, params, trial, ch) for trial, ch in enumerate(channels)]
-    acfs, errs, flags = map(np.array, zip(*_fan_out(_snr_trial, tasks, cfg["threads"])))
-    snr_list = [float(s) for s in section["snr_db_list"]]
+    acfs, ls_taps, full_rank = map(np.array, zip(*_fan_out(_snr_trial, tasks, cfg["threads"])))
+    errs, flags = _snr_errors(params, section, channels, acfs, ls_taps, full_rank)
     methods = list(section["methods"])
-    if "blind_acf" in methods:
-        blind = methods.index("blind_acf")
-        sq_err, flags[..., blind] = _blind_errors(params, channels, acfs)
-        errs[..., blind] = sq_err / int(section["path_count"])
-
     rows = [
-        (snr_db, method, float(np.mean(errs[:, si, mi])), float(np.mean(flags[:, si, mi])))
-        for si, snr_db in enumerate(snr_list)
+        (float(snr_db), method, float(np.mean(errs[:, si, mi])), float(np.mean(flags[:, si, mi])))
+        for si, snr_db in enumerate(section["snr_db_list"])
         for mi, method in enumerate(methods)
     ]
     summary = {

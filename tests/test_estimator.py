@@ -34,7 +34,7 @@ from csfchan import (
 )
 from csfchan.acf import _lag_weights
 from csfchan.estimator import _DAMPING0, _STEP_TOL, _jacobian, _model_residuals, _shifted_acf
-from csfchan.experiments import _blind_errors, _snr_trial, _trial_channel, resolve_config
+from csfchan.experiments import _blind_taps, _snr_trial, _trial_channel, resolve_config
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -478,7 +478,7 @@ def reference_solves():
         params = CsfParams(**cfg["csf"])
         channels = [_trial_channel(cfg, "sweep_snr", trial) for trial in range(cfg["trials"])]
         acfs = np.array([_snr_trial((cfg, params, trial, ch))[0] for trial, ch in enumerate(channels)])
-        _blind_errors(params, channels, acfs)
+        _blind_taps(params, acfs)
     assert len({opts for _, opts in calls}) == 1
     return [prob for problems, _ in calls for prob in problems], calls[0][1]
 

@@ -31,7 +31,8 @@ from csfchan.estimator import EstimationResult, IdentificationProblem, solve_cha
 from csfchan.experiments import (
     DEFAULT_CONFIG,
     ConfigError,
-    _blind_errors,
+    _blind_taps,
+    _snr_errors,
     _snr_trial,
     _trial_channel,
     derive_seed,
@@ -391,8 +392,8 @@ def per_snr_trial(cfg, trial):
     for snr in [float(s) for s in section["snr_db_list"]]:
         clean = apply_multipath(encode_waveform(random_symbols(n_sym, seed=seeds[1]), params), ch)
         acf = empirical_acf(add_awgn(clean, snr, seed=seeds[2])[0], m)
-        sq_err, converged = _blind_errors(params, [ch], acf[None, None])
-        out[(snr, "blind_acf")] = (float(sq_err[0, 0]) / path_count, bool(converged[0, 0]))
+        taps, converged = _blind_taps(params, acf)
+        out[(snr, "blind_acf")] = (err(taps), bool(converged))
         for method, frame in (
             ("ls_gaussian", gaussian_probe_frame(n_sym, params.oversampling, ch, snr, seed=seeds[3])),
             ("ls_chaos", chaotic_probe_frame(n_sym, params, ch, snr, seed=seeds[1])),
@@ -403,20 +404,17 @@ def per_snr_trial(cfg, trial):
 
 
 def snr_trial_errors(cfg, trial):
-    """_snr_trial's (error, flag) per (snr_db, method), its blind rows
-    solved through _blind_errors as run_snr_sweep solves them."""
+    """_snr_trial's (error, flag) per (snr_db, method), solved and scored
+    by _snr_errors as run_snr_sweep solves and scores them."""
     section = cfg["sweep_snr"]
     params, ch = CsfParams(**cfg["csf"]), _trial_channel(cfg, "sweep_snr", trial)
-    acfs, errs, flags = _snr_trial((cfg, params, trial, ch))
-    methods = list(section["methods"])
-    if "blind_acf" in methods:
-        sq_err, converged = _blind_errors(params, [ch], acfs[None])
-        errs[:, methods.index("blind_acf")] = sq_err[0] / section["path_count"]
-        flags[:, methods.index("blind_acf")] = converged[0]
+    # stacked over this one trial as run_snr_sweep stacks the returns of all
+    acfs, ls_taps, full_rank = map(np.array, zip(_snr_trial((cfg, params, trial, ch))))
+    errs, flags = _snr_errors(params, section, [ch], acfs, ls_taps, full_rank)
     return {
-        (float(snr_db), method): (float(errs[si, mi]), bool(flags[si, mi]))
+        (float(snr_db), method): (float(errs[0, si, mi]), bool(flags[0, si, mi]))
         for si, snr_db in enumerate(section["snr_db_list"])
-        for mi, method in enumerate(methods)
+        for mi, method in enumerate(section["methods"])
     }
 
 
@@ -553,14 +551,14 @@ def test_length_sweep_runs_largest_frame_first(monkeypatch):
         noise_seeds.append(seed)
         return add_awgn(wave, snr_db, seed)
 
-    def recording_errors(params, channels, acfs):
+    def recording_taps(params, acfs):
         measured.append(acfs)
-        return _blind_errors(params, channels, acfs)
+        return _blind_taps(params, acfs)
 
     monkeypatch.setattr(csfchan.experiments, "random_symbols", recording_symbols)
     monkeypatch.setattr(csfchan.experiments, "apply_multipath", recording_multipath)
     monkeypatch.setattr(csfchan.experiments, "add_awgn", recording_awgn)
-    monkeypatch.setattr(csfchan.experiments, "_blind_errors", recording_errors)
+    monkeypatch.setattr(csfchan.experiments, "_blind_taps", recording_taps)
     result = run_datalength_sweep(cfg)
     sizes = [len(wave) for wave in received]
     assert sizes == sorted(sizes, reverse=True)
@@ -612,7 +610,7 @@ SMALL_RUNS = {
 @pytest.mark.parametrize("name", SMALL_RUNS)
 def test_each_run_builds_its_csf_params_once(monkeypatch, name):
     # the config check builds the run's CsfParams and every task carries
-    # them, so no runner, worker or blind scorer builds them again
+    # them, so no runner, worker or scorer builds them again
     runner, layer = SMALL_RUNS[name]
     builds = []
 
@@ -641,6 +639,21 @@ def test_sweep_workers_draw_no_channel(monkeypatch, name):
 
     monkeypatch.setattr(csfchan.experiments, "_fan_out", drawn_fan_out)
     runner(resolve_config({"threads": 1, **layer}))
+
+
+def test_sweep_workers_read_no_true_taps(monkeypatch):
+    # the workers only measure: the run scores every method's solved taps
+    # against the channel's, so no task reads the true taps
+    cfg = resolve_config({"trials": 1, "sweep_snr": {"symbols": 256}, "sweep_length": {"lengths": [256]}})
+    params = CsfParams(**cfg["csf"])
+    snr_channel, length_channel = (_trial_channel(cfg, name, 0) for name in ("sweep_snr", "sweep_length"))
+
+    def no_taps(ch):
+        raise AssertionError("a worker read the channel's true taps")
+
+    monkeypatch.setattr(ChannelModel, "taps", property(no_taps))
+    _snr_trial((cfg, params, 0, snr_channel))
+    csfchan.experiments._length_frame((cfg, params, 0, 0, length_channel))
 
 
 class TestTrialCount:
