@@ -92,7 +92,12 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None, help="base seed (overrides config)")
         p.add_argument("--out", type=Path, default=None, help="output directory")
         p.add_argument("--trials", type=int, default=None, help="Monte-Carlo trial count")
-        p.add_argument("--threads", type=int, default=None, help="worker processes for trials")
+        p.add_argument(
+            "--threads",
+            type=int,
+            default=None,
+            help="worker processes for a sweep's tasks: an SNR-sweep trial or a length-sweep frame",
+        )
         p.add_argument(
             "--set",
             action="append",

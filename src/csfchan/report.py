@@ -3,7 +3,9 @@
 Tables are deterministic byte-for-byte for a fixed (config, seed): fixed
 column order, floats at 9 significant digits, no timestamps.  Every row
 carries the hash of the resolved configuration for provenance; the
-sidecar stores the full resolved config, seed, and environment strings.
+sidecar stores the full resolved config, seed, and environment strings,
+among them the numpy version, as numpy keeps a `Generator` stream fixed
+only within one version.
 """
 
 from __future__ import annotations
@@ -12,6 +14,8 @@ import hashlib
 import json
 import subprocess
 from pathlib import Path
+
+import numpy as np
 
 from . import __version__
 
@@ -65,6 +69,7 @@ def write_sidecar(path: Path, resolved_config: dict, summary: dict, passed: bool
         "seed": resolved_config.get("seed"),
         "git_describe": _git_describe(),
         "package_version": __version__,
+        "numpy_version": np.__version__,
         "summary": summary,
         "passed": passed,
     }

@@ -92,19 +92,6 @@ class TestEmpiricalAcf:
         with pytest.raises(ValueError):
             empirical_acf(Waveform(np.ones(16 * 11), 16), 10)
 
-    def test_negative_max_lag_rejected(self):
-        wave = Waveform(np.ones(16 * 20), 16)
-        for acf in (empirical_acf, empirical_acf_trace):
-            with pytest.raises(ValueError, match="max_lag must be an integer >= 0, got -1"):
-                acf(wave, -1)
-
-    @pytest.mark.parametrize("bad", [2.5, 2.0, True])
-    def test_non_integer_max_lag_rejected(self, bad):
-        wave = Waveform(np.ones(16 * 20), 16)
-        for acf in (empirical_acf, empirical_acf_trace):
-            with pytest.raises(ValueError, match="max_lag must be an integer"):
-                acf(wave, bad)
-
     def test_single_path_matches_closed_form(self):
         # statistical agreement: the per-lag estimate fluctuates with std
         # about R(0)/sqrt(n_symbols), checked here at five sigma
@@ -418,32 +405,6 @@ class TestPredictedRxAcf:
         for predict in (predicted_rx_acf, predicted_rx_acf_trace):
             with pytest.raises(ValueError, match="noise variance must be finite and nonnegative"):
                 predict(FIG2_CHANNEL, noise_var, PARAMS, max_lag=10)
-
-    @staticmethod
-    def refuse_work(monkeypatch):
-        def unreachable(*args, **kwargs):
-            raise AssertionError("the transmit ACF was evaluated before max_lag was checked")
-
-        monkeypatch.setattr(csfchan.acf, "authoritative_acf_table", unreachable)
-        monkeypatch.setattr(csfchan.acf, "pulse_acf", unreachable)
-
-    def test_negative_max_lag_rejected(self, monkeypatch):
-        self.refuse_work(monkeypatch)
-        with pytest.raises(ValueError, match="max_lag must be an integer >= 0, got -1"):
-            predicted_rx_acf(FIG2_CHANNEL, 0.0, PARAMS, max_lag=-1)
-
-    def test_trace_negative_max_lag_rejected(self, monkeypatch):
-        self.refuse_work(monkeypatch)
-        with pytest.raises(ValueError, match="max_lag must be an integer >= 0, got -1"):
-            predicted_rx_acf_trace(FIG2_CHANNEL, 0.0, PARAMS, max_lag=-1)
-
-    @pytest.mark.parametrize("bad", [2.5, 2.0, True])
-    def test_non_integer_max_lag_rejected(self, monkeypatch, bad):
-        # int() would truncate 2.5 to lags 0..2
-        self.refuse_work(monkeypatch)
-        for predict in (predicted_rx_acf, predicted_rx_acf_trace):
-            with pytest.raises(ValueError, match="max_lag must be an integer"):
-                predict(FIG2_CHANNEL, 0.0, PARAMS, max_lag=bad)
 
     @pytest.mark.parametrize("missing", ["params", "max_lag"])
     @pytest.mark.parametrize("predict", [predicted_rx_acf, predicted_rx_acf_trace], ids=lambda f: f.__name__)

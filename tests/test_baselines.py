@@ -141,17 +141,6 @@ class TestLsEstimate:
         est = ls_estimate(frame, 2)
         assert est.degenerate
 
-    def test_negative_max_delay_rejected(self):
-        # no taps to solve for is a caller's error, not an empty estimate
-        frame = gaussian_probe_frame(64, 16, CHANNEL, snr_db=None, seed=0)
-        with pytest.raises(ValueError, match="max_delay must be an integer >= 0, got -1"):
-            ls_estimate(frame, -1)
-
-    def test_sweep_negative_max_delay_rejected(self):
-        probe = gaussian_probe(64, 16, seed=0)
-        with pytest.raises(ValueError, match="max_delay must be an integer >= 0, got -1"):
-            ls_sweep(probe, apply_multipath(probe, CHANNEL), [0.0, None], 0, -1)
-
 
 class TestNormalEquationsOracle:
     """ls_estimate solves the normal equations of the shifted-probe design

@@ -108,22 +108,6 @@ class TestChannelModel:
         with pytest.raises(ValueError, match="attenuations must be finite and nonnegative"):
             ChannelModel(paths=((0, 1.0), (3, bad)), max_delay=5)
 
-    @pytest.mark.parametrize(
-        "paths, max_delay, message",
-        [
-            (((0, 1.0), (1.7, 0.5)), 3, "delay must be an integer >= 0, got 1.7"),
-            (((0, 1.0), (2.0, 0.5)), 3, "delay must be an integer >= 0, got 2.0"),
-            (((0, 1.0), (True, 0.5)), 3, "delay must be an integer >= 0, got True"),
-            (((0, 1.0), (1, 0.5)), 2.5, "max_delay must be an integer >= 0, got 2.5"),
-            (((0, 1.0), (1, 0.5)), True, "max_delay must be an integer >= 0, got True"),
-        ],
-        ids=["delay-1.7", "delay-2.0", "delay-bool", "max-delay-2.5", "max-delay-bool"],
-    )
-    def test_non_integer_delay_rejected(self, paths, max_delay, message):
-        # int() would truncate a delay; a fractional max_delay breaks taps
-        with pytest.raises(ValueError, match=f"^{message}$"):
-            ChannelModel(paths=paths, max_delay=max_delay)
-
     def test_numpy_integer_delays_accepted(self):
         ch = ChannelModel(paths=((np.int64(0), 1.0), (np.int32(2), 0.5)), max_delay=np.int64(4))
         assert ch.paths == ((0, 1.0), (2, 0.5))
@@ -422,10 +406,6 @@ class TestSampleRandomChannel:
     def test_too_many_paths_rejected(self):
         with pytest.raises(ValueError):
             sample_random_channel(max_delay=3, path_count=5, seed=0)
-
-    def test_zero_paths_rejected(self):
-        with pytest.raises(ValueError, match="path_count must be an integer >= 1, got 0"):
-            sample_random_channel(max_delay=3, path_count=0, seed=0)
 
     def test_deterministic(self):
         a = sample_random_channel(max_delay=10, path_count=4, seed=5)

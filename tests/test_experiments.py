@@ -1151,6 +1151,11 @@ class TestCli:
         sidecar = json.loads((tmp_path / "invariance.json").read_text())
         assert sidecar["package_version"] == csfchan.__version__
 
+    def test_sidecar_reports_numpy_version(self, tmp_path):
+        # a Generator stream is fixed only within one numpy version (NEP 19)
+        csfchan.report.write_sidecar(tmp_path / "run.json", {}, {}, True)
+        assert json.loads((tmp_path / "run.json").read_text())["numpy_version"] == np.__version__
+
     def test_rerun_is_byte_identical(self, tmp_path):
         args = (
             "sweep-snr",

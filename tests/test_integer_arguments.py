@@ -1,6 +1,10 @@
 """Every public integer argument follows one rule: an integer, not a bool,
 of at least its lowest value, or a ValueError naming the argument before
-any work."""
+any work. This module is the one place that tests the rule."""
+
+import ast
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -80,13 +84,41 @@ def no_work(monkeypatch):
         monkeypatch.setattr(csfchan.baselines, name, work)
 
 
-@pytest.mark.parametrize("bad", ["bool", "fraction", "below"])
+# each bad input, from the argument's lowest value; the integral float, the
+# numpy float and the string are refused for their type alone
+BAD = {
+    "bool": lambda low: True,
+    "fraction": lambda low: 2.5,
+    "below": lambda low: low - 1,
+    "integral float": float,
+    "numpy float": np.float64,
+    "string": str,
+}
+
+
+@pytest.mark.parametrize("bad", BAD)
 @pytest.mark.parametrize("argument", ARGUMENTS)
 def test_refused_before_work(no_work, argument, bad):
     call, name, low = ARGUMENTS[argument]
-    value = {"bool": True, "fraction": 2.5, "below": low - 1}[bad]
-    with pytest.raises(ValueError, match=f"^{name} must be an integer >= {low}, got {value!r}$"):
+    value = BAD[bad](low)
+    with pytest.raises(ValueError, match=f"^{name} must be an integer >= {low}, got {re.escape(repr(value))}$"):
         call(value)
+
+
+def test_every_checked_argument_has_a_row():
+    # each argument that a public function or class passes to _check_integer,
+    # named as its ARGUMENTS key
+    checked = set()
+    for path in Path(csfchan.waveform.__file__).parent.glob("*.py"):
+        for top in ast.parse(path.read_text()).body:
+            if isinstance(top, (ast.FunctionDef, ast.ClassDef)) and not top.name.startswith("_"):
+                checked |= {
+                    f"{top.name}.{node.args[0].value}"
+                    for node in ast.walk(top)
+                    if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_check_integer"
+                }
+    missing = checked - ARGUMENTS.keys()
+    assert checked and not missing, f"no ARGUMENTS row for {sorted(missing)}"
 
 
 @pytest.mark.parametrize("argument", ARGUMENTS)
