@@ -5,8 +5,9 @@ comes from a YAML file (--config), with every key overridable from the
 command line via --set section.key=value; the common knobs also have
 dedicated flags.  Each run writes <name>.csv and <name>.json into the
 output directory and exits nonzero when the experiment's built-in checks
-fail; a configuration that cannot run is rejected with exit status 2
-before any work is done.
+fail; a configuration that cannot run, or an output path that names a
+file or lies under one, is rejected with exit status 2 before any work is
+done.
 """
 
 from __future__ import annotations
@@ -114,6 +115,11 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         cfg = _config(args)
+        out = cfg["out"]
+        if isinstance(out, str):  # the runner's config check refuses any other type
+            existing = next(path for path in (Path(out), *Path(out).parents) if path.exists())
+            if not existing.is_dir():
+                raise ConfigError(f"out {out}: {existing} is not a directory")
         result = _RUNNERS[args.command](cfg)
     except ConfigError as exc:
         print(f"csfchan {args.command}: invalid configuration: {exc}", file=sys.stderr)

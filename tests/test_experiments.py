@@ -1,5 +1,6 @@
 """Experiment harness: seeding, config handling, runners, CLI, determinism."""
 
+import ast
 import concurrent.futures
 import copy
 import ctypes
@@ -162,13 +163,6 @@ class TestRunners:
         assert len(result.rows) == 2 * 3
         methods = {row[1] for row in result.rows}
         assert methods == {"blind_acf", "ls_gaussian", "ls_chaos"}
-
-    def test_snr_sweep_unknown_method_rejected(self):
-        cfg = resolve_config(
-            {"trials": 1, "sweep_snr": {"methods": ["nope"], "symbols": 256}}
-        )
-        with pytest.raises(ValueError):
-            run_snr_sweep(cfg)
 
 
 REPO = Path(__file__).resolve().parents[1]
@@ -656,25 +650,17 @@ def test_sweep_workers_read_no_true_taps(monkeypatch):
     csfchan.experiments._length_frame((cfg, params, 0, 0, length_channel))
 
 
-class TestTrialCount:
-    # fig2 and invariance run no trials, but the count is part of every
-    # recorded config, so every experiment checks it
-    @pytest.mark.parametrize("runner", [run_datalength_sweep, run_snr_sweep, run_fig2, run_invariance_demo])
-    @pytest.mark.parametrize("trials", [0, -1, 2.5, True])
-    def test_rejected_before_work(self, runner, trials):
-        with pytest.raises(ConfigError, match="trials"):
-            runner(resolve_config({"trials": trials}))
-
-    @pytest.mark.parametrize("command", ["sweep-snr", "sweep-length", "fig2", "invariance"])
-    def test_cli_exits_nonzero_without_output(self, tmp_path, capsys, command):
-        code = cli_main([command, "--trials", "0", "--out", str(tmp_path / "out")])
-        assert code == 2
-        assert "trials must be an integer >= 1, got 0" in capsys.readouterr().err
-        assert not (tmp_path / "out").exists()
-
-
+# The one table of refused configs: the command, the arguments after it and
+# the start of the message that refuses them.  An argument is the body of a
+# --config file when it holds a newline, flags when it starts with --, and a
+# --set item otherwise; {tmp} stands for the test's directory.
 BAD_CONFIGS = [
-    pytest.param("sweep-snr", "sweep_snr.methods=[blind_acf, nope]", "unknown ['nope']", id="unknown-method"),
+    pytest.param(
+        "sweep-snr",
+        "sweep_snr.methods=[blind_acf, nope]",
+        "sweep_snr.methods: unknown ['nope'], expected a subset of ['blind_acf', 'ls_gaussian', 'ls_chaos']",
+        id="unknown-method",
+    ),
     pytest.param(
         "sweep-snr",
         "sweep_snr.methods=[blind_acf, ls_chaos, blind_acf]",
@@ -777,21 +763,96 @@ BAD_CONFIGS = [
         id="snr-frame-short",
     ),
 ]
-BAD_CONFIGS += [
-    pytest.param(command, f"threads={value}", f"threads must be an integer >= 1, got {shown}", id=f"{command}-threads-{value}")
-    for command in ("fig2", "sweep-length", "sweep-snr", "invariance")
-    for value, shown in (("abc", "'abc'"), ("2.5", "2.5"), ("0", "0"), ("-3", "-3"))
-]
+# fig2 and invariance run no trials, but the count is part of every
+# recorded config, so every experiment checks it with the other top-level keys
 BAD_CONFIGS += [
     pytest.param(command, f"{key}={value}", f"{key} must be {what}, got {shown}", id=f"{command}-{key}-{value}")
-    for command in ("fig2", "sweep-length", "sweep-snr", "invariance")
-    for key, value, what, shown in (
-        ("seed", "abc", "an integer", "'abc'"),
-        ("seed", "1.5", "an integer", "1.5"),
-        ("seed", "true", "an integer", "True"),
-        ("out", "2024", "a string", "2024"),
-        ("out", "[1]", "a string", "[1]"),
+    for command in csfchan.cli._RUNNERS
+    for key, what, values in (
+        ("trials", "an integer >= 1", (("0", "0"), ("-1", "-1"), ("2.5", "2.5"), ("true", "True"))),
+        ("threads", "an integer >= 1", (("abc", "'abc'"), ("2.5", "2.5"), ("0", "0"), ("-3", "-3"))),
+        ("seed", "an integer", (("abc", "'abc'"), ("1.5", "1.5"), ("true", "True"))),
+        ("out", "a string", (("2024", "2024"), ("[1]", "[1]"))),
     )
+    for value, shown in values
+]
+BAD_CONFIGS.append(pytest.param("sweep-snr", "--trials 0", "trials must be an integer >= 1, got 0", id="trials-flag"))
+
+# every key: a bool where it takes something else, 1 where it takes a bool,
+# under a command that reads its section (fig2 reads the top level and csf
+# like every command); the rows above refuse trials and seed at true in full
+BAD_CONFIGS += [
+    pytest.param(
+        command if command in csfchan.cli._RUNNERS else "fig2", f"{key}={value}", f"{key} ", id=f"{key}-{value}"
+    )
+    for name, default in DEFAULT_CONFIG.items()
+    for key in ([f"{name}.{leaf}" for leaf in default] if isinstance(default, dict) else [name])
+    if key not in ("trials", "seed")
+    for command, value in [(name.replace("_", "-"), "1" if key == "invariance.include_all_ones" else "true")]
+]
+
+BAD_CONFIGS += [  # refused by the CLI or by the merge of the config layers, before the runner
+    pytest.param("fig2", "fig2.nonsense=1", "unknown config key: 'fig2.nonsense'", id="unknown-key"),
+    pytest.param("fig2", "nonsense=1", "unknown config key: 'nonsense'", id="unknown-key-set"),
+    pytest.param("fig2", "fig2:\n  nonsense: 1\n", "unknown config key: 'fig2.nonsense'", id="unknown-key-file"),
+    pytest.param("fig2", "csf: 5\n", "config section 'csf' must be a mapping, got 5", id="scalar-section"),
+    pytest.param("fig2", "- 1\n- 2\n", "config document must be a mapping, got [1, 2]", id="list-document"),
+    pytest.param(
+        "fig2",
+        "fig2.delays.x=1",
+        "config key 'fig2.delays' takes a value, not a mapping, got {'x': 1}",
+        id="mapping-for-value",
+    ),
+    pytest.param("fig2", "fig2.symbols", "--set expects key=value, got 'fig2.symbols'", id="set-no-value"),
+    pytest.param("fig2", "fig2.delays=[0, 2", "--set fig2.delays=[0, 2: while parsing", id="yaml-error-set"),
+    pytest.param("fig2", "fig2: [0, 2\n", "--config {tmp}/cfg.yaml: while parsing", id="yaml-error-file"),
+    pytest.param("fig2", "--config {tmp}/missing.yaml", "--config {tmp}/missing.yaml: [Errno 2]", id="missing-file"),
+    pytest.param(
+        "invariance",
+        ("invariance.symbols=64", "sweep_snr.symbols=2024-01-01"),
+        "config key 'sweep_snr.symbols' takes a value JSON can hold, got datetime.date(2024, 1, 1)",
+        id="date-in-unread-section",
+    ),
+    pytest.param(
+        "sweep-snr",
+        "experiment=2024-01-01",
+        "config key 'experiment' takes a value JSON can hold, got datetime.date(2024, 1, 1)",
+        id="date-experiment",
+    ),
+    pytest.param(
+        "fig2", "fig2.delays=!!set {0, 2}", "config key 'fig2.delays' takes a value JSON can hold, got {0, 2}", id="set"
+    ),
+    pytest.param(
+        "sweep-snr",
+        "experiment=zzz",
+        "experiment must be 'sweep-snr', the command being run, got 'zzz'",
+        id="unknown-experiment",
+    ),
+    pytest.param(
+        "fig2",
+        "experiment=sweep-snr",
+        "experiment must be 'fig2', the command being run, got 'sweep-snr'",
+        id="other-experiment",
+    ),
+    pytest.param(
+        "fig2",
+        "experiment: invariance\n",
+        "experiment must be 'fig2', the command being run, got 'invariance'",
+        id="other-experiment-in-file",
+    ),
+    # the config file named as the output directory, or as one of its parents
+    pytest.param(
+        "invariance",
+        ("seed: 1\n", "--out {tmp}/cfg.yaml"),
+        "out {tmp}/cfg.yaml: {tmp}/cfg.yaml is not a directory",
+        id="out-names-a-file",
+    ),
+    pytest.param(
+        "invariance",
+        ("seed: 1\n", "--out {tmp}/cfg.yaml/sub"),
+        "out {tmp}/cfg.yaml/sub: {tmp}/cfg.yaml is not a directory",
+        id="out-under-a-file",
+    ),
 ]
 
 BAD_CONFIGS += [  # -inf dB is noise with no signal; +inf, a noiseless frame, runs
@@ -897,6 +958,130 @@ BAD_CONFIGS += [  # two faults in one config: the frame cap first, then the ACF'
 ]
 
 
+# the longest lag of each experiment's default frame: one lag more is refused
+FRAME_EDGES = (
+    ("fig2", "fig2.max_delay", "fig2.symbols", 65536, 65561),
+    ("invariance", "invariance.max_lag", "invariance.symbols", 4096, 4114),
+    ("sweep-length", "sweep_length.max_delay", "sweep_length.lengths", 1024, 1047),
+    ("sweep-snr", "sweep_snr.max_delay", "sweep_snr.symbols", 1024, 1047),
+)
+BAD_CONFIGS += [
+    pytest.param(
+        command,
+        f"{key}={lag + 1}",
+        f"{symbols}: a frame of {n} symbols spans {lag + 2} symbol periods with its pulse tail and echoes, too short "
+        f"for the ACF to lag {key}={lag + 1}, which needs more than {lag + 2}",
+        id=f"{command}-frame-one-lag-short",
+    )
+    for command, key, symbols, n, lag in FRAME_EDGES
+]
+
+# The inside edge of the refusals: configs that run, each a command and
+# its arguments, read as in BAD_CONFIGS
+ACCEPTED_CONFIGS = [(command, f"{key}={lag}") for command, key, _, _, lag in FRAME_EDGES]
+ACCEPTED_CONFIGS += [
+    (command, arg)
+    for command in csfchan.cli._RUNNERS
+    for arg in (
+        *("trials=1", "threads=1", "--trials 1", "seed=0", "seed=-1", "--seed -1", f"seed={2**64}", "--out {tmp}"),
+        *("--out {tmp}/a/b", f"experiment={command}", "csf.oversampling=8", f"csf.beta={math.log(2)}"),
+    )
+]
+ACCEPTED_CONFIGS += [
+    (command, arg)
+    for command, name in (("sweep-length", "sweep_length"), ("sweep-snr", "sweep_snr"))
+    for arg in (
+        *(f"{name}.{leaf}" for leaf in ("path_count=1", "path_count=11", "gamma_range=[0.5, 0.5]", "gamma_range=[1, 1]")),
+        f"{name}:\n  max_delay: 1\n  path_count: 2\n",  # the fewest delay slots, each one a path
+    )
+]
+ACCEPTED_CONFIGS += [
+    (command, arg)
+    for command, args in {
+        "fig2": (
+            "fig2.symbols=1", "fig2.snr_db=3082.5", "fig2.snr_db=.inf", "fig2.snr_db=10", "fig2.snr_db=null",
+            "fig2.delays=[0]", "fig2.delays=[0, 10]", "fig2.delays=[0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10]",
+            "fig2.max_delay=7", "fig2.gamma=1", "fig2.gamma=1e-300", "fig2.gamma=1e300", "fig2.agreement_tol=0",
+            "fig2:\n  symbols: 64\n", "{}\n", "csf: {}\n",
+        ),
+        "invariance": (
+            "invariance.symbols=1", "invariance.streams=2", "invariance.max_lag=1", "invariance.include_all_ones=true",
+            "sweep_snr.symbols=64",
+        ),
+        "sweep-length": (
+            "sweep_length.lengths=[1]", "sweep_length.lengths=[2048, 1024]", "sweep_length.snr_db=3082.5",
+            "sweep_length.snr_db=.inf", "sweep_length.snr_db=10",
+        ),
+        "sweep-snr": (
+            "sweep_snr.symbols=1", "sweep_snr.snr_db_list=[3082.5]", "sweep_snr.snr_db_list=[.inf, 0, 5]",
+            "sweep_snr.methods=[blind_acf]", "sweep_snr.methods=[ls_gaussian]", "sweep_snr.methods=[ls_chaos]",
+            "sweep_snr.methods=[ls_chaos, ls_gaussian, blind_acf]",
+        ),
+    }.items()
+    for arg in args
+]
+
+
+@pytest.fixture
+def no_work(monkeypatch):
+    """Make the first step of every experiment's work raise: the sweeps
+    work in their trials, fig2 and invariance in the symbol-rate encode
+    or, noiseless, its pieces."""
+
+    def work(*args, **kwargs):
+        raise AssertionError("work ran")
+
+    for name in ("_fan_out", "encode_waveform", "_encode_amplitudes", "_amplitude_pieces"):
+        monkeypatch.setattr(csfchan.experiments, name, work)
+
+
+def row_argv(tmp_path: Path, command: str, args) -> list[str]:
+    argv = [command, "--out", str(tmp_path / "out")]
+    for arg in [args] if isinstance(args, str) else args:
+        if "\n" in arg:
+            (tmp_path / "cfg.yaml").write_text(arg)
+            argv += ["--config", str(tmp_path / "cfg.yaml")]
+        else:
+            argv += arg.replace("{tmp}", str(tmp_path)).split() if arg.startswith("--") else ["--set", arg]
+    return argv
+
+
+@pytest.mark.parametrize("command, args, message", BAD_CONFIGS)
+def test_refused_before_work(no_work, tmp_path, capsys, command, args, message):
+    argv = row_argv(tmp_path, command, args)
+    before = sorted(tmp_path.rglob("*"))
+    assert cli_main(argv) == 2
+    line = f"csfchan {command}: invalid configuration: {message}".replace("{tmp}", str(tmp_path))
+    assert capsys.readouterr().err.startswith(line)
+    # no output directory, nor anything else
+    assert sorted(tmp_path.rglob("*")) == before
+
+
+@pytest.mark.parametrize("command, args", ACCEPTED_CONFIGS)
+def test_accepted_reaches_work(no_work, tmp_path, capsys, command, args):
+    with pytest.raises(AssertionError, match="work ran"):
+        cli_main(row_argv(tmp_path, command, args))
+    assert capsys.readouterr().err == ""
+
+
+def test_every_refusal_has_a_row():
+    # each ConfigError raised in the CLI or the experiments, known by the
+    # longest literal fragment of its message, is in at least one row's message
+    messages = [row.values[2] for row in BAD_CONFIGS]
+    calls, missing = 0, []
+    for module in (csfchan.experiments, csfchan.cli):
+        path = Path(module.__file__)
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "ConfigError":
+                (text,) = node.args
+                parts = text.values if isinstance(text, ast.JoinedStr) else [text]
+                fragment = max((part.value for part in parts if isinstance(part, ast.Constant)), key=len)
+                calls += 1
+                if not any(fragment in message for message in messages):
+                    missing.append(f"{path.name}:{node.lineno} {fragment!r}")
+    assert calls and not missing, f"no BAD_CONFIGS row for {missing}"
+
+
 def lowest_usable_snr(cfg: dict, name: str) -> float:
     """The lowest usable SNR that the refusal of a far lower one states."""
     key = "snr_db_list" if name == "sweep_snr" else "snr_db"
@@ -953,73 +1138,6 @@ def test_sweeps_run_at_the_lowest_usable_blind_snr(tmp_path, command, name, sets
     rows = (tmp_path / f"{name}.csv").read_text().splitlines()[1:]
     assert rows and all(np.isfinite(float(row.split(",")[-2])) for row in rows)
 
-
-class TestSweepConfig:
-    RUNNERS = {
-        "sweep-snr": run_snr_sweep,
-        "sweep-length": run_datalength_sweep,
-        "fig2": run_fig2,
-        "invariance": run_invariance_demo,
-    }
-
-    @pytest.mark.parametrize("command, override, message", BAD_CONFIGS)
-    def test_rejected_before_work(self, monkeypatch, command, override, message):
-        def no_work(*args):
-            raise AssertionError("work ran")
-
-        # the sweeps work in their trials, fig2 and invariance in the
-        # symbol-rate encode or, noiseless, its pieces
-        monkeypatch.setattr(csfchan.experiments, "_fan_out", no_work)
-        monkeypatch.setattr(csfchan.experiments, "encode_waveform", no_work)
-        monkeypatch.setattr(csfchan.experiments, "_encode_amplitudes", no_work)
-        monkeypatch.setattr(csfchan.experiments, "_amplitude_pieces", no_work)
-        layers = [{"trials": 1}]
-        for text in [override] if isinstance(override, str) else override:
-            key, value = text.split("=")
-            *sections, field = key.split(".")
-            user = {field: csfchan.cli._load(value)}
-            for section in reversed(sections):
-                user = {section: user}
-            layers.append(user)
-        with pytest.raises(ConfigError, match=re.escape(message)):
-            self.RUNNERS[command](resolve_config(*layers))
-
-    @pytest.mark.parametrize("command, override, message", BAD_CONFIGS)
-    def test_cli_exits_nonzero_without_output(self, tmp_path, capsys, command, override, message):
-        overrides = [override] if isinstance(override, str) else override
-        sets = [arg for text in overrides for arg in ("--set", text)]
-        code = cli_main([command, "--trials", "1", *sets, "--out", str(tmp_path / "out")])
-        assert code == 2
-        assert message in capsys.readouterr().err
-        assert not (tmp_path / "out").exists()
-
-
-LEAF_KEYS = [
-    leaf
-    for name, value in DEFAULT_CONFIG.items()
-    for leaf in ([f"{name}.{key}" for key in value] if isinstance(value, dict) else [name])
-]
-
-
-@pytest.mark.parametrize("key", LEAF_KEYS)
-def test_every_key_refuses_a_bad_value(tmp_path, capsys, monkeypatch, key):
-    # a bool where the key takes something else, 1 where it takes a bool,
-    # under a command that reads the key's section (fig2 reads the top
-    # level and csf like every command)
-    def no_work(*args):
-        raise AssertionError("work ran")
-
-    monkeypatch.setattr(csfchan.experiments, "_fan_out", no_work)
-    monkeypatch.setattr(csfchan.experiments, "encode_waveform", no_work)
-    monkeypatch.setattr(csfchan.experiments, "_encode_amplitudes", no_work)
-    monkeypatch.setattr(csfchan.experiments, "_amplitude_pieces", no_work)
-    command = key.partition(".")[0].replace("_", "-")
-    command = command if command in csfchan.cli._RUNNERS else "fig2"
-    value = "1" if key == "invariance.include_all_ones" else "true"
-    code = cli_main([command, "--trials", "1", "--set", f"{key}={value}", "--out", str(tmp_path / "out")])
-    assert code == 2
-    assert f"invalid configuration: {key} " in capsys.readouterr().err
-    assert not (tmp_path / "out").exists()
 
 class TestFrameLength:
     """The frame check is the test empirical_acf makes: more than
@@ -1223,104 +1341,6 @@ class TestCli:
         assert code == 0
         section = json.loads((tmp_path / "sweep_length.json").read_text())["config"]["sweep_length"]
         assert (section["snr_db"], section["gamma_range"]) == (10.0, [0.3, 0.9])
-
-    def test_bad_override_rejected(self, tmp_path, capsys):
-        assert self.run(tmp_path / "out", "fig2", "--set", "fig2.nonsense=1") == 2
-        assert "invalid configuration: unknown config key: 'fig2.nonsense'" in capsys.readouterr().err
-        assert not (tmp_path / "out").exists()
-
-    @pytest.mark.parametrize(
-        "config, args, message",
-        [
-            pytest.param(None, ["--set", "nonsense=1"], "unknown config key: 'nonsense'", id="unknown-key-set"),
-            pytest.param("fig2:\n  nonsense: 1\n", [], "unknown config key: 'fig2.nonsense'", id="unknown-key-file"),
-            pytest.param("csf: 5\n", [], "config section 'csf' must be a mapping, got 5", id="scalar-section"),
-            pytest.param("- 1\n- 2\n", [], "config document must be a mapping, got [1, 2]", id="list-document"),
-            pytest.param(
-                None,
-                ["--set", "fig2.delays.x=1"],
-                "config key 'fig2.delays' takes a value, not a mapping, got {'x': 1}",
-                id="mapping-for-value",
-            ),
-            pytest.param(None, ["--set", "fig2.symbols"], "--set expects key=value, got 'fig2.symbols'", id="set-no-value"),
-            pytest.param(
-                None, ["--set", "fig2.delays=[0, 2"], "--set fig2.delays=[0, 2: while parsing", id="yaml-error-set"
-            ),
-            pytest.param("fig2: [0, 2\n", [], "--config {tmp}/cfg.yaml: while parsing", id="yaml-error-file"),
-            pytest.param(
-                None, ["--config", "{tmp}/missing.yaml"], "--config {tmp}/missing.yaml: [Errno 2]", id="missing-file"
-            ),
-        ],
-    )
-    def test_malformed_input_exits_2_without_output(self, tmp_path, capsys, config, args, message):
-        if config is not None:
-            (tmp_path / "cfg.yaml").write_text(config)
-            args = ["--config", str(tmp_path / "cfg.yaml"), *args]
-        args = [arg.replace("{tmp}", str(tmp_path)) for arg in args]
-        assert self.run(tmp_path / "out", "fig2", *args) == 2
-        message = message.replace("{tmp}", str(tmp_path))
-        assert f"csfchan fig2: invalid configuration: {message}" in capsys.readouterr().err
-        assert not (tmp_path / "out").exists()
-
-    @pytest.mark.parametrize(
-        "command, config, overrides, message",
-        [
-            pytest.param(
-                "invariance",
-                None,
-                ["invariance.symbols=64", "sweep_snr.symbols=2024-01-01"],
-                "config key 'sweep_snr.symbols' takes a value JSON can hold, got datetime.date(2024, 1, 1)",
-                id="date-in-unread-section",
-            ),
-            pytest.param(
-                "sweep-snr",
-                None,
-                ["experiment=2024-01-01"],
-                "config key 'experiment' takes a value JSON can hold, got datetime.date(2024, 1, 1)",
-                id="date-experiment",
-            ),
-            pytest.param(
-                "fig2", None, ["fig2.delays=!!set {0, 2}"], "config key 'fig2.delays' takes a value JSON can hold", id="set"
-            ),
-            pytest.param(
-                "sweep-snr",
-                None,
-                ["experiment=zzz"],
-                "experiment must be 'sweep-snr', the command being run, got 'zzz'",
-                id="unknown-experiment",
-            ),
-            pytest.param(
-                "fig2",
-                None,
-                ["experiment=sweep-snr"],
-                "experiment must be 'fig2', the command being run, got 'sweep-snr'",
-                id="other-experiment",
-            ),
-            pytest.param(
-                "fig2",
-                "experiment: invariance\n",
-                [],
-                "experiment must be 'fig2', the command being run, got 'invariance'",
-                id="other-experiment-in-file",
-            ),
-        ],
-    )
-    def test_unrecordable_config_exits_2_before_work(
-        self, tmp_path, capsys, monkeypatch, command, config, overrides, message
-    ):
-        def no_work(cfg):
-            raise AssertionError("work ran")
-
-        monkeypatch.setitem(csfchan.cli._RUNNERS, command, no_work)
-        args = [command, "--trials", "1"]
-        if config is not None:
-            (tmp_path / "cfg.yaml").write_text(config)
-            args += ["--config", str(tmp_path / "cfg.yaml")]
-        for override in overrides:
-            args += ["--set", override]
-        assert self.run(tmp_path / "out", *args) == 2
-        assert f"csfchan {command}: invalid configuration: {message}" in capsys.readouterr().err
-        assert not (tmp_path / "out").exists()
 
     def test_sidecar_records_the_command(self, tmp_path):
         # naming the experiment being run is allowed, in the file or by --set
