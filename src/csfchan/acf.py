@@ -4,28 +4,9 @@ empirical_acf measures the time-averaged autocorrelation of a sampled
 waveform on the integer-lag grid; predicted_rx_acf evaluates what that
 estimate converges to for a multipath channel, from the known transmit
 ACF and the channel taps alone.
-
-Importing this module, and so csfchan, sets two things for the whole
-process.  It pins numpy's bundled OpenBLAS to one thread: every
-correlation of the package, the empirical ACF and the LS baselines'
-probe correlations alike, sums its dot products in a fixed order
-(_lagged_products) that a threaded BLAS would change.  When
-OPENBLAS_NUM_THREADS is unset, csfchan's __init__ has already loaded
-OpenBLAS with one thread and no worker, and the pin changes nothing.
-Where numpy was imported before csfchan, or the variable was set, OpenBLAS
-loaded with its own count, each extra worker spins about 0.1 s of CPU
-before it sleeps, and the pin sets one thread after the fact
-(_pin_blas_to_one_thread).  And it fixes
-glibc's malloc thresholds (_keep_freed_memory), so the heap keeps the
-frame-sized buffers it frees for the next frame instead of returning
-them to the OS.
 """
 
 from __future__ import annotations
-
-import ctypes
-import os
-from pathlib import Path
 
 import numpy as np
 
@@ -39,61 +20,6 @@ __all__ = [
     "predicted_rx_acf_trace",
 ]
 
-
-def _pin_blas_to_one_thread() -> None:
-    """Run numpy's bundled OpenBLAS on one thread for the whole process.
-
-    A second BLAS thread spin-waits through the short calls of this
-    package, doubling their CPU time, and changes the order in which a
-    dot product sums.  Does nothing when numpy carries no bundled
-    OpenBLAS or has not loaded it.
-
-    OpenBLAS starts one worker thread per extra core when it loads, and
-    each spins about 0.1 s of CPU before it sleeps; setting one thread
-    afterwards does not stop that spin.  So csfchan's __init__ imports
-    numpy with OPENBLAS_NUM_THREADS=1 when the variable is unset, and
-    OpenBLAS starts no worker at all; this call then only confirms the
-    count.  It sets one thread where numpy was loaded before csfchan, or
-    the variable was set to another count.
-    """
-    for lib in sorted((Path(np.__file__).parents[1] / "numpy.libs").glob("libscipy_openblas*.so")):
-        try:
-            set_threads = ctypes.CDLL(str(lib), mode=os.RTLD_NOLOAD).scipy_openblas_set_num_threads64_
-        except (OSError, AttributeError):
-            continue
-        set_threads.argtypes = [ctypes.c_int]
-        set_threads.restype = None
-        set_threads(1)
-
-
-# glibc mallopt parameters, from <malloc.h>
-_M_TRIM_THRESHOLD = -1
-_M_MMAP_THRESHOLD = -3
-
-
-def _keep_freed_memory() -> None:
-    """Keep the memory that frees hand back in the process, for reuse.
-
-    By default glibc serves a block above a dynamic threshold from a
-    fresh mapping and gives heap memory above another back to the OS, so
-    the 8 MB spectrum and FFT scratch buffers of a 65536-symbol frame go
-    back on every free and the next frame faults them in again, page by
-    page.  A fixed mmap threshold of 32 MiB, the largest glibc accepts,
-    puts every frame buffer on the heap, and a trim threshold of 64 MiB
-    keeps it there once freed.  Does nothing when libc has no mallopt.
-    """
-    try:
-        mallopt = ctypes.CDLL(None).mallopt
-    except (OSError, AttributeError):
-        return
-    mallopt.argtypes = [ctypes.c_int, ctypes.c_int]
-    mallopt.restype = ctypes.c_int
-    mallopt(_M_MMAP_THRESHOLD, 32 << 20)
-    mallopt(_M_TRIM_THRESHOLD, 64 << 20)
-
-
-_pin_blas_to_one_thread()
-_keep_freed_memory()
 
 # OpenBLAS's two-thread ddot splits a product of more terms than this into
 # two halves; the reference outputs were summed that way

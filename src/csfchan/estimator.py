@@ -164,7 +164,7 @@ def build_residuals(alpha: np.ndarray, noise_var: float, prob: IdentificationPro
     return _model_residuals(alpha, noise_var, _lag_weights(prob.r_xx, m + 1, m + 1, 1), prob.r_rr)
 
 
-def residual_jacobian(alpha: np.ndarray, noise_var: float, prob: IdentificationProblem) -> np.ndarray:
+def residual_jacobian(alpha: np.ndarray, prob: IdentificationProblem) -> np.ndarray:
     """Exact partials of the residuals w.r.t. (alpha_1..alpha_M, noise_var).
 
     The equations are quadratic in the taps, so every entry is linear in

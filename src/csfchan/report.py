@@ -5,7 +5,8 @@ column order, floats at 9 significant digits, no timestamps.  Every row
 carries the hash of the resolved configuration for provenance; the
 sidecar stores the full resolved config, seed, and environment strings,
 among them the numpy version, as numpy keeps a `Generator` stream fixed
-only within one version.
+only within one version, and the OpenBLAS kernel, as a blind solve that
+stalls can end at another point on another kernel.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__
+from . import __version__, _openblas
 
 __all__ = ["config_hash", "format_value", "write_table", "write_sidecar"]
 
@@ -61,6 +62,12 @@ def _git_describe() -> str:
         return "unknown"
 
 
+def _openblas_core() -> str | None:
+    """The kernel numpy's bundled OpenBLAS runs (SkylakeX, Haswell, ...),
+    None without one."""
+    return None if _openblas is None else _openblas.scipy_openblas_get_corename64_().decode()
+
+
 def write_sidecar(path: Path, resolved_config: dict, summary: dict, passed: bool) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     payload = {
@@ -70,6 +77,7 @@ def write_sidecar(path: Path, resolved_config: dict, summary: dict, passed: bool
         "git_describe": _git_describe(),
         "package_version": __version__,
         "numpy_version": np.__version__,
+        "openblas_core": _openblas_core(),
         "summary": summary,
         "passed": passed,
     }

@@ -198,7 +198,7 @@ def test_criterion_5_roundtrip_identifiability():
         )
         # Jacobian vs central differences at a random point near the solution
         x = np.concatenate([rng.uniform(-0.5, 1.0, size=M), rng.uniform(0.0, 1.0, size=1)])
-        jac = residual_jacobian(x[:M], x[M], prob)
+        jac = residual_jacobian(x[:M], prob)
         step = 1e-6
         fd = np.empty_like(jac)
         for j in range(M + 1):

@@ -1,22 +1,13 @@
 """Empirical ACF estimation and receive-side ACF prediction tests."""
 
-import ctypes
-import inspect
-import json
 import math
-import os
-import subprocess
-import sys
 import tracemalloc
-from concurrent.futures import ProcessPoolExecutor
-from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import csfchan
 from csfchan import (
     ChannelModel,
     CsfParams,
@@ -189,99 +180,6 @@ class TestLaggedProducts:
         shifts = range(0, ny + 2 * stride, stride)
         expected = [math.fsum(x[n] * y[n + j] for n in range(max(0, min(nx, ny - j)))) for j in shifts]
         np.testing.assert_allclose(_lagged_products(x, y, shifts), expected, rtol=1e-12, atol=1e-12)
-
-
-def _openblas_threads() -> int | None:
-    """Thread count of numpy's bundled OpenBLAS in this process, None
-    without one."""
-    libs = Path(np.__file__).resolve().parents[1] / "numpy.libs"
-    for lib in sorted(libs.glob("libscipy_openblas*.so")):
-        get = getattr(ctypes.CDLL(str(lib)), "scipy_openblas_get_num_threads64_", None)
-        if get is not None:
-            get.restype = ctypes.c_int
-            return get()
-    return None
-
-
-def test_import_pins_openblas_to_one_thread():
-    threads = _openblas_threads()
-    if threads is None:
-        pytest.skip("numpy carries no bundled OpenBLAS")
-    assert threads == 1
-    with ProcessPoolExecutor(max_workers=1) as pool:  # as in a --threads run
-        assert pool.submit(_openblas_threads).result(timeout=60) == 1
-
-
-def _run_python(code: str, env) -> str:
-    """Standard output of code run in a fresh interpreter with env,
-    importing csfchan from this tree."""
-    src = str(Path(csfchan.__file__).resolve().parents[1])
-    env = dict(env, PYTHONPATH=os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p))
-    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True).stdout
-
-
-# the threads of a fresh interpreter once csfchan.cli is imported, then the
-# thread count of its OpenBLAS and OPENBLAS_NUM_THREADS as it reads then
-_BLAS_THREADS = f"""
-import ctypes, json, os
-from pathlib import Path
-
-import csfchan.cli
-import numpy as np
-
-tasks = len(os.listdir("/proc/self/task"))
-
-{inspect.getsource(_openblas_threads)}
-
-print(json.dumps([tasks, _openblas_threads(), os.environ.get("OPENBLAS_NUM_THREADS")]))
-"""
-
-
-@pytest.mark.parametrize("variable", [None, "2"], ids=["unset", "2"])
-def test_openblas_loads_with_one_thread(variable):
-    # unset, the variable is 1 while numpy loads OpenBLAS, which then starts
-    # no worker thread, and is gone again after; a value set before the
-    # import stays, and the pin takes OpenBLAS down to one thread
-    if not Path("/proc/self/task").is_dir():
-        pytest.skip("no /proc/self/task")
-    if _openblas_threads() is None:
-        pytest.skip("numpy carries no bundled OpenBLAS")
-    env = {name: value for name, value in os.environ.items() if name != "OPENBLAS_NUM_THREADS"}
-    if variable is not None:
-        env["OPENBLAS_NUM_THREADS"] = variable
-    tasks, threads, after = json.loads(_run_python(_BLAS_THREADS, env))
-    assert (threads, after) == (1, variable)
-    if variable is None:
-        assert tasks == 1
-
-
-# minor page faults of three 65536-symbol frames (1.05M samples) after a
-# first one has sized the heap
-_FRAME_FAULTS = """
-import resource
-from csfchan import add_awgn, apply_multipath, encode_waveform, random_symbols, sample_random_channel
-
-channel = sample_random_channel(max_delay=10, path_count=6, seed=0)
-
-
-def frame(seed):
-    add_awgn(apply_multipath(encode_waveform(random_symbols(65536, seed=seed)), channel), 10.0, seed)
-
-
-frame(0)
-before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-for seed in (1, 2, 3):
-    frame(seed)
-print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
-"""
-
-
-def test_import_keeps_freed_frame_memory():
-    # freed frame buffers stay in the heap for the next frame; returned to
-    # the OS they would fault in again, some 30000 pages per three frames
-    if getattr(ctypes.CDLL(None), "mallopt", None) is None:
-        pytest.skip("libc has no mallopt")
-    assert int(_run_python(_FRAME_FAULTS, os.environ)) < 1000
 
 
 def brute_force_rx_acf(ch: ChannelModel, noise_var: float, max_lag: int) -> np.ndarray:

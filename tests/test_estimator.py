@@ -84,7 +84,7 @@ def loop_residuals(alpha, noise_var, prob) -> np.ndarray:
     return model - prob.r_rr
 
 
-def loop_jacobian(alpha, noise_var, prob) -> np.ndarray:
+def loop_jacobian(alpha, prob) -> np.ndarray:
     """residual_jacobian with T as one np.dot per offset and an element
     loop for the fill: the oracle of the indexed form, bit for bit."""
     m = prob.max_delay
@@ -149,7 +149,7 @@ def loop_solve(prob, opts) -> EstimationResult:
     for n_iter in range(1, opts.max_iter + 1):
         if np.sqrt(cost) <= opts.tol:
             break
-        jac = residual_jacobian(x[:m], x[m], prob)
+        jac = residual_jacobian(x[:m], prob)
         grad = jac.T @ r
         hess = jac.T @ jac
         scale = np.diag(np.maximum(np.diag(hess), 1e-12))
@@ -308,9 +308,7 @@ class TestLoopOracles:
         np.testing.assert_array_equal(
             build_residuals(alpha, noise_var, prob), loop_residuals(alpha, noise_var, prob)
         )
-        np.testing.assert_array_equal(
-            residual_jacobian(alpha, noise_var, prob), loop_jacobian(alpha, noise_var, prob)
-        )
+        np.testing.assert_array_equal(residual_jacobian(alpha, prob), loop_jacobian(alpha, prob))
         # the batched forms the solver iterates with, row by row
         alphas = np.stack([alpha, -alpha, 0.5 * alpha])
         noise_vars = np.array([noise_var, 0.0, 2.0 * noise_var])
@@ -319,7 +317,7 @@ class TestLoopOracles:
         jacobians = _jacobian(alphas, _shifted_acf(prob.r_xx, m))
         for row, (a, nv) in enumerate(zip(alphas, noise_vars)):
             np.testing.assert_array_equal(residuals[row], loop_residuals(a, nv, prob))
-            np.testing.assert_array_equal(jacobians[row], loop_jacobian(a, nv, prob))
+            np.testing.assert_array_equal(jacobians[row], loop_jacobian(a, prob))
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -342,7 +340,7 @@ class TestLoopOracles:
         measured = np.stack([prob.r_rr] * 3)
         residuals = _model_residuals(alphas, noise_vars, _lag_weights(prob.r_xx, m + 1, m + 1, 1), measured)
         jacobians = _jacobian(alphas, _shifted_acf(prob.r_xx, m))
-        cases = [(build_residuals(alpha, noise_var, prob), residual_jacobian(alpha, noise_var, prob), alpha, noise_var)]
+        cases = [(build_residuals(alpha, noise_var, prob), residual_jacobian(alpha, prob), alpha, noise_var)]
         cases += zip(residuals, jacobians, alphas, noise_vars)
         for res, jac, a, nv in cases:
             exact, sizes = exact_residuals(a, nv, prob)
@@ -354,7 +352,7 @@ class TestLoopOracles:
 class TestResidualJacobian:
     def test_noise_column_is_unit_lag0(self):
         prob = exact_problem(FIG2_CHANNEL, 0.1)
-        jac = residual_jacobian(FIG2_CHANNEL.taps[1:], 0.1, prob)
+        jac = residual_jacobian(FIG2_CHANNEL.taps[1:], prob)
         np.testing.assert_array_equal(jac[:, M], np.eye(M + 1)[:, 0])
 
     def test_matches_central_differences(self):
@@ -365,7 +363,7 @@ class TestResidualJacobian:
         step = 1e-6
         for _ in range(100):
             x = np.concatenate([rng.uniform(-0.5, 1.0, size=M), rng.uniform(0, 1, size=1)])
-            jac = residual_jacobian(x[:M], x[M], prob)
+            jac = residual_jacobian(x[:M], prob)
             fd = np.empty_like(jac)
             for j in range(M + 1):
                 hi, lo = x.copy(), x.copy()
@@ -379,7 +377,7 @@ class TestResidualJacobian:
 
     def test_zero_alpha_diagonal(self):
         prob = exact_problem(FIG2_CHANNEL, 0.0)
-        jac = residual_jacobian(np.zeros(M), 0.0, prob)
+        jac = residual_jacobian(np.zeros(M), prob)
         rxx = prob.r_xx
         for k in range(1, M + 1):
             assert jac[k, k - 1] == pytest.approx(rxx[0] + rxx[2 * k], rel=1e-12)
@@ -497,7 +495,7 @@ def singular_first_steps(prob, lam_below):
     of the Jacobian is the unit vector at lag 0."""
     m = prob.max_delay
     x = loop_seed(prob)
-    jac = residual_jacobian(x[:m], x[m], prob)
+    jac = residual_jacobian(x[:m], prob)
     poisoned = (-(jac.T @ build_residuals(x[:m], x[m], prob))).tobytes()
     solve = np.linalg.solve
 
