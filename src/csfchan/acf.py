@@ -28,24 +28,26 @@ _DOT_SPLIT = 10000
 
 def _lagged_products(x: np.ndarray, y: np.ndarray, shifts: range) -> np.ndarray:
     """sum_n x[n] y[n + j] over the overlap 0 <= n < min(len(x), len(y) - j)
-    at each shift j >= 0 of shifts; 0 where x and y do not overlap.
+    at each shift j >= 0 of shifts, along the last axis; 0 where x and y do
+    not overlap.  Over any leading batch axes of x and y, with the shifts
+    on a new last axis.
 
-    A shift with m <= 10000 overlapping products is one dot product; a
-    longer one is the sum of the dot products of its first ceil(m/2) terms
-    and of the rest, the order of OpenBLAS's two-thread ddot.  On the one
-    pinned BLAS thread the sums then depend neither on OPENBLAS_NUM_THREADS
-    nor on the core count.
+    A shift with m <= 10000 overlapping products is one dot product per
+    row (np.vecdot takes each as np.dot does); a longer one is the sum of
+    the dot products of its first ceil(m/2) terms and of the rest, the
+    order of OpenBLAS's two-thread ddot.  On the one pinned BLAS thread the
+    sums then depend neither on OPENBLAS_NUM_THREADS nor on the core count.
     """
-    sums = []
-    for j in shifts:
-        yj = y[j : j + len(x)]  # the m overlapping samples of y
-        m = len(yj)
+    sums = np.empty(np.broadcast_shapes(x.shape[:-1], y.shape[:-1]) + (len(shifts),))
+    for i, j in enumerate(shifts):
+        yj = y[..., j : j + x.shape[-1]]  # the m overlapping samples of y
+        m = yj.shape[-1]
         if m > _DOT_SPLIT:
             h = (m + 1) // 2
-            sums.append(np.dot(yj[:h], x[:h]) + np.dot(yj[h:], x[h:m]))
+            sums[..., i] = np.vecdot(yj[..., :h], x[..., :h]) + np.vecdot(yj[..., h:], x[..., h:m])
         else:
-            sums.append(np.dot(yj, x[:m]))
-    return np.array(sums, dtype=float)
+            sums[..., i] = np.vecdot(yj, x[..., :m])
+    return sums
 
 
 def _check_acf_length(n_samples: int, ns: int, max_lag: int) -> None:
@@ -113,25 +115,25 @@ def _lag_weights(r_xx: np.ndarray, n_lags: int, n_taps: int, stride: int) -> np.
 def _expand(taps: np.ndarray, weights: np.ndarray, noise_var) -> np.ndarray:
     """sum_d c[d] weights[d] for the tap correlation c[d] = sum_i a_i a_{i+d}
     of the taps a_0..a_M, plus noise_var at lag 0; over any leading batch
-    axes of taps and noise_var.  Each c[d] is one dot product, as
-    _lagged_products takes it, and reducing the row axis adds the rows one
-    by one, in order, as the loop model = c[0]*W[0]; model += c[d]*W[d]
-    does."""
-    n = taps.shape[-1]
-    c = np.stack([np.vecdot(taps[..., d:], taps[..., : n - d]) for d in range(n)], axis=-1)
+    axes of taps and noise_var.  Each c[d] is one dot product of
+    _lagged_products, and reducing the row axis adds the rows one by one,
+    in order, as the loop model = c[0]*W[0]; model += c[d]*W[d] does."""
+    c = _lagged_products(taps, taps, range(taps.shape[-1]))
     values = np.add.reduce(c[..., None] * weights, axis=-2)
     values[..., 0] += noise_var
     return values
 
 
-def _rx_model(ch: ChannelModel, noise_var: float, r_xx: np.ndarray, n_lags: int, stride: int) -> np.ndarray:
-    """Receive ACF of ch at the first n_lags points of the grid of r_xx:
-    the transmit ACF r_xx, sampled stride points per symbol period from
-    lag 0 past the largest delay, weighted by the tap correlation, plus
-    noise_var at lag 0."""
+def _rx_model(ch: ChannelModel, noise_var: float, transmit_acf, n_lags: int, stride: int) -> np.ndarray:
+    """Receive ACF of ch at the first n_lags points of a lag grid of stride
+    points per symbol period from lag 0: the transmit ACF on that grid,
+    transmit_acf(n) at its first n points, taken past the largest delay and
+    weighted by the tap correlation, plus noise_var at lag 0.  The noise
+    variance is checked before the transmit ACF is built."""
     if not 0.0 <= noise_var < np.inf:
         raise ValueError(f"noise variance must be finite and nonnegative, got {noise_var!r}")
     taps = ch.taps[: int(ch.delays[-1]) + 1]
+    r_xx = transmit_acf(n_lags + (taps.size - 1) * stride)
     return _expand(taps, _lag_weights(r_xx, n_lags, taps.size, stride), noise_var)
 
 
@@ -144,8 +146,7 @@ def predicted_rx_acf(ch: ChannelModel, noise_var: float, params: CsfParams, max_
     differences.  The transmit ACF is extended evenly to negative lags.
     """
     max_lag = _check_integer("max_lag", max_lag, 0)
-    table = authoritative_acf_table(params, max_lag=max_lag + int(ch.delays[-1]))
-    return _rx_model(ch, noise_var, table, max_lag + 1, 1)
+    return _rx_model(ch, noise_var, lambda n: authoritative_acf_table(params, max_lag=n - 1), max_lag + 1, 1)
 
 
 def predicted_rx_acf_trace(
@@ -160,6 +161,5 @@ def predicted_rx_acf_trace(
     """
     max_lag = _check_integer("max_lag", max_lag, 0)
     ns = params.oversampling
-    # pulse ACF on the widest grid needed
-    full = pulse_acf(np.arange((max_lag + int(ch.delays[-1])) * ns + 1) / ns, params)
-    return np.arange(max_lag * ns + 1) / ns, _rx_model(ch, noise_var, full, max_lag * ns + 1, ns)
+    values = _rx_model(ch, noise_var, lambda n: pulse_acf(np.arange(n) / ns, params), max_lag * ns + 1, ns)
+    return np.arange(max_lag * ns + 1) / ns, values

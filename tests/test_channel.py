@@ -1,7 +1,6 @@
 """Multipath channel and AWGN tests."""
 
 import math
-import re
 
 import numpy as np
 import pytest
@@ -20,7 +19,7 @@ from csfchan import (
     random_symbols,
     sample_random_channel,
 )
-from csfchan.channel import _snr_ratio, awgn_law
+from csfchan.channel import awgn_law
 from csfchan.experiments import _snr_trial, _trial_channel, derive_seed, resolve_config
 
 PARAMS = CsfParams()
@@ -38,24 +37,6 @@ class TestAttenuationLaw:
     def test_fig2_values(self):
         assert attenuation_from_delay(0.6, 2.0) == pytest.approx(0.30119, abs=1e-5)
         assert attenuation_from_delay(0.6, 7.0) == pytest.approx(0.01500, abs=1e-5)
-
-    def test_negative_delay_rejected(self):
-        with pytest.raises(ValueError):
-            attenuation_from_delay(0.6, -1.0)
-
-    def test_nonpositive_gamma_rejected(self):
-        with pytest.raises(ValueError):
-            attenuation_from_delay(0.0, 1.0)
-
-    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-    def test_nonfinite_delay_rejected(self, bad):
-        with pytest.raises(ValueError, match="delay must be finite and nonnegative"):
-            attenuation_from_delay(0.6, bad)
-
-    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-    def test_nonfinite_gamma_rejected(self, bad):
-        with pytest.raises(ValueError, match="damping coefficient must be finite and positive"):
-            attenuation_from_delay(bad, 1.0)
 
 
 class TestChannelModel:
@@ -80,33 +61,6 @@ class TestChannelModel:
         for d, a in ch.paths:
             filled[d] = a
         assert ch.taps.tobytes() == filled.tobytes()
-
-    def test_requires_main_path(self):
-        with pytest.raises(ValueError):
-            ChannelModel(paths=((1, 0.5),), max_delay=5)
-
-    def test_requires_unit_main_gain(self):
-        with pytest.raises(ValueError):
-            ChannelModel(paths=((0, 0.9),), max_delay=5)
-
-    def test_requires_increasing_delays(self):
-        with pytest.raises(ValueError):
-            ChannelModel(paths=((0, 1.0), (3, 0.5), (3, 0.2)), max_delay=5)
-
-    def test_delay_beyond_max_rejected(self):
-        with pytest.raises(ValueError):
-            ChannelModel(paths=((0, 1.0), (6, 0.5)), max_delay=5)
-
-    def test_requires_a_path(self):
-        with pytest.raises(ValueError, match="at least the main path"):
-            ChannelModel(paths=(), max_delay=5)
-
-    @pytest.mark.parametrize("bad", [-0.5, math.nan, math.inf, -math.inf])
-    def test_echo_gain_must_be_finite_and_nonnegative(self, bad):
-        # a non-finite gain would make predicted_rx_acf all-NaN and
-        # apply_multipath blame its samples, not the channel
-        with pytest.raises(ValueError, match="attenuations must be finite and nonnegative"):
-            ChannelModel(paths=((0, 1.0), (3, bad)), max_delay=5)
 
     def test_numpy_integer_delays_accepted(self):
         ch = ChannelModel(paths=((np.int64(0), 1.0), (np.int32(2), 0.5)), max_delay=np.int64(4))
@@ -260,46 +214,18 @@ class TestAddAwgn:
             np.testing.assert_array_equal(out.samples, wave.samples)
             assert sigma2 == 0.0
 
-    @pytest.mark.parametrize("bad", [-math.inf, math.nan])
-    def test_minus_inf_or_nan_snr_refused(self, bad):
-        # -inf dB is noise with no signal, not the noiseless frame of +inf;
-        # NaN is no SNR at all, not a fault of the samples
-        wave = Waveform(np.ones(64), 16)
-        with pytest.raises(ValueError, match="snr_db must be a number above -inf"):
-            awgn_law(wave, [0.0, bad], seed=1)
-        with pytest.raises(ValueError, match="snr_db must be a number above -inf"):
-            add_awgn(wave, bad, seed=1)
-
     @pytest.mark.parametrize(
         "once",
         [lambda snrs: (s for s in snrs), lambda snrs: map(float, map(str, snrs))],
         ids=["generator", "map"],
     )
     def test_snrs_from_an_iterator(self, once):
-        # the SNRs are read once, so an iterator gives the list's law and
-        # its refusal names every entry
+        # the SNRs are read once, so an iterator gives the list's law
         wave = Waveform(np.linspace(-1.0, 1.0, 64), 16)
         draw, sigma2s = awgn_law(wave, once([10.0, 20.0]), seed=1)
         expected_draw, expected = awgn_law(wave, [10.0, 20.0], seed=1)
         np.testing.assert_array_equal(draw, expected_draw)
         assert sigma2s == expected and len(sigma2s) == 2
-        with pytest.raises(ValueError, match=re.escape("got [10.0, -inf]")):
-            awgn_law(wave, once([10.0, -math.inf]), seed=1)
-
-    @pytest.mark.parametrize("snr, how", [(3090.0, "overflows"), (3082.55, "overflows"), (-3300, "rounds to 0")])
-    def test_snr_without_noise_variance_refused(self, snr, how):
-        # 10**(snr/10) must be a positive finite float for the variance
-        wave = Waveform(np.ones(64), 16)
-        message = f"SNR {snr!r} dB gives no noise variance: 10**(snr_db/10) {how}, "
-        message += "usable SNRs run from -3236 to 3082.5 dB"
-        with pytest.raises(ValueError, match=re.escape(message)):
-            awgn_law(wave, [0.0, snr, None], seed=1)
-        with pytest.raises(ValueError, match=re.escape(message)):
-            add_awgn(wave, snr, seed=1)
-
-    @pytest.mark.parametrize("snr", [-3236.0, 3082.5])
-    def test_usable_snr_range_ends(self, snr):
-        assert 0.0 < _snr_ratio(snr) < math.inf
 
     def test_deterministic_for_seed(self):
         wave = Waveform(np.ones(512), 16)
@@ -402,10 +328,6 @@ class TestSampleRandomChannel:
         ]
         assert len(gammas) == 10_000
         assert abs(float(np.mean(gammas)) - 0.6) < 0.01
-
-    def test_too_many_paths_rejected(self):
-        with pytest.raises(ValueError):
-            sample_random_channel(max_delay=3, path_count=5, seed=0)
 
     def test_deterministic(self):
         a = sample_random_channel(max_delay=10, path_count=4, seed=5)

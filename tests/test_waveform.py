@@ -1,7 +1,6 @@
 """Shaping pulse, waveform synthesis, and closed-form ACF tests."""
 
 import math
-import re
 
 import numpy as np
 import pytest
@@ -71,11 +70,6 @@ class TestBasePulse:
         envelope = (1 - np.exp(-beta)) * (1 + beta / w) * np.exp(-beta * t)
         assert np.all(np.abs(base_pulse(-t, PARAMS)) <= envelope + 1e-15)
 
-    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-    def test_nonfinite_rejected(self, bad):
-        with pytest.raises(ValueError):
-            base_pulse(bad, PARAMS)
-
     def test_scalar_and_array_agree(self):
         ts = np.array([-2.5, -0.3, 0.0, 0.4, 0.99, 1.0, 3.0])
         arr = base_pulse(ts, PARAMS)
@@ -86,11 +80,6 @@ class TestCsfParams:
     def test_default_tail_truncates_below_1e6(self):
         tail_amp = abs(base_pulse(-float(PARAMS.pulse_tail), PARAMS))
         assert tail_amp <= 1e-6
-
-    @pytest.mark.parametrize("beta", [0.0, -0.1, LN2 + 0.01])
-    def test_beta_bounds(self, beta):
-        with pytest.raises(ValueError):
-            CsfParams(beta=beta)
 
     def test_numpy_integer_oversampling_becomes_int(self):
         params = CsfParams(oversampling=np.int64(16))
@@ -180,7 +169,7 @@ class TestEncodeOracle:
 
     def test_cached_spectrum_is_read_only(self):
         spectrum = _pulse_spectrum(PARAMS, 1024)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^assignment destination is read-only$"):
             spectrum[0] = 0.0
 
 
@@ -293,46 +282,13 @@ class TestRandomSymbols:
         s = random_symbols(5, seed=0)
         assert s.dtype == np.float64 and s.shape == (5,)
 
-    def test_zero_count_rejected(self):
-        with pytest.raises(ValueError):
-            random_symbols(0, seed=1)
-
     def test_large_sample_mean(self):
         # binomial concentration: 0.02 is > 6 sigma at n = 1e5
         s = random_symbols(100_000, seed=123)
         assert abs(float(np.mean(s))) < 0.02
 
 
-class TestSymbolStreamInvariants:
-    """encode_waveform takes a nonempty 1-d stream of exact -1s and +1s."""
-
-    def test_rejects_non_antipodal(self):
-        with pytest.raises(ValueError):
-            encode_waveform(np.array([1.0, 0.5]), PARAMS)
-
-    def test_rejects_empty(self):
-        with pytest.raises(ValueError):
-            encode_waveform(np.array([]), PARAMS)
-
-    def test_rejects_two_dimensional(self):
-        with pytest.raises(ValueError):
-            encode_waveform(np.ones((2, 4)), PARAMS)
-
-
 class TestWaveformInvariants:
-    def test_rejects_nonfinite(self):
-        with pytest.raises(ValueError):
-            Waveform(np.array([1.0, np.nan]), 16)
-
-    def test_rejects_bad_oversampling(self):
-        with pytest.raises(ValueError):
-            Waveform(np.ones(4), 0)
-
-    @pytest.mark.parametrize("samples", [np.array([]), np.ones((2, 4))], ids=["empty", "2-d"])
-    def test_rejects_empty_or_multidimensional(self, samples):
-        with pytest.raises(ValueError, match="samples must be a nonempty 1-d sequence"):
-            Waveform(samples, 16)
-
     def test_numpy_integer_samples_per_symbol_becomes_int(self):
         wave = Waveform(np.ones(4), np.int64(16))
         assert type(wave.samples_per_symbol) is int
@@ -430,25 +386,6 @@ class TestPulseAcfOracle:
         value = pulse_acf(lag, PARAMS)
         assert type(value) is float
         assert value == pulse_acf(1.5, PARAMS)
-
-    @pytest.fixture
-    def no_work(self, monkeypatch):
-        def work(*args):
-            raise AssertionError("pulse sampled")
-
-        monkeypatch.setattr(csfchan.waveform, "base_pulse", work)
-
-    @pytest.mark.parametrize("shape", [(2, 2), (3, 1), (1, 0)])
-    def test_lag_of_more_than_one_dimension_rejected_before_work(self, no_work, shape):
-        # a 2x2 lag once read 0.094 at lag 0 instead of R(0) = 1.343, and a
-        # column was flattened
-        with pytest.raises(ValueError, match=re.escape(f"lag must be a scalar or a 1-d array, got shape {shape}")):
-            pulse_acf(np.zeros(shape), PARAMS)
-
-    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-    def test_nonfinite_lag_rejected_before_work(self, no_work, bad):
-        with pytest.raises(ValueError, match="lag must be finite"):
-            pulse_acf(np.array([0.0, bad]), PARAMS)
 
     def test_numpy_integer_oversampling_accepted(self):
         lags = np.array([0.0, 1.5])
