@@ -168,13 +168,8 @@ def awgn_law(wave: Waveform, snr_dbs, seed: int) -> tuple[np.ndarray | None, lis
     return draw, [None if ratio is None else power / ratio for ratio in ratios]
 
 
-def sample_random_channel(
-    max_delay: int,
-    gamma_range: tuple[float, float] = (0.3, 0.9),
-    path_count: int = 6,
-    seed: int = 0,
-) -> ChannelModel:
-    """Draw a random channel: uniform gamma, distinct random echo delays.
+def sample_random_channel(max_delay: int, gamma_range: tuple[float, float], path_count: int, seed: int) -> ChannelModel:
+    """Draw a random channel: one gamma uniform over gamma_range, distinct random echo delays.
 
     path_count counts the main path, so path_count - 1 echo delays are
     drawn without replacement from 1..max_delay and attenuated by the

@@ -91,8 +91,8 @@ _SOLVE_BLOCK = 128
 
 @dataclass(frozen=True)
 class SolverOptions:
-    tol: float = 1e-10  # residual 2-norm declaring convergence
-    max_iter: int = 200
+    tol: float  # residual 2-norm declaring convergence
+    max_iter: int
 
     def __post_init__(self):
         # NaN or a negative tol converges nothing, inf everything
@@ -248,7 +248,7 @@ def _solve_block(
     return x, cost, iterations
 
 
-def solve_channels(r_xx: np.ndarray, measured: np.ndarray, opts: SolverOptions = SolverOptions()) -> EstimationResult:
+def solve_channels(r_xx: np.ndarray, measured: np.ndarray, opts: SolverOptions) -> EstimationResult:
     """Levenberg-Marquardt solve of the lag-equation system of each row of
     measured, an (n, M+1) array of receive ACFs at lags 0..M, against the
     one transmit ACF r_xx at lags 0..2M.
@@ -286,7 +286,7 @@ def solve_channels(r_xx: np.ndarray, measured: np.ndarray, opts: SolverOptions =
     )
 
 
-def solve_channel(prob: IdentificationProblem, opts: SolverOptions = SolverOptions()) -> EstimationResult:
+def solve_channel(prob: IdentificationProblem, opts: SolverOptions) -> EstimationResult:
     """Levenberg-Marquardt solve of one lag-equation system: solve_channels
     of a one-row batch, its fields unpacked into Python scalars."""
     one = solve_channels(prob.r_xx, prob.r_rr[None], opts)

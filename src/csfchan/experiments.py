@@ -133,6 +133,14 @@ def _is_gamma_range(g) -> bool:
     return isinstance(g, (list, tuple)) and len(g) == 2 and all(map(_is_positive, g)) and g[0] <= g[1]
 
 
+# the channel prior of both sweeps: each trial draws path_count - 1 echo
+# delays from 1..max_delay and one gamma uniformly from gamma_range
+_CHANNEL_PRIOR = (
+    ("path_count", 6, None, "in 1..max_delay+1, checked by _check_config", False),
+    ("max_delay", 10, _is_count, "a positive integer", False),
+    ("gamma_range", [0.3, 0.9], _is_gamma_range, "[low, high] with 0 < low <= high", False),
+)
+
 # Every config key, per section ("" for the top level), in the order of
 # DEFAULT_CONFIG: the key, its default, the test of its value (of each
 # entry, when the key holds a nonempty list), what the value must be, and
@@ -147,8 +155,8 @@ _CONFIG_KEYS = {
         ("out", "results", lambda out: isinstance(out, str), "a string", False),
     ),
     "csf": (
-        ("beta", float(np.log(2.0)), _is_real, "a number", False),
-        ("oversampling", 16, _is_count, "an integer", False),
+        ("beta", CsfParams.beta, _is_real, "a number", False),
+        ("oversampling", CsfParams.oversampling, _is_count, "an integer", False),
     ),
     "fig2": (
         ("delays", [0, 2, 7], lambda d: _is_count(d, 0), "nonnegative integers", True),
@@ -161,16 +169,12 @@ _CONFIG_KEYS = {
     "sweep_length": (
         ("lengths", [1024, 2048, 4096, 8192, 16384, 32768, 65536], _is_count, "positive integers", True),
         ("snr_db", 10.0, _is_snr, "a number", False),
-        ("path_count", 6, None, "in 1..max_delay+1, checked by _check_config", False),
-        ("max_delay", 10, _is_count, "a positive integer", False),
-        ("gamma_range", [0.3, 0.9], _is_gamma_range, "[low, high] with 0 < low <= high", False),
+        *_CHANNEL_PRIOR,
     ),
     "sweep_snr": (
         ("snr_db_list", [0.0, 5.0, 10.0, 15.0, 20.0], _is_snr, "numbers", True),
         ("symbols", 1024, _is_count, "a positive integer", False),
-        ("path_count", 6, None, "in 1..max_delay+1, checked by _check_config", False),
-        ("max_delay", 10, _is_count, "a positive integer", False),
-        ("gamma_range", [0.3, 0.9], _is_gamma_range, "[low, high] with 0 < low <= high", False),
+        *_CHANNEL_PRIOR,
         ("methods", list(_SNR_METHODS), lambda meth: isinstance(meth, str), "method names", True),
     ),
     "invariance": (
@@ -181,8 +185,10 @@ _CONFIG_KEYS = {
     ),
 }
 
-DEFAULT_CONFIG: dict = {key: default for key, default, *_ in _CONFIG_KEYS[""]} | {
-    name: {key: default for key, default, *_ in keys} for name, keys in _CONFIG_KEYS.items() if name
+# a copy of each default: the sweeps' shared prior rows leave no list that
+# both sections hold, which resolve_config's one deepcopy would keep shared
+DEFAULT_CONFIG: dict = {key: copy.copy(default) for key, default, *_ in _CONFIG_KEYS[""]} | {
+    name: {key: copy.copy(default) for key, default, *_ in keys} for name, keys in _CONFIG_KEYS.items() if name
 }
 
 
@@ -236,7 +242,7 @@ def _check_config(cfg: dict, name: str) -> CsfParams:
         unknown = [meth for meth in methods if meth not in _SNR_METHODS]
         if unknown:
             raise ConfigError(f"{name}.methods: unknown {unknown}, expected a subset of {list(_SNR_METHODS)}")
-        # a repeated point would write its row twice and keep one in the summary
+        # a repeated point would run and write its row twice
         for key, noun in (("lengths", "length"), ("snr_db_list", "SNR"), ("methods", "method")):
             values = section.get(key, [])
             repeated = sorted({value for value in values if values.count(value) > 1})
@@ -453,14 +459,12 @@ def run_fig2(cfg: dict) -> ExperimentResult:
 
     rows = [(float(g), float(e), float(p)) for g, e, p in zip(grid, emp_trace, pred_trace)]
     summary = {
-        "channel_delays": [int(d) for d, _ in ch.paths],
         "channel_attenuations": [float(a) for _, a in ch.paths],
         "expected_peak_lags": expected,
         "predicted_peak_lags": predicted_peaks,
         "empirical_peak_lags": empirical_peaks,
         "echo_peak_margins": margins,
         "max_abs_disagreement": agreement,
-        "agreement_tol": float(section["agreement_tol"]),
         "noise_sigma2": noise_var,
         "checks": {
             "predicted_peaks_match": peaks_ok,
@@ -515,19 +519,14 @@ def run_datalength_sweep(cfg: dict) -> ExperimentResult:
 
     path_count = int(section["path_count"])
     rows = []
-    for li, n_sym in enumerate(section["lengths"]):
+    for li, n_sym in enumerate(lengths):
         mse = float(np.mean(errs[:, li])) / path_count
-        rows.append((int(n_sym), int(n_sym) * params.oversampling, trials, mse, float(np.mean(converged[:, li]))))
-    summary = {
-        "snr_db": float(section["snr_db"]),
-        "path_count": path_count,
-        "mse_by_symbols": {str(n_sym): mse for n_sym, _, _, mse, _ in rows},
-    }
+        rows.append((n_sym, n_sym * params.oversampling, trials, mse, float(np.mean(converged[:, li]))))
     return ExperimentResult(
         name="sweep_length",
         columns=["n_symbols", "n_samples", "trials", "mse", "converged_rate"],
         rows=rows,
-        summary=summary,
+        summary={},
     )
 
 
@@ -600,16 +599,11 @@ def run_snr_sweep(cfg: dict) -> ExperimentResult:
         for si, snr_db in enumerate(section["snr_db_list"])
         for mi, method in enumerate(methods)
     ]
-    summary = {
-        "symbols": int(section["symbols"]),
-        "trials": trials,
-        "mse": {method: {str(snr): mse for snr, meth, mse, _ in rows if meth == method} for method in methods},
-    }
     return ExperimentResult(
         name="sweep_snr",
         columns=["snr_db", "method", "mse", "converged_rate"],
         rows=rows,
-        summary=summary,
+        summary={},
     )
 
 
@@ -645,8 +639,6 @@ def run_invariance_demo(cfg: dict) -> ExperimentResult:
     # rounding is monotone, so the largest spread per lag is the largest pairwise difference
     max_pairwise = float(np.max(np.ptp(acfs[:n_streams], axis=0)))
     summary = {
-        "streams": n_streams,
-        "symbols": n_sym,
         "max_abs_dev_vs_reference": max_vs_ref,
         "max_pairwise_abs_dev": max_pairwise,
         "sampling_noise_std": float(reference[0]) / float(np.sqrt(n_sym)),

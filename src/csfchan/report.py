@@ -3,10 +3,10 @@
 Tables are deterministic byte-for-byte for a fixed (config, seed): fixed
 column order, floats at 9 significant digits, no timestamps.  Every row
 carries the hash of the resolved configuration for provenance; the
-sidecar stores the full resolved config, seed, and environment strings,
-among them the numpy version, as numpy keeps a `Generator` stream fixed
-only within one version, and the OpenBLAS kernel, as a blind solve that
-stalls can end at another point on another kernel.
+sidecar stores the full resolved config, seed included, and environment
+strings, among them the numpy version, as numpy keeps a `Generator`
+stream fixed only within one version, and the OpenBLAS kernel, as a
+blind solve that stalls can end at another point on another kernel.
 """
 
 from __future__ import annotations
@@ -73,7 +73,6 @@ def write_sidecar(path: Path, resolved_config: dict, summary: dict, passed: bool
     payload = {
         "config": resolved_config,
         "config_hash": config_hash(resolved_config),
-        "seed": resolved_config.get("seed"),
         "git_describe": _git_describe(),
         "package_version": __version__,
         "numpy_version": np.__version__,

@@ -99,7 +99,7 @@ class Waveform:
         return self.samples.size
 
 
-def base_pulse(t, params: CsfParams = CsfParams()):
+def base_pulse(t, params: CsfParams):
     """Evaluate the shaping pulse.
 
     Three branches: an exponentially growing oscillatory tail for t < 0,
@@ -157,7 +157,7 @@ def _pulse_spectrum(params: CsfParams, n_fft: int) -> np.ndarray:
     return spectrum
 
 
-def encode_waveform(stream, params: CsfParams = CsfParams()) -> Waveform:
+def encode_waveform(stream, params: CsfParams) -> Waveform:
     """Superpose one symbol-shifted shaping pulse per symbol of stream, a
     nonempty 1-d sequence of exact -1s and +1s (anything else: ValueError).
 
@@ -228,7 +228,7 @@ def random_symbols(n: int, seed: int) -> np.ndarray:
     return np.random.default_rng(_check_integer("seed", seed, 0)).choice((-1.0, 1.0), size=n)
 
 
-def pulse_acf(lag, params: CsfParams = CsfParams(), oversampling: int = 256):
+def pulse_acf(lag, params: CsfParams, oversampling: int = 256):
     """Autocorrelation of the shaping pulse at finite real lags: the
     trapezoid of its defining integral over the truncated support, at
     oversampling points per symbol period, summed in closed form.  A
@@ -292,7 +292,7 @@ def pulse_acf(lag, params: CsfParams = CsfParams(), oversampling: int = 256):
     return float(vals[0]) if np.ndim(lag) == 0 else vals
 
 
-def authoritative_acf_table(params: CsfParams = CsfParams(), max_lag: int = 10) -> np.ndarray:
+def authoritative_acf_table(params: CsfParams, max_lag: int) -> np.ndarray:
     """Pulse ACF at integer lags 0..max_lag, in closed form, a fresh array
     per call: the waveform power at lag 0, an exponentially decaying
     negative value elsewhere.

@@ -278,7 +278,7 @@ class TestPredictedRxAcf:
 
     def test_matches_brute_force_double_sum(self):
         for seed in range(8):
-            ch = sample_random_channel(max_delay=10, path_count=5, seed=seed)
+            ch = sample_random_channel(max_delay=10, gamma_range=(0.3, 0.9), path_count=5, seed=seed)
             pred = predicted_rx_acf(ch, 0.3, PARAMS, max_lag=10)
             np.testing.assert_allclose(pred, brute_force_rx_acf(ch, 0.3, 10), rtol=1e-10)
 
@@ -288,16 +288,6 @@ class TestPredictedRxAcf:
             noisy = predicted_rx_acf(FIG2_CHANNEL, nv, PARAMS, max_lag=10)
             assert noisy[0] - base[0] == pytest.approx(nv, abs=1e-14)
             np.testing.assert_array_equal(noisy[1:], base[1:])
-
-    @pytest.mark.parametrize("missing", ["params", "max_lag"])
-    @pytest.mark.parametrize("predict", [predicted_rx_acf, predicted_rx_acf_trace], ids=lambda f: f.__name__)
-    def test_params_and_max_lag_have_no_default(self, predict, missing):
-        # the defaults went unused and disagreed: max_lag was ch.max_delay
-        # in one and 10 in the other
-        kwargs = {"params": PARAMS, "max_lag": 10}
-        del kwargs[missing]
-        with pytest.raises(TypeError, match=f"missing 1 required positional argument: '{missing}'"):
-            predict(FIG2_CHANNEL, 0.0, **kwargs)
 
     def test_numpy_integer_max_lag_accepted(self):
         np.testing.assert_array_equal(
@@ -339,7 +329,7 @@ class TestSimulationConsistency:
         # bound computed per channel plus the finite-frame edge bias
         n_sym = 2**14
         for seed in (0, 1, 2):
-            ch = sample_random_channel(max_delay=10, path_count=6, seed=seed)
+            ch = sample_random_channel(max_delay=10, gamma_range=(0.3, 0.9), path_count=6, seed=seed)
             stream = random_symbols(n_sym, seed=1000 + seed)
             received = apply_multipath(encode_waveform(stream, PARAMS), ch)
             est = empirical_acf(received, 10)

@@ -148,7 +148,7 @@ class TestNormalEquationsOracle:
         extension=st.integers(min_value=0, max_value=3 * M * 32),
     )
     def test_matches_tall_lstsq(self, beta, oversampling, n_sym, chaotic, snr_db, path_count, seed, extension):
-        ch = sample_random_channel(max_delay=M, path_count=path_count, seed=seed)
+        ch = sample_random_channel(max_delay=M, gamma_range=(0.3, 0.9), path_count=path_count, seed=seed)
         if chaotic:
             params = CsfParams(beta=beta, oversampling=oversampling)
             frame = chaotic_probe_frame(n_sym, params, ch, snr_db, seed=seed)
@@ -319,7 +319,7 @@ class TestNoiseSensitivityOrdering:
         # white probe and degrades much faster in noise
         errs = {"gauss": [], "chaos": []}
         for trial in range(10):
-            ch = sample_random_channel(max_delay=M, path_count=6, seed=trial)
+            ch = sample_random_channel(max_delay=M, gamma_range=(0.3, 0.9), path_count=6, seed=trial)
             truth = ch.taps[1:]
             g = ls_estimate(gaussian_probe_frame(1024, 16, ch, 0.0, seed=100 + trial), M)
             c = ls_estimate(chaotic_probe_frame(1024, PARAMS, ch, 0.0, seed=200 + trial), M)

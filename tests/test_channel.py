@@ -56,7 +56,7 @@ class TestChannelModel:
     @settings(max_examples=50, deadline=None)
     @given(max_delay=st.integers(0, 30), path_count=st.integers(1, 31), seed=st.integers(0, 2**32 - 1))
     def test_taps_equal_a_per_path_fill(self, max_delay, path_count, seed):
-        ch = sample_random_channel(max_delay=max_delay, path_count=min(path_count, max_delay + 1), seed=seed)
+        ch = sample_random_channel(max_delay, (0.3, 0.9), min(path_count, max_delay + 1), seed)
         filled = np.zeros(max_delay + 1)
         for d, a in ch.paths:
             filled[d] = a
@@ -300,12 +300,12 @@ class TestAddAwgn:
 
 class TestSampleRandomChannel:
     def test_single_path(self):
-        ch = sample_random_channel(max_delay=10, path_count=1, seed=0)
+        ch = sample_random_channel(max_delay=10, gamma_range=(0.3, 0.9), path_count=1, seed=0)
         assert ch.paths == ((0, 1.0),)
 
     def test_attenuations_decrease_with_delay(self):
         for seed in range(20):
-            ch = sample_random_channel(max_delay=10, path_count=6, seed=seed)
+            ch = sample_random_channel(max_delay=10, gamma_range=(0.3, 0.9), path_count=6, seed=seed)
             assert np.all(np.diff(ch.attenuations) < 0)
 
     def test_follows_exponential_law(self):
@@ -319,17 +319,17 @@ class TestSampleRandomChannel:
             assert gamma_range[0] <= damping[0] <= gamma_range[1]
 
     def test_gamma_mean(self):
-        # gamma is uniform on the default (0.3, 0.9): the one echo's damping
+        # gamma is uniform on gamma_range (0.3, 0.9): the one echo's damping
         # averages to the midpoint
         gammas = [
             -math.log(a) / d
             for s in range(10_000)
-            for d, a in sample_random_channel(max_delay=10, path_count=2, seed=s).paths[1:]
+            for d, a in sample_random_channel(max_delay=10, gamma_range=(0.3, 0.9), path_count=2, seed=s).paths[1:]
         ]
         assert len(gammas) == 10_000
         assert abs(float(np.mean(gammas)) - 0.6) < 0.01
 
     def test_deterministic(self):
-        a = sample_random_channel(max_delay=10, path_count=4, seed=5)
-        b = sample_random_channel(max_delay=10, path_count=4, seed=5)
+        a = sample_random_channel(max_delay=10, gamma_range=(0.3, 0.9), path_count=4, seed=5)
+        b = sample_random_channel(max_delay=10, gamma_range=(0.3, 0.9), path_count=4, seed=5)
         assert a == b

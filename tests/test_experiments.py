@@ -68,6 +68,11 @@ class TestConfig:
         cfg = resolve_config(None)
         assert cfg == DEFAULT_CONFIG
         assert cfg is not DEFAULT_CONFIG
+        # the sweeps share their prior's rows, not its lists: a list set in
+        # place changes one key only
+        lists = [value for section in cfg.values() if isinstance(section, dict) for value in section.values()]
+        lists = [value for value in lists if isinstance(value, list)]
+        assert len({id(value) for value in lists}) == len(lists) == 6
 
     def test_nested_merge(self):
         cfg = resolve_config({"sweep_snr": {"symbols": 2048}})
@@ -93,6 +98,8 @@ class TestPeakDetection:
     def test_interior_peaks(self):
         values = np.array([5.0, -1.0, 2.0, -0.5, -0.2, -0.4, 1.0, 0.0])
         assert interior_peak_lags(values) == [2, 4, 6]
+        # lag 3 tops its right neighbour but not its left
+        assert interior_peak_lags(np.array([0.0, 1.0, 2.0, 1.0, 0.0])) == [2]
 
     def test_expected_peaks_from_channel(self):
         ch = ChannelModel(paths=((0, 1.0), (2, 0.3), (7, 0.01)), max_delay=10)
@@ -112,7 +119,12 @@ class TestRunners:
         # reference column is the closed-form table, identical on every stream
         refs = sorted({row[3] for row in result.rows if row[1] == 0})
         assert len(refs) == 1
-        assert result.summary["max_pairwise_abs_dev"] > 0.0
+        # the spread over every pair of random streams, lag by lag, and
+        # R(0) / sqrt(symbols)
+        acfs = np.array([row[2] for row in result.rows if not row[5]]).reshape(3, 11)
+        pairwise = max(float(np.max(np.abs(a - b))) for a, b in itertools.combinations(acfs, 2))
+        assert result.summary["max_pairwise_abs_dev"] == pairwise > 0.0
+        assert result.summary["sampling_noise_std"] == pytest.approx(refs[0] / math.sqrt(512), rel=1e-15)
 
     def test_invariance_acf_is_the_unbuilt_frames(self, monkeypatch):
         # every stream's ACF comes from its symbol-rate pieces, building no
@@ -186,23 +198,26 @@ class TestFig2:
     def test_integer_acf_is_empirical_acf(self):
         # run_fig2 reads the integer-lag ACF off its trace; every summary
         # field built from it must be what empirical_acf gives
-        cfg = resolve_config({"seed": 3, "fig2": {"symbols": 4096, "snr_db": 10.0}})
-        result = run_fig2(cfg)
-        params = CsfParams(**cfg["csf"])
-        section = cfg["fig2"]
-        paths = ((0, 1.0), (2, attenuation_from_delay(0.6, 2)), (7, attenuation_from_delay(0.6, 7)))
-        ch = ChannelModel(paths=paths, max_delay=10)
-        stream = random_symbols(section["symbols"], seed=derive_seed(cfg["seed"], 1))
-        received = _encode_amplitudes(apply_multipath(Waveform(stream, 1), ch).samples, params)
-        received, noise_var = add_awgn(received, section["snr_db"], seed=derive_seed(cfg["seed"], 2))
-        emp = empirical_acf(received, 10)
-        pred = predicted_rx_acf(ch, noise_var, params, 10)
-        np.testing.assert_array_equal([row[1] for row in result.rows[:: params.oversampling]], emp)
-        assert result.summary["empirical_peak_lags"] == interior_peak_lags(emp)
-        assert result.summary["max_abs_disagreement"] == float(np.max(np.abs(emp - pred)))
-        assert result.summary["echo_peak_margins"] == {
-            str(d): float(min(emp[d] - emp[d - 1], emp[d] - emp[d + 1])) for d in (2, 7)
-        }
+        for delays in ([0, 2, 7], [0, 2, 3]):
+            cfg = resolve_config({"seed": 3, "fig2": {"symbols": 4096, "snr_db": 10.0, "delays": delays}})
+            result = run_fig2(cfg)
+            params = CsfParams(**cfg["csf"])
+            section = cfg["fig2"]
+            paths = ((0, 1.0), *((d, attenuation_from_delay(0.6, d)) for d in delays[1:]))
+            ch = ChannelModel(paths=paths, max_delay=10)
+            stream = random_symbols(section["symbols"], seed=derive_seed(cfg["seed"], 1))
+            received = _encode_amplitudes(apply_multipath(Waveform(stream, 1), ch).samples, params)
+            received, noise_var = add_awgn(received, section["snr_db"], seed=derive_seed(cfg["seed"], 2))
+            emp = empirical_acf(received, 10)
+            pred = predicted_rx_acf(ch, noise_var, params, 10)
+            np.testing.assert_array_equal([row[1] for row in result.rows[:: params.oversampling]], emp)
+            assert result.summary["empirical_peak_lags"] == interior_peak_lags(emp)
+            assert result.summary["max_abs_disagreement"] == float(np.max(np.abs(emp - pred)))
+            left, right = ({str(d): float(emp[d] - emp[d + side]) for d in delays[1:]} for side in (-1, 1))
+            assert result.summary["echo_peak_margins"] == {d: min(left[d], right[d]) for d in left}
+        # the echo at 3 stands less above the echo before it than above the
+        # lag after it: its margin is the left one
+        assert left["3"] < right["3"]
 
     @pytest.mark.parametrize("snr_db", [None, math.inf])
     def test_noiseless_trace_is_the_unbuilt_frames(self, monkeypatch, snr_db):
@@ -352,7 +367,6 @@ def test_method_subset_rows_match_full_run(methods):
     result = run_snr_sweep(cfg)
     snrs = [float(snr) for snr in cfg["sweep_snr"]["snr_db_list"]]
     assert result.rows == [full[(snr, method)] for snr in snrs for method in methods]
-    assert list(result.summary["mse"]) == methods
 
 
 def per_snr_trial(cfg, trial):
@@ -696,6 +710,18 @@ BAD_CONFIGS = [
         "sweep_snr.gamma_range must be [low, high] with 0 < low <= high, got [0, 1]",
         id="gamma-zero",
     ),
+    pytest.param(
+        "sweep-length",
+        "sweep_length.gamma_range=[0.3, .inf]",
+        "sweep_length.gamma_range must be [low, high] with 0 < low <= high, got [0.3, inf]",
+        id="gamma-inf",
+    ),
+    pytest.param(
+        "sweep-snr",
+        "sweep_snr.gamma_range=[0.9, 0.3]",
+        "sweep_snr.gamma_range must be [low, high] with 0 < low <= high, got [0.9, 0.3]",
+        id="gamma-reversed",
+    ),
     pytest.param("sweep-length", "csf.oversampling=4", "csf: oversampling must be an integer >= 8, got 4", id="ns-4"),
     pytest.param("sweep-snr", "csf.oversampling=16.0", "csf.oversampling must be an integer, got 16.0", id="ns-float"),
     pytest.param("sweep-snr", "csf.beta=1.0", "csf: beta must satisfy 0 < beta <= ln2, got 1.0", id="beta-high"),
@@ -721,6 +747,7 @@ BAD_CONFIGS = [
     pytest.param("fig2", "fig2.delays=[2, 7]", "fig2.delays [2, 7]: main path must be at delay 0", id="fig2-no-main"),
     pytest.param("fig2", "fig2.delays=[0, -2]", "fig2.delays must be nonnegative integers, got [0, -2]", id="fig2-negative"),
     pytest.param("fig2", "fig2.gamma=0", "fig2.gamma must be a positive number, got 0", id="fig2-gamma-0"),
+    pytest.param("fig2", "fig2.gamma=.inf", "fig2.gamma must be a positive number, got inf", id="fig2-gamma-inf"),
     pytest.param("fig2", "fig2.snr_db=abc", "fig2.snr_db must be a number or null, got 'abc'", id="fig2-snr-text"),
     pytest.param("fig2", "fig2.symbols=0", "fig2.symbols must be a positive integer, got 0", id="fig2-no-symbols"),
     pytest.param(
@@ -925,6 +952,21 @@ BAD_CONFIGS += [  # a tiny beta stretches the pulse tail past the frame cap of 2
     )
 ]
 
+# the most symbols whose received frame fits the cap at the defaults: 2**26
+# samples at 16 per symbol, less the pulse tail of 20 symbol periods and the
+# latest echo's 10; one symbol more is refused
+CAP_SYMBOLS = (1 << 26) // 16 - 20 - 10
+BAD_CONFIGS.append(
+    pytest.param(
+        "sweep-snr",
+        f"sweep_snr.symbols={CAP_SYMBOLS + 1}",
+        f"sweep_snr: the largest received frame, {CAP_SYMBOLS + 1} symbols with a pulse tail of 19.93 symbol periods "
+        "at csf.beta=0.6931471805599453 and echoes up to 10 symbols late, spans 6.711e+07 samples at "
+        "csf.oversampling=16, above the cap of 67108864 samples",
+        id="sweep-snr-frame-cap-one-symbol-past",
+    )
+)
+
 BAD_CONFIGS += [  # two faults in one config: the frame cap first, then the ACF's length, then the noise
     pytest.param(
         "fig2",
@@ -965,6 +1007,7 @@ BAD_CONFIGS += [
 # The inside edge of the refusals: configs that run, each a command and
 # its arguments, read as in BAD_CONFIGS
 ACCEPTED_CONFIGS = [(command, f"{key}={lag}") for command, key, _, _, lag in FRAME_EDGES]
+ACCEPTED_CONFIGS.append(("sweep-snr", f"sweep_snr.symbols={CAP_SYMBOLS}"))
 ACCEPTED_CONFIGS += [
     (command, arg)
     for command in csfchan.cli._RUNNERS
@@ -1172,18 +1215,19 @@ def test_cli_import_loads_no_scipy():
     assert _run_cli(["-c", probe]).stdout.strip() == "[]"
 
 
-def test_bytes_do_not_depend_on_blas_threads(tmp_path):
+def test_bytes_do_not_depend_on_blas_threads():
     # 2048 symbols make 33056-sample frames, whose ACF lags split into
-    # halves that a threaded BLAS would split again; the sidecar's MSEs
-    # carry every digit
-    outputs = []
-    for threads in (None, "1", "2"):
-        out = tmp_path / str(threads)
-        env = {} if threads is None else {"OPENBLAS_NUM_THREADS": threads}
-        args = ["sweep-snr", "--seed", "5", "--trials", "3", "--set", "sweep_snr.symbols=2048", "--out", str(out)]
-        _run_cli(["-m", "csfchan.cli", *args], **env)
-        sidecar = json.loads((out / "sweep_snr.json").read_text())
-        outputs.append(((out / "sweep_snr.csv").read_bytes(), sidecar["summary"]))
+    # halves that a threaded BLAS would split again; the rows are printed
+    # with every digit, past the CSV's 9
+    layer = {"seed": 5, "trials": 3, "sweep_snr": {"symbols": 2048}}
+    run = (
+        "from csfchan.experiments import resolve_config, run_snr_sweep; "
+        f"print(run_snr_sweep(resolve_config({layer!r})).rows)"
+    )
+    outputs = [
+        _run_cli(["-c", run], **({} if threads is None else {"OPENBLAS_NUM_THREADS": threads})).stdout
+        for threads in (None, "1", "2")
+    ]
     assert outputs[0] == outputs[1] == outputs[2]
 
 
@@ -1243,7 +1287,7 @@ class TestCli:
         assert table[0] == "config_hash,stream,lag,empirical_acf,reference_acf,abs_deviation,excluded"
         assert len(table) == 1 + 2 * 11
         sidecar = json.loads((tmp_path / "invariance.json").read_text())
-        assert sidecar["seed"] == 4
+        assert sidecar["config"]["seed"] == 4
         assert sidecar["config"]["invariance"]["symbols"] == 512
 
     def test_git_describe_names_the_package_checkout(self, tmp_path, monkeypatch):
@@ -1263,6 +1307,31 @@ class TestCli:
         assert self.run(tmp_path, "invariance", "--set", "invariance.symbols=64", "--set", "invariance.streams=2") == 0
         sidecar = json.loads((tmp_path / "invariance.json").read_text())
         assert sidecar["package_version"] == csfchan.__version__
+
+    @pytest.mark.parametrize(
+        "command, override, summary",
+        [
+            (
+                "fig2",
+                "fig2.symbols=256",
+                {"channel_attenuations", "expected_peak_lags", "predicted_peak_lags", "empirical_peak_lags",
+                 "echo_peak_margins", "max_abs_disagreement", "noise_sigma2", "checks"},
+            ),
+            ("sweep-length", "sweep_length.lengths=[256]", set()),
+            ("sweep-snr", "sweep_snr.symbols=256", set()),
+            ("invariance", "invariance.symbols=256", {"max_abs_dev_vs_reference", "max_pairwise_abs_dev", "sampling_noise_std"}),
+        ],
+        ids=["fig2", "sweep-length", "sweep-snr", "invariance"],
+    )
+    def test_sidecar_copies_neither_table_nor_config(self, tmp_path, command, override, summary):
+        # the CSV holds the rows and "config" every setting, the seed too;
+        # the summary holds only what the run derives beside them
+        self.run(tmp_path, command, "--trials", "1", "--set", override)
+        sidecar = json.loads((tmp_path / f"{command.replace('-', '_')}.json").read_text())
+        assert sidecar.keys() == {
+            "config", "config_hash", "git_describe", "package_version", "numpy_version", "openblas_core", "summary", "passed"
+        }
+        assert sidecar["summary"].keys() == summary
 
     def test_sidecar_reports_numpy_version(self, tmp_path):
         # a Generator stream is fixed only within one numpy version (NEP 19)
@@ -1341,7 +1410,8 @@ class TestCli:
         )
         assert code == 0
         sidecar = json.loads((tmp_path / "out/invariance.json").read_text())
-        assert (sidecar["seed"], sidecar["config"]["invariance"]["symbols"], sidecar["config"]["threads"]) == (10, 64, 2)
+        config = sidecar["config"]
+        assert (config["seed"], config["invariance"]["symbols"], config["threads"]) == (10, 64, 2)
         assert sidecar["config_hash"] == "90620358f131"
         assert (tmp_path / "out/invariance.csv").read_text().splitlines()[1].startswith("90620358f131,")
 
@@ -1354,4 +1424,4 @@ class TestCli:
         assert code == 0
         sidecar = json.loads((tmp_path / "out/invariance.json").read_text())
         assert sidecar["config"]["invariance"]["symbols"] == 256
-        assert sidecar["seed"] == 8
+        assert sidecar["config"]["seed"] == 8

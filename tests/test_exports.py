@@ -113,13 +113,13 @@ def test_openblas_loads_with_one_thread(variable):
 # first one has sized the heap
 _FRAME_FAULTS = """
 import resource
-from csfchan import add_awgn, apply_multipath, encode_waveform, random_symbols, sample_random_channel
+from csfchan import CsfParams, add_awgn, apply_multipath, encode_waveform, random_symbols, sample_random_channel
 
-channel = sample_random_channel(max_delay=10, path_count=6, seed=0)
+channel = sample_random_channel(max_delay=10, gamma_range=(0.3, 0.9), path_count=6, seed=0)
 
 
 def frame(seed):
-    add_awgn(apply_multipath(encode_waveform(random_symbols(65536, seed=seed)), channel), 10.0, seed)
+    add_awgn(apply_multipath(encode_waveform(random_symbols(65536, seed=seed), CsfParams()), channel), 10.0, seed)
 
 
 frame(0)

@@ -2,7 +2,7 @@
 
 numpy keeps its bit generators stable across versions, but not the
 Generator methods built on them (its random compatibility policy, NEP 19),
-and pyproject.toml allows any numpy >= 2.0.  Each draw below is one the
+so pyproject.toml pins the numpy 2.4 series.  Each draw below is one the
 package makes, in the call form it makes it, with its first values at two
 seeds held as literals taken on numpy 2.4.6.  A numpy whose streams move
 fails here by name, ahead of every reference CSV at once.

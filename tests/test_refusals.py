@@ -2,7 +2,8 @@
 message, raised before any work.  ARGUMENTS holds the one integer rule
 (an integer, not a bool, of at least its lowest value), BAD_CALLS every
 other refusal of acf, baselines, channel, estimator and waveform, and
-ACCEPTED_CALLS the value just inside each range refusal."""
+ACCEPTED_CALLS the value just inside each range refusal.  REQUIRED holds
+the arguments that take no default, whose omission is a TypeError."""
 
 import ast
 import math
@@ -44,6 +45,7 @@ from csfchan import (
     pulse_acf,
     random_symbols,
     sample_random_channel,
+    solve_channel,
     solve_channels,
 )
 from csfchan.acf import _pieces_acf_trace
@@ -58,6 +60,8 @@ M = 4  # the solver's echo taps: ACF rows over lags 0..M, r_xx over 0..2M
 ROWS = np.ones((2, M + 1))
 RXX = np.ones(2 * M + 1)
 PROBLEM = IdentificationProblem(ROWS[0], RXX)
+OPTS = SolverOptions(tol=1e-6, max_iter=100)
+GAMMA_RANGE = (0.3, 0.9)
 # one symbol and its pulse tail: 21 symbol periods
 PIECES = _amplitude_pieces(np.ones(1), PARAMS)
 NONFINITE = (math.nan, math.inf, -math.inf)
@@ -76,17 +80,17 @@ ARGUMENTS = {
     "predicted_rx_acf_trace.max_lag": (lambda v: predicted_rx_acf_trace(CHANNEL, 0.0, PARAMS, v), "max_lag", 0),
     "ChannelModel.delay": (lambda v: ChannelModel(((0, 1.0), (v, 0.5)), max_delay=4), "delay", 0),
     "ChannelModel.max_delay": (lambda v: ChannelModel(((0, 1.0),), max_delay=v), "max_delay", 0),
-    "sample_random_channel.max_delay": (lambda v: sample_random_channel(v, path_count=1), "max_delay", 0),
-    "sample_random_channel.path_count": (lambda v: sample_random_channel(10, path_count=v), "path_count", 1),
+    "sample_random_channel.max_delay": (lambda v: sample_random_channel(v, GAMMA_RANGE, 1, 0), "max_delay", 0),
+    "sample_random_channel.path_count": (lambda v: sample_random_channel(10, GAMMA_RANGE, v, 0), "path_count", 1),
     "gaussian_probe.n_symbols": (lambda v: gaussian_probe(v, 16, seed=0), "n_symbols", 1),
     "gaussian_probe.samples_per_symbol": (lambda v: gaussian_probe(64, v, seed=0), "samples_per_symbol", 1),
     "gaussian_probe_frame.n_symbols": (lambda v: gaussian_probe_frame(v, 16, CHANNEL, None, 0), "n_symbols", 1),
     "ls_estimate.max_delay": (lambda v: ls_estimate(ProbeFrame(PROBE, PROBE), v), "max_delay", 0),
     "ls_sweep.max_delay": (lambda v: ls_sweep(PROBE, PROBE, [0.0], 0, v), "max_delay", 0),
-    "SolverOptions.max_iter": (lambda v: SolverOptions(max_iter=v), "max_iter", 1),
+    "SolverOptions.max_iter": (lambda v: SolverOptions(1e-6, v), "max_iter", 1),
     "random_symbols.seed": (lambda v: random_symbols(8, seed=v), "seed", 0),
     "gaussian_probe.seed": (lambda v: gaussian_probe(64, 16, seed=v), "seed", 0),
-    "sample_random_channel.seed": (lambda v: sample_random_channel(10, seed=v), "seed", 0),
+    "sample_random_channel.seed": (lambda v: sample_random_channel(10, GAMMA_RANGE, 6, v), "seed", 0),
     "add_awgn.seed": (lambda v: add_awgn(WAVE, 10.0, v), "seed", 0),
     "awgn_law.seed": (lambda v: awgn_law(WAVE, [10.0], v), "seed", 0),
     "ls_sweep.seed": (lambda v: ls_sweep(PROBE, PROBE, [0.0], v, 4), "seed", 0),
@@ -94,7 +98,7 @@ ARGUMENTS = {
 
 # each call with one bad input, and the whole message of its ValueError
 BAD_CALLS = {
-    **{f"base_pulse-{bad}": (partial(base_pulse, bad), "pulse argument must be finite") for bad in NONFINITE},
+    **{f"base_pulse-{bad}": (partial(base_pulse, bad, PARAMS), "pulse argument must be finite") for bad in NONFINITE},
     **{
         f"beta-{beta}": (partial(CsfParams, beta), f"beta must satisfy 0 < beta <= ln2, got {beta}")
         for beta in (0.0, -0.1, LN2 + 0.01)
@@ -104,7 +108,7 @@ BAD_CALLS = {
     "Waveform-nan": (partial(Waveform, [1.0, math.nan], 16), "samples must all be finite"),
     **{
         f"encode_waveform-{name}": (
-            partial(encode_waveform, stream),
+            partial(encode_waveform, stream, PARAMS),
             "symbols must be a nonempty 1-d sequence of exact -1s and +1s",
         )
         for name, stream in (("0.5", [1.0, 0.5]), ("empty", []), ("2-d", np.ones((2, 4))))
@@ -112,10 +116,12 @@ BAD_CALLS = {
     # a 2x2 lag once read 0.094 at lag 0 instead of R(0) = 1.343, and a
     # column was flattened
     **{
-        f"pulse_acf-{shape}": (partial(pulse_acf, np.zeros(shape)), f"lag must be a scalar or a 1-d array, got shape {shape}")
+        f"pulse_acf-{shape}": (
+            partial(pulse_acf, np.zeros(shape), PARAMS), f"lag must be a scalar or a 1-d array, got shape {shape}"
+        )
         for shape in ((2, 2), (3, 1), (1, 0))
     },
-    **{f"pulse_acf-{bad}": (partial(pulse_acf, [0.0, bad]), "lag must be finite") for bad in NONFINITE},
+    **{f"pulse_acf-{bad}": (partial(pulse_acf, [0.0, bad], PARAMS), "lag must be finite") for bad in NONFINITE},
     **{
         f"{acf.__name__}-short": (partial(acf, Waveform(np.ones(176), 16), 10), "waveform too short for max_lag=10: 176 samples")
         for acf in MEASURE
@@ -172,16 +178,20 @@ BAD_CALLS = {
             ("map", lambda: awgn_law(WAVE, map(float, ("10.0", "-inf")), 1), "[10.0, -inf]"),
         )
     },
-    "path_count": (partial(sample_random_channel, 3, path_count=5), "path_count exceeds available delay slots"),
+    "path_count": (partial(sample_random_channel, 3, GAMMA_RANGE, 5, 0), "path_count exceeds available delay slots"),
     **{
         f"{call.func.__name__}-{name}": (call, message)
         for name, call, message in (
-            ("1-d", partial(solve_channels, RXX, ROWS[0]), "measured must be an (n, M+1) array of ACF rows, got shape (5,)"),
-            ("no-lag", partial(solve_channels, RXX, ROWS[:, :0]), "measured must be an (n, M+1) array of ACF rows, got shape (2, 0)"),
-            ("short-r_xx", partial(solve_channels, RXX[:-1], ROWS), f"r_xx must cover lags 0..{2 * M}"),
+            ("1-d", partial(solve_channels, RXX, ROWS[0], OPTS), "measured must be an (n, M+1) array of ACF rows, got shape (5,)"),
+            (
+                "no-lag",
+                partial(solve_channels, RXX, ROWS[:, :0], OPTS),
+                "measured must be an (n, M+1) array of ACF rows, got shape (2, 0)",
+            ),
+            ("short-r_xx", partial(solve_channels, RXX[:-1], ROWS, OPTS), f"r_xx must cover lags 0..{2 * M}"),
             ("short-r_xx", partial(IdentificationProblem, ROWS[0], RXX[:-1]), f"r_xx must cover lags 0..{2 * M}"),
-            ("nan-row", partial(solve_channels, RXX, ROWS * [[1.0], [math.nan]]), "ACF values must be finite"),
-            ("inf-r_xx", partial(solve_channels, RXX * math.inf, ROWS), "ACF values must be finite"),
+            ("nan-row", partial(solve_channels, RXX, ROWS * [[1.0], [math.nan]], OPTS), "ACF values must be finite"),
+            ("inf-r_xx", partial(solve_channels, RXX * math.inf, ROWS, OPTS), "ACF values must be finite"),
             ("inf-r_rr", partial(IdentificationProblem, [1.0, math.inf], RXX), "ACF values must be finite"),
             ("alpha", partial(build_residuals, np.zeros(M - 1), 0.0, PROBLEM), f"alpha must have shape ({M},)"),
         )
@@ -189,7 +199,7 @@ BAD_CALLS = {
     # NaN or a negative tol would flag an exact solve unconverged, and inf
     # would flag every seed converged
     **{
-        f"tol-{bad!r}": (partial(SolverOptions, bad), f"tol must be a finite real number >= 0, got {bad!r}")
+        f"tol-{bad!r}": (partial(SolverOptions, bad, 100), f"tol must be a finite real number >= 0, got {bad!r}")
         for bad in (math.nan, -1.0, -1e-300, math.inf, -math.inf, True, False, "1e-6", 1j, None)
     },
     **{
@@ -218,7 +228,7 @@ BAD_CALLS = {
 ACCEPTED_CALLS = {
     "beta-ln2-one-symbol": lambda: encode_waveform([1.0], CsfParams(beta=LN2)),
     "Waveform-one-sample": lambda: add_awgn(Waveform([1.0], 1), 10.0, 0),
-    "pulse_acf-one-lag": partial(pulse_acf, [0.0]),
+    "pulse_acf-one-lag": partial(pulse_acf, [0.0], PARAMS),
     **{f"{acf.__name__}-shortest": lambda acf=acf: acf(Waveform(np.ones(177), 16), 10) for acf in MEASURE},
     "pieces-shortest": partial(_pieces_acf_trace, PIECES, 19),
     **{f"{predict.__name__}-noise-0": partial(predict, CHANNEL, 0.0, PARAMS, 4) for predict in PREDICT},
@@ -231,8 +241,8 @@ ACCEPTED_CALLS = {
         )
     },
     **{f"snr-{snr}": partial(add_awgn, WAVE, snr, 0) for snr in (-3236.0, 3082.5)},
-    "path_count-max_delay+1": partial(sample_random_channel, 3, path_count=4),
-    "tol-0-r_xx-of-2M+1-lags": lambda: solve_channels(RXX, ROWS, SolverOptions(tol=0)),
+    "path_count-max_delay+1": partial(sample_random_channel, 3, GAMMA_RANGE, 4, 0),
+    "tol-0-r_xx-of-2M+1-lags": lambda: solve_channels(RXX, ROWS, SolverOptions(tol=0, max_iter=100)),
     "IdentificationProblem-r_xx-of-2M+1-lags": lambda: build_residuals(np.zeros(M), 0.0, IdentificationProblem(ROWS[0], RXX)),
     "ProbeFrame-equal-lengths": lambda: ls_estimate(ProbeFrame(PROBE, PROBE), 4),
     "ls_sweep-equal-lengths": partial(ls_sweep, Waveform(np.ones(20), 8), Waveform(np.ones(40), 16), [0.0], 0, 2),
@@ -242,14 +252,16 @@ ACCEPTED_CALLS = {
 @pytest.fixture
 def no_work(monkeypatch):
     """Make the first step of each function's work raise: a seeded draw,
-    the pulse samples and the encode's pulse FFT, the transmit ACF and the
-    lagged dot products of the ACFs, the noise law and dot products of the
-    baselines, and the solver's lag weights."""
+    the pulse tail's depth, which pulse_acf and the encodes read right
+    after their checks, the pulse samples and the encode's pulse FFT, the
+    transmit ACF and the lagged dot products of the ACFs, the noise law and
+    dot products of the baselines, and the solver's lag weights."""
 
     def work(*args, **kwargs):
         raise AssertionError("work ran")
 
     monkeypatch.setattr(np.random, "default_rng", work)
+    monkeypatch.setattr(CsfParams, "pulse_tail", property(work))
     for name in ("base_pulse", "_pulse_spectrum"):
         monkeypatch.setattr(csfchan.waveform, name, work)
     for name in ("_lagged_products", "authoritative_acf_table", "pulse_acf"):
@@ -257,6 +269,38 @@ def no_work(monkeypatch):
     for name in ("_lagged_products", "awgn_law"):
         monkeypatch.setattr(csfchan.baselines, name, work)
     monkeypatch.setattr(csfchan.estimator, "_lag_weights", work)
+
+
+# each argument that takes no default, where one would go unread by the
+# package and could disagree with the value its caller passes: the call
+# with every argument named, and the arguments it cannot do without
+REQUIRED = {
+    f"{function.__name__}.{missing}": (function, arguments, missing)
+    for function, arguments, required in (
+        (base_pulse, {"t": 0.5, "params": PARAMS}, ("params",)),
+        (encode_waveform, {"stream": [1.0], "params": PARAMS}, ("params",)),
+        # the integration's oversampling keeps its 256: fig2's trace reads it
+        (pulse_acf, {"lag": 0.5, "params": PARAMS}, ("params",)),
+        (authoritative_acf_table, {"params": PARAMS, "max_lag": 2}, ("params", "max_lag")),
+        *((predict, {"ch": CHANNEL, "noise_var": 0.0, "params": PARAMS, "max_lag": 4}, ("params", "max_lag")) for predict in PREDICT),
+        (
+            sample_random_channel,
+            {"max_delay": 10, "gamma_range": GAMMA_RANGE, "path_count": 6, "seed": 0},
+            ("gamma_range", "path_count", "seed"),
+        ),
+        (SolverOptions, {"tol": 1e-6, "max_iter": 100}, ("tol", "max_iter")),
+        (solve_channels, {"r_xx": RXX, "measured": ROWS, "opts": OPTS}, ("opts",)),
+        (solve_channel, {"prob": PROBLEM, "opts": OPTS}, ("opts",)),
+    )
+    for missing in required
+}
+
+
+@pytest.mark.parametrize("row", REQUIRED)
+def test_argument_has_no_default(row):
+    function, arguments, missing = REQUIRED[row]
+    with pytest.raises(TypeError, match=f"missing 1 required positional argument: '{missing}'$"):
+        function(**{name: value for name, value in arguments.items() if name != missing})
 
 
 @pytest.mark.parametrize("row", BAD_CALLS)

@@ -86,7 +86,7 @@ class TestCsfParams:
         assert type(params.oversampling) is int
         assert params == CsfParams(oversampling=16)
         wave = encode_waveform(random_symbols(8, seed=1), params)
-        np.testing.assert_array_equal(wave.samples, encode_waveform(random_symbols(8, seed=1)).samples)
+        np.testing.assert_array_equal(wave.samples, encode_waveform(random_symbols(8, seed=1), PARAMS).samples)
 
 
 class TestEncodeWaveform:
@@ -378,6 +378,7 @@ class TestPulseAcfOracle:
     def test_scalar_in_scalar_out(self):
         value = pulse_acf(1.5, PARAMS)
         assert isinstance(value, float)
+        assert value == pulse_acf(1.5, PARAMS, 256)
         assert value == pulse_acf(np.array([1.5]), PARAMS)[0]
         assert_matches_trapezoid([1.5], PARAMS, 256)
 
