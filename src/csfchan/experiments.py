@@ -359,7 +359,7 @@ def _fig2_channel(section: dict) -> ChannelModel:
     per further delay with the attenuation law; ConfigError when the
     delays cannot form a channel."""
     gamma = float(section["gamma"])
-    paths = tuple((d, attenuation_from_delay(gamma, d) if d > 0 else 1.0) for d in section["delays"])
+    paths = tuple((d, attenuation_from_delay(gamma, d)) for d in section["delays"])
     try:
         return ChannelModel(paths=paths, max_delay=section["max_delay"])
     except ValueError as exc:
@@ -404,11 +404,8 @@ def interior_peak_lags(values: np.ndarray) -> list[int]:
 def expected_secondary_peaks(ch: ChannelModel) -> set[int]:
     """Echo delays plus pairwise delay differences: where ACF bumps sit."""
     delays = [d for d, _ in ch.paths]
-    out = set(d for d in delays if d > 0)
-    for i, di in enumerate(delays):
-        for dj in delays[:i]:
-            out.add(abs(di - dj))
-    return out
+    # the main path sits at delay 0, so the differences hold each echo delay
+    return {abs(di - dj) for i, di in enumerate(delays) for dj in delays[:i]}
 
 
 # ---------------------------------------------------------------------------

@@ -116,7 +116,7 @@ def base_pulse(t, params: CsfParams):
     tail = (1.0 - np.exp(-beta)) * np.exp(beta * t_clip) * trig
     plateau = 1.0 - np.exp(beta * (t_clip - 1.0)) * trig
     out = np.where(t_arr < 0.0, tail, np.where(t_arr < 1.0, plateau, 0.0))
-    if np.isscalar(t) or t_arr.ndim == 0:
+    if t_arr.ndim == 0:
         return float(out)
     return out
 

@@ -129,11 +129,10 @@ def sample_sum_multipath(wave: Waveform, ch: ChannelModel) -> np.ndarray:
     return np.array(out)
 
 
-class TestBlockedMultipath:
+class TestPerSampleOracle:
     """apply_multipath adds each path in path order, so it agrees bit for
     bit with the per-sample sum, on frames from shorter than the largest
-    echo offset to 49157 samples.  The class and test names are those the
-    tests had when apply_multipath filled its output in blocks."""
+    echo offset to 49157 samples."""
 
     DENSE = ChannelModel(paths=tuple((d, 0.9**d) for d in range(11)), max_delay=10)
     MAIN_ONLY = ChannelModel(paths=((0, 1.0),), max_delay=10)
@@ -159,7 +158,7 @@ class TestBlockedMultipath:
             (3, False),  # shorter than the largest echo offset
         ],
     )
-    def test_block_boundaries(self, ns, ch, n, of_output):
+    def test_over_frame_lengths(self, ns, ch, n, of_output):
         # of_output: n is the output length, the frame that much shorter
         if of_output:
             n -= int(ch.delays[-1]) * ns

@@ -100,6 +100,8 @@ class TestPeakDetection:
         assert interior_peak_lags(values) == [2, 4, 6]
         # lag 3 tops its right neighbour but not its left
         assert interior_peak_lags(np.array([0.0, 1.0, 2.0, 1.0, 0.0])) == [2]
+        # lag 1 is interior, and a plateau is no peak
+        assert interior_peak_lags(np.array([0.0, 1.0, 0.0, 2.0, 2.0, 0.0])) == [1]
 
     def test_expected_peaks_from_channel(self):
         ch = ChannelModel(paths=((0, 1.0), (2, 0.3), (7, 0.01)), max_delay=10)
@@ -153,6 +155,9 @@ class TestRunners:
         emp = np.array([r[1] for r in result.rows])
         pred = np.array([r[2] for r in result.rows])
         assert np.max(np.abs(emp - pred)) < 0.2
+        # the agreement bound is inclusive
+        cfg["fig2"]["agreement_tol"] = result.summary["max_abs_disagreement"]
+        assert run_fig2(cfg).summary["checks"]["integer_lag_agreement"]
 
     def test_length_sweep_rows(self):
         cfg = resolve_config(
@@ -475,7 +480,7 @@ class TestReferenceNonConvergence:
                     continue
                 iterations, residual, stop = self.EXPECTED[(trial, snr)]
                 assert not result.converged
-                assert opts.tol == pytest.approx(1.34e-6, rel=1e-2)
+                assert opts.tol == pytest.approx(1.34e-6, rel=1e-2) and opts.max_iter == 100
                 assert result.iterations == iterations < opts.max_iter
                 assert result.residual_norm == pytest.approx(residual, rel=1e-3)
                 # one iteration fewer replays the solve up to the last iterate
@@ -905,6 +910,8 @@ BAD_CONFIGS += [  # noise that overflows the sums over the received frame, known
     )
     for command, key, overrides, snr, n, power, lowest in (
         ("fig2", "fig2.snr_db", "fig2.snr_db=-3030", -3030, 1049008, 1.44, -2990.7),
+        # a limit 0.004 dB inside its 0.1 dB step: a margin of 1001, not 1e3, reads -3022.8
+        ("fig2", "fig2.snr_db", ("fig2.symbols=13", "fig2.snr_db=-3040"), -3040, 640, 1.44, -3022.9),
         # without blind_acf no ACF is solved, and the sums' limit binds
         (
             "sweep-snr",
@@ -932,6 +939,14 @@ BAD_CONFIGS += [  # noise that overflows the blind solver's cost, from far above
         ("sweep-snr", "sweep_snr.snr_db_list", "[-3100]", -3100),
         ("sweep-length", "sweep_length.snr_db", "-800", -800),
         ("sweep-snr", "sweep_snr.snr_db_list", "[-800]", -800),
+    )
+] + [  # two lags: a bound of ((M+1)^2 + 2)^2, not ((M+1)^2 + 1)^2, reads -756.3
+    pytest.param(
+        "sweep-snr",
+        ("sweep_snr.max_delay=1", "sweep_snr.path_count=1", "sweep_snr.snr_db_list=[-800]"),
+        "sweep_snr.snr_db_list: SNR -800 dB overflows the blind solver's cost over 2 lags of a received ACF at a "
+        "noise-free power up to 1.343; its lowest usable SNR is -756.7 dB",
+        id="sweep-snr-solver-overflow-2-lags",
     )
 ]
 
@@ -1271,7 +1286,7 @@ class TestCli:
     def run(self, tmp_path, *argv):
         return cli_main([*argv, "--out", str(tmp_path)])
 
-    def test_invariance_writes_outputs(self, tmp_path):
+    def test_invariance_writes_outputs(self, tmp_path, capsys):
         code = self.run(
             tmp_path,
             "invariance",
@@ -1283,6 +1298,12 @@ class TestCli:
             "invariance.streams=2",
         )
         assert code == 0
+        # the table written, then each scalar field of the summary
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == f"invariance: wrote {tmp_path / 'invariance.csv'} (22 rows)"
+        assert [line.split(": ")[0] for line in lines[1:]] == [
+            "  max_abs_dev_vs_reference", "  max_pairwise_abs_dev", "  sampling_noise_std"
+        ]
         table = (tmp_path / "invariance.csv").read_text().splitlines()
         assert table[0] == "config_hash,stream,lag,empirical_acf,reference_acf,abs_deviation,excluded"
         assert len(table) == 1 + 2 * 11
@@ -1397,7 +1418,9 @@ class TestCli:
         (tmp_path / "cfg.yaml").write_text("experiment: invariance\n")
         args = ["invariance", "--config", str(tmp_path / "cfg.yaml"), "--set", "experiment=invariance"]
         assert self.run(tmp_path, *args, "--set", "invariance.symbols=64", "--set", "invariance.streams=2") == 0
-        assert json.loads((tmp_path / "invariance.json").read_text())["config"]["experiment"] == "invariance"
+        text = (tmp_path / "invariance.json").read_text()
+        assert json.loads(text)["config"]["experiment"] == "invariance"
+        assert text == json.dumps(json.loads(text), sort_keys=True, indent=2) + "\n"
 
     def test_precedence_keeps_the_config_hash(self, tmp_path):
         # the file, then the flags, then each --set in order; the hash is

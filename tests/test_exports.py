@@ -109,6 +109,32 @@ def test_openblas_loads_with_one_thread(variable):
         assert tasks == 1
 
 
+# the mallopt calls importing csfchan makes, each as [param, value]
+_MALLOPT_CALLS = """
+import ctypes, json
+calls = []
+
+
+class Recording(ctypes.CDLL):
+    def mallopt(self, param, value):
+        calls.append([param, value])
+        return self.__getattr__("mallopt")(param, value)
+
+
+ctypes.CDLL = Recording
+import csfchan
+print(json.dumps(calls))
+"""
+
+
+def test_import_sets_the_heap_thresholds():
+    # frames of up to 32 MiB come from the heap, and up to 64 MiB of freed
+    # heap stays mapped (M_MMAP_THRESHOLD = -3, M_TRIM_THRESHOLD = -1)
+    if getattr(ctypes.CDLL(None), "mallopt", None) is None:
+        pytest.skip("libc has no mallopt")
+    assert json.loads(_run_python(_MALLOPT_CALLS, os.environ)) == [[-3, 32 << 20], [-1, 64 << 20]]
+
+
 # minor page faults of three 65536-symbol frames (1.05M samples) after a
 # first one has sized the heap
 _FRAME_FAULTS = """

@@ -226,7 +226,7 @@ BAD_CALLS = {
 # the inside edge of each range refusal: calls that are accepted and reach
 # their work, each accepted value built inside the call
 ACCEPTED_CALLS = {
-    "beta-ln2-one-symbol": lambda: encode_waveform([1.0], CsfParams(beta=LN2)),
+    "beta-ln2+1e-12-one-symbol": lambda: encode_waveform([1.0], CsfParams(beta=LN2 + 1e-12)),
     "Waveform-one-sample": lambda: add_awgn(Waveform([1.0], 1), 10.0, 0),
     "pulse_acf-one-lag": partial(pulse_acf, [0.0], PARAMS),
     **{f"{acf.__name__}-shortest": lambda acf=acf: acf(Waveform(np.ones(177), 16), 10) for acf in MEASURE},

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 import scipy.fft
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.signal import fftconvolve
 
@@ -139,6 +139,7 @@ class TestEncodeOracle:
         n_sym=st.integers(min_value=1, max_value=5000),
         seed=st.integers(min_value=0, max_value=2**32 - 1),
     )
+    @example(beta=LN2, oversampling=16, n_sym=26, seed=0)  # full length 751 pads to 768; 750 would pad to 750
     def test_bit_identical_to_fftconvolve(self, beta, oversampling, n_sym, seed):
         params = CsfParams(beta=beta, oversampling=oversampling)
         stream = random_symbols(n_sym, seed=seed)
@@ -166,6 +167,8 @@ class TestEncodeOracle:
         assert _pulse_spectrum.cache_info().hits == hits + 1
         np.testing.assert_array_equal(first, second)
         np.testing.assert_array_equal(second, fftconvolve_encode(stream, PARAMS))
+        encode_waveform(stream[:100], PARAMS)
+        assert _pulse_spectrum.cache_info().currsize == 1  # the spectrum of one length at a time
 
     def test_cached_spectrum_is_read_only(self):
         spectrum = _pulse_spectrum(PARAMS, 1024)
@@ -425,7 +428,7 @@ def log_uniform_betas(low):
 
 class TestTrapezoidPulseAcf:
     @settings(max_examples=15, deadline=None)
-    @given(data=st.data(), beta=log_uniform_betas(1e-3), ns=st.sampled_from([8, 12, 16]))
+    @given(data=st.data(), beta=log_uniform_betas(1e-2), ns=st.sampled_from([8, 12, 16]))
     def test_matches_pulse_acf_at_256(self, data, beta, ns):
         assert_matches_trapezoid(data.draw(closed_form_lags(ns)), CsfParams(beta=beta, oversampling=ns), 256)
 
